@@ -483,16 +483,18 @@ class KernelFlowEngine:
         self._proc_of_arc: dict[int, int] = {}
         self._res_of_arc: dict[int, int] = {}
         self._arc_of_link: dict[int, int] = {}
-        self._link_of_arc: dict[int, Link] = {}
+        # kernel arc id -> the link it mirrors (None for S/T arcs).
+        self._link_of_arc: list[Link | None] = []
         # (physical object, kernel arc[, adjacent boxes]) tuples for the
         # reconciliation scan.
         self._link_tuples: list[tuple[Link, int, tuple]] = []
         self._res_tuples: list[tuple[Resource, int]] = []
         # resource index -> frozen kernel arc path of its circuit.
         self._circuit_arcs: dict[int, list[int]] = {}
-        # forward arcs whose (0, 0) pair means one committed unit, not
-        # "disabled" — the scan needs the distinction.
-        self._frozen: set[int] = set()
+        # Flag per kernel arc: set on forward arcs whose (0, 0) pair
+        # means one committed unit, not "disabled" — the scan needs the
+        # distinction.
+        self._frozen = bytearray()
         self._enabled: set[int] = set()
         self._request_of: dict[int, Request] = {}
         self._pending: list[tuple[int, int, list[int]]] | None = None
@@ -528,11 +530,12 @@ class KernelFlowEngine:
                 "kernel engine invariant broken: _build() left no kernel behind"
             )
         cap = kernel.cap
+        frozen = self._frozen
         self._request_of.clear()
         wanted: set[int] = set()
         for req in reqs:
             a = self._src_pair[req.processor]
-            if a in self._frozen:
+            if frozen[a]:
                 raise ValueError(
                     f"processor {req.processor} still holds a transmitting circuit"
                 )
@@ -540,7 +543,7 @@ class KernelFlowEngine:
             self._request_of[req.processor] = req
         for p in self._enabled - wanted:
             a = self._src_pair[p]
-            if a not in self._frozen:
+            if not frozen[a]:
                 cap[a] = 0
         for p in wanted:
             cap[self._src_pair[p]] = 1
@@ -570,11 +573,12 @@ class KernelFlowEngine:
             paths = self._delta_paths(kernel, touched)
         mapping = Mapping()
         pending: list[tuple[int, int, list[int]]] = []
+        link_of_arc = self._link_of_arc
         for path in paths:
             proc = self._proc_of_arc[path[0]]
             res = self._res_of_arc[path[-1]]
             links = tuple(
-                self._link_of_arc[a] for a in path if a in self._link_of_arc
+                [link for a in path if (link := link_of_arc[a]) is not None]
             )
             mapping.add(
                 Assignment(
@@ -605,10 +609,7 @@ class KernelFlowEngine:
                     "recorded without its pending flow paths"
                 )
             for _proc, res, arcs in self._pending:
-                for a in arcs:
-                    cap[a] = 0
-                    cap[a ^ 1] = 0
-                    self._frozen.add(a)
+                self._freeze(arcs)
                 self._circuit_arcs[res] = arcs
             self._pending = None
             self._pending_mapping = None
@@ -617,13 +618,10 @@ class KernelFlowEngine:
         self._rollback_pending()
         for asg in mapping.assignments:
             arcs = self._path_arcs(asg.request.processor, asg.path, asg.resource.index)
-            if arcs is None or any(a in self._frozen or cap[a ^ 1] for a in arcs):
+            if arcs is None or any(self._frozen[a] or cap[a ^ 1] for a in arcs):
                 self._dirty = True
                 return
-            for a in arcs:
-                cap[a] = 0
-                cap[a ^ 1] = 0
-                self._frozen.add(a)
+            self._freeze(arcs)
             self._circuit_arcs[asg.resource.index] = arcs
         self._adopt_epoch(1)
 
@@ -657,7 +655,7 @@ class KernelFlowEngine:
         if a is None:
             return
         cap = kernel.cap
-        if a in self._frozen or cap[a ^ 1]:
+        if self._frozen[a] or cap[a ^ 1]:
             self._dirty = True  # an unregistered circuit is still parked here
             return
         cap[a] = 0 if self.mrsin.resources[resource].failed else 1
@@ -688,13 +686,15 @@ class KernelFlowEngine:
         self._arc_of_link = {
             lidx: 2 * aidx for lidx, aidx in problem.arc_of_link.items()
         }
-        self._link_of_arc = {2 * aidx: link for aidx, link in problem.arc_link.items()}
+        self._link_of_arc = [None] * kernel.n_arcs
+        for aidx, link in problem.arc_link.items():
+            self._link_of_arc[2 * aidx] = link
         self._link_tuples = [
             (link, 2 * arc.index, boxes) for link, arc, boxes in link_pairs
         ]
         self._res_tuples = [(res, 2 * arc.index) for res, arc in res_pairs]
         self._circuit_arcs = {}
-        self._frozen = set()
+        self._frozen = bytearray(kernel.n_arcs)
         self._enabled = set()
         self._request_of = {}
         self._pending = None
@@ -702,15 +702,11 @@ class KernelFlowEngine:
         # Promote in-flight circuits to frozen unit flows (their arcs
         # compiled to (0, 0) already — occupied links and busy sinks are
         # capacity 0 in the persistent build).
-        cap = kernel.cap
         for res, circuit in self.mrsin.transmitting_circuits().items():
             arcs = self._path_arcs(circuit.processor, circuit.links, res)
             if arcs is None:
                 continue
-            for a in arcs:
-                cap[a] = 0
-                cap[a ^ 1] = 0
-                self._frozen.add(a)
+            self._freeze(arcs)
             self._circuit_arcs[res] = arcs
         # Static levels: BFS over the forward arcs *ignoring* capacity.
         # Between solves no pair carries a reverse residual, so the
@@ -747,7 +743,7 @@ class KernelFlowEngine:
                 if cap[a] or cap[a ^ 1]:
                     return False
             else:
-                if a in frozen or cap[a ^ 1]:
+                if frozen[a] or cap[a ^ 1]:
                     return False
                 usable = not link.failed
                 for box in boxes:
@@ -760,7 +756,7 @@ class KernelFlowEngine:
                 if cap[a] or cap[a ^ 1]:
                     return False
             else:
-                if a in frozen or cap[a ^ 1]:
+                if frozen[a] or cap[a ^ 1]:
                     return False
                 cap[a] = 0 if res.failed else 1
         return True
@@ -875,14 +871,25 @@ class KernelFlowEngine:
         arcs.append(dst)
         return arcs
 
+    def _freeze(self, arcs: list[int]) -> None:
+        """Commit one unit of flow along a circuit's arcs."""
+        kernel = self._kernel
+        if kernel is None:
+            return
+        cap, frozen = kernel.cap, self._frozen
+        for a in arcs:
+            cap[a] = 0
+            cap[a ^ 1] = 0
+            frozen[a] = 1
+
     def _retract(self, arcs: list[int]) -> None:
         """Remove one committed unit of flow along a circuit's arcs."""
         kernel = self._kernel
         if kernel is None:
             return
-        cap = kernel.cap
+        cap, frozen = kernel.cap, self._frozen
         for a in arcs:
-            self._frozen.discard(a)
+            frozen[a] = 0
             cap[a] = 1
             cap[a ^ 1] = 0
         src = arcs[0]  # s -> (p, i): closed until the processor requests again

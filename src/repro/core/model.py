@@ -60,6 +60,9 @@ class MRSIN:
         self.resources = [
             Resource(i, resource_types[i], preferences[i]) for i in range(n_res)
         ]
+        # A resource's type never changes after construction, so the
+        # type set admission validates against is computed once.
+        self._resource_types = frozenset(resource_types)
         self.max_priority = max_priority
         self.max_preference = max_preference
         self.pending: list[Request] = []
@@ -89,14 +92,14 @@ class MRSIN:
         return self.network.n_resources
 
     @property
-    def resource_types(self) -> set[Hashable]:
-        """Distinct resource types in the pool."""
-        return {res.resource_type for res in self.resources}
+    def resource_types(self) -> frozenset[Hashable]:
+        """Distinct resource types in the pool (fixed at construction)."""
+        return self._resource_types
 
     @property
     def is_heterogeneous(self) -> bool:
         """More than one resource type present."""
-        return len(self.resource_types) > 1
+        return len(self._resource_types) > 1
 
     @property
     def has_priorities(self) -> bool:
@@ -143,7 +146,7 @@ class MRSIN:
             raise ValueError(
                 f"processor {request.processor} outside [0, {self.n_processors})"
             )
-        if request.resource_type not in self.resource_types:
+        if request.resource_type not in self._resource_types:
             raise ValueError(
                 f"no resource of type {request.resource_type!r} in this system"
             )
@@ -192,11 +195,12 @@ class MRSIN:
         circuits = self.network.establish_circuits(
             [a.path for a in mapping.assignments]
         )
+        pending = self.pending  # empty when an allocation service owns the queue
         for a, circuit in zip(mapping.assignments, circuits):
             self.resources[a.resource.index].busy = True
             self._transmitting[a.resource.index] = circuit
-            if a.request in self.pending:
-                self.pending.remove(a.request)
+            if pending and a.request in pending:
+                pending.remove(a.request)
         self.state_epoch += 1
         return circuits
 

@@ -66,10 +66,13 @@ class Switchbox:
 
         One bounds-checked call instead of an :meth:`input_free` /
         :meth:`output_free` pair — the circuit-establishment hot path
-        asks this for every hop of every path in a batch.
+        asks this for every hop of every path in a batch, so (as in
+        :meth:`connect` and :meth:`disconnect`) the bounds comparison
+        is inline and ``_check_port`` only runs to raise.
         """
-        self._check_port(in_port, self.n_in, "input")
-        self._check_port(out_port, self.n_out, "output")
+        if not (0 <= in_port < self.n_in and 0 <= out_port < self.n_out):
+            self._check_port(in_port, self.n_in, "input")
+            self._check_port(out_port, self.n_out, "output")
         return in_port not in self._in_to_out and out_port not in self._out_to_in
 
     def output_for(self, in_port: int) -> int | None:
@@ -85,8 +88,9 @@ class Switchbox:
     # ------------------------------------------------------------------
     def connect(self, in_port: int, out_port: int) -> None:
         """Establish ``in_port -> out_port``; both must be free."""
-        self._check_port(in_port, self.n_in, "input")
-        self._check_port(out_port, self.n_out, "output")
+        if not (0 <= in_port < self.n_in and 0 <= out_port < self.n_out):
+            self._check_port(in_port, self.n_in, "input")
+            self._check_port(out_port, self.n_out, "output")
         if in_port in self._in_to_out:
             raise ValueError(f"{self}: input {in_port} already connected (non-broadcast)")
         if out_port in self._out_to_in:
@@ -96,7 +100,8 @@ class Switchbox:
 
     def disconnect(self, in_port: int) -> None:
         """Tear down the connection starting at ``in_port``."""
-        self._check_port(in_port, self.n_in, "input")
+        if not 0 <= in_port < self.n_in:
+            self._check_port(in_port, self.n_in, "input")
         out_port = self._in_to_out.pop(in_port, None)
         if out_port is None:
             raise ValueError(f"{self}: input {in_port} is not connected")

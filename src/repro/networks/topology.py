@@ -18,7 +18,7 @@ describing how the wires of one rank connect to the next (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.networks.switchbox import Switchbox
@@ -83,12 +83,18 @@ class Circuit:
     """An established processor→resource connection.
 
     Holds the ordered links of the path; used as the handle for
-    :meth:`MultistageNetwork.release_circuit`.
+    :meth:`MultistageNetwork.release_circuit`.  ``hops`` are the switch
+    settings the circuit holds — one ``(box, in_port, out_port)`` per
+    traversed switchbox — so release walks them directly; they are
+    derived from ``links`` and take no part in equality.
     """
 
     processor: int
     resource: int
     links: tuple[Link, ...]
+    hops: tuple[tuple[Switchbox, int, int], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 class MultistageNetwork:
@@ -106,7 +112,14 @@ class MultistageNetwork:
         self.links: list[Link] = []
         self._from_src: dict[PortRef, Link] = {}
         self._to_dst: dict[PortRef, Link] = {}
-        self.circuits: list[Circuit] = []
+        self._processor_links: dict[int, Link] = {}
+        # The hop table, resolved once at wiring time: link index ->
+        # (box entered, its input port, box left, its output port);
+        # the box is None at a processor or resource end.
+        self._hops: list[tuple[Switchbox | None, int, Switchbox | None, int]] = []
+        # Active circuits by the index of their first link (circuits
+        # are link-disjoint, so the key is unique), in establish order.
+        self._circuits: dict[int, Circuit] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -124,11 +137,34 @@ class MultistageNetwork:
             raise ValueError(f"port {src} already wired")
         if dst in self._to_dst:
             raise ValueError(f"port {dst} already wired")
+        left, entered = self._box_at(src, "box_out"), self._box_at(dst, "box_in")
         link = Link(len(self.links), src, dst)
         self.links.append(link)
+        self._hops.append((entered, dst.port, left, src.port))
         self._from_src[src] = link
         self._to_dst[dst] = link
+        if src.kind == "proc":
+            self._processor_links[src.box] = link
         return link
+
+    def _box_at(self, ref: PortRef, kind: str) -> Switchbox | None:
+        """The switchbox whose ``kind`` port ``ref`` names (else None).
+
+        Checked here, once, so the per-grant pass over the hop table
+        never meets a missing box or an out-of-range port.
+        """
+        ref_kind, stage, index, port = ref
+        if ref_kind != kind:
+            return None
+        try:
+            box = self.stages[stage][index]
+        except IndexError:
+            box = None
+        if box is None or stage < 0 or index < 0 or not (
+            0 <= port < (box.n_in if kind == "box_in" else box.n_out)
+        ):
+            raise ValueError(f"port {ref} names no switchbox port")
+        return box
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -147,9 +183,14 @@ class MultistageNetwork:
         for stage in self.stages:
             yield from stage
 
+    @property
+    def circuits(self) -> list[Circuit]:
+        """The active circuits in establish order (a snapshot list)."""
+        return list(self._circuits.values())
+
     def processor_link(self, p: int) -> Link:
         """The single link leaving processor ``p``."""
-        return self._from_src[PortRef.processor(p)]
+        return self._processor_links[p]
 
     def resource_link(self, r: int) -> Link:
         """The single link entering resource ``r``."""
@@ -196,12 +237,10 @@ class MultistageNetwork:
         """
         if link.failed:
             return False
-        src, dst = link.src, link.dst
-        if src.kind == "box_out" and self.stages[src.stage][src.box].failed:
+        entered, _, left, _ = self._hops[link.index]
+        if left is not None and left.failed:
             return False
-        if dst.kind == "box_in" and self.stages[dst.stage][dst.box].failed:
-            return False
-        return True
+        return entered is None or not entered.failed
 
     def circuit_severed(self, circuit: Circuit) -> bool:
         """Whether an established circuit crosses a failed link or box."""
@@ -225,28 +264,6 @@ class MultistageNetwork:
     # ------------------------------------------------------------------
     # Circuit switching
     # ------------------------------------------------------------------
-    def _validate_path(self, links: Sequence[Link]) -> tuple[int, int]:
-        """Check a link sequence is a contiguous processor→resource path.
-
-        Returns ``(processor, resource)``.  Does not check occupancy.
-        """
-        if not links:
-            raise ValueError("empty path")
-        first, last = links[0], links[-1]
-        if first.src.kind != "proc":
-            raise ValueError(f"path must start at a processor, got {first.src}")
-        if last.dst.kind != "res":
-            raise ValueError(f"path must end at a resource, got {last.dst}")
-        for a, b in zip(links, links[1:]):
-            if a.dst.kind != "box_in" or b.src.kind != "box_out":
-                raise ValueError(f"links {a.index} and {b.index} do not meet at a box")
-            if (a.dst.stage, a.dst.box) != (b.src.stage, b.src.box):
-                raise ValueError(
-                    f"links {a.index} and {b.index} meet different boxes "
-                    f"({a.dst.stage},{a.dst.box}) vs ({b.src.stage},{b.src.box})"
-                )
-        return first.src.box, last.dst.box
-
     def establish_circuit(self, links: Sequence[Link]) -> Circuit:
         """Reserve a path: occupy its links and set the traversed switches.
 
@@ -254,101 +271,99 @@ class MultistageNetwork:
         any link is occupied or any switch port is already in use —
         the circuit blockages the scheduler must avoid.
         """
-        processor, resource = self._validate_path(links)
-        for link in links:
-            if link.occupied:
-                raise ValueError(f"link {link.index} already occupied")
-            if link.failed:
-                raise ValueError(f"link {link.index} has failed")
-        # Check all switch ports before mutating anything.
-        hops = list(zip(links, links[1:]))
-        for a, b in hops:
-            box = self.box(a.dst.stage, a.dst.box)
-            if box.failed:
-                raise ValueError(f"{box} has failed")
-            if not box.input_free(a.dst.port):
-                raise ValueError(f"{box} input {a.dst.port} busy")
-            if not box.output_free(b.src.port):
-                raise ValueError(f"{box} output {b.src.port} busy")
-        for a, b in hops:
-            self.box(a.dst.stage, a.dst.box).connect(a.dst.port, b.src.port)
-        for link in links:
-            link.occupied = True
-        circuit = Circuit(processor=processor, resource=resource, links=tuple(links))
-        self.circuits.append(circuit)
-        return circuit
+        return self.establish_circuits([links])[0]
 
     def establish_circuits(self, paths: Sequence[Sequence[Link]]) -> list[Circuit]:
         """Atomically establish one circuit per path (all-or-nothing).
 
-        Performs every :meth:`establish_circuit` check for *all* paths
-        — shape, occupancy, faults, switch-port availability, plus
-        link-disjointness *across* the batch — before mutating any
-        state, so a :class:`ValueError` on any path leaves the network
-        untouched.  This is the scheduling-cycle hot path: one combined
-        check-then-mutate pass over a whole mapping instead of a
-        validate pass followed by per-circuit re-checks.
+        One pass per path over the hop table checks everything before
+        any state is mutated: the path is a contiguous
+        processor→resource link sequence, every link is free, healthy
+        and used by no other path of the batch, every traversed box is
+        healthy and both its ports are free.  A :class:`ValueError` on
+        any path therefore leaves the network untouched.  Within a
+        path a shape violation is reported before an unavailable link,
+        and that before an unavailable switch, whatever their positions.
+        Cost is O(total path length); nothing else is scanned.
         """
-        stages = self.stages
+        hop_of = self._hops
         seen: set[int] = set()
-        staged: list[tuple[int, int, Sequence[Link], list[tuple]]] = []
+        staged: list[tuple[Sequence[Link], list[tuple[Switchbox, int, int]]]] = []
         for links in paths:
-            processor, resource = self._validate_path(links)
+            if not links:
+                raise ValueError("empty path")
+            first, last = links[0], links[-1]
+            if first.src.kind != "proc":
+                raise ValueError(f"path must start at a processor, got {first.src}")
+            if last.dst.kind != "res":
+                raise ValueError(f"path must end at a resource, got {last.dst}")
+            hops: list[tuple[Switchbox, int, int]] = []
+            link_error = switch_error = None
+            prev = box = None
+            port = -1
             for link in links:
+                index = link.index
+                entered, in_port, left, out_port = hop_of[index]
+                if prev is not None:
+                    if box is None or left is None:
+                        raise ValueError(
+                            f"links {prev.index} and {index} do not meet at a box"
+                        )
+                    if box is not left:
+                        raise ValueError(
+                            f"links {prev.index} and {index} meet different boxes "
+                            f"({box.stage},{box.index}) vs ({left.stage},{left.index})"
+                        )
+                    if box.failed:
+                        switch_error = switch_error or f"{box} has failed"
+                    elif not box.ports_free(port, out_port):
+                        busy = f"output {out_port}" if box.input_free(port) else f"input {port}"
+                        switch_error = switch_error or f"{box} {busy} busy"
+                    hops.append((box, port, out_port))
                 if link.occupied:
-                    raise ValueError(f"link {link.index} already occupied")
-                if link.failed:
-                    raise ValueError(f"link {link.index} has failed")
-                if link.index in seen:
-                    raise ValueError(f"two paths share link {link.index}")
-                seen.add(link.index)
-            hops: list[tuple] = []
-            prev = links[0]
-            for nxt in links[1:]:
-                end = prev.dst
-                box = stages[end.stage][end.box]
-                if box.failed:
-                    raise ValueError(f"{box} has failed")
-                if not box.ports_free(end.port, nxt.src.port):
-                    if not box.input_free(end.port):
-                        raise ValueError(f"{box} input {end.port} busy")
-                    raise ValueError(f"{box} output {nxt.src.port} busy")
-                hops.append((box, end.port, nxt.src.port))
-                prev = nxt
-            staged.append((processor, resource, links, hops))
+                    link_error = link_error or f"link {index} already occupied"
+                elif link.failed:
+                    link_error = link_error or f"link {index} has failed"
+                elif index in seen:
+                    link_error = link_error or f"two paths share link {index}"
+                seen.add(index)
+                prev, box, port = link, entered, in_port
+            if link_error or switch_error:
+                raise ValueError(link_error or switch_error)
+            staged.append((links, hops))
         circuits: list[Circuit] = []
-        for processor, resource, links, hops in staged:
-            for box, port_in, port_out in hops:
-                box.connect(port_in, port_out)
+        for links, hops in staged:
+            for box, in_port, out_port in hops:
+                box.connect(in_port, out_port)
             for link in links:
                 link.occupied = True
             circuit = Circuit(
-                processor=processor, resource=resource, links=tuple(links)
+                processor=links[0].src.box,
+                resource=links[-1].dst.box,
+                links=tuple(links),
+                hops=tuple(hops),
             )
-            self.circuits.append(circuit)
+            self._circuits[links[0].index] = circuit
             circuits.append(circuit)
         return circuits
 
     def release_circuit(self, circuit: Circuit) -> None:
-        """Tear down a previously established circuit."""
-        # Identity scan first: circuits handed out by establish_circuit
-        # come back as the same objects, and `is` skips the deep
-        # dataclass comparison `in`/`remove` would run per entry.
-        at = -1
-        for i, active in enumerate(self.circuits):
-            if active is circuit:
-                at = i
-                break
-        if at < 0:
-            try:
-                at = self.circuits.index(circuit)
-            except ValueError:
-                raise ValueError("circuit not active on this network") from None
-        for a, b in zip(circuit.links, circuit.links[1:]):
-            self.box(a.dst.stage, a.dst.box).disconnect(a.dst.port)
-        for link in circuit.links:
+        """Tear down a previously established circuit.
+
+        ``circuit`` is normally the object :meth:`establish_circuit`
+        returned; an *equal* one (a copy, an unpickled one) releases
+        the registered circuit it equals — the switches and links freed
+        are always the network's own.
+        """
+        key = circuit.links[0].index if circuit.links else -1
+        active = self._circuits.get(key)
+        if active is None or (active is not circuit and active != circuit):
+            raise ValueError("circuit not active on this network")
+        for box, in_port, _ in active.hops:
+            box.disconnect(in_port)
+        for link in active.links:
             link.occupied = False
-        del self.circuits[at]
+        del self._circuits[key]
 
     def release_all(self) -> None:
         """Release every circuit and clear all switch state."""
@@ -356,7 +371,7 @@ class MultistageNetwork:
             link.occupied = False
         for box in self.boxes():
             box.reset()
-        self.circuits.clear()
+        self._circuits.clear()
 
     # ------------------------------------------------------------------
     # Path search over free capacity
@@ -493,36 +508,26 @@ def assemble(
     for shapes in stage_shapes:
         net.add_stage(shapes)
 
-    def in_port(stage: int, global_port: int) -> PortRef:
-        total = 0
-        for idx, box in enumerate(net.stages[stage]):
-            if global_port < total + box.n_in:
-                return PortRef.box_in(stage, idx, global_port - total)
-            total += box.n_in
-        raise ValueError(f"input port {global_port} out of range in stage {stage}")
-
-    def out_port(stage: int, global_port: int) -> PortRef:
-        total = 0
-        for idx, box in enumerate(net.stages[stage]):
-            if global_port < total + box.n_out:
-                return PortRef.box_out(stage, idx, global_port - total)
-            total += box.n_out
-        raise ValueError(f"output port {global_port} out of range in stage {stage}")
-
     n_stages = len(stage_shapes)
     for k, boundary in enumerate(boundaries):
+        # Both sides in box-major port order, the order boundaries index.
         if k == 0:
-            n_src = n_processors
-            srcs = [PortRef.processor(i) for i in range(n_src)]
+            srcs = [PortRef.processor(i) for i in range(n_processors)]
         else:
-            n_src = sum(box.n_out for box in net.stages[k - 1])
-            srcs = [out_port(k - 1, i) for i in range(n_src)]
+            srcs = [
+                PortRef.box_out(k - 1, idx, port)
+                for idx, box in enumerate(net.stages[k - 1])
+                for port in range(box.n_out)
+            ]
         if k == n_stages:
-            n_dst = n_resources
-            dsts = [PortRef.resource(i) for i in range(n_dst)]
+            dsts = [PortRef.resource(i) for i in range(n_resources)]
         else:
-            n_dst = sum(box.n_in for box in net.stages[k])
-            dsts = [in_port(k, i) for i in range(n_dst)]
+            dsts = [
+                PortRef.box_in(k, idx, port)
+                for idx, box in enumerate(net.stages[k])
+                for port in range(box.n_in)
+            ]
+        n_src, n_dst = len(srcs), len(dsts)
         if n_src != n_dst:
             raise ValueError(
                 f"boundary {k}: {n_src} source wires vs {n_dst} destination ports"

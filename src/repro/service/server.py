@@ -584,31 +584,33 @@ class AllocationService:
             if self._engine is not None:
                 self._engine.commit(mapping)
             by_processor = {entry.request.processor: entry for entry in batch}
-            for assignment, circuit in zip(mapping.assignments, circuits):
-                entry = by_processor[assignment.request.processor]
-                if entry.future.done():
-                    # The winner's acquire was cancelled while queued:
-                    # undo the allocation on the spot instead of leaking
-                    # the resource into _leases with no one to release it.
-                    self._unwind_allocation(assignment.resource.index)
-                    try:
-                        self._queue.remove(entry)
-                    except ValueError:
-                        pass
-                    continue
-                lease = Lease(
-                    lease_id=next(self._ids),
-                    request=entry.request,
-                    resource=assignment.resource.index,
-                    circuit=circuit,
-                    acquired_at=now,
-                    waited=now - entry.submitted,
-                )
-                self._leases[lease.lease_id] = lease
-                self._queue.remove(entry)
-                self.metrics.record_allocation(lease.waited)
-                entry.future.set_result(lease)
-                leases.append(lease)
+            served: set[_Entry] = set()
+            try:
+                for assignment, circuit in zip(mapping.assignments, circuits):
+                    entry = by_processor[assignment.request.processor]
+                    served.add(entry)
+                    if entry.future.done():
+                        # The winner's acquire was cancelled while queued:
+                        # undo the allocation on the spot instead of leaking
+                        # the resource into _leases with no one to release it.
+                        self._unwind_allocation(assignment.resource.index)
+                        continue
+                    lease = Lease(
+                        lease_id=next(self._ids),
+                        request=entry.request,
+                        resource=assignment.resource.index,
+                        circuit=circuit,
+                        acquired_at=now,
+                        waited=now - entry.submitted,
+                    )
+                    self._leases[lease.lease_id] = lease
+                    self.metrics.record_allocation(lease.waited)
+                    entry.future.set_result(lease)
+                    leases.append(lease)
+            finally:
+                # One rebuild per cycle, not one list.remove per winner.
+                if served:
+                    self._queue = [e for e in self._queue if e not in served]
         t_applied = self.clock.perf_ns()
         self.metrics.record_tick_timing(
             reconcile_ns=t_reconciled - t_start,
@@ -653,6 +655,8 @@ class AllocationService:
         — its requests wait out the fault (or their deadline).
         """
         limit = self.config.max_batch or len(self._queue)
+        network = self.mrsin.network
+        processor_link, link_usable = network.processor_link, network.link_usable
         batch: list[_Entry] = []
         seen: set[int] = set()
         for entry in self._queue:
@@ -665,8 +669,8 @@ class AllocationService:
             proc = entry.request.processor
             if proc in seen:
                 continue
-            link = self.mrsin.network.processor_link(proc)
-            if link.occupied or not self.mrsin.network.link_usable(link):
+            link = processor_link(proc)
+            if link.occupied or not link_usable(link):
                 continue
             seen.add(proc)
             batch.append(entry)

@@ -1,16 +1,21 @@
 """Stateful property testing of circuit switching.
 
 A hypothesis rule-based state machine drives a MultistageNetwork
-through arbitrary interleavings of circuit establishment, release, and
-path search, checking after every step that the physical invariants
-hold:
+through arbitrary interleavings of circuit establishment, release
+(by handle or by an equal copy), link/box failure and repair, and path
+search, checking after every step that the physical invariants hold:
 
 - every switchbox remains an injective partial matching;
 - the set of occupied links is exactly the union of active circuits'
   links (no leaks, no double-occupancy);
-- `find_free_path` never returns occupied links or busy ports;
+- the switch settings held are exactly one per traversed box of every
+  active circuit (Σ box connections == Σ (links − 1));
+- `find_free_path` never returns occupied or unusable links or busy
+  ports, so establishing its result always succeeds;
 - a full `release_all` returns the network to pristine state.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import settings
@@ -38,8 +43,8 @@ class CircuitMachine(RuleBasedStateMachine):
         path = self.net.find_free_path(p, r)
         if path is None:
             return
-        # The path handed back must be entirely free right now.
-        assert all(not link.occupied for link in path)
+        # The path handed back must be entirely free and healthy right now.
+        assert all(not link.occupied and self.net.link_usable(link) for link in path)
         circuit = self.net.establish_circuit(path)
         self.circuits.append(circuit)
 
@@ -48,6 +53,34 @@ class CircuitMachine(RuleBasedStateMachine):
     def release(self, idx):
         circuit = self.circuits.pop(idx % len(self.circuits))
         self.net.release_circuit(circuit)
+
+    @rule(idx=st.integers(0, 30))
+    @precondition(lambda self: self.net is not None and self.circuits)
+    def release_equal_copy(self, idx):
+        circuit = self.circuits.pop(idx % len(self.circuits))
+        self.net.release_circuit(copy.deepcopy(circuit))
+        assert all(not link.occupied for link in circuit.links)
+
+    @rule(idx=st.integers(0, 200))
+    @precondition(lambda self: self.net is not None)
+    def fail_link(self, idx):
+        self.net.links[idx % len(self.net.links)].failed = True
+
+    @rule(idx=st.integers(0, 200))
+    @precondition(lambda self: self.net is not None)
+    def fail_box(self, idx):
+        boxes = list(self.net.boxes())
+        boxes[idx % len(boxes)].failed = True
+
+    @rule(idx=st.integers(0, 200))
+    @precondition(lambda self: self.net is not None)
+    def repair_link(self, idx):
+        self.net.links[idx % len(self.net.links)].failed = False
+
+    @rule()
+    @precondition(lambda self: self.net is not None)
+    def repair_everything(self):
+        self.net.clear_faults()
 
     @rule()
     @precondition(lambda self: self.net is not None)
@@ -76,6 +109,13 @@ class CircuitMachine(RuleBasedStateMachine):
                 from_circuits.add(link.index)
         occupied = {l.index for l in self.net.links if l.occupied}
         assert occupied == from_circuits
+
+    @invariant()
+    def switch_settings_equal_circuit_hops(self):
+        if self.net is None:
+            return
+        held = sum(box.n_connected for box in self.net.boxes())
+        assert held == sum(len(c.links) - 1 for c in self.net.circuits)
 
     @invariant()
     def circuit_count_consistent(self):

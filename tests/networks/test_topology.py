@@ -1,5 +1,8 @@
 """Tests for the generic MultistageNetwork model and circuit switching."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.networks.omega import omega
@@ -102,6 +105,43 @@ class TestCircuits:
         net.release_circuit(circuit)
         with pytest.raises(ValueError):
             net.release_circuit(circuit)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))])
+    def test_release_by_equal_copy_frees_the_networks_own_links(self, clone):
+        # Regression: the equality fallback used to drop the registry
+        # entry and the switch settings but flip ``occupied`` on the
+        # *copy's* links, leaving four links occupied by no circuit and
+        # processor 0 cut off from resource 3 forever.
+        net = omega(8)
+        circuit = net.establish_circuit(net.find_free_path(0, 3))
+        net.release_circuit(clone(circuit))
+        assert net.circuits == []
+        assert net.occupancy() == 0.0
+        assert all(box.n_connected == 0 for box in net.boxes())
+        assert net.find_free_path(0, 3) is not None
+        with pytest.raises(ValueError, match="not active"):
+            net.release_circuit(circuit)
+
+    def test_circuits_is_a_snapshot_in_establish_order(self):
+        net = omega(8)
+        first = net.establish_circuit(net.find_free_path(0, 3))
+        second = net.establish_circuit(net.find_free_path(1, 5))
+        snapshot = net.circuits
+        assert snapshot == [first, second] and snapshot[0] is first
+        snapshot.clear()  # a copy: the registry is untouched
+        net.release_circuit(first)
+        third = net.establish_circuit(net.find_free_path(0, 2))
+        assert [c.processor for c in net.circuits] == [1, 0] and net.circuits[1] is third
+        assert [len(c.hops) for c in net.circuits] == [3, 3]
+
+    def test_link_to_a_missing_box_or_port_rejected_at_wiring_time(self):
+        net = MultistageNetwork("x", 1, 1)
+        net.add_stage([(1, 1)])
+        with pytest.raises(ValueError, match="names no switchbox port"):
+            net.add_link(PortRef.processor(0), PortRef.box_in(0, 1, 0))
+        with pytest.raises(ValueError, match="names no switchbox port"):
+            net.add_link(PortRef.box_out(0, 0, 1), PortRef.resource(0))
+        assert net.links == []
 
     def test_release_all(self):
         net = omega(8)
