@@ -517,7 +517,10 @@ class WireConformance(Rule):
       CFG, every path that completes normally (including handled
       exceptions) sends exactly one correlated reply; paths that
       abort by raising are exempt (the connection teardown owns
-      those).
+      those).  A path may *defer* its reply through ``submit(...,
+      on_done=partial(self.<method>, ..., frame.request_id))``: that
+      counts as the one reply, and ``<method>`` is checked as the
+      handler's continuation, correlated to its bound id parameter.
     """
 
     id = "R008"
@@ -556,18 +559,30 @@ class WireConformance(Rule):
             ctx, comparisons, reply_schema, ctor_kinds
         )
         yield from inline_findings
-        for handler_name, (kinds, frame_param) in sorted(bindings.items()):
+        # (function, request kinds, parameter slot, how the slot's value
+        # names the request id: a frame's attribute, or the id itself).
+        work: list[tuple[str, frozenset[str], str, str]] = [
+            (name, frozenset(kinds), slot, ".request_id")
+            for name, (kinds, slot) in sorted(bindings.items())
+        ]
+        checked: set[str] = set()
+        while work:
+            handler_name, kinds, slot, suffix = work.pop(0)
             fn = self._find_function(ctx.tree, handler_name)
-            if fn is None:
+            param = None if fn is None else self._resolve_frame_param(fn, slot)
+            if fn is None or param is None or handler_name in checked:
                 continue
+            checked.add(handler_name)
             allowed: set[str] = set()
             for kind in kinds:
                 allowed |= set(reply_schema.get(kind, ()))
             cfg = build_cfg(fn, coroutine_names=coroutines)
+            key = param + suffix
             yield from self._check_handler(
-                ctx, cfg, frame_param, frozenset(allowed),
-                sorted(kinds), ctor_kinds,
+                ctx, cfg, key, frozenset(allowed), sorted(kinds), ctor_kinds,
             )
+            for method, index in self._deferred_replies(fn, key):
+                work.append((method, kinds, f"@{index}", ""))
 
     # ------------------------------------------------------------------
     # Protocol extraction
@@ -695,28 +710,42 @@ class WireConformance(Rule):
     # Branch and handler checks
     # ------------------------------------------------------------------
     def _correlated_sends(
-        self,
-        stmt: ast.AST,
-        frame_var: str,
-        ctor_kinds: Mapping[str, str],
+        self, stmt: ast.AST, key: str, ctor_kinds: Mapping[str, str]
     ) -> list[tuple[ast.Call, str]]:
-        """``make_*`` calls correlated to ``frame_var.request_id``."""
+        """``make_*`` calls whose request id is the expression ``key``
+        (``frame.request_id`` in a handler, the bound parameter in a
+        continuation)."""
         sends: list[tuple[ast.Call, str]] = []
         for sub in ast.walk(stmt):
             if not (isinstance(sub, ast.Call) and sub.args):
                 continue
             name = self._ctor_name(sub)
-            if name not in ctor_kinds:
-                continue
-            first = sub.args[0]
-            if (
-                isinstance(first, ast.Attribute)
-                and first.attr == "request_id"
-                and isinstance(first.value, ast.Name)
-                and first.value.id == frame_var
-            ):
+            if name in ctor_kinds and ast.unparse(sub.args[0]) == key:
                 sends.append((sub, ctor_kinds[name]))
         return sends
+
+    def _deferred_replies(self, stmt: ast.AST, key: str) -> list[tuple[str, int]]:
+        """``on_done=partial(self.<method>, ..., <key>, ...)`` arguments:
+        ``(method, index of the key among the bound arguments)`` —
+        ``<method>`` owes the reply and gets the request id in that slot."""
+        deferred: list[tuple[str, int]] = []
+        for sub in ast.walk(stmt):
+            for keyword in sub.keywords if isinstance(sub, ast.Call) else ():
+                bound = keyword.value
+                if (
+                    keyword.arg == "on_done"
+                    and isinstance(bound, ast.Call)
+                    and self._ctor_name(bound) == "partial"
+                    and bound.args
+                    and isinstance(bound.args[0], ast.Attribute)
+                    and ast.unparse(bound.args[0].value) == "self"
+                ):
+                    deferred += [
+                        (bound.args[0].attr, index)
+                        for index, arg in enumerate(bound.args[1:])
+                        if ast.unparse(arg) == key
+                    ]
+        return deferred
 
     @staticmethod
     def _ctor_name(call: ast.Call) -> str:
@@ -794,7 +823,7 @@ class WireConformance(Rule):
                         bindings[func.attr] = (kinds, param or f"@{index}")
                         bound_here = True
                 for call, reply_kind in self._correlated_sends(
-                    stmt, frame_var, ctor_kinds
+                    stmt, f"{frame_var}.request_id", ctor_kinds
                 ):
                     sent_here = True
                     if reply_kind not in reply_schema.get(kind, ()):
@@ -827,22 +856,23 @@ class WireConformance(Rule):
         self,
         ctx: ModuleContext,
         cfg: CFG,
-        frame_param_slot: str,
+        key: str,
         allowed: frozenset[str],
         kinds: list[str],
         ctor_kinds: Mapping[str, str],
     ) -> Iterator[Finding]:
-        frame_var = self._resolve_frame_param(cfg.func, frame_param_slot)
-        if frame_var is None:
-            return
-
         def sends_in(node: CFGNode) -> list[tuple[ast.Call, str]]:
             sends: list[tuple[ast.Call, str]] = []
             for root in _analysis_roots(node):
-                sends.extend(
-                    self._correlated_sends(root, frame_var, ctor_kinds)
-                )
+                sends.extend(self._correlated_sends(root, key, ctor_kinds))
             return sends
+
+        def replies_in(node: CFGNode) -> int:
+            """Replies sent here plus replies deferred to a continuation."""
+            return len(sends_in(node)) + sum(
+                len(self._deferred_replies(root, key))
+                for root in _analysis_roots(node)
+            )
 
         # Admissible reply kinds, anywhere in the handler.
         for node in cfg.nodes:
@@ -859,7 +889,7 @@ class WireConformance(Rule):
         def transfer(
             node: CFGNode, state: frozenset
         ) -> tuple[frozenset, frozenset]:
-            count = len(sends_in(node))
+            count = replies_in(node)
             if count == 0:
                 return state, state
             # The exception edge carries the pre-send state: a raise
@@ -873,7 +903,7 @@ class WireConformance(Rule):
             if node.index not in states:
                 continue
             in_state = states[node.index]
-            if sends_in(node) and 1 in in_state and node.line not in reported:
+            if replies_in(node) and 1 in in_state and node.line not in reported:
                 reported.add(node.line)
                 yield self.finding(
                     ctx, node.stmt if node.stmt is not None else cfg.func,

@@ -26,6 +26,7 @@ same tables the benchmark harness generates.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -279,11 +280,12 @@ def cmd_wire_serve(args) -> int:
                 # The injector's Poisson process starts at t=0; feed it
                 # elapsed serve time, not the loop clock's arbitrary epoch.
                 started = clock.now()
-                end = None if args.duration is None else started + args.duration
-                while end is None or clock.now() < end:
+                end = math.inf if args.duration is None else started + args.duration
+                if injector is None:  # nothing to do per tick: no second timer
+                    await clock.sleep(end - started)
+                while injector is not None and clock.now() < end:
                     await clock.sleep(config.tick_interval)
-                    if injector is not None:
-                        injector.inject(service, clock.now() - started)
+                    injector.inject(service, clock.now() - started)
                 await server.drain()
                 snapshot = service.snapshot()
                 snapshot["wire"] = server.snapshot()

@@ -3,7 +3,7 @@
 One :class:`~repro.service.server.AllocationService` is capped by a
 single core's tick rate.  The fabric partitions a large installation
 into **cells** — each an independent MRSIN served by its own
-allocation service on its own event loop in its own OS process — and
+allocation service, synchronously, in its own OS process — and
 puts a **cross-shard broker** in front: every request is routed to its
 home cell first, and requests a home cell cannot place are escalated
 to a **spill tier** solved over a reduced inter-cell flow network (a

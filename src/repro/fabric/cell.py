@@ -1,24 +1,21 @@
-"""The cell worker: one allocation service, one process, one loop.
+"""The cell worker: one allocation service, one process, no event loop.
 
-:func:`cell_main` is the target of each cell's OS process.  It builds
-an :class:`~repro.service.server.AllocationService` over the cell's
-own MRSIN on a **persistent** event loop, then serves the broker's
-bulk-synchronous protocol: a blocking ``conn.recv()`` in plain
-synchronous code picks up each :class:`~repro.fabric.messages.RoundWork`,
-``loop.run_until_complete`` runs the round's ticks, and the
+:func:`cell_main` is the target of each cell's OS process.  It serves
+the broker's bulk-synchronous protocol in plain synchronous code: a
+blocking ``conn.recv()`` picks up each
+:class:`~repro.fabric.messages.RoundWork`, :meth:`CellWorker.run_round`
+submits the arrivals and runs the round's ticks, and the
 :class:`~repro.fabric.messages.RoundResult` goes back on the pipe.
-Pending ``acquire`` tasks survive between rounds because the loop
-object persists — only *running* stops at each round boundary.
-
-Ticks run on a :class:`~repro.service.clock.VirtualClock`, manually
-stepped exactly like the chaos harness, so a cell's behaviour is a
-pure function of the arrivals the broker feeds it — the source of the
-fabric's seed-deterministic totals.
+Requests still queued at a round boundary stay in the service's queue;
+their tickets complete in a later round.  Ticks run on a
+:class:`~repro.service.clock.VirtualClock` stepped one unit per tick,
+so a cell's behaviour is a pure function of the arrivals it is fed —
+the source of the fabric's seed-deterministic totals.
 """
 
 from __future__ import annotations
 
-import asyncio
+from functools import partial
 from multiprocessing.connection import Connection
 
 from repro.core.model import MRSIN
@@ -42,8 +39,8 @@ from repro.service.server import (
     AllocationService,
     AllocationTimeout,
     Lease,
-    ServiceClosed,
     ServiceConfig,
+    Ticket,
 )
 from repro.util.histogram import LatencyHistogram
 
@@ -78,12 +75,11 @@ class CellWorker:
         self._granted: list[GrantMsg] = []
         self._released: list[str] = []
         self._unplaced: list[UnplacedMsg] = []
-        self._submitters: set[asyncio.Task[None]] = set()
 
     # ------------------------------------------------------------------
     # Round protocol
     # ------------------------------------------------------------------
-    async def run_round(self, work: RoundWork) -> RoundResult:
+    def run_round(self, work: RoundWork) -> RoundResult:
         """Inject the round's arrivals, run its ticks, account exactly."""
         cpu_start = process_time_ns()
         self._granted = []
@@ -94,17 +90,9 @@ class CellWorker:
             by_tick.setdefault(arrival.arrive_tick % work.ticks, []).append(arrival)
         for offset in range(work.ticks):
             for arrival in by_tick.get(offset, ()):
-                task = asyncio.ensure_future(self._submit(arrival))
-                self._submitters.add(task)
-                task.add_done_callback(self._submitters.discard)
-            # Let fresh submitters reach their acquire() await so this
-            # tick's batch sees them queued.
-            await self.clock.run_until(self.clock.now())
+                self._submit(arrival)
             self._step_tick()
-            # advance() drains the loop after waking sleepers, so
-            # grants and timeouts resolved by the tick above are
-            # adopted/recorded before the round result is built.
-            await self.clock.advance(1.0)
+            self.clock.step(1.0)
             self._tick += 1
         return self._round_result(work, cpu_start)
 
@@ -127,19 +115,19 @@ class CellWorker:
     def _lease_name(self, lease: Lease) -> str:
         return f"{self.spec.cell_id}:{self.spec.lease_base + lease.lease_id}"
 
-    async def _submit(self, arrival: FabricRequest) -> None:
+    def _submit(self, arrival: FabricRequest) -> None:
         request = Request(arrival.processor, tag=arrival.req_id)
         try:
-            lease = await self.service.acquire(request)
+            self.service.submit(request, on_done=partial(self._settled, arrival))
         except AllocationRejected:
             self._unplaced.append(UnplacedMsg(arrival, "rejected"))
-            return
-        except AllocationTimeout:
+
+    def _settled(self, arrival: FabricRequest, ticket: Ticket) -> None:
+        """Ticket callback, run inside this tick's service cycle."""
+        if ticket.lease is not None:
+            self._adopt(ticket.lease, arrival)
+        elif isinstance(ticket.error, AllocationTimeout):
             self._unplaced.append(UnplacedMsg(arrival, "timeout"))
-            return
-        except ServiceClosed:
-            return
-        self._adopt(lease, arrival)
 
     def _adopt(self, lease: Lease, arrival: FabricRequest) -> None:
         """Take custody of a fresh grant: name it, schedule its life."""
@@ -157,11 +145,10 @@ class CellWorker:
         )
 
     def _step_tick(self) -> None:
-        """One synchronous tick: lease lifecycle, then a service cycle.
+        """One tick: lease lifecycle, then a service cycle.
 
-        Synchronous on purpose: the held-lease read-modify-write never
-        spans an ``await``, so there is no suspension a revocation
-        could slip into between the read and the write-back.
+        ``_held`` is rebound before the cycle runs, so the grants the
+        cycle adopts (via :meth:`_settled`) land on the new list.
         """
         surviving: list[tuple[int, int, Lease, FabricRequest]] = []
         for end_tx, release_at, lease, arrival in self._held:
@@ -176,11 +163,6 @@ class CellWorker:
             surviving.append((end_tx, release_at, lease, arrival))
         self._held = surviving
         self.service.run_one_cycle()
-
-    def cancel_pending(self) -> None:
-        """Cancel acquire tasks still parked across round boundaries."""
-        for task in sorted(self._submitters, key=lambda t: t.get_name()):
-            task.cancel()
 
     def _round_result(self, work: RoundWork, cpu_start: int) -> RoundResult:
         free = len(self.mrsin.free_resources())
@@ -200,15 +182,7 @@ class CellWorker:
 
 
 def cell_main(conn: Connection, spec: CellSpec) -> None:
-    """Process entry point: serve the broker until Shutdown or EOF.
-
-    The receive loop is plain synchronous code — the blocking
-    ``conn.recv()`` never runs inside a coroutine — and every round is
-    executed with ``loop.run_until_complete`` on one persistent loop,
-    so acquire() tasks parked across a round boundary stay alive.
-    """
-    loop = asyncio.new_event_loop()
-    asyncio.set_event_loop(loop)
+    """Process entry point: serve the broker until Shutdown or EOF."""
     worker = CellWorker(spec)
     try:
         while True:
@@ -219,16 +193,10 @@ def cell_main(conn: Connection, spec: CellSpec) -> None:
             if isinstance(message, Shutdown):
                 break
             if isinstance(message, RoundWork):
-                conn.send(loop.run_until_complete(worker.run_round(message)))
+                conn.send(worker.run_round(message))
             elif isinstance(message, SnapshotRequest):
                 conn.send(worker.snapshot_reply())
     except (BrokenPipeError, OSError, KeyboardInterrupt):
         pass  # broker died mid-send or the run was interrupted
     finally:
-        worker.cancel_pending()
-        try:
-            loop.run_until_complete(asyncio.sleep(0))
-        except RuntimeError:  # pragma: no cover - loop already closing
-            pass
-        loop.close()
         conn.close()

@@ -5,7 +5,7 @@ for thousands of manually stepped ticks under a
 :class:`~repro.service.clock.VirtualClock`, with a seeded
 :class:`~repro.faults.injector.FaultInjector` failing and repairing
 links, switchboxes, and resources mid-flight, Poisson request arrivals
-queueing on ``acquire``, and leases walking the full
+queueing through ``submit``, and leases walking the full
 transmit → serve → release lifecycle.  Every tick it enforces three
 hard invariants (real exceptions, so they survive ``python -O``):
 
@@ -25,7 +25,6 @@ runs a 2000-tick omega-32 schedule on every push.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -35,7 +34,12 @@ from repro.core.scheduler import OptimalScheduler
 from repro.faults.injector import FaultInjector
 from repro.networks import benes, clos, omega
 from repro.service.clock import VirtualClock
-from repro.service.server import AllocationService, Lease, ServiceConfig
+from repro.service.server import (
+    AllocationRejected,
+    AllocationService,
+    Lease,
+    ServiceConfig,
+)
 from repro.util.rng import spawn_rngs
 from repro.util.tables import Table
 
@@ -126,27 +130,6 @@ def run_chaos(
         raise ValueError(f"ticks must be >= 1, got {ticks}")
     if check_every < 1:
         raise ValueError(f"check_every must be >= 1, got {check_every}")
-    return asyncio.run(
-        _churn(
-            topology=topology, ports=ports, ticks=ticks, seed=seed, rate=rate,
-            fault_rate=fault_rate, transient_fraction=transient_fraction,
-            mean_repair=mean_repair, check_every=check_every,
-        )
-    )
-
-
-async def _churn(
-    *,
-    topology: str,
-    ports: int,
-    ticks: int,
-    seed: int,
-    rate: float,
-    fault_rate: float,
-    transient_fraction: float,
-    mean_repair: float,
-    check_every: int,
-) -> ChaosReport:
     clock = VirtualClock()
     arrival_rng, fault_rng, hold_rng = spawn_rngs(seed, 3)
     mrsin = MRSIN(BUILDERS[topology](ports))
@@ -165,74 +148,61 @@ async def _churn(
         transient_fraction=transient_fraction, mean_repair=mean_repair,
     )
     cold = OptimalScheduler()
-    pending: list[asyncio.Task] = []
     held: list[tuple[int, int, Lease]] = []  # (end_tx_tick, release_tick, lease)
     allocated = released = rejected = differential_checks = 0
     max_failures = 0
-    try:
-        for tick in range(ticks):
-            now = float(tick)
-            # 1. Arrivals: fire-and-forget acquire tasks.
-            for _ in range(int(arrival_rng.poisson(rate * n_procs))):
-                proc = int(arrival_rng.integers(0, n_procs))
-                pending.append(asyncio.ensure_future(service.acquire(Request(proc))))
-            await asyncio.sleep(0)  # let each task run to its await (enqueue)
-            # 2. Lease lifecycle: end transmissions and releases due now.
-            surviving: list[tuple[int, int, Lease]] = []
-            for end_tx, rel, lease in held:
-                if lease.revoked:
-                    continue  # the service reclaimed it at a tick boundary
-                if tick >= rel:
-                    service.release(lease)
-                    released += 1
-                    continue
-                if tick >= end_tx and lease.transmitting:
-                    service.end_transmission(lease)
-                surviving.append((end_tx, rel, lease))
-            held = surviving
-            # 3. Fault/repair events due this tick.
-            injector.inject(service, now)
-            # 4. Reconcile, then enforce the invariants.
-            service.reconcile_faults()
-            _check_invariants(service, mrsin, tick)
-            failed = mrsin.failed_components()
-            max_failures = max(
-                max_failures,
-                len(failed["links"]) + len(failed["switchboxes"]) + len(failed["resources"]),
+    for tick in range(ticks):
+        now = float(tick)
+        # 1. Arrivals: fire-and-forget tickets (grants are read off the
+        #    cycle's return value below, so the callback has nothing to do).
+        for _ in range(int(arrival_rng.poisson(rate * n_procs))):
+            proc = int(arrival_rng.integers(0, n_procs))
+            try:
+                service.submit(Request(proc), on_done=lambda _ticket: None)
+            except AllocationRejected:
+                rejected += 1  # off the full queue
+        # 2. Lease lifecycle: end transmissions and releases due now.
+        surviving: list[tuple[int, int, Lease]] = []
+        for end_tx, rel, lease in held:
+            if lease.revoked:
+                continue  # the service reclaimed it at a tick boundary
+            if tick >= rel:
+                service.release(lease)
+                released += 1
+                continue
+            if tick >= end_tx and lease.transmitting:
+                service.end_transmission(lease)
+            surviving.append((end_tx, rel, lease))
+        held = surviving
+        # 3. Fault/repair events due this tick.
+        injector.inject(service, now)
+        # 4. Reconcile, then enforce the invariants.
+        service.reconcile_faults()
+        _check_invariants(service, mrsin, tick)
+        failed = mrsin.failed_components()
+        max_failures = max(
+            max_failures,
+            len(failed["links"]) + len(failed["switchboxes"]) + len(failed["resources"]),
+        )
+        # 5. The tick itself, with the cold-vs-warm differential.
+        if tick % check_every == 0:
+            batch = service.peek_batch()
+            cold_count = len(cold.schedule(mrsin, batch)) if batch else 0
+            differential_checks += 1
+        else:
+            batch, cold_count = None, -1
+        leases = service.run_one_cycle()
+        if batch is not None and len(leases) != cold_count:
+            raise ChaosInvariantError(
+                f"tick {tick}: warm-start allocated {len(leases)} of "
+                f"{len(batch)} requests but a cold optimal solve on the "
+                f"same degraded network allocates {cold_count}"
             )
-            # 5. The tick itself, with the cold-vs-warm differential.
-            if tick % check_every == 0:
-                batch = service.peek_batch()
-                cold_count = len(cold.schedule(mrsin, batch)) if batch else 0
-                differential_checks += 1
-            else:
-                batch, cold_count = None, -1
-            leases = service.run_one_cycle()
-            if batch is not None and len(leases) != cold_count:
-                raise ChaosInvariantError(
-                    f"tick {tick}: warm-start allocated {len(leases)} of "
-                    f"{len(batch)} requests but a cold optimal solve on the "
-                    f"same degraded network allocates {cold_count}"
-                )
-            for lease in leases:
-                hold = int(hold_rng.integers(1, 6))
-                held.append((tick + 1, tick + 1 + hold, lease))
-                allocated += 1
-            await asyncio.sleep(0)  # deliver lease futures to their tasks
-            still: list[asyncio.Task] = []
-            for task in pending:
-                if task.done():
-                    if task.exception() is not None:
-                        rejected += 1  # AllocationRejected off the full queue
-                else:
-                    still.append(task)
-            pending = still
-            await clock.run_until(now + 1.0)
-    finally:
-        for task in pending:
-            task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
-        await service.close()
+        for lease in leases:
+            hold = int(hold_rng.integers(1, 6))
+            held.append((tick + 1, tick + 1 + hold, lease))
+            allocated += 1
+        clock.step(1.0)
     snap = service.metrics.snapshot()
     return ChaosReport(
         topology=topology,

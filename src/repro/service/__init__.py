@@ -7,7 +7,7 @@ one solve per tick, receive leases, and release — the sustained-load
 regime the ROADMAP's production north-star calls for.
 
 - :mod:`repro.service.server` — :class:`AllocationService` with
-  ``acquire``/``release``, batching loop, admission control,
+  ``acquire``/``submit``/``release``, batching loop, admission control,
   backpressure, and degradation watermark;
 - :mod:`repro.service.clock` — wall-time and deterministic virtual
   clocks;
@@ -30,6 +30,7 @@ from repro.service.server import (
     ServiceClosed,
     ServiceConfig,
     ServiceFaulted,
+    Ticket,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "ServiceFaulted",
     "ServiceMetrics",
     "ServiceRunResult",
+    "Ticket",
     "VirtualClock",
     "acquire_with_retry",
     "run_service",

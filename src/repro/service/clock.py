@@ -154,6 +154,12 @@ class VirtualClock(Clock):
         """Advance virtual time by ``dt`` (see :meth:`run_until`)."""
         await self.run_until(self._now + dt)
 
+    def step(self, dt: float) -> None:
+        """Move ``now()`` to exactly where :meth:`advance` would, without
+        an event loop.  Wakes no sleeper: for hand-ticked synchronous
+        drivers (the fabric cell), which park nothing on the clock."""
+        self._now = max(self._now, self._now + dt)
+
     async def _drain(self) -> None:
         for _ in range(self.DRAIN_ROUNDS):
             await asyncio.sleep(0)

@@ -1,53 +1,30 @@
 """The allocation service: monitor-as-a-service over any MRSIN.
 
 The paper's Section IV monitor runs one flow solve per scheduling
-cycle over a static snapshot.  :class:`AllocationService` turns that
-cycle into an *online* server: clients ``await acquire(request)`` and
-get back a :class:`Lease`; a batching loop wakes every tick, coalesces
-everything pending into **one** max-flow solve (amortising Dinic over
-the batch, exactly Transformation 1 with many requests), applies the
-optimal mapping, and resolves the winners' futures.  Releases tear
-circuits down and free resources, so the network state genuinely
-evolves across cycles — the heavy-traffic resource-sharing regime.
+cycle over a static snapshot.  :class:`AllocationService` serves that
+cycle *online*: requests queue through ``await acquire(request)`` (or
+the synchronous :meth:`AllocationService.submit`, same queue, for
+callers with no coroutine to park), a batching loop coalesces
+everything pending into **one** max-flow solve per tick
+(Transformation 1 over the whole batch), and releases tear circuits
+down, so the network state genuinely evolves across cycles.
 
-Admission control and backpressure:
+- **Admission control**: a bounded queue (``queue_limit``, else
+  :class:`AllocationRejected`); a deadline per request, checked at tick
+  boundaries only so runs are reproducible under a virtual clock (else
+  :class:`AllocationTimeout`); above ``degrade_watermark`` queued, ticks
+  fall back to the deterministic greedy heuristic.
+- **Warm start** (default): one persistent Transformation-1 network
+  survives across ticks (:mod:`repro.core.incremental`) — the same
+  allocations as a cold solve at a fraction of the per-tick cost.
+- **Faults**: a fault severing a held circuit *revokes* the lease at
+  the next tick (``lease.revoked`` / ``revocation`` / ``on_revoke``;
+  touching it later raises :class:`LeaseRevoked`) while the service
+  keeps allocating; up to ``fault_budget`` consecutive failing cycles
+  are retried before :class:`ServiceFaulted`; ``release`` on a closed
+  service raises instead of mutating an MRSIN nobody serves.
 
-- a **bounded queue** (``queue_limit``): requests arriving at a full
-  queue are rejected immediately with :class:`AllocationRejected`;
-- a **deadline per request** (``timeout``): a request that cannot be
-  scheduled keeps its FIFO position and is deterministically re-queued
-  tick after tick until its deadline passes, at which point it is
-  rejected with :class:`AllocationTimeout` (deadlines are checked at
-  tick boundaries only, so runs are reproducible under a virtual
-  clock);
-- a **degradation watermark** (``degrade_watermark``): when the queue
-  depth crosses it, the tick falls back from the optimal flow solver
-  to the deterministic greedy heuristic — trading allocation quality
-  for solve latency under overload.
-
-Steady state rides on the **warm-start incremental flow engine**
-(:mod:`repro.core.incremental`, on by default): one persistent
-Transformation-1 network survives across ticks, releases retract their
-circuit's unit of flow instead of discarding the network, and each
-tick augments Dinic from the standing flow — same allocations as a
-cold solve, at a fraction of the per-tick cost.
-
-Fault tolerance (the robustness layer):
-
-- a fault that **severs a held circuit** — a failed link/switchbox on
-  its path, or the resource itself dying — **revokes** the lease: the
-  surviving links and the resource are reclaimed at the next tick, the
-  holder observes ``lease.revoked`` (and may ``await
-  lease.revocation.wait()``), and any later ``release`` /
-  ``end_transmission`` on it raises :class:`LeaseRevoked`.  The
-  service keeps allocating for everyone else;
-- **transient tick errors** are absorbed by a bounded *fault budget*
-  (``ServiceConfig.fault_budget``): up to that many *consecutive*
-  failing scheduling cycles are retried (after invalidating the warm
-  engine) before the loop escalates to :class:`ServiceFaulted`;
-- ``release``/``end_transmission`` on a closed or faulted service
-  raise :class:`ServiceClosed`/:class:`ServiceFaulted` instead of
-  silently mutating an MRSIN nobody serves anymore.
+``docs/architecture.md`` (Layer 6, the fault model) has the full account.
 """
 
 from __future__ import annotations
@@ -55,8 +32,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultEvent
@@ -81,6 +59,7 @@ __all__ = [
     "ServiceClosed",
     "ServiceConfig",
     "ServiceFaulted",
+    "Ticket",
 ]
 
 
@@ -204,8 +183,9 @@ class Lease:
     A fault that severs the allocation revokes the lease instead:
     ``active`` drops, ``revoked`` rises, and the ``revocation`` event
     fires — ``await lease.revocation.wait()`` is the holder's push
-    notification.  Touching a revoked lease afterwards raises
-    :class:`LeaseRevoked`.
+    notification; a holder without a task to park sets ``on_revoke``
+    and is called back from the revoking cycle instead.  Touching a
+    revoked lease afterwards raises :class:`LeaseRevoked`.
     """
 
     lease_id: int
@@ -217,6 +197,7 @@ class Lease:
     transmitting: bool = True
     active: bool = True
     revoked: bool = False
+    on_revoke: Callable[[Lease], None] | None = field(default=None, repr=False)
     _revocation: asyncio.Event | None = field(default=None, repr=False)
 
     @property
@@ -235,20 +216,59 @@ class Lease:
         return self._revocation
 
 
+@dataclass(eq=False, slots=True)
+class Ticket:
+    """Completion sink of one synchronous :meth:`AllocationService.submit`.
+
+    Speaks the four ``asyncio.Future`` methods the scheduling cycle
+    uses, so a queue entry completes a ticket and an ``acquire()``
+    future through the same calls.  ``on_done(ticket)`` runs inside
+    the cycle that grants (``lease`` set) or fails (``error`` set) the
+    request; :meth:`cancel` withdraws a still-queued request at once
+    and does not call it.
+    """
+
+    _on_done: Callable[[Ticket], None]
+    _unqueue: Callable[[Ticket], None]
+    lease: Lease | None = None
+    error: BaseException | None = None
+    _cancelled: bool = False
+
+    def done(self) -> bool:
+        return self._cancelled or self.lease is not None or self.error is not None
+
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    def cancel(self) -> bool:
+        if self.done():
+            return False
+        self._cancelled = True
+        self._unqueue(self)
+        return True
+
+    def set_result(self, lease: Lease) -> None:
+        self.lease = lease
+        self._on_done(self)
+
+    def set_exception(self, error: BaseException) -> None:
+        self.error = error
+        self._on_done(self)
+
+
 @dataclass(eq=False)
 class _Entry:
-    """One queued acquire() call.
+    """One queued request; ``future`` is its completion sink — the very
+    ``asyncio.Future`` an ``acquire()`` awaits, or a :class:`Ticket`.
 
-    ``eq=False``: entries are compared (and removed from the queue) by
-    identity — field-wise dataclass equality would deep-compare
-    requests and futures on every ``list.remove`` scan.
+    ``eq=False``: entries are compared by identity — field-wise
+    dataclass equality would deep-compare requests and futures.
     """
 
     request: Request
-    future: asyncio.Future
+    future: Any
     submitted: float
     deadline: float
-    seq: int = field(default=0)
 
 
 class AllocationService:
@@ -298,7 +318,6 @@ class AllocationService:
         self._queue: list[_Entry] = []
         self._leases: dict[int, Lease] = {}
         self._ids = itertools.count(1)
-        self._seq = itertools.count()
         self._loop_task: asyncio.Task | None = None
         self._closed = False
         self.fault: BaseException | None = None
@@ -335,9 +354,16 @@ class AllocationService:
         await self.close()
 
     async def _tick_loop(self) -> None:
+        interval = self.config.tick_interval
         consecutive_failures = 0
+        # Drift-free: a tick is due one interval after the last was
+        # *due*, so the sleep shrinks by cycle cost + timer lateness.
+        # Under a virtual clock ``now == due`` exactly and every sleep
+        # is exactly ``interval``, as in a plain sleep-per-tick loop.
+        due = self.clock.now() + interval
+        delay = interval
         while True:
-            await self.clock.sleep(self.config.tick_interval)
+            await self.clock.sleep(delay)
             try:
                 self.run_one_cycle()
             except asyncio.CancelledError:  # pragma: no cover - close() path
@@ -356,6 +382,11 @@ class AllocationService:
                     self._engine.invalidate()
             else:
                 consecutive_failures = 0
+            # A cycle that overran the interval yields once (delay 0)
+            # and re-anchors; missed ticks are never made up in a burst.
+            now = self.clock.now()
+            delay = max(interval - (now - due), 0.0)
+            due = now + delay
 
     def _fault(self, exc: Exception) -> None:
         """Mark the service faulted and fail everything still queued."""
@@ -399,6 +430,34 @@ class AllocationService:
         serve it, and :class:`ServiceClosed` if the service shuts down
         first.
         """
+        # The awaited future is itself the entry's sink: task.cancel()
+        # marks it cancelled at once, so a cycle in the same loop turn
+        # skips it, and the done-callback then purges it — an abandoned
+        # request can never win a resource nobody will release.
+        future = asyncio.get_running_loop().create_future()
+        self._admit(request, timeout, future)
+        future.add_done_callback(self._unqueue)
+        return await future
+
+    def submit(
+        self,
+        request: Request,
+        *,
+        timeout: float | None = None,
+        on_done: Callable[[Ticket], None],
+    ) -> Ticket:
+        """:meth:`acquire` without an event loop; returns the ticket.
+
+        Admission errors (:class:`AllocationRejected`, ``ValueError``,
+        :class:`ServiceClosed`) raise here; the cycle that grants or
+        expires the request, or :meth:`close`, calls ``on_done(ticket)``.
+        """
+        ticket = Ticket(on_done, self._unqueue)
+        self._admit(request, timeout, ticket)
+        return ticket
+
+    def _admit(self, request: Request, timeout: float | None, sink: Any) -> None:
+        """Validate, apply admission control and queue behind ``sink``."""
         self._check_open()
         if not 0 <= request.processor < self.mrsin.n_processors:
             raise ValueError(
@@ -414,30 +473,18 @@ class AllocationService:
         if timeout is None:
             timeout = self.config.default_timeout
         now = self.clock.now()
-        entry = _Entry(
+        self._queue.append(_Entry(
             request=request,
-            future=asyncio.get_running_loop().create_future(),
+            future=sink,
             submitted=now,
             deadline=now + timeout if timeout is not None else math.inf,
-            seq=next(self._seq),
-        )
-        self._queue.append(entry)
-        # Drop cancelled acquires from the queue eagerly, so an
-        # abandoned request can never be selected into a batch and
-        # allocated a resource nobody will release.
-        entry.future.add_done_callback(
-            lambda _future, entry=entry: self._drop_cancelled(entry)
-        )
+        ))
         self.metrics.record_admission(len(self._queue))
-        return await entry.future
 
-    def _drop_cancelled(self, entry: _Entry) -> None:
-        """Future done-callback: purge a cancelled entry from the queue."""
-        if entry.future.cancelled():
-            try:
-                self._queue.remove(entry)
-            except ValueError:
-                pass
+    def _unqueue(self, sink: Any) -> None:
+        """Purge a cancelled sink's entry from the queue (else a no-op)."""
+        if sink.cancelled():
+            self._queue = [entry for entry in self._queue if entry.future is not sink]
 
     def release(self, lease: Lease) -> None:
         """Free the lease's resource (and its circuit, if still held).
@@ -532,7 +579,10 @@ class AllocationService:
             lease.active = False
             lease.transmitting = False
             lease.revoked = True
-            lease.revocation.set()
+            if lease._revocation is not None:
+                lease._revocation.set()
+            if lease.on_revoke is not None:
+                lease.on_revoke(lease)
             del self._leases[lease.lease_id]
             self.metrics.record_revocation()
             revoked.append(lease)
@@ -631,20 +681,21 @@ class AllocationService:
     def _expire_deadlines(self, now: float) -> None:
         """Reject queued entries whose deadline has passed."""
         alive: list[_Entry] = []
+        expired: list[_Entry] = []
         for entry in self._queue:
             if entry.future.cancelled():
                 continue
-            if entry.deadline <= now:
-                entry.future.set_exception(
-                    AllocationTimeout(
-                        f"request from processor {entry.request.processor} "
-                        f"expired after {now - entry.submitted:g} time units"
-                    )
-                )
-                self.metrics.record_timeout()
-            else:
-                alive.append(entry)
+            (expired if entry.deadline <= now else alive).append(entry)
+        # Rebuilt before any sink fires: on_done may submit again.
         self._queue = alive
+        for entry in expired:
+            self.metrics.record_timeout()
+            entry.future.set_exception(
+                AllocationTimeout(
+                    f"request from processor {entry.request.processor} "
+                    f"expired after {now - entry.submitted:g} time units"
+                )
+            )
 
     def _select_batch(self) -> list[_Entry]:
         """FIFO batch: ≤1 request per processor, usable input links only.

@@ -10,8 +10,9 @@ fault budget become observable SLOs:
   (ACQUIRE/RELEASE/END_TX/PING/STATS requests; LEASE/REJECTED/TIMEOUT/
   REVOKED/ERROR/OK/PONG replies) with pure encode/decode;
 - :mod:`repro.wire.server` — asyncio TCP :class:`WireServer` wrapping a
-  service: per-connection tasks, connection-scoped lease tracking
-  (disconnect auto-releases), graceful drain, max-connections guard;
+  service: one task per connection and a batch of frames per read,
+  connection-scoped lease tracking (disconnect auto-releases),
+  graceful drain, max-connections guard;
 - :mod:`repro.wire.client` — pipelined :class:`WireClient` with
   configurable timeouts and seeded reconnect backoff;
 - :mod:`repro.wire.loadgen` — open-loop load generator (seeded Poisson

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.util.rng import make_rng
 from repro.wire.protocol import (
+    MAX_LINE,
     PUSH_ID,
     Frame,
     ProtocolError,
@@ -157,6 +158,8 @@ class WireClient:
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task[None] | None = None
         self._pending: dict[int, asyncio.Future[Frame]] = {}
+        #: Encoded frames queued this loop turn; they leave in one write.
+        self._out: list[bytes] = []
         self._leases: dict[int, RemoteLease] = {}
         self._ids = itertools.count(1)
         self.protocol_errors = 0
@@ -323,71 +326,100 @@ class WireClient:
         writer = self._writer
         if writer is None:
             raise WireConnectionError("not connected; call connect() first")
-        future: asyncio.Future[Frame] = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future[Frame] = loop.create_future()
         self._pending[frame.request_id] = future
+        timer = None if wait is None else loop.call_later(
+            wait, self._expire, future, frame, wait
+        )
         try:
-            writer.write(encode(frame))
+            self._send(frame)
+            # The write itself waits for the end of this loop turn, but
+            # a transport already paused by earlier writes still blocks
+            # this sender here.
             await writer.drain()
+            return await future
         except (ConnectionError, OSError) as exc:
-            self._pending.pop(frame.request_id, None)
             raise WireConnectionError(f"connection lost while sending: {exc}") from exc
-        try:
-            if wait is None:
-                return await future
-            return await asyncio.wait_for(future, wait)
-        except asyncio.TimeoutError as exc:
-            raise WireTimeout(
-                f"no reply to {frame.kind} #{frame.request_id} within {wait:g}s"
-            ) from exc
         finally:
+            if timer is not None:
+                timer.cancel()
             self._pending.pop(frame.request_id, None)
+
+    @staticmethod
+    def _expire(future: asyncio.Future[Frame], frame: Frame, wait: float) -> None:
+        if not future.done():
+            future.set_exception(WireTimeout(
+                f"no reply to {frame.kind} #{frame.request_id} within {wait:g}s"
+            ))
+
+    def _send(self, frame: Frame) -> None:
+        """Queue one frame; everything queued in a loop turn is one write."""
+        if not self._out:
+            asyncio.get_running_loop().call_soon(self._flush)
+        self._out.append(encode(frame))
+
+    def _flush(self) -> None:
+        if self._out and self._writer is not None:
+            self._writer.write(b"".join(self._out))
+        self._out.clear()
 
     async def _read_loop(self) -> None:
         reader = self._reader
         if reader is None:  # pragma: no cover - connect() always sets it
             return
+        buffer = b""
         while True:
             try:
-                line = await reader.readline()
+                chunk = await reader.read(MAX_LINE)
             except (ConnectionError, OSError):
                 break
-            if not line:
+            if not chunk:
                 break
-            try:
-                frame = decode(line)
-            except ProtocolError:
+            *lines, buffer = (buffer + chunk).split(b"\n")
+            for line in lines:
+                self._on_line(line)
+            if len(buffer) > MAX_LINE:
                 self.protocol_errors += 1
-                continue
-            if frame.request_id != PUSH_ID:
-                waiter = self._pending.get(frame.request_id)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(frame)
-                elif frame.request_id in self._auto_release_ids:
-                    # The OK (or REVOKED) answering one of our own
-                    # auto-RELEASEs below; nobody is waiting for it.
-                    self._auto_release_ids.discard(frame.request_id)
-                else:
-                    await self._handle_stale(frame)
-                continue
-            if frame.kind == "REVOKED":
-                lease_id = frame.get("lease_id")
-                if isinstance(lease_id, int) and not isinstance(lease_id, bool):
-                    self._mark_revoked(lease_id)
-                continue
-            # Unknown push frames are ignored (forward compatibility).
-        self._writer = None
+                break
+        writer, self._writer = self._writer, None
         self._reader = None
+        if writer is not None:
+            writer.close()
         self._fail_pending("connection lost")
 
-    async def _handle_stale(self, frame: Frame) -> None:
+    def _on_line(self, line: bytes) -> None:
+        try:
+            frame = decode(line)
+        except ProtocolError:
+            self.protocol_errors += 1
+            return
+        if frame.request_id != PUSH_ID:
+            waiter = self._pending.get(frame.request_id)
+            if waiter is not None and not waiter.done():
+                waiter.set_result(frame)
+            elif frame.request_id in self._auto_release_ids:
+                # The OK (or REVOKED) answering one of our own
+                # auto-RELEASEs below; nobody is waiting for it.
+                self._auto_release_ids.discard(frame.request_id)
+            else:
+                self._handle_stale(frame)
+        elif frame.kind == "REVOKED":
+            lease_id = frame.get("lease_id")
+            if isinstance(lease_id, int) and not isinstance(lease_id, bool):
+                self._mark_revoked(lease_id)
+        # Unknown push frames are ignored (forward compatibility).
+
+    def _handle_stale(self, frame: Frame) -> None:
         """A reply whose waiter already gave up (local timeout).
 
         Dropping it on the floor was the PR-7 bug: a LEASE granted just
-        after the client's ``wait_for`` expired left the resource busy
-        on the server with no one ever releasing it.  Answer the grant
-        with an immediate RELEASE under a fresh request id (tracked so
-        its OK is not counted stale in turn); every other late reply is
-        only counted.
+        after the client's wait expired left the resource busy on the
+        server with no one ever releasing it.  Answer the grant with an
+        immediate RELEASE under a fresh request id (tracked so its OK
+        is not counted stale in turn); every other late reply is only
+        counted.  If the connection is already down, the server's
+        disconnect auto-release covers the grant instead.
         """
         self.stale_replies += 1
         if frame.kind != "LEASE":
@@ -395,18 +427,11 @@ class WireClient:
         lease_id = frame.get("lease_id")
         if not isinstance(lease_id, int) or isinstance(lease_id, bool):
             return
-        writer = self._writer
-        if writer is None:
+        if self._writer is None:
             return
         release_id = next(self._ids)
         self._auto_release_ids.add(release_id)
-        try:
-            writer.write(encode(make_release(release_id, lease_id)))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            # Connection went down with the grant in hand; the server's
-            # disconnect auto-release covers it from here.
-            self._auto_release_ids.discard(release_id)
+        self._send(make_release(release_id, lease_id))
 
     def _mark_revoked(self, lease_id: int) -> None:
         lease = self._leases.pop(lease_id, None)

@@ -29,6 +29,7 @@ from typing import Any, Mapping
 
 __all__ = [
     "Frame",
+    "MAX_LINE",
     "ProtocolError",
     "PUSH_ID",
     "PUSH_KINDS",
@@ -58,6 +59,9 @@ WIRE_VERSION = 1
 #: Request id reserved for server-initiated push frames (REVOKED).
 #: Clients allocate ids from 1 upward.
 PUSH_ID = 0
+
+#: Longest frame line either end accepts; a longer one loses the connection.
+MAX_LINE = 65536
 
 REQUEST_KINDS: tuple[str, ...] = ("ACQUIRE", "RELEASE", "END_TX", "PING", "STATS")
 REPLY_KINDS: tuple[str, ...] = (

@@ -1,28 +1,27 @@
 """The TCP front-end: :class:`WireServer` serves an allocation service.
 
-One asyncio server, one task per connection, one task per in-flight
-ACQUIRE — the batching/ticking stays entirely inside
-:class:`~repro.service.server.AllocationService`; this layer only
-translates frames to service calls and leases back to frames.
+One asyncio server, one task per connection and nothing per request:
+each ``read()`` is split into every complete frame it carries, ACQUIREs
+are admitted through :meth:`AllocationService.submit` and answered by
+the ticket's callback inside the tick that settles them, and a
+connection's replies leave in one ``write`` per loop turn.  Batching and
+ticking stay inside the service; this layer translates frames to
+service calls and leases back to frames.
 
-Lease custody is **connection-scoped**: every lease granted over a
-connection is tracked against it, and a disconnect (clean or not)
-auto-releases whatever the client still holds — a crashed client can
-never leak resources.  A fault that revokes a held lease is *pushed*
-to the holder as a ``REVOKED`` frame (request id
-:data:`~repro.wire.protocol.PUSH_ID`), mirroring
-``lease.revocation`` for in-process holders.
-
-Shutdown is graceful: :meth:`WireServer.drain` rejects new ACQUIREs
-(``REJECTED`` with reason ``"draining"``) while in-flight ones keep
-ticking to completion; :meth:`WireServer.close` then tears down
-connections, releasing any leases still held.
+Lease custody is **connection-scoped**: a disconnect (clean or not)
+cancels the connection's queued ACQUIREs and auto-releases whatever it
+held — a crashed client can never leak resources.  A fault that revokes
+a held lease is *pushed* to the holder as a ``REVOKED`` frame under
+:data:`~repro.wire.protocol.PUSH_ID`.  :meth:`WireServer.drain` rejects
+new ACQUIREs while in-flight ones finish; :meth:`WireServer.close` then
+tears connections down.  See ``docs/architecture.md`` Layer 9.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.core.requests import Request
@@ -34,8 +33,10 @@ from repro.service.server import (
     Lease,
     LeaseRevoked,
     ServiceClosed,
+    Ticket,
 )
 from repro.wire.protocol import (
+    MAX_LINE,
     PUSH_ID,
     REQUEST_KINDS,
     Frame,
@@ -53,18 +54,27 @@ from repro.wire.protocol import (
 
 __all__ = ["WireServer"]
 
+#: ACQUIRE payload: ``(field, accepted types, value when absent)``.  An
+#: absent ``processor`` fails its own type check, so it alone is required.
+_ACQUIRE_FIELDS: tuple[tuple[str, tuple[type, ...], Any], ...] = (
+    ("processor", (int,), None),
+    ("resource_type", (str, int), "default"),
+    ("priority", (int,), 1),
+    ("timeout", (int, float, type(None)), None),
+)
+
 
 @dataclass
 class _Connection:
-    """Per-connection state: stream ends, lease custody, task registry."""
+    """Per-connection state: stream ends, custody, unsent replies."""
 
     conn_id: int
     reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
     leases: dict[int, Lease] = field(default_factory=dict)
-    watchers: dict[int, asyncio.Task[None]] = field(default_factory=dict)
-    tasks: set[asyncio.Task[None]] = field(default_factory=set)
+    tickets: set[Ticket] = field(default_factory=set)
     revoked_ids: set[int] = field(default_factory=set)
+    out: list[bytes] = field(default_factory=list)
     closed: bool = False
 
 
@@ -104,6 +114,9 @@ class WireServer:
         self._conn_ids = 0
         self._draining = False
         self._closed = False
+        self._inflight = 0
+        self._idle = asyncio.Event()  # set while no ACQUIRE is queued
+        self._idle.set()
         # Observability counters (the soak test's invariants).
         self.protocol_errors = 0
         self.connections_accepted = 0
@@ -148,11 +161,8 @@ class WireServer:
         return self._draining
 
     def pending_acquires(self) -> int:
-        """ACQUIRE handler tasks not yet finished (drain's wait set)."""
-        return sum(
-            sum(1 for t in conn.tasks if not t.done())
-            for conn in self._connections.values()
-        )
+        """ACQUIREs queued in the service and not yet answered."""
+        return self._inflight
 
     async def drain(self) -> None:
         """Stop admitting new ACQUIREs; wait out the in-flight ones.
@@ -163,13 +173,7 @@ class WireServer:
         acquires can only end by deadline.
         """
         self._draining = True
-        pending = [
-            task
-            for conn in self._connections.values()
-            for task in list(conn.tasks)
-        ]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        await self._idle.wait()
 
     async def close(self) -> None:
         """Drain, then drop every connection (releasing held leases)."""
@@ -179,9 +183,10 @@ class WireServer:
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for conn in list(self._connections.values()):
             await self._teardown(conn)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     async def __aenter__(self) -> "WireServer":
         await self.start()
@@ -219,142 +224,140 @@ class WireServer:
             await self._teardown(conn)
 
     async def _serve_connection(self, conn: _Connection) -> None:
+        buffer = b""
         while not conn.closed:
             try:
-                line = await conn.reader.readline()
+                chunk = await conn.reader.read(MAX_LINE)
             except (ConnectionError, OSError):
                 return
-            if not line:
+            if not chunk:
                 return  # client closed its end
-            if not line.strip():
-                continue
-            self.frames_received += 1
+            *lines, buffer = (buffer + chunk).split(b"\n")
+            for line in lines:
+                if line.strip():
+                    self._on_line(conn, line)
+            if len(buffer) > MAX_LINE:
+                return  # the bound readline() enforced: drop the connection
+            # One write and one drain per read batch: a client that
+            # stops reading its replies stops being read.
+            self._flush(conn)
             try:
-                frame = decode(line)
-            except ProtocolError as exc:
-                self.protocol_errors += 1
-                await self._send(conn, make_error(PUSH_ID, f"bad frame: {exc}"))
-                continue
-            if frame.kind not in REQUEST_KINDS:
-                self.protocol_errors += 1
-                await self._send(conn, make_error(
-                    frame.request_id,
-                    f"expected a request frame, got {frame.kind}",
-                ))
-                continue
-            await self._dispatch(conn, frame)
+                await conn.writer.drain()
+            except (ConnectionError, OSError):
+                conn.closed = True
 
-    async def _dispatch(self, conn: _Connection, frame: Frame) -> None:
+    def _on_line(self, conn: _Connection, line: bytes) -> None:
+        self.frames_received += 1
+        try:
+            frame = decode(line)
+        except ProtocolError as exc:
+            self.protocol_errors += 1
+            self._send(conn, make_error(PUSH_ID, f"bad frame: {exc}"))
+            return
+        if frame.kind not in REQUEST_KINDS:
+            self.protocol_errors += 1
+            self._send(conn, make_error(
+                frame.request_id,
+                f"expected a request frame, got {frame.kind}",
+            ))
+            return
+        self._dispatch(conn, frame)
+
+    def _dispatch(self, conn: _Connection, frame: Frame) -> None:
         if frame.kind == "ACQUIRE":
-            task = asyncio.get_running_loop().create_task(
-                self._handle_acquire(conn, frame)
-            )
-            conn.tasks.add(task)
-            task.add_done_callback(conn.tasks.discard)
+            self._handle_acquire(conn, frame)
         elif frame.kind == "RELEASE":
-            await self._handle_release(conn, frame, end_tx=False)
+            self._handle_release(conn, frame, end_tx=False)
         elif frame.kind == "END_TX":
-            await self._handle_release(conn, frame, end_tx=True)
+            self._handle_release(conn, frame, end_tx=True)
         elif frame.kind == "PING":
-            await self._send(conn, make_pong(frame.request_id))
+            self._send(conn, make_pong(frame.request_id))
         elif frame.kind == "STATS":
             snapshot = self.service.snapshot()
             snapshot["wire"] = self.snapshot()
-            await self._send(conn, make_ok(frame.request_id, stats=snapshot))
+            self._send(conn, make_ok(frame.request_id, stats=snapshot))
         else:  # pragma: no cover - REQUEST_KINDS is closed
-            await self._send(conn, make_error(
+            self._send(conn, make_error(
                 frame.request_id, f"unhandled request kind {frame.kind}"
             ))
 
     # ------------------------------------------------------------------
     # Request handlers
     # ------------------------------------------------------------------
-    async def _handle_acquire(self, conn: _Connection, frame: Frame) -> None:
+    def _handle_acquire(self, conn: _Connection, frame: Frame) -> None:
         if self._draining:
-            await self._send(conn, make_rejected(frame.request_id, "draining"))
+            self._send(conn, make_rejected(frame.request_id, "draining"))
             return
-        processor = frame.get("processor")
-        priority = frame.get("priority", 1)
-        resource_type = frame.get("resource_type", "default")
-        timeout = frame.get("timeout")
-        if isinstance(processor, bool) or not isinstance(processor, int):
-            await self._send(conn, make_error(
-                frame.request_id, f"ACQUIRE needs an int processor, got {processor!r}"
-            ))
-            return
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            await self._send(conn, make_error(
-                frame.request_id, f"priority must be an int, got {priority!r}"
-            ))
-            return
-        if timeout is not None and (
-            isinstance(timeout, bool) or not isinstance(timeout, (int, float))
-        ):
-            await self._send(conn, make_error(
-                frame.request_id, f"timeout must be a number, got {timeout!r}"
-            ))
-            return
-        if isinstance(resource_type, bool) or not isinstance(resource_type, (str, int)):
-            await self._send(conn, make_error(
-                frame.request_id,
-                f"resource_type must be a string or int, got {resource_type!r}",
-            ))
-            return
+        fields: dict[str, Any] = {}
+        for name, types, absent in _ACQUIRE_FIELDS:
+            value = fields[name] = frame.get(name, absent)
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = " or ".join(kind.__name__ for kind in types)
+                self._send(conn, make_error(
+                    frame.request_id, f"ACQUIRE {name} must be {expected}, got {value!r}"
+                ))
+                return
+        timeout = fields.pop("timeout")
         try:
-            request = Request(processor, resource_type=resource_type, priority=priority)
-        except ValueError as exc:
-            await self._send(conn, make_error(frame.request_id, str(exc)))
-            return
-        try:
-            lease = await self.service.acquire(
-                request, timeout=None if timeout is None else float(timeout)
+            ticket = self.service.submit(
+                Request(**fields),
+                timeout=None if timeout is None else float(timeout),
+                on_done=partial(self._acquire_done, conn, frame.request_id),
             )
         except AllocationRejected as exc:
-            await self._send(conn, make_rejected(frame.request_id, str(exc)))
-        except AllocationTimeout as exc:
-            await self._send(conn, make_timeout(frame.request_id, str(exc)))
+            self._send(conn, make_rejected(frame.request_id, str(exc)))
         except (ServiceClosed, ValueError) as exc:
             # ServiceFaulted subclasses ServiceClosed; both mean "this
             # server cannot grant anything anymore".
-            await self._send(conn, make_error(frame.request_id, str(exc)))
+            self._send(conn, make_error(frame.request_id, str(exc)))
         else:
-            if conn.closed:
-                # The client vanished while queued; the lease has no
-                # owner, so give it straight back.  No reply is owed:
-                # the transport is gone, so there is no one to
-                # correlate a frame to (regression-tested by
-                # test_grant_after_disconnect_is_auto_released).
-                self._release_quietly(lease)
-                self.leases_auto_released += 1
-                return  # repro: noqa R008 -- connection closed: nobody left to reply to; the lease is auto-released instead
+            conn.tickets.add(ticket)
+            self._inflight += 1
+            self._idle.clear()
+
+    def _acquire_done(self, conn: _Connection, request_id: int, ticket: Ticket) -> None:
+        """The ACQUIRE handler's continuation, run by the settling tick."""
+        conn.tickets.discard(ticket)
+        self._settled(1)
+        lease = ticket.lease
+        if lease is None:
+            if isinstance(ticket.error, AllocationTimeout):
+                self._send(conn, make_timeout(request_id, str(ticket.error)))
+            else:
+                self._send(conn, make_error(request_id, str(ticket.error)))
+        elif conn.closed:
+            # The client vanished while queued: the lease has no owner
+            # and the transport no reader, so give it straight back and
+            # owe no reply (test_grant_after_disconnect_is_auto_released).
+            self._release_quietly(lease)
+            self.leases_auto_released += 1
+            return  # repro: noqa R008 -- connection closed: nobody left to reply to; the lease is auto-released instead
+        else:
             conn.leases[lease.lease_id] = lease
+            lease.on_revoke = partial(self._on_revoked, conn)
             self.leases_granted += 1
-            watcher = asyncio.get_running_loop().create_task(
-                self._watch_revocation(conn, lease)
-            )
-            conn.watchers[lease.lease_id] = watcher
-            await self._send(conn, make_lease(
-                frame.request_id, lease.lease_id, lease.resource, lease.waited
+            self._send(conn, make_lease(
+                request_id, lease.lease_id, lease.resource, lease.waited
             ))
 
-    async def _handle_release(
+    def _handle_release(
         self, conn: _Connection, frame: Frame, *, end_tx: bool
     ) -> None:
         lease_id = frame.get("lease_id")
         if isinstance(lease_id, bool) or not isinstance(lease_id, int):
-            await self._send(conn, make_error(
+            self._send(conn, make_error(
                 frame.request_id, f"need an int lease_id, got {lease_id!r}"
             ))
             return
         if lease_id in conn.revoked_ids:
             conn.revoked_ids.discard(lease_id)
-            await self._send(conn, make_revoked(
+            self._send(conn, make_revoked(
                 frame.request_id, lease_id, "lease was revoked by a fault"
             ))
             return
         lease = conn.leases.get(lease_id)
         if lease is None:
-            await self._send(conn, make_error(
+            self._send(conn, make_error(
                 frame.request_id,
                 f"unknown lease {lease_id} (not granted on this connection)",
             ))
@@ -365,38 +368,36 @@ class WireServer:
             else:
                 self.service.release(lease)
         except LeaseRevoked:
-            self._forget_lease(conn, lease_id)
-            await self._send(conn, make_revoked(
+            conn.leases.pop(lease_id, None)
+            self._send(conn, make_revoked(
                 frame.request_id, lease_id, "lease was revoked by a fault"
             ))
         except (AllocationError, ServiceClosed) as exc:
-            await self._send(conn, make_error(frame.request_id, str(exc)))
+            self._send(conn, make_error(frame.request_id, str(exc)))
         else:
             if not end_tx:
-                self._forget_lease(conn, lease_id)
-            await self._send(conn, make_ok(frame.request_id, lease_id=lease_id))
+                conn.leases.pop(lease_id, None)
+            self._send(conn, make_ok(frame.request_id, lease_id=lease_id))
 
-    async def _watch_revocation(self, conn: _Connection, lease: Lease) -> None:
-        """Push a REVOKED frame when a fault severs ``lease``."""
-        await lease.revocation.wait()
+    def _on_revoked(self, conn: _Connection, lease: Lease) -> None:
+        """``lease.on_revoke``: push a REVOKED frame to the holder."""
         if conn.closed or lease.lease_id not in conn.leases:
             return
         del conn.leases[lease.lease_id]
-        conn.watchers.pop(lease.lease_id, None)
         conn.revoked_ids.add(lease.lease_id)
         self.revocations_pushed += 1
-        await self._send(conn, make_revoked(
+        self._send(conn, make_revoked(
             PUSH_ID, lease.lease_id, "a fault severed this allocation"
         ))
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _forget_lease(self, conn: _Connection, lease_id: int) -> None:
-        conn.leases.pop(lease_id, None)
-        watcher = conn.watchers.pop(lease_id, None)
-        if watcher is not None and not watcher.done():
-            watcher.cancel()
+    def _settled(self, count: int) -> None:
+        """``count`` queued ACQUIREs were answered or cancelled."""
+        self._inflight -= count
+        if not self._inflight:
+            self._idle.set()
 
     def _release_quietly(self, lease: Lease) -> None:
         """Release a lease nobody owns anymore; swallow dead-service errors."""
@@ -406,30 +407,30 @@ class WireServer:
         except (AllocationError, ServiceClosed):
             pass
 
-    async def _send(self, conn: _Connection, frame: Frame) -> None:
+    def _send(self, conn: _Connection, frame: Frame) -> None:
+        """Queue one frame; everything queued in a loop turn is one write."""
         if conn.closed:
             return
-        try:
-            # One write() per frame: StreamWriter.write is synchronous,
-            # so concurrently-sending tasks never interleave lines.
-            conn.writer.write(encode(frame))
-            await conn.writer.drain()
-        except (ConnectionError, OSError):
-            conn.closed = True
+        if not conn.out:
+            asyncio.get_running_loop().call_soon(self._flush, conn)
+        conn.out.append(encode(frame))
+
+    def _flush(self, conn: _Connection) -> None:
+        if conn.out and not conn.closed:
+            conn.writer.write(b"".join(conn.out))
+            conn.out.clear()
 
     async def _teardown(self, conn: _Connection) -> None:
-        """Disconnect cleanup: cancel tasks, auto-release held leases."""
+        """Disconnect cleanup: cancel queued ACQUIREs, auto-release leases."""
         if conn.conn_id not in self._connections:
             return
         del self._connections[conn.conn_id]
+        self._flush(conn)  # replies already owed still go out
         conn.closed = True
-        doomed = [t for t in [*conn.tasks, *conn.watchers.values()] if not t.done()]
-        for task in doomed:
-            task.cancel()
-        if doomed:
-            await asyncio.gather(*doomed, return_exceptions=True)
-        conn.tasks.clear()
-        conn.watchers.clear()
+        for ticket in conn.tickets:
+            ticket.cancel()
+        self._settled(len(conn.tickets))
+        conn.tickets.clear()
         for lease in conn.leases.values():
             self._release_quietly(lease)
             self.leases_auto_released += 1

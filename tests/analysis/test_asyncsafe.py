@@ -391,6 +391,96 @@ BAD_PUSH_KIND = snippet(
 )
 
 
+_DEFERRED_DISPATCH = """
+    class Server:
+        def _dispatch(self, conn, frame):
+            if frame.kind == "ACQUIRE":
+                self._handle_acquire(conn, frame)
+            elif frame.kind == "PING":
+                self._send(conn, make_pong(frame.request_id))
+"""
+
+# The reply is deferred: the handler hands frame.request_id to
+# submit(on_done=...), and the continuation owes the one reply.
+GOOD_DEFERRED = snippet(
+    _DEFERRED_DISPATCH
+    + """
+        def _handle_acquire(self, conn, frame):
+            try:
+                self.service.submit(
+                    frame.payload,
+                    on_done=partial(self._acquire_done, conn, frame.request_id),
+                )
+            except RuntimeError as exc:
+                self._send(conn, make_error(frame.request_id, str(exc)))
+
+        def _acquire_done(self, conn, request_id, ticket):
+            if ticket.lease is None:
+                self._send(conn, make_error(request_id, str(ticket.error)))
+            else:
+                self._send(conn, make_lease(request_id, ticket.lease.lease_id))
+    """
+)
+
+BAD_DEFERRED_ZERO_REPLY = snippet(
+    _DEFERRED_DISPATCH
+    + """
+        def _handle_acquire(self, conn, frame):
+            self.service.submit(
+                frame.payload,
+                on_done=partial(self._acquire_done, conn, frame.request_id),
+            )
+
+        def _acquire_done(self, conn, request_id, ticket):
+            if ticket.lease is None:
+                return
+            self._send(conn, make_lease(request_id, ticket.lease.lease_id))
+    """
+)
+
+BAD_DEFERRED_DOUBLE_REPLY = snippet(
+    _DEFERRED_DISPATCH
+    + """
+        def _handle_acquire(self, conn, frame):
+            self.service.submit(
+                frame.payload,
+                on_done=partial(self._acquire_done, conn, frame.request_id),
+            )
+            self._send(conn, make_error(frame.request_id, "queued"))
+
+        def _acquire_done(self, conn, request_id, ticket):
+            self._send(conn, make_lease(request_id, 1))
+    """
+)
+
+BAD_DEFERRED_WRONG_KIND = snippet(
+    _DEFERRED_DISPATCH
+    + """
+        def _handle_acquire(self, conn, frame):
+            self.service.submit(
+                frame.payload,
+                on_done=partial(self._acquire_done, conn, frame.request_id),
+            )
+
+        def _acquire_done(self, conn, request_id, ticket):
+            self._send(conn, make_pong(request_id))
+    """
+)
+
+# A callback that never receives the request id cannot correlate a
+# reply, so the handler path still owes one.
+BAD_DEFERRED_UNCORRELATED = snippet(
+    _DEFERRED_DISPATCH
+    + """
+        def _handle_acquire(self, conn, frame):
+            self.service.submit(frame.payload, on_done=self._acquire_done)
+
+        def _acquire_done(self, ticket):
+            self._send(self.conn, make_lease(ticket.request_id, 1))
+    """
+)
+
+
 def lint_wire_pair(
     tmp_path: Path,
     server_source: str,
@@ -441,6 +531,30 @@ class TestWireConformance:
         report = lint_wire_pair(tmp_path, BAD_PUSH_KIND)
         assert rule_ids(report) == ["R008"]
         assert "pushed unprompted" in report.findings[0].message
+
+    def test_deferred_reply_checked_through_continuation(self, tmp_path):
+        report = lint_wire_pair(tmp_path, GOOD_DEFERRED)
+        assert rule_ids(report) == []
+
+    def test_continuation_zero_reply_path(self, tmp_path):
+        report = lint_wire_pair(tmp_path, BAD_DEFERRED_ZERO_REPLY)
+        assert rule_ids(report) == ["R008"]
+        assert "completes '_acquire_done' without" in report.findings[0].message
+
+    def test_reply_after_deferring_is_a_second_reply(self, tmp_path):
+        report = lint_wire_pair(tmp_path, BAD_DEFERRED_DOUBLE_REPLY)
+        assert rule_ids(report) == ["R008"]
+        assert "second correlated reply" in report.findings[0].message
+
+    def test_continuation_inadmissible_reply(self, tmp_path):
+        report = lint_wire_pair(tmp_path, BAD_DEFERRED_WRONG_KIND)
+        assert rule_ids(report) == ["R008"]
+        assert "'_acquire_done' sends 'PONG'" in report.findings[0].message
+
+    def test_uncorrelated_callback_defers_nothing(self, tmp_path):
+        report = lint_wire_pair(tmp_path, BAD_DEFERRED_UNCORRELATED)
+        assert rule_ids(report) == ["R008"]
+        assert "completes '_handle_acquire' without" in report.findings[0].message
 
     def test_missing_protocol_module(self, tmp_path):
         report = lint_wire_pair(tmp_path, GOOD_SERVER, protocol_source=None)

@@ -5,8 +5,6 @@ seconds of work); the cell-worker tests drive the worker in-process
 for exact control.
 """
 
-import asyncio
-
 import pytest
 
 from repro.fabric.broker import FabricBroker, FabricError, LEASE_EPOCH_STRIDE
@@ -55,7 +53,7 @@ class TestCellWorker:
             ticks=8,
             arrivals=arrivals_for(0, [(1, 0, 2), (2, 3, 1)]),
         )
-        result = asyncio.run(worker.run_round(work))
+        result = worker.run_round(work)
         assert result.round_no == 1
         assert {g.req_id for g in result.granted} == {1, 2}
         assert all(g.lease_id.startswith("cell0tag:") for g in result.granted)
@@ -68,7 +66,7 @@ class TestCellWorker:
         """A rejoined cell's epoch keeps names disjoint from epoch 0."""
         worker = CellWorker(make_spec(lease_base=LEASE_EPOCH_STRIDE))
         work = RoundWork(round_no=1, ticks=4, arrivals=arrivals_for(0, [(9, 2, 1)]))
-        result = asyncio.run(worker.run_round(work))
+        result = worker.run_round(work)
         (grant,) = result.granted
         local = int(grant.lease_id.split(":", 1)[1])
         assert local >= LEASE_EPOCH_STRIDE
@@ -84,7 +82,7 @@ class TestCellWorker:
             ticks=6,
             arrivals=arrivals_for(0, [(i, i % 8, 6) for i in range(20)]),
         )
-        result = asyncio.run(worker.run_round(work))
+        result = worker.run_round(work)
         settled = len(result.granted) + len(result.unplaced)
         pending = result.queue_depth
         assert settled + pending == 20
@@ -95,17 +93,11 @@ class TestCellWorker:
         """A lease held past the round's end releases in a later round
         on the same persistent state."""
 
-        async def two_rounds():
-            worker = CellWorker(make_spec())
-            first = await worker.run_round(
-                RoundWork(round_no=1, ticks=2, arrivals=arrivals_for(0, [(1, 0, 6)]))
-            )
-            second = await worker.run_round(
-                RoundWork(round_no=2, ticks=8, arrivals=())
-            )
-            return first, second
-
-        first, second = asyncio.run(two_rounds())
+        worker = CellWorker(make_spec())
+        first = worker.run_round(
+            RoundWork(round_no=1, ticks=2, arrivals=arrivals_for(0, [(1, 0, 6)]))
+        )
+        second = worker.run_round(RoundWork(round_no=2, ticks=8, arrivals=()))
         assert len(first.granted) == 1
         assert first.released == ()
         assert first.active_leases == 1
@@ -114,10 +106,8 @@ class TestCellWorker:
 
     def test_snapshot_reply_carries_mergeable_hists(self):
         worker = CellWorker(make_spec())
-        asyncio.run(
-            worker.run_round(
-                RoundWork(round_no=1, ticks=4, arrivals=arrivals_for(0, [(1, 0, 1)]))
-            )
+        worker.run_round(
+            RoundWork(round_no=1, ticks=4, arrivals=arrivals_for(0, [(1, 0, 1)]))
         )
         reply = worker.snapshot_reply()
         assert reply.cell_id == "cell0tag"

@@ -144,26 +144,32 @@ class TestDisconnectCustody:
         run(scenario())
 
     def test_grant_after_disconnect_is_auto_released(self):
-        """The no-reply path in ``_handle_acquire`` (R008-suppressed):
-        when the transport dies while an ACQUIRE is queued — ``_send``
-        flips ``conn.closed`` on a write failure before teardown has
-        collected the task — the grant has no owner and no
-        destination, so it is given straight back instead of being
-        stranded, and no reply frame is owed."""
+        """The no-reply path in ``_acquire_done`` (R008-suppressed):
+        when the transport dies while an ACQUIRE is queued — a failed
+        ``drain()`` flips ``conn.closed`` before teardown has cancelled
+        the ticket — the grant has no owner and no destination, so the
+        ticket's callback gives it straight back instead of stranding
+        it, and no reply frame is owed."""
 
         async def scenario():
-            async with stack() as (service, server):
+            async with stack(ports=4) as (service, server):
                 host, port = server.address
-                async with WireClient(host, port, request_timeout=2.0) as client:
-                    await client.ping()  # connection is registered
-                    (conn,) = server._connections.values()
-                    conn.closed = True  # transport died mid-queue
-                    await server._handle_acquire(
-                        conn, protocol.make_acquire(99, 1)
+                async with WireClient(host, port, request_timeout=2.0) as holder:
+                    held = [await holder.acquire(p) for p in range(4)]
+                    reader, writer = await raw_connect(server)
+                    writer.write(protocol.encode(protocol.make_acquire(99, 1)))
+                    await writer.drain()
+                    await poll_until(lambda: service.queue_depth == 1)
+                    (conn,) = (
+                        c for c in server._connections.values() if c.tickets
                     )
-                    assert server.leases_auto_released == 1
-                    assert server.leases_granted == 0
-                    assert service.active_leases == 0
+                    conn.closed = True  # transport died mid-queue
+                    await holder.release(held[1])  # frees processor 1's link
+                    await poll_until(lambda: server.leases_auto_released == 1)
+                    assert server.leases_granted == 4
+                    assert server.pending_acquires() == 0
+                    assert service.active_leases == 3
+                    writer.close()
 
         run(scenario())
 
@@ -352,6 +358,148 @@ class TestStaleReplies:
                     for lease in held:
                         await client.release(lease)
                     assert service.active_leases == 0
+
+        run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Batch-per-read framing: what one read() carries is not the protocol
+# ----------------------------------------------------------------------
+async def read_frames(reader, count, timeout=2.0):
+    return [
+        protocol.decode(await asyncio.wait_for(reader.readline(), timeout))
+        for _ in range(count)
+    ]
+
+
+class TestBatching:
+    def test_pipelined_frames_in_one_segment_answered_in_order(self):
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                burst = [protocol.make_ping(i) for i in range(1, 9)]
+                burst.insert(4, protocol.make_release(100, 12345))  # unknown lease
+                writer.write(b"".join(protocol.encode(f) for f in burst))
+                await writer.drain()
+                replies = await read_frames(reader, len(burst))
+                assert [r.request_id for r in replies] == [f.request_id for f in burst]
+                assert [r.kind for r in replies] == ["PONG"] * 4 + ["ERROR"] + ["PONG"] * 4
+                assert server.frames_received == len(burst)
+                writer.close()
+                await writer.wait_closed()
+
+        run(scenario())
+
+    def test_frame_split_across_segments(self):
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                line = protocol.encode(protocol.make_ping(7))
+                tail = protocol.encode(protocol.make_ping(8))
+                writer.write(line[:9])
+                await writer.drain()
+                await asyncio.sleep(0.02)
+                assert server.frames_received == 0  # half a frame is no frame
+                writer.write(line[9:] + tail[:5])
+                await writer.drain()
+                (first,) = await read_frames(reader, 1)
+                writer.write(tail[5:])
+                await writer.drain()
+                (second,) = await read_frames(reader, 1)
+                assert (first.kind, first.request_id) == ("PONG", 7)
+                assert (second.kind, second.request_id) == ("PONG", 8)
+                assert server.protocol_errors == 0
+                writer.close()
+                await writer.wait_closed()
+
+        run(scenario())
+
+    def test_overlong_line_drops_the_connection(self):
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                assert (await raw_roundtrip(reader, writer, protocol.make_ping(1))).kind == "PONG"
+                writer.write(b"x" * (protocol.MAX_LINE + 4096))  # no newline, ever
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""  # EOF
+                await poll_until(lambda: server.open_connections == 0)
+                writer.close()
+
+        run(scenario())
+
+    def test_reply_owed_at_close_is_written_before_the_transport_closes(self):
+        """close() drains, and the TIMEOUT that ends the drain is still
+        in the connection's unsent batch when teardown starts."""
+
+        async def scenario():
+            async with stack(ports=4) as (service, server):
+                host, port = server.address
+                # First to connect is first torn down: nothing else
+                # yields to the loop between the drain and its teardown.
+                reader, writer = await raw_connect(server)
+                assert (await raw_roundtrip(reader, writer, protocol.make_ping(1))).kind == "PONG"
+                async with WireClient(host, port, request_timeout=2.0) as holder:
+                    for p in range(4):
+                        await holder.acquire(p)
+                    writer.write(protocol.encode(protocol.make_acquire(5, 0, timeout=0.05)))
+                    await writer.drain()
+                    await poll_until(lambda: server.pending_acquires() == 1)
+                    await asyncio.wait_for(server.close(), 2.0)
+                    (reply,) = await read_frames(reader, 1)
+                    assert (reply.kind, reply.request_id) == ("TIMEOUT", 5)
+                    assert await asyncio.wait_for(reader.read(), 2.0) == b""
+                    writer.close()
+
+        run(scenario())
+
+    def test_pipelined_burst_creates_no_task_per_request(self):
+        async def scenario():
+            async with stack(ports=4) as (service, server):
+                host, port = server.address
+                async with WireClient(host, port, request_timeout=2.0) as holder:
+                    held = [await holder.acquire(p) for p in range(4)]
+                    reader, writer = await raw_connect(server)
+                    assert (await raw_roundtrip(reader, writer, protocol.make_ping(1))).kind == "PONG"
+                    before = len(asyncio.all_tasks())
+                    writer.write(b"".join(
+                        protocol.encode(protocol.make_acquire(10 + i, i % 4))
+                        for i in range(64)
+                    ))
+                    await writer.drain()
+                    await poll_until(lambda: service.queue_depth == 64)
+                    assert server.pending_acquires() == 64
+                    assert len(asyncio.all_tasks()) == before
+                    # Disconnect: the queued tickets are cancelled, not leaked.
+                    writer.close()
+                    await poll_until(lambda: service.queue_depth == 0)
+                    assert server.pending_acquires() == 0
+                    for lease in held:
+                        await holder.release(lease)
+                    assert service.active_leases == 0
+
+        run(scenario())
+
+    def test_replies_follow_service_completion_order(self):
+        """Two queued ACQUIREs complete in the order the service settles
+        them (deadline first, grant later), not the order they arrived."""
+
+        async def scenario():
+            async with stack(ports=4) as (service, server):
+                host, port = server.address
+                async with WireClient(host, port, request_timeout=2.0) as holder:
+                    held = [await holder.acquire(p) for p in range(4)]
+                    reader, writer = await raw_connect(server)
+                    writer.write(
+                        protocol.encode(protocol.make_acquire(1, 0, timeout=5.0))
+                        + protocol.encode(protocol.make_acquire(2, 1, timeout=0.03))
+                    )
+                    await writer.drain()
+                    (first,) = await read_frames(reader, 1)
+                    await holder.release(held[0])
+                    (second,) = await read_frames(reader, 1)
+                    assert (first.kind, first.request_id) == ("TIMEOUT", 2)
+                    assert (second.kind, second.request_id) == ("LEASE", 1)
+                    writer.close()
 
         run(scenario())
 
