@@ -1,5 +1,5 @@
 """SERVICE — online batched allocation vs one-request-per-solve,
-and warm-start (kernel / object engine) vs cold per-tick scheduling.
+and warm-start vs cold per-tick scheduling.
 
 The service layer's claim: coalescing every pending request into one
 max-flow solve per tick (Transformation 1 over the whole batch)
@@ -12,19 +12,16 @@ service starves its queue, and the kernel's value-bound certificate
 makes each trivial one-request solve nearly free), so there the asserts
 pin the starvation contrast instead.
 
-The warm-engine claims: keeping one persistent Transformation-1 network
-across ticks (releases retract their flow, solves augment from the
-standing flow) beats rebuilding from scratch every cycle, and hosting
-that persistent network on the flat-array CSR kernel
-(:class:`~repro.core.incremental.KernelFlowEngine`) beats walking the
-object graph (:class:`~repro.core.incremental.IncrementalFlowEngine`).
-The steady-state section drives ``run_one_cycle`` directly under
-sustained churn on an omega-32 and times only the scheduling cycle for
-all three engines — identical allocation counts, warm-kernel ≥1.5× the
-cold ticks/sec, and warm-kernel strictly above warm-object.
+The warm-engine claim: keeping one persistent Transformation-1 network
+across ticks (:class:`~repro.core.incremental.KernelFlowEngine`:
+releases retract their flow, solves augment from the standing flow)
+beats rebuilding from scratch every cycle.  The steady-state section
+drives ``run_one_cycle`` directly under sustained churn on an omega-32
+and times only the scheduling cycle, warm and cold — identical
+allocation counts, warm ≥1.5× the cold ticks/sec.
 
 Regenerates a two-load-point comparison (moderate and heavy traffic)
-plus the three steady-state rates, recorded in ``BENCH_service.json``
+plus the two steady-state rates, recorded in ``BENCH_service.json``
 so later PRs have a trajectory to compare against.
 
 Timed kernel: one short batched service run.
@@ -92,25 +89,20 @@ def _run(rate: float, max_batch: int | None) -> dict:
     }
 
 
-def _steady_state(mode: str) -> dict:
+def _steady_state(warm: bool) -> dict:
     """Sustained-churn tick rate with timing confined to the cycle.
 
-    ``mode`` is ``"cold"`` (per-tick rebuild), ``"object"`` (warm
-    object-graph engine), or ``"kernel"`` (warm flat-array engine).
-    Every tick: leases older than ``STEADY_HOLD`` ticks are released,
+    ``warm`` picks the persistent kernel engine; otherwise every tick
+    rebuilds and solves cold.  Every tick: leases older than ``STEADY_HOLD`` ticks are released,
     every idle processor re-requests with probability 0.9, and one
     scheduling cycle runs.  Only ``run_one_cycle`` is timed (after the
     warm-up), so the rate isolates scheduling cost — the asyncio
-    plumbing around it is identical in all configurations.
+    plumbing around it is identical in both configurations.
     """
 
     async def scenario() -> dict:
         mrsin = MRSIN(omega(STEADY_PORTS))
-        config = ServiceConfig(
-            queue_limit=4 * STEADY_PORTS,
-            warm_start=mode != "cold",
-            warm_engine=mode if mode != "cold" else "kernel",
-        )
+        config = ServiceConfig(queue_limit=4 * STEADY_PORTS, warm_start=warm)
         service = AllocationService(mrsin, config=config, clock=VirtualClock())
         rng = np.random.default_rng(SEED)
         held: list[tuple[int, object]] = []
@@ -175,19 +167,16 @@ def test_batched_vs_serial_throughput(benchmark, capsys):
     with capsys.disabled():
         print("\n" + table.render())
 
-    # Warm-start (kernel and object engines) vs cold per-tick
-    # scheduling at high sustained load.
-    kernel_warm = _steady_state("kernel")
-    object_warm = _steady_state("object")
-    cold = _steady_state("cold")
+    # Warm-start vs cold per-tick scheduling at high sustained load.
+    kernel_warm = _steady_state(warm=True)
+    cold = _steady_state(warm=False)
     speedup = kernel_warm["ticks_per_sec"] / cold["ticks_per_sec"]
-    kernel_vs_object = kernel_warm["ticks_per_sec"] / object_warm["ticks_per_sec"]
     steady_table = Table(
         ["engine", "ticks/sec (solve)", "allocated", "builds"],
         title=(
             f"SERVICE: steady-state scheduling rate "
             f"(omega-{STEADY_PORTS}, {STEADY_TICKS} ticks, kernel "
-            f"{speedup:.2f}x cold, {kernel_vs_object:.2f}x object warm)"
+            f"{speedup:.2f}x cold)"
         ),
     )
     steady_table.add_row(
@@ -195,12 +184,6 @@ def test_batched_vs_serial_throughput(benchmark, capsys):
         f"{kernel_warm['ticks_per_sec']:.0f}",
         kernel_warm["allocated"],
         kernel_warm["engine_builds"],
-    )
-    steady_table.add_row(
-        "warm object",
-        f"{object_warm['ticks_per_sec']:.0f}",
-        object_warm["allocated"],
-        object_warm["engine_builds"],
     )
     steady_table.add_row("cold", f"{cold['ticks_per_sec']:.0f}", cold["allocated"], "-")
     with capsys.disabled():
@@ -231,23 +214,17 @@ def test_batched_vs_serial_throughput(benchmark, capsys):
             "ticks": STEADY_TICKS,
             "hold_ticks": STEADY_HOLD,
             "warm": kernel_warm,
-            "warm_object": object_warm,
             "cold": cold,
             "speedup": speedup,
-            "kernel_vs_object": kernel_vs_object,
         },
     }
     BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
 
     # The warm-engine claims: same allocations as cold on the same
-    # traffic, one build each, kernel ≥1.5× the cold steady-state rate
-    # and strictly above the object-graph warm engine.
+    # traffic, one build, ≥1.5× the cold steady-state rate.
     assert kernel_warm["allocated"] == cold["allocated"]
-    assert object_warm["allocated"] == cold["allocated"]
     assert kernel_warm["engine_builds"] == 1
-    assert object_warm["engine_builds"] == 1
     assert speedup >= STEADY_SPEEDUP
-    assert kernel_vs_object > 1.0
 
     heavy_batched = results[(1.5, "batched")]
     heavy_serial = results[(1.5, "serial")]

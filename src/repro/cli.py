@@ -437,6 +437,8 @@ def cmd_fabric_bench(args) -> int:
         raise SystemExit("error: bad fabric config")
     try:
         sweep_result = sweep_cells(config, tuple(args.cell_counts))
+    except ValueError as exc:  # a --cell-counts entry the config rejects
+        raise SystemExit(f"error: {exc}") from exc
     except FabricError as exc:
         raise SystemExit(f"error: fabric failed: {exc}") from exc
     if args.json:

@@ -14,8 +14,8 @@ code:
 - :mod:`repro.core.scheduler` — the :class:`OptimalScheduler` facade
   dispatching per Table II;
 - :mod:`repro.core.incremental` — the warm-start
-  :class:`IncrementalFlowEngine` persisting one Transformation-1
-  network across scheduling cycles;
+  :class:`KernelFlowEngine` persisting one Transformation-1 network,
+  compiled onto the flat-array kernel, across scheduling cycles;
 - :mod:`repro.core.heuristic` — address-mapped greedy comparators
   (the paper's "heuristic routing", ~20% blocking);
 - :mod:`repro.core.mapping` — request→resource mappings with their
@@ -34,7 +34,7 @@ from repro.core.transform import (
     extract_mapping,
     extract_multicommodity_mapping,
 )
-from repro.core.incremental import IncrementalFlowEngine, KernelFlowEngine
+from repro.core.incremental import KernelFlowEngine
 from repro.core.scheduler import Discipline, OptimalScheduler
 from repro.core.heuristic import greedy_schedule, arbitrary_schedule, random_binding_schedule
 from repro.core.exhaustive import exhaustive_schedule, count_candidate_mappings
@@ -54,7 +54,6 @@ __all__ = [
     "extract_mapping",
     "extract_multicommodity_mapping",
     "Discipline",
-    "IncrementalFlowEngine",
     "KernelFlowEngine",
     "OptimalScheduler",
     "greedy_schedule",

@@ -1,47 +1,51 @@
 """Warm-start incremental flow engine for per-tick scheduling.
 
 The paper's distributed architecture re-runs Dinic *on top of the flow
-left by previous scheduling iterations*; :func:`repro.flows.dinic.dinic`
-supports exactly that, yet the cold scheduling path rebuilds the whole
-Transformation-1 network from scratch every cycle.  Under sustained
-load — many short-lived allocations against a slowly changing network —
-that O(V+E) rebuild dominates steady-state cost.
+left by previous scheduling iterations*, yet the cold scheduling path
+rebuilds the whole Transformation-1 network from scratch every cycle.
+Under sustained load — many short-lived allocations against a slowly
+changing network — that O(V+E) rebuild dominates steady-state cost.
 
-:class:`IncrementalFlowEngine` keeps **one persistent Transformation-1
-network per service** and evolves it with the system:
+:class:`KernelFlowEngine` keeps **one persistent Transformation-1
+network per service**, compiled once onto the flat-array
+:class:`~repro.flows.kernel.FlowKernel`, and evolves it with the
+system:
 
 - every physical link is materialised once as a unit arc (occupied
   links as capacity-0 arcs), every processor gets a permanent
   ``s → (p, i)`` arc and every resource a permanent ``(r, j) → t`` arc;
 - a scheduling cycle *enables* the source arcs of the batch
-  (capacity 1), runs Dinic from the current flow — usually 0–2 phases
+  (capacity 1), runs Dinic from the standing flow — usually 0–2 phases
   instead of a full solve — and reads the new allocations off the flow
-  *delta* (``decompose_paths(above_lower=True)``);
-- committing a mapping **freezes** its unit paths (``lower = flow``) so
-  later solves can neither reroute nor cancel a held circuit;
+  *delta* (the units not yet frozen);
+- committing a mapping **freezes** its unit paths so later solves can
+  neither reroute nor cancel a held circuit;
 - ``release``/``end_transmission`` *retract* the released circuit's
-  unit of flow along its recorded arc path in O(path length) via the
-  ``arc_of_link`` index, instead of discarding the network.
+  unit of flow along its recorded arc path in O(path length), instead
+  of discarding the network.
 
-Fallback-to-cold rules: the engine never trusts itself blindly.  Each
-cycle it cross-checks every persistent arc against the physical
-occupancy it mirrors (an O(E) scan of plain attribute reads — far
-cheaper than a rebuild); any *flow* divergence (state mutated behind
-the engine's back, a circuit it never saw released, a failed apply)
-marks the engine dirty and the next cycle rebuilds from the live
-MRSIN.  Pure *capacity* deltas — a link or switchbox failing or being
-repaired, a resource failing or coming back — are absorbed in place by
-the same scan (the arc's capacity is simply rewritten to mirror the
-physical state), so fault churn never forces a cold rebuild on its
-own.  A rebuild re-registers in-flight circuits from
+Fallback-to-cold rules: the engine never trusts itself blindly.
+Whenever the MRSIN's state epoch moved by anything but the engine's own
+paired mutations, the next cycle cross-checks every persistent arc
+against the physical occupancy it mirrors (an O(E) scan of plain
+attribute reads — far cheaper than a rebuild); any *flow* divergence
+(state mutated behind the engine's back, a circuit it never saw
+released, a failed apply) rebuilds from the live MRSIN.  Pure
+*capacity* deltas — a link or switchbox failing or being repaired, a
+resource failing or coming back — are absorbed in place by the same
+scan (the arc's capacity is simply rewritten to mirror the physical
+state), so fault churn never forces a cold rebuild on its own.  A
+rebuild re-registers in-flight circuits from
 :meth:`~repro.core.model.MRSIN.transmitting_circuits`, so even a
 rebuilt network stays warm.
 
 Because frozen arcs are exactly the arcs a cold Transformation-1 build
 would omit, the maximum *additional* flow on the persistent network
 equals the cold network's maximum flow — warm-start scheduling
-allocates exactly as many requests per cycle as a from-scratch solve
-(the differential tests pin this down).
+allocates exactly as many requests per cycle as a from-scratch
+:meth:`OptimalScheduler.schedule
+<repro.core.scheduler.OptimalScheduler.schedule>` (the differential
+tests pin this down every tick).
 """
 
 from __future__ import annotations
@@ -52,73 +56,15 @@ from repro.core.mapping import Assignment, Mapping
 from repro.core.model import MRSIN
 from repro.core.requests import Request, Resource
 from repro.core.transform import TransformedProblem, _add_structure_arcs
-from repro.flows.dinic import dinic
-from repro.flows.graph import Arc, FlowNetwork
-from repro.flows.kernel import CompiledNetwork, FlowKernel
+from repro.flows.graph import FlowNetwork
+from repro.flows.kernel import FlowKernel
 from repro.networks.topology import Link
 from repro.util.counters import OpCounter
 
-__all__ = ["IncrementalFlowEngine", "KernelFlowEngine"]
+__all__ = ["KernelFlowEngine"]
 
 
-def _build_persistent(
-    mrsin: MRSIN,
-) -> tuple[
-    FlowNetwork,
-    TransformedProblem,
-    dict[int, Arc],
-    dict[int, Arc],
-    list[tuple[Link, Arc, tuple]],
-    list[tuple[Resource, Arc]],
-]:
-    """Cold-build the persistent Transformation-1 network for ``mrsin``.
-
-    Shared by both warm engines: every physical link is materialised
-    once (occupied links as capacity-0 arcs), every processor gets a
-    permanent closed ``s → (p, i)`` source arc, every resource a
-    permanent ``(r, j) → t`` sink arc mirroring its busy/failed state.
-    Returns ``(net, problem, source_arc, sink_arc, link_pairs,
-    res_pairs)`` where the two ``*_pairs`` lists precompute the
-    (physical object, mirroring arc[, adjacent boxes]) tuples the
-    per-tick sync scans walk.
-    """
-    net = FlowNetwork()
-    net.add_node("s")
-    net.add_node("t")
-    problem = TransformedProblem(net=net, source="s", sink="t")
-    source_arc = {
-        p: net.add_arc("s", ("p", p), capacity=0) for p in range(mrsin.n_processors)
-    }
-    resource_in = _add_structure_arcs(net, mrsin, problem, include_occupied=True)
-    sink_arc = {
-        res.index: net.add_arc(
-            ("r", res.index), "t", capacity=0 if (res.busy or res.failed) else 1
-        )
-        for res in mrsin.resources
-        if res.index in resource_in
-    }
-    network = mrsin.network
-
-    def boxes_of(link: Link) -> tuple:
-        adjacent = []
-        for end in (link.src, link.dst):
-            if end.kind in ("box_in", "box_out"):
-                adjacent.append(network.box(end.stage, end.box))
-        return tuple(adjacent)
-
-    link_pairs = [
-        (link, net.arcs[problem.arc_of_link[link.index]], boxes_of(link))
-        for link in network.links
-    ]
-    res_pairs = [
-        (res, sink_arc[res.index])
-        for res in mrsin.resources
-        if res.index in sink_arc
-    ]
-    return net, problem, source_arc, sink_arc, link_pairs, res_pairs
-
-
-class IncrementalFlowEngine:
+class KernelFlowEngine:
     """A persistent Transformation-1 network warm-started across cycles.
 
     Parameters
@@ -139,6 +85,29 @@ class IncrementalFlowEngine:
     <repro.core.scheduler.OptimalScheduler.schedule_incremental>` does
     both).
 
+    Hot-path representation:
+
+    - the persistent network is **compiled once** per build onto a
+      :class:`~repro.flows.kernel.FlowKernel`; every per-tick operation
+      (enable/disable source arcs, solve, extract the flow delta,
+      freeze, retract) runs on flat int arrays.  A unit arc pair
+      ``(a, a ^ 1)`` encodes the arc lifecycle directly: ``(1, 0)``
+      free, ``(0, 1)`` carrying uncommitted flow, ``(0, 0)`` frozen
+      (committed circuit, tracked in ``_frozen``) or disabled;
+    - the O(links + resources) reconciliation scan is skipped entirely
+      when :attr:`MRSIN.state_epoch <repro.core.model.MRSIN>` still
+      equals the epoch recorded at the last sync.  The engine's own
+      mutators re-adopt the epoch only when it advanced by exactly the
+      bumps their paired MRSIN call produces; any other movement leaves
+      the epoch stale and the next cycle scans (the always-safe
+      fallback).  Consequently :meth:`commit` /
+      :meth:`note_transmission_end` / :meth:`note_release` must be
+      called *immediately after* their MRSIN counterpart
+      (``apply_mapping`` / ``complete_transmission`` /
+      ``complete_service``/``revoke``), with no interleaved mutations.
+      State mutated behind the MRSIN API (e.g. directly on the network)
+      requires :meth:`invalidate`.
+
     Statistics: ``builds`` counts cold (re)builds of the persistent
     network, ``warm_ticks`` the cycles scheduled on it, and
     ``last_new_flow`` the allocations found by the latest solve.
@@ -150,329 +119,6 @@ class IncrementalFlowEngine:
         self.builds = 0
         self.warm_ticks = 0
         self.last_new_flow = 0
-        self._net: FlowNetwork | None = None
-        self._problem: TransformedProblem | None = None
-        self._source_arc: dict[int, Arc] = {}
-        self._sink_arc: dict[int, Arc] = {}
-        # (link, arc, adjacent switchboxes) triples for the sync scan.
-        self._link_pairs: list[tuple[Link, Arc, tuple]] = []
-        self._res_pairs: list = []
-        # resource index -> the frozen arc path (source arc, link arcs,
-        # sink arc) of its in-flight circuit.
-        self._circuit_arcs: dict[int, list[Arc]] = {}
-        self._enabled: set[int] = set()
-        self._pending: list[tuple[int, int, list[Arc]]] | None = None
-        self._pending_mapping: Mapping | None = None
-        self._dirty = True
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, requests: Sequence[Request]) -> Mapping:
-        """One warm scheduling cycle: returns the optimal new mapping.
-
-        Enables the batch's source arcs, augments Dinic from the
-        current flow, and extracts the flow delta as assignments.  The
-        mapping is *pending* until :meth:`commit`; scheduling again
-        first rolls the uncommitted flow back.
-        """
-        reqs = list(requests)
-        procs = [r.processor for r in reqs]
-        if len(set(procs)) != len(procs):
-            raise ValueError("at most one request per processor per cycle (model item 5)")
-        self._rollback_pending()
-        if self._net is None or self._dirty or not self._in_sync():
-            self._build()
-        net, problem = self._net, self._problem
-        if net is None or problem is None:
-            raise RuntimeError(
-                "incremental engine invariant broken: _build() left no "
-                "persistent network/problem behind"
-            )
-        problem.request_of.clear()
-        wanted: set[int] = set()
-        for req in reqs:
-            arc = self._source_arc[req.processor]
-            if arc.flow:
-                raise ValueError(
-                    f"processor {req.processor} still holds a transmitting circuit"
-                )
-            wanted.add(req.processor)
-            problem.request_of[req.processor] = req
-        for p in self._enabled - wanted:
-            arc = self._source_arc[p]
-            if not arc.flow:
-                arc.capacity = 0
-        for p in wanted:
-            self._source_arc[p].capacity = 1
-        self._enabled = wanted
-        dinic(net, problem.source, problem.sink, counter=self.counter)
-        mapping = Mapping()
-        pending: list[tuple[int, int, list[Arc]]] = []
-        for path in net.decompose_paths(problem.source, problem.sink, above_lower=True):
-            proc = path[0].head[1]  # ("p", i)
-            res = path[-1].tail[1]  # ("r", j)
-            links = tuple(
-                problem.arc_link[arc.index]
-                for arc in path
-                if arc.index in problem.arc_link
-            )
-            mapping.add(
-                Assignment(
-                    request=problem.request_of[proc],
-                    resource=self.mrsin.resources[res],
-                    path=links,
-                )
-            )
-            pending.append((proc, res, list(path)))
-        self._pending = pending
-        self._pending_mapping = mapping
-        self.last_new_flow = len(pending)
-        self.warm_ticks += 1
-        return mapping
-
-    def commit(self, mapping: Mapping) -> None:
-        """Record ``mapping`` as applied (circuits now live on the MRSIN).
-
-        The engine's own pending mapping is frozen in place
-        (``lower = flow`` along each unit path).  Any *other* mapping —
-        a greedy degraded tick, a cold priority solve — is forced onto
-        the persistent network through the ``arc_of_link`` index; if
-        its paths cannot be reconciled with the current flow the engine
-        marks itself dirty and the next cycle rebuilds.
-
-        Call this right after :meth:`MRSIN.apply_mapping
-        <repro.core.model.MRSIN.apply_mapping>` succeeded.
-        """
-        if self._net is None:
-            return
-        if mapping is self._pending_mapping:
-            if self._pending is None:
-                raise RuntimeError(
-                    "incremental engine invariant broken: a pending mapping "
-                    "was recorded without its pending flow paths"
-                )
-            for _proc, res, arcs in self._pending:
-                for arc in arcs:
-                    arc.lower = arc.flow
-                self._circuit_arcs[res] = arcs
-            self._pending = None
-            self._pending_mapping = None
-            return
-        self._rollback_pending()
-        for a in mapping.assignments:
-            arcs = self._path_arcs(a.request.processor, a.path, a.resource.index)
-            if arcs is None or any(arc.flow != 0 for arc in arcs):
-                self._dirty = True
-                return
-            for arc in arcs:
-                arc.capacity = 1
-                arc.flow = 1
-                arc.lower = 1
-            self._circuit_arcs[a.resource.index] = arcs
-
-    # ------------------------------------------------------------------
-    # Release lifecycle (the retraction half of warm starting)
-    # ------------------------------------------------------------------
-    def note_transmission_end(self, resource: int) -> None:
-        """The circuit into ``resource`` was torn down; it stays busy.
-
-        Retracts the recorded unit of flow along the circuit's arcs
-        (freeing the links for future solves) and closes the resource's
-        sink arc until the task completes.
-        """
-        if self._net is None:
-            return
-        arcs = self._circuit_arcs.pop(resource, None)
-        if arcs is None:
-            self._dirty = True  # a circuit the engine never registered
-            return
-        self._retract(arcs)
-        self._sink_arc[resource].capacity = 0
-
-    def note_release(self, resource: int) -> None:
-        """``resource`` finished service (or was revoked): free it.
-
-        Retracts the circuit's flow if one was still held.  A failed
-        resource stays closed (capacity 0) until the sync scan sees it
-        repaired.
-        """
-        if self._net is None:
-            return
-        arcs = self._circuit_arcs.pop(resource, None)
-        if arcs is not None:
-            self._retract(arcs)
-        sink = self._sink_arc.get(resource)
-        if sink is None:
-            return
-        if sink.flow:
-            self._dirty = True  # an unregistered circuit is still parked here
-            return
-        sink.capacity = 0 if self.mrsin.resources[resource].failed else 1
-
-    def invalidate(self) -> None:
-        """Force a cold rebuild on the next scheduling cycle."""
-        self._dirty = True
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        """Cold build of the persistent network from the live MRSIN."""
-        (
-            net,
-            problem,
-            self._source_arc,
-            self._sink_arc,
-            self._link_pairs,
-            self._res_pairs,
-        ) = _build_persistent(self.mrsin)
-        self._net = net
-        self._problem = problem
-        self._circuit_arcs = {}
-        self._enabled = set()
-        self._pending = None
-        self._pending_mapping = None
-        # Promote in-flight circuits from blocked arcs to frozen unit
-        # flows so their eventual release retracts in O(path) instead of
-        # forcing another rebuild.
-        for res, circuit in self.mrsin.transmitting_circuits().items():
-            arcs = self._path_arcs(circuit.processor, circuit.links, res)
-            if arcs is None:
-                continue
-            for arc in arcs:
-                arc.capacity = 1
-                arc.flow = 1
-                arc.lower = 1
-            self._circuit_arcs[res] = arcs
-        self._dirty = False
-        self.builds += 1
-
-    def _path_arcs(
-        self, processor: int, links: Sequence[Link], resource: int
-    ) -> list[Arc] | None:
-        """The arc path (source, links, sink) of a physical circuit."""
-        net, problem = self._net, self._problem
-        src = self._source_arc.get(processor)
-        dst = self._sink_arc.get(resource)
-        if net is None or problem is None or src is None or dst is None:
-            return None
-        arcs = [src]
-        for link in links:
-            idx = problem.arc_of_link.get(link.index)
-            if idx is None:
-                return None
-            arcs.append(net.arcs[idx])
-        arcs.append(dst)
-        return arcs
-
-    def _retract(self, arcs: list[Arc]) -> None:
-        """Remove one committed unit of flow along a circuit's arcs."""
-        for arc in arcs:
-            arc.flow = 0
-            arc.lower = 0
-        src = arcs[0]  # s -> (p, i): closed until the processor requests again
-        src.capacity = 0
-        self._enabled.discard(src.head[1])
-
-    def _rollback_pending(self) -> None:
-        """Drop un-committed flow from a solve whose mapping went unused."""
-        if self._pending:
-            for _proc, _res, arcs in self._pending:
-                for arc in arcs:
-                    arc.flow = arc.lower
-        self._pending = None
-        self._pending_mapping = None
-
-    def _in_sync(self) -> bool:
-        """Reconcile every persistent arc with the physical state.
-
-        An O(|links| + |resources|) attribute scan — the cheap guard
-        that lets the engine fall back to a cold rebuild whenever the
-        MRSIN's *flow* state was mutated behind its back (a circuit
-        appearing or vanishing the engine never saw).  Pure capacity
-        deltas — fault and repair events on links, switchboxes, and
-        resources, or an untracked circuit released while the engine
-        was cold — are absorbed in place: the arc's capacity is
-        rewritten to mirror the component (0 while failed, 1 while
-        free and healthy), so fault churn alone never costs a rebuild.
-        """
-        if self._net is None or self._problem is None:
-            return False
-        for link, arc, boxes in self._link_pairs:
-            if link.occupied:
-                if arc.capacity - arc.flow > 0 or arc.flow != arc.lower:
-                    return False
-            elif arc.flow != 0:
-                return False
-            else:
-                usable = not link.failed
-                for box in boxes:
-                    if box.failed:
-                        usable = False
-                        break
-                arc.capacity = 1 if usable else 0
-        for res, arc in self._res_pairs:
-            if res.busy:
-                if arc.capacity - arc.flow > 0 or arc.flow != arc.lower:
-                    return False
-            elif arc.flow != 0:
-                return False
-            else:
-                arc.capacity = 0 if res.failed else 1
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "empty" if self._net is None else f"|E|={self._net.n_arcs}"
-        return (
-            f"IncrementalFlowEngine({self.mrsin.network.name!r}, {state}, "
-            f"builds={self.builds}, warm_ticks={self.warm_ticks})"
-        )
-
-
-class KernelFlowEngine:
-    """The warm-start engine re-hosted on the flat-array flow kernel.
-
-    Public API, semantics, and fallback-to-cold rules are those of
-    :class:`IncrementalFlowEngine` (schedule → commit / rollback, the
-    ``note_*`` retraction lifecycle, absorb-capacity-deltas-else-rebuild
-    reconciliation) — the differential tests hold the two engines to
-    identical per-tick flow values.  What changes is the hot-path
-    representation:
-
-    - the persistent Transformation-1 network is **compiled once** per
-      build onto a :class:`~repro.flows.kernel.FlowKernel`; every
-      per-tick operation (enable/disable source arcs, solve, extract
-      the flow delta, freeze, retract) runs on flat int arrays.  A
-      unit arc pair ``(a, a ^ 1)`` encodes the arc lifecycle directly:
-      ``(1, 0)`` free, ``(0, 1)`` carrying uncommitted flow, ``(0, 0)``
-      frozen (committed circuit, tracked in ``_frozen``) or disabled;
-    - the O(links + resources) reconciliation scan is skipped entirely
-      when :attr:`MRSIN.state_epoch <repro.core.model.MRSIN>` still
-      equals the epoch recorded at the last sync.  The engine's own
-      mutators re-adopt the epoch only when it advanced by exactly the
-      bumps their paired MRSIN call produces; any other movement leaves
-      the epoch stale and the next cycle scans (the always-safe
-      fallback).  Consequently :meth:`commit` /
-      :meth:`note_transmission_end` / :meth:`note_release` must be
-      called *immediately after* their MRSIN counterpart
-      (``apply_mapping`` / ``complete_transmission`` /
-      ``complete_service``/``revoke``), with no interleaved mutations —
-      the same contract the object engine documents, here load-bearing.
-      State mutated behind the MRSIN API (e.g. directly on the network)
-      requires :meth:`invalidate`.
-
-    The object engine remains the teaching implementation and the
-    differential oracle; this one exists to be fast.
-    """
-
-    def __init__(self, mrsin: MRSIN, *, counter: OpCounter | None = None) -> None:
-        self.mrsin = mrsin
-        self.counter = counter
-        self.builds = 0
-        self.warm_ticks = 0
-        self.last_new_flow = 0
-        self._compiled: CompiledNetwork | None = None
         self._kernel: FlowKernel | None = None
         self._s = -1
         self._t = -1
@@ -485,9 +131,8 @@ class KernelFlowEngine:
         self._arc_of_link: dict[int, int] = {}
         # kernel arc id -> the link it mirrors (None for S/T arcs).
         self._link_of_arc: list[Link | None] = []
-        # (physical object, kernel arc[, adjacent boxes]) tuples for the
-        # reconciliation scan.
-        self._link_tuples: list[tuple[Link, int, tuple]] = []
+        # (physical object, kernel arc) pairs for the reconciliation scan.
+        self._link_tuples: list[tuple[Link, int]] = []
         self._res_tuples: list[tuple[Resource, int]] = []
         # resource index -> frozen kernel arc path of its circuit.
         self._circuit_arcs: dict[int, list[int]] = {}
@@ -510,8 +155,13 @@ class KernelFlowEngine:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, requests: Sequence[Request]) -> Mapping:
-        """One warm scheduling cycle on the kernel; see
-        :meth:`IncrementalFlowEngine.schedule` for the contract."""
+        """One warm scheduling cycle: returns the optimal new mapping.
+
+        Enables the batch's source arcs, augments Dinic from the
+        standing flow, and extracts the flow delta as assignments.  The
+        mapping is *pending* until :meth:`commit`; scheduling again
+        first rolls the uncommitted flow back.
+        """
         reqs = list(requests)
         procs = [r.processor for r in reqs]
         if len(set(procs)) != len(procs):
@@ -595,9 +245,19 @@ class KernelFlowEngine:
         return mapping
 
     def commit(self, mapping: Mapping) -> None:
-        """Record ``mapping`` as applied; call directly after
-        :meth:`MRSIN.apply_mapping <repro.core.model.MRSIN.apply_mapping>`
-        (no interleaved MRSIN mutations — see the class docstring)."""
+        """Record ``mapping`` as applied (circuits now live on the MRSIN).
+
+        The engine's own pending mapping is frozen in place along each
+        unit path.  Any *other* mapping — a greedy degraded tick, a
+        cold priority solve — is forced onto the persistent network
+        through the link → arc index; if its paths cannot be reconciled
+        with the standing flow the engine marks itself dirty and the
+        next cycle rebuilds.
+
+        Call directly after :meth:`MRSIN.apply_mapping
+        <repro.core.model.MRSIN.apply_mapping>` succeeded (no
+        interleaved MRSIN mutations — see the class docstring).
+        """
         kernel = self._kernel
         if kernel is None:
             return
@@ -629,8 +289,13 @@ class KernelFlowEngine:
     # Release lifecycle
     # ------------------------------------------------------------------
     def note_transmission_end(self, resource: int) -> None:
-        """Circuit into ``resource`` torn down (resource stays busy);
-        call directly after ``MRSIN.complete_transmission``."""
+        """The circuit into ``resource`` was torn down; it stays busy.
+
+        Retracts the recorded unit of flow along the circuit's arcs
+        (freeing the links for future solves) and closes the resource's
+        sink arc until the task completes.  Call directly after
+        ``MRSIN.complete_transmission``.
+        """
         kernel = self._kernel
         if kernel is None:
             return
@@ -643,8 +308,13 @@ class KernelFlowEngine:
         self._adopt_epoch(1)
 
     def note_release(self, resource: int) -> None:
-        """``resource`` freed (service complete or revoked); call
-        directly after ``MRSIN.complete_service`` / ``MRSIN.revoke``."""
+        """``resource`` finished service (or was revoked): free it.
+
+        Retracts the circuit's flow if one was still held.  A failed
+        resource stays closed (capacity 0) until the reconciliation
+        scan sees it repaired.  Call directly after
+        ``MRSIN.complete_service`` / ``MRSIN.revoke``.
+        """
         kernel = self._kernel
         if kernel is None:
             return
@@ -669,19 +339,36 @@ class KernelFlowEngine:
     # Internals
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        """Cold build: construct the persistent network, compile it."""
-        net, problem, source_arc, sink_arc, link_pairs, res_pairs = _build_persistent(
-            self.mrsin
-        )
+        """Cold build of the persistent network from the live MRSIN.
+
+        Source arcs start closed, link and sink arcs mirror the current
+        occupied/busy/failed state.  The network is then compiled:
+        object arc ``k`` is kernel pair ``2k``, which is all the index
+        maps below record.
+        """
+        mrsin = self.mrsin
+        net = FlowNetwork()
+        net.add_node("s")
+        net.add_node("t")
+        problem = TransformedProblem(net=net, source="s", sink="t")
+        self._src_pair = {
+            p: 2 * net.add_arc("s", ("p", p), capacity=0).index
+            for p in range(mrsin.n_processors)
+        }
+        resource_in = _add_structure_arcs(net, mrsin, problem, include_occupied=True)
+        self._sink_pair = {
+            res.index: 2 * net.add_arc(
+                ("r", res.index), "t", capacity=0 if (res.busy or res.failed) else 1
+            ).index
+            for res in mrsin.resources
+            if res.index in resource_in
+        }
         compiled = net.compile()
         kernel = compiled.kernel
-        self._compiled = compiled
         self._kernel = kernel
         self._s = compiled.node_of["s"]
         self._t = compiled.node_of["t"]
-        self._src_pair = {p: 2 * arc.index for p, arc in source_arc.items()}
         self._proc_of_arc = {a: p for p, a in self._src_pair.items()}
-        self._sink_pair = {r: 2 * arc.index for r, arc in sink_arc.items()}
         self._res_of_arc = {a: r for r, a in self._sink_pair.items()}
         self._arc_of_link = {
             lidx: 2 * aidx for lidx, aidx in problem.arc_of_link.items()
@@ -690,9 +377,9 @@ class KernelFlowEngine:
         for aidx, link in problem.arc_link.items():
             self._link_of_arc[2 * aidx] = link
         self._link_tuples = [
-            (link, 2 * arc.index, boxes) for link, arc, boxes in link_pairs
+            (link, self._arc_of_link[link.index]) for link in mrsin.network.links
         ]
-        self._res_tuples = [(res, 2 * arc.index) for res, arc in res_pairs]
+        self._res_tuples = [(mrsin.resources[r], a) for r, a in self._sink_pair.items()]
         self._circuit_arcs = {}
         self._frozen = bytearray(kernel.n_arcs)
         self._enabled = set()
@@ -702,7 +389,7 @@ class KernelFlowEngine:
         # Promote in-flight circuits to frozen unit flows (their arcs
         # compiled to (0, 0) already — occupied links and busy sinks are
         # capacity 0 in the persistent build).
-        for res, circuit in self.mrsin.transmitting_circuits().items():
+        for res, circuit in mrsin.transmitting_circuits().items():
             arcs = self._path_arcs(circuit.processor, circuit.links, res)
             if arcs is None:
                 continue
@@ -727,30 +414,29 @@ class KernelFlowEngine:
                 a = kernel.next_arc[a]
         self._levels = levels
         self._dirty = False
-        self._synced_epoch = self.mrsin.state_epoch
+        self._synced_epoch = mrsin.state_epoch
         self.builds += 1
 
     def _scan(self) -> bool:
         """Reconcile kernel arcs with the physical state (the epoch
-        moved); absorbs capacity deltas, detects flow divergence."""
+        moved): absorbs capacity deltas in place, returns False on flow
+        divergence — the module docstring's fallback-to-cold rules."""
         kernel = self._kernel
         if kernel is None:
             return False
         cap = kernel.cap
         frozen = self._frozen
-        for link, a, boxes in self._link_tuples:
+        # The same test the build's capacities came from
+        # (_add_structure_arcs): a link is down with either adjacent box.
+        link_usable = self.mrsin.network.link_usable
+        for link, a in self._link_tuples:
             if link.occupied:
                 if cap[a] or cap[a ^ 1]:
                     return False
             else:
                 if frozen[a] or cap[a ^ 1]:
                     return False
-                usable = not link.failed
-                for box in boxes:
-                    if box.failed:
-                        usable = False
-                        break
-                cap[a] = 1 if usable else 0
+                cap[a] = 1 if link_usable(link) else 0
         for res, a in self._res_tuples:
             if res.busy:
                 if cap[a] or cap[a ^ 1]:
@@ -772,30 +458,25 @@ class KernelFlowEngine:
             self._synced_epoch = self.mrsin.state_epoch
 
     def _delta_paths(
-        self, kernel: FlowKernel, touched: Sequence[int] | None = None
+        self, kernel: FlowKernel, touched: Sequence[int]
     ) -> list[list[int]]:
         """Decompose the uncommitted flow into s-t paths of kernel arcs.
 
-        Mirrors ``FlowNetwork.decompose_paths(above_lower=True)``:
+        The walk of ``FlowNetwork.decompose_paths`` on kernel arrays:
         frozen pairs are (0, 0) so only the new flow shows up, and a
         revisited node cuts the enclosed cycle out of the path.  Cycle
         components (cut or unreachable) carry no s-t value; their flow
         is cancelled in place so it cannot read as stale flow later.
 
-        ``touched`` (the arc ids the solve pushed on) narrows the
-        candidate scan from every arc pair to the pairs the solve
-        actually moved: new flow can only sit on a pushed-on pair, so
-        the candidate sets are identical — sorting keeps the extraction
-        order (and therefore the mapping) byte-for-byte deterministic
-        with the full scan.
+        ``touched`` (the arc ids the solve pushed on) bounds the
+        candidates: new flow can only sit on a pushed-on pair.  Sorting
+        them gives the ascending-arc extraction order a scan of every
+        pair would, so the mapping is deterministic and byte-for-byte
+        the one :meth:`schedule`'s fast path produces.
         """
         cap = kernel.cap
         to = kernel.to
-        if touched is None:
-            candidates: Sequence[int] = range(0, kernel.n_arcs, 2)
-        else:
-            candidates = sorted({a & -2 for a in touched})
-        delta = [a for a in candidates if cap[a ^ 1]]
+        delta = [a for a in sorted({a & -2 for a in touched}) if cap[a ^ 1]]
         avail: dict[int, int] = {}
         out: dict[int, list[int]] = {}
         for a in delta:

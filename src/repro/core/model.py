@@ -69,7 +69,7 @@ class MRSIN:
         # resource index -> circuit currently transmitting into it.
         self._transmitting: dict[int, Circuit] = {}
         # Monotonic counter bumped by every mutation of the state the
-        # warm-start engines mirror (circuits, busy flags, faults — not
+        # warm-start engine mirrors (circuits, busy flags, faults — not
         # the request queue).  An engine that recorded the epoch while
         # in sync can skip its reconciliation scan when the epoch is
         # unchanged; see KernelFlowEngine in repro.core.incremental.

@@ -40,7 +40,7 @@ from repro.core.transform import (
     transformation1,
     transformation2,
 )
-from repro.core.incremental import IncrementalFlowEngine, KernelFlowEngine
+from repro.core.incremental import KernelFlowEngine
 from repro.flows.dinic import dinic
 from repro.flows.kernel import kernel_solve
 from repro.flows.maxflow import edmonds_karp, ford_fulkerson
@@ -185,14 +185,13 @@ class OptimalScheduler:
         mrsin: MRSIN,
         requests: Sequence[Request] | None = None,
         *,
-        engine: "IncrementalFlowEngine | KernelFlowEngine",
+        engine: KernelFlowEngine,
     ) -> Mapping:
         """Warm-start variant of :meth:`schedule`.
 
         Homogeneous cycles are solved on ``engine``'s persistent
-        network (either the object-graph engine or the flat-array
-        kernel engine) — usually 0–2 Dinic phases atop the standing
-        flow instead of a full rebuild-and-solve — and allocate exactly as
+        network — usually 0–2 Dinic phases atop the standing flow
+        instead of a full rebuild-and-solve — and allocate exactly as
         many requests as the cold path would on the same state.  Any
         other discipline (priorities, heterogeneity) falls back to the
         cold per-cycle solve.

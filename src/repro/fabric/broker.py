@@ -114,7 +114,6 @@ class FabricBroker:
         *,
         queue_limit: int = 64,
         spill_after: int = 4,
-        warm_engine: str = "kernel",
         spill_topology: SpillTopology | None = None,
         round_timeout: float = 120.0,
         start_method: str | None = None,
@@ -122,7 +121,6 @@ class FabricBroker:
         self.partition = partition
         self.queue_limit = queue_limit
         self.spill_after = spill_after
-        self.warm_engine = warm_engine
         self.spill_topology = spill_topology or SpillTopology()
         self.round_timeout = round_timeout
         if start_method is None:
@@ -202,7 +200,6 @@ class FabricBroker:
             ports=self.partition.ports,
             queue_limit=self.queue_limit,
             spill_after=self.spill_after,
-            warm_engine=self.warm_engine,
             lease_base=epoch * LEASE_EPOCH_STRIDE,
         )
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)

@@ -65,7 +65,6 @@ class CellWorker:
                 queue_limit=spec.queue_limit,
                 default_timeout=float(spec.spill_after),
                 warm_start=True,
-                warm_engine=spec.warm_engine,
             ),
             clock=self.clock,
         )

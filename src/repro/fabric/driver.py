@@ -70,12 +70,9 @@ class FabricConfig:
     group_size: int = 4
     uplink: int = 8
     trunk: int = 32
-    warm_engine: str = "kernel"
     max_drain_rounds: int = 80
 
     def __post_init__(self) -> None:
-        if self.cells < 1:
-            raise ValueError(f"cells must be >= 1, got {self.cells}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.ticks_per_round < 1:
@@ -84,6 +81,8 @@ class FabricConfig:
             )
         if not 0 < self.rate:
             raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.spill_after < 1:
+            raise ValueError(f"spill_after must be >= 1, got {self.spill_after}")
         if self.max_hold < 1:
             raise ValueError(f"max_hold must be >= 1, got {self.max_hold}")
         if self.queue_limit < 0:
@@ -92,6 +91,11 @@ class FabricConfig:
             raise ValueError(
                 f"max_drain_rounds must be >= 1, got {self.max_drain_rounds}"
             )
+        # The cell shape and the spill tier validate themselves; build
+        # both now so a config that cannot run fails where it is made,
+        # not inside run_fabric after cell processes were spawned.
+        FabricPartition(self.topology, self.ports, self.cells)
+        self.spill_topology()
 
     @property
     def effective_queue_limit(self) -> int:
@@ -254,7 +258,6 @@ def run_fabric(
         partition,
         queue_limit=config.effective_queue_limit,
         spill_after=config.spill_after,
-        warm_engine=config.warm_engine,
         spill_topology=config.spill_topology(),
     )
     with broker:

@@ -50,7 +50,6 @@ class CellSpec:
     ports: int
     queue_limit: int
     spill_after: int
-    warm_engine: str
     lease_base: int
 
     def __post_init__(self) -> None:

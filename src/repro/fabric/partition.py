@@ -83,6 +83,19 @@ class FabricPartition:
         self.topology = topology
         self.ports = ports
         self.n_cells = n_cells
+        # Not every builder realises every size (the log-stage ones
+        # need a power of two, clos rounds odd sizes down), and a cell
+        # process dying on its first out-of-range port is the wrong
+        # place to learn it: probe-build one cell network here.
+        try:
+            probe = self.build_network()
+        except ValueError as exc:
+            raise ValueError(f"cannot build {topology}-{ports} cells: {exc}") from exc
+        if (probe.n_processors, probe.n_resources) != (ports, ports):
+            raise ValueError(
+                f"{topology}-{ports} cells would be {probe.n_processors}x"
+                f"{probe.n_resources}; pick a port count the topology can realise"
+            )
         self.cells: tuple[CellPlacement, ...] = tuple(
             CellPlacement(
                 index=i,

@@ -290,9 +290,7 @@ class FlowNetwork:
 
         return CompiledNetwork(self)
 
-    def decompose_paths(
-        self, source: Node, sink: Node, *, above_lower: bool = False
-    ) -> list[list[Arc]]:
+    def decompose_paths(self, source: Node, sink: Node) -> list[list[Arc]]:
         """Decompose an integral flow into arc-disjoint ``s``–``t`` paths.
 
         This realises the paper's Theorem 2 in reverse: each unit of
@@ -302,26 +300,16 @@ class FlowNetwork:
         neither terminal) is ignored, matching the fact that such a
         cycle corresponds to no allocation.
 
-        With ``above_lower=True`` only the flow *above* each arc's
-        lower bound is decomposed.  The incremental engine freezes
-        committed circuits at ``lower == flow``, so the excess
-        ``flow - lower`` is exactly the flow found by the latest
-        warm-start solve, and its paths are the cycle's new
-        allocations.
-
         Returns a list of paths, each a list of arcs from ``source``
         to ``sink``.  The flow assignment itself is not modified.
         """
-        # Sparse: only arcs actually carrying (excess) flow enter the
-        # walk structure — on the incremental engine's persistent
-        # network the delta is a handful of paths in a sea of frozen
-        # and idle arcs, so a dense per-arc table would dominate.
+        # Sparse: only arcs actually carrying flow enter the walk
+        # structure, so idle arcs cost one attribute read each.
         remaining: dict[int, int] = {}
         for arc in self.arcs:
-            exc = arc.flow - arc.lower if above_lower else arc.flow
-            if exc:
-                rem = int(round(exc))
-                if abs(exc - rem) > 1e-9:
+            if arc.flow:
+                rem = int(round(arc.flow))
+                if abs(arc.flow - rem) > 1e-9:
                     raise ValueError(f"flow on {arc!r} is not integral")
                 remaining[arc.index] = rem
         paths: list[list[Arc]] = []

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultEvent
 
 from repro.core.heuristic import greedy_schedule
-from repro.core.incremental import IncrementalFlowEngine, KernelFlowEngine
+from repro.core.incremental import KernelFlowEngine
 from repro.core.model import MRSIN
 from repro.core.requests import Request
 from repro.core.scheduler import OptimalScheduler
@@ -120,22 +120,14 @@ class ServiceConfig:
     default_timeout:
         Deadline applied when ``acquire`` is called without one
         (``None`` = wait indefinitely).
-    maxflow, mincost:
-        Solver choices forwarded to :class:`OptimalScheduler`.
     warm_start:
-        Keep one persistent Transformation-1 network across ticks and
+        Keep one persistent Transformation-1 network across ticks (a
+        :class:`~repro.core.incremental.KernelFlowEngine`) and
         warm-start Dinic from the standing flow, instead of rebuilding
         the network from scratch every cycle.  Allocation counts are
         identical either way; only steady-state tick cost changes.
         Disable to force the cold from-scratch path (the benchmark
-        comparator).
-    warm_engine:
-        Which warm engine backs ``warm_start``: ``"kernel"`` (default)
-        runs ticks on the flat-array CSR kernel
-        (:class:`~repro.core.incremental.KernelFlowEngine`);
-        ``"object"`` keeps the object-graph
-        :class:`~repro.core.incremental.IncrementalFlowEngine` — the
-        teaching implementation and differential oracle.
+        comparator and the tests' reference).
     fault_budget:
         How many *consecutive* failing scheduling cycles the tick loop
         absorbs (invalidating the warm engine and retrying next tick)
@@ -148,10 +140,7 @@ class ServiceConfig:
     queue_limit: int = 64
     degrade_watermark: int | None = None
     default_timeout: float | None = None
-    maxflow: str = "dinic"
-    mincost: str = "out_of_kilter"
     warm_start: bool = True
-    warm_engine: str = "kernel"
     fault_budget: int = 0
 
     def __post_init__(self) -> None:
@@ -163,10 +152,6 @@ class ServiceConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.degrade_watermark is not None and self.degrade_watermark < 0:
             raise ValueError("degrade_watermark must be >= 0")
-        if self.warm_engine not in ("kernel", "object"):
-            raise ValueError(
-                f"warm_engine must be 'kernel' or 'object', got {self.warm_engine!r}"
-            )
         if self.fault_budget < 0:
             raise ValueError(f"fault_budget must be >= 0, got {self.fault_budget}")
 
@@ -303,18 +288,12 @@ class AllocationService:
         self.clock = clock or MonotonicClock()
         self.counter = OpCounter()
         self.metrics = ServiceMetrics(self.counter, self.config.tick_interval)
-        self._scheduler = OptimalScheduler(
-            maxflow=self.config.maxflow,
-            mincost=self.config.mincost,
-            counter=self.counter,
+        self._scheduler = OptimalScheduler(counter=self.counter)
+        self._engine = (
+            KernelFlowEngine(mrsin, counter=self.counter)
+            if self.config.warm_start
+            else None
         )
-        self._engine: IncrementalFlowEngine | KernelFlowEngine | None
-        if not self.config.warm_start:
-            self._engine = None
-        elif self.config.warm_engine == "kernel":
-            self._engine = KernelFlowEngine(mrsin, counter=self.counter)
-        else:
-            self._engine = IncrementalFlowEngine(mrsin, counter=self.counter)
         self._queue: list[_Entry] = []
         self._leases: dict[int, Lease] = {}
         self._ids = itertools.count(1)

@@ -24,7 +24,6 @@ def make_spec(**overrides):
         ports=8,
         queue_limit=32,
         spill_after=4,
-        warm_engine="kernel",
         lease_base=0,
     )
     base.update(overrides)

@@ -58,6 +58,17 @@ class TestPartition:
         with pytest.raises(ValueError):
             part.global_processor(0, 8)
 
+    @pytest.mark.parametrize(
+        "topology,ports,complaint",
+        [("omega", 6, "power of two"), ("clos", 7, "6x6")],
+    )
+    def test_rejects_a_size_the_topology_cannot_build(self, topology, ports, complaint):
+        """omega-6 raises in the builder and clos-7 silently builds 6x6
+        (the first request for port 6 would kill the cell process):
+        both must fail at partition time, before anything is spawned."""
+        with pytest.raises(ValueError, match=complaint):
+            FabricPartition(topology, ports, 2)
+
 
 class TestGatewayPort:
     def test_stable_and_in_range(self):

@@ -281,6 +281,44 @@ class TestWireCommands:
             main(["wire-serve", "--tick", "0", "--duration", "0.1"])
 
 
+class TestFabricCommands:
+    @pytest.mark.parametrize("verb", ["fabric-serve", "fabric-bench", "fabric-chaos"])
+    @pytest.mark.parametrize(
+        "flags,complaint",
+        [
+            ("--network omega --ports 6", "power of two"),
+            ("--network clos --ports 7", "6x6"),
+            ("--spill-after 0", "spill_after"),
+            ("--group-size 0", "group_size"),
+            ("--uplink 0", "uplink"),
+            ("--trunk -1", "trunk"),
+        ],
+    )
+    def test_unrunnable_fabric_is_a_one_line_error(
+        self, verb, flags, complaint, monkeypatch
+    ):
+        """A fabric shape that cannot run exits like ``repro serve``
+        does — one ``error:`` line, nonzero status — and before any
+        cell process exists, not with a traceback out of ``run_fabric``
+        (or, for an unbuildable cell network, an all-zero table and
+        exit 0 after every cell died)."""
+        from repro.fabric.broker import FabricBroker
+
+        def no_spawn(self):
+            raise AssertionError("a cell process was about to be spawned")
+
+        monkeypatch.setattr(FabricBroker, "start", no_spawn)
+        with pytest.raises(SystemExit, match=complaint) as exit_info:
+            main([verb, *flags.split()])
+        message = exit_info.value.code  # a str: printed to stderr, status 1
+        assert isinstance(message, str)
+        assert message.startswith("error: ") and "\n" not in message
+
+    def test_fabric_bench_rejects_bad_cell_count(self):
+        with pytest.raises(SystemExit, match="error: n_cells must be >= 1"):
+            main(["fabric-bench", "--cell-counts", "0", "--ports", "8"])
+
+
 def test_scheduler_handles_rendered_instance():
     """Rendering must not disturb scheduling state."""
     m = MRSIN(omega(8))

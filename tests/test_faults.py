@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import MRSIN, OptimalScheduler, Request
 from repro.core.heuristic import greedy_schedule
-from repro.core.incremental import IncrementalFlowEngine
+from repro.core.incremental import KernelFlowEngine
 from repro.faults import ChaosInvariantError, FaultEvent, FaultInjector, apply_event, run_chaos
 from repro.networks import benes, omega
 
@@ -135,7 +135,7 @@ class TestSeveranceAndRevoke:
         """A fault/repair between ticks is a capacity delta the sync
         scan absorbs in place — no cold rebuild of the engine."""
         m = MRSIN(omega(8))
-        engine = IncrementalFlowEngine(m)
+        engine = KernelFlowEngine(m)
         sched = OptimalScheduler()
         for p in range(4):
             m.submit(Request(p))
