@@ -9,15 +9,18 @@ high-preference resources — the paper's result is the mapping
 
 Our Omega wiring differs from the paper's renumbered figure, so the
 specific pairs differ; the reproduced properties are (a) all requests
-served, (b) total cost is the LP optimum (cross-checked by three
-independent solvers), (c) preferred resources chosen.
+served, (b) total cost is the optimum (out-of-kilter and successive
+shortest paths agree, NetworkX referees), (c) preferred resources
+chosen.
 
 Timed kernel: Transformation 2 + out-of-kilter.
 """
 
 import pytest
 
+from benchmarks.conftest import referee_min_cost
 from repro.core import MRSIN, OptimalScheduler, Request
+from repro.core.scheduler import MINCOST_ALGORITHMS
 from repro.networks import omega
 from repro.util.tables import Table
 
@@ -38,9 +41,10 @@ def fig5_instance() -> MRSIN:
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_mincost_example(benchmark, capsys):
-    # Three independent min-cost solvers must agree on the optimum.
+    # The paper's solver and the independent one must agree on the
+    # optimum, and NetworkX referees the cost itself.
     results = {}
-    for algo in ("out_of_kilter", "ssp", "cycle_cancel", "network_simplex"):
+    for algo in sorted(MINCOST_ALGORITHMS):
         m = fig5_instance()
         sched = OptimalScheduler(mincost=algo)
         mapping = sched.schedule(m)
@@ -49,6 +53,8 @@ def test_fig5_mincost_example(benchmark, capsys):
     costs = {round(r[1], 6) for r in results.values()}
     assert sizes == {3}, "all three requests must be served (paper's mapping has 3)"
     assert len(costs) == 1, f"solvers disagree on optimal cost: {results}"
+    referee = referee_min_cost(fig5_instance())
+    assert costs == {round(referee, 6)}, f"NetworkX optimum {referee}: {results}"
 
     # High-preference resources win: the three served preferences are
     # the three largest reachable ones.
@@ -64,8 +70,7 @@ def test_fig5_mincost_example(benchmark, capsys):
     table.add_row("paper's mapping", "{(p3,r5),(p5,r1),(p8,r7)}", sorted(mapping.pairs))
     table.add_row("min cost (out-of-kilter)", "(optimal)", results["out_of_kilter"][1])
     table.add_row("min cost (SSP)", "(same)", results["ssp"][1])
-    table.add_row("min cost (cycle-cancel)", "(same)", results["cycle_cancel"][1])
-    table.add_row("min cost (network simplex)", "(same)", results["network_simplex"][1])
+    table.add_row("min cost (NetworkX referee)", "(same)", referee)
     table.add_row("preferences chosen", "highest available", served_prefs)
     with capsys.disabled():
         print("\n" + table.render())

@@ -9,14 +9,16 @@ efficiently."*
 
 Regenerates: kilter-step counts vs the ``|V||E|^2`` envelope on
 Transformation 2 networks of growing size, and the head-to-head of the
-three min-cost solvers (identical optima, different costs of running).
+two min-cost solvers (identical optima, different costs of running).
 
 Timed kernels: one priority scheduling cycle per solver.
 """
 
 import pytest
 
+from benchmarks.conftest import referee_min_cost
 from repro.core import MRSIN, OptimalScheduler, Request
+from repro.core.scheduler import MINCOST_ALGORITHMS
 from repro.core.transform import transformation2
 from repro.flows.out_of_kilter import out_of_kilter
 from repro.networks import omega
@@ -66,17 +68,15 @@ def test_out_of_kilter_scaling_report(benchmark, capsys):
 
 
 @pytest.mark.benchmark(group="scaling-mincost")
-@pytest.mark.parametrize("algo", ["out_of_kilter", "ssp", "cycle_cancel", "network_simplex"])
+@pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
 def test_mincost_solver_comparison(benchmark, capsys, algo):
-    """All three solvers reach the same optimum; their run times differ
-    (SSP with potentials is the practical choice, out-of-kilter is the
-    paper's)."""
-    reference = None
+    """Both solvers reach the optimum NetworkX referees; their run
+    times differ (SSP with potentials is the practical choice,
+    out-of-kilter is the paper's)."""
     sched = OptimalScheduler(mincost=algo)
     mapping = sched.schedule(priority_instance(16))
     cost = sched.stats.flow_cost
-    if reference is not None:
-        assert cost == pytest.approx(reference)
+    assert cost == pytest.approx(referee_min_cost(priority_instance(16)))
     with capsys.disabled():
         print(f"\n{algo}: allocations={len(mapping)}, flow cost={cost:g}")
 

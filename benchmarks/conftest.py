@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core import MRSIN, Request
+from repro.core.transform import transformation2
 from repro.networks import omega
+from tests.helpers import nx_min_cost_for_value
 
 
 def fig2_instance() -> MRSIN:
@@ -48,6 +50,15 @@ def random_loaded_mrsin(seed: int, n: int = 8, builder=omega) -> MRSIN:
         if not net.processor_link(p).occupied:
             m.submit(Request(p))
     return m
+
+
+def referee_min_cost(mrsin: MRSIN) -> float:
+    """NetworkX's optimum for ``mrsin``'s Transformation-2 problem — the
+    referee the repo's two min-cost solvers are judged against."""
+    problem = transformation2(mrsin)
+    return nx_min_cost_for_value(
+        problem.net, problem.source, problem.sink, problem.required_flow
+    )
 
 
 @pytest.fixture

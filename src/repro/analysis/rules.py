@@ -427,8 +427,9 @@ class AsyncioHygiene(Rule):
 
     One blocked coroutine stalls *every* lease in flight.  Inside
     ``async def`` in ``service/``, ``wire/``, or ``fabric/`` (the TCP
-    front-end runs on the same loop as the tick loop, and each fabric
-    cell's loop carries every acquire in that cell) this rule flags:
+    front-end runs on the same loop as the tick loop; fabric cells are
+    synchronous, and ``fabric/`` stays in scope so a coroutine added
+    there later is checked from its first line) this rule flags:
 
     - known blocking calls (``time.sleep``, ``os.system``,
       ``subprocess.*``, ``socket.*``, ``urllib.request.*``);
@@ -446,12 +447,15 @@ class AsyncioHygiene(Rule):
         "time.sleep", "os.system", "os.wait", "input",
     }
     BLOCKING_PREFIXES = ("subprocess.", "socket.", "urllib.request.")
+    # Must cover every MAXFLOW_ALGORITHMS / MINCOST_ALGORITHMS entry
+    # (tests/analysis/test_rules.py checks; this package imports
+    # nothing from the rest of repro, so the names are spelled out).
     SOLVER_NAMES = {
         "schedule", "schedule_incremental", "dinic", "edmonds_karp",
-        "ford_fulkerson", "push_relabel", "min_cost_flow",
-        "min_cost_circulation", "network_simplex", "greedy_schedule",
-        "random_binding_schedule", "estimate_blocking",
-        "simulate_queueing", "solve",
+        "ford_fulkerson", "push_relabel", "kernel_solve",
+        "out_of_kilter", "min_cost_flow", "min_cost_circulation",
+        "greedy_schedule", "random_binding_schedule",
+        "estimate_blocking", "simulate_queueing", "solve",
     }
 
     def applies(self, modpath: str) -> bool:

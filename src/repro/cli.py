@@ -28,24 +28,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Sequence
+from dataclasses import replace
+from functools import partial
+from typing import Sequence
 
 from repro.core import MRSIN, OptimalScheduler, Request
 from repro.core.heuristic import arbitrary_schedule, greedy_schedule, random_binding_schedule
 from repro.distributed import DistributedScheduler
-from repro.networks import (
-    baseline,
-    benes,
-    clos,
-    crossbar,
-    cube,
-    data_manipulator,
-    delta,
-    extra_stage_omega,
-    flip,
-    gamma,
-    omega,
-)
+from repro.networks import TOPOLOGIES, build_network, omega
 from repro.networks.render import render_circuits, render_network
 from repro.sim.blocking import POLICIES, estimate_blocking
 from repro.sim.queueing import simulate_queueing
@@ -55,50 +45,13 @@ from repro.util.tables import Table
 
 __all__ = ["main", "TOPOLOGIES"]
 
-TOPOLOGIES: dict[str, Callable[[int], object]] = {
-    "omega": omega,
-    "flip": flip,
-    "cube": cube,
-    "delta": delta,
-    "baseline": baseline,
-    "benes": benes,
-    "gamma": gamma,
-    "data_manipulator": data_manipulator,
-    "crossbar": lambda n: crossbar(n, n),
-    "clos": lambda n: clos(max(n // 2, 1), 2, max(n // 2, 1)),
-    "omega+1": lambda n: extra_stage_omega(n, 1),
-    "omega+2": lambda n: extra_stage_omega(n, 2),
-}
-
-
-def _topology_builder(name: str, ports: int) -> Callable[[int], object]:
-    """The registry builder for ``name``, validated against ``ports``.
-
-    Some registry entries cannot realise every size: ``clos`` rounds
-    odd ``n`` down to ``2*(n//2)`` ports, and the log-stage builders
-    only accept powers of two.  Building a network of a different size
-    than ``--ports`` asked for would silently skew every downstream
-    statistic, so probe-build once and exit with a clear error on any
-    mismatch.
-    """
-    builder = TOPOLOGIES[name]
-    try:
-        probe = builder(ports)
-    except ValueError as exc:
-        raise SystemExit(f"error: cannot build {name!r} with --ports {ports}: {exc}")
-    if probe.n_processors != ports or probe.n_resources != ports:
-        raise SystemExit(
-            f"error: {name!r} with --ports {ports} builds a "
-            f"{probe.n_processors}x{probe.n_resources} network, not "
-            f"{ports}x{ports}; pick a port count the topology can realise "
-            f"(e.g. an even size for clos)"
-        )
-    return builder
-
 
 def _spec(args) -> WorkloadSpec:
+    # build_network, not TOPOLOGIES[name]: a port count the topology
+    # cannot realise must be an error, never a differently sized
+    # network under the requested label.
     return WorkloadSpec(
-        builder=_topology_builder(args.network, args.ports),
+        builder=partial(build_network, args.network),
         n_ports=args.ports,
         request_density=args.request_density,
         free_density=args.free_density,
@@ -155,12 +108,11 @@ def cmd_blocking(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Blocking sweep over request/free densities for several policies."""
-    points = []
-    for d in args.densities:
-        spec = WorkloadSpec(builder=TOPOLOGIES[args.network], n_ports=args.ports,
-                            request_density=d, free_density=d,
-                            occupied_circuits=args.occupied)
-        points.append((f"d={d:g}", spec))
+    base = _spec(args)
+    points = [
+        (f"d={d:g}", replace(base, request_density=d, free_density=d))
+        for d in args.densities
+    ]
     result = run_sweep(
         f"blocking sweep on {args.network}-{args.ports}",
         points, args.policies, trials=args.trials, seed=args.seed,
@@ -171,7 +123,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_queueing(args) -> int:
     """Steady-state queueing run (utilization / response time)."""
-    m = MRSIN(_topology_builder(args.network, args.ports)(args.ports))
+    m = MRSIN(build_network(args.network, args.ports))
     res = simulate_queueing(
         m, policy=args.policy, arrival_rate=args.rate,
         mean_service=args.service, horizon=args.horizon, seed=args.seed,
@@ -193,7 +145,7 @@ def cmd_serve(args) -> int:
     from repro.service.server import ServiceFaulted
 
     spec = WorkloadSpec(
-        builder=_topology_builder(args.network, args.ports),
+        builder=partial(build_network, args.network),
         n_ports=args.ports,
         occupied_circuits=args.occupied,
         priority_levels=args.priority_levels,
@@ -212,8 +164,6 @@ def cmd_serve(args) -> int:
             transmission_time=args.transmission,
             mean_service=args.service,
         )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     except ServiceFaulted as exc:
         # One line, nonzero exit: the run's snapshot is from a broken
         # service and must not be mistaken for a result.
@@ -237,21 +187,18 @@ def cmd_wire_serve(args) -> int:
     from repro.util.rng import make_rng
     from repro.wire.server import WireServer
 
-    builder = _topology_builder(args.network, args.ports)
-    try:
-        config = ServiceConfig(
-            tick_interval=args.tick,
-            max_batch=args.max_batch,
-            queue_limit=args.queue_limit,
-            degrade_watermark=args.watermark,
-            default_timeout=args.timeout,
-            fault_budget=args.fault_budget,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    network = build_network(args.network, args.ports)
+    config = ServiceConfig(
+        tick_interval=args.tick,
+        max_batch=args.max_batch,
+        queue_limit=args.queue_limit,
+        degrade_watermark=args.watermark,
+        default_timeout=args.timeout,
+        fault_budget=args.fault_budget,
+    )
 
     async def _run() -> dict:
-        service = AllocationService(MRSIN(builder(args.ports)), config=config)
+        service = AllocationService(MRSIN(network), config=config)
         injector = None
         if args.fault_rate > 0:
             from repro.faults.injector import FaultInjector
@@ -320,20 +267,17 @@ def cmd_loadgen(args) -> int:
     from repro.wire.client import WireConnectionError
     from repro.wire.loadgen import LoadGenConfig, run_loadgen
 
-    try:
-        config = LoadGenConfig(
-            rate=args.rate,
-            duration=args.duration,
-            processors=args.processors,
-            arrival=args.arrival,
-            connections=args.connections,
-            seed=args.seed,
-            request_timeout=args.timeout,
-            mean_hold=args.hold,
-            transmission=args.transmission,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    config = LoadGenConfig(
+        rate=args.rate,
+        duration=args.duration,
+        processors=args.processors,
+        arrival=args.arrival,
+        connections=args.connections,
+        seed=args.seed,
+        request_timeout=args.timeout,
+        mean_hold=args.hold,
+        transmission=args.transmission,
+    )
     try:
         report = asyncio.run(run_loadgen(args.host, args.port, config))
     except WireConnectionError as exc:
@@ -350,7 +294,7 @@ def cmd_loadgen(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Fault/repair churn against the service, with hard invariants."""
-    from repro.faults.chaos import BUILDERS, ChaosInvariantError, run_chaos
+    from repro.faults.chaos import ChaosInvariantError, run_chaos
 
     try:
         report = run_chaos(
@@ -364,47 +308,39 @@ def cmd_chaos(args) -> int:
             mean_repair=args.mean_repair,
             check_every=args.check_every,
         )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     except ChaosInvariantError as exc:
         raise SystemExit(f"error: chaos invariant violated: {exc}") from exc
     print(report.render())
     return 0
 
 
-def _fabric_config(args) -> "object":
+def _fabric_config(args):
     from repro.fabric.driver import FabricConfig
 
-    try:
-        return FabricConfig(
-            topology=args.network,
-            ports=args.ports,
-            cells=args.cells,
-            seed=args.seed,
-            rounds=args.rounds,
-            ticks_per_round=args.ticks_per_round,
-            rate=args.rate,
-            spill_after=args.spill_after,
-            max_hold=args.max_hold,
-            queue_limit=args.queue_limit,
-            group_size=args.group_size,
-            uplink=args.uplink,
-            trunk=args.trunk,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+    return FabricConfig(
+        topology=args.network,
+        ports=args.ports,
+        cells=args.cells,
+        seed=args.seed,
+        rounds=args.rounds,
+        ticks_per_round=args.ticks_per_round,
+        rate=args.rate,
+        spill_after=args.spill_after,
+        max_hold=args.max_hold,
+        queue_limit=args.queue_limit,
+        group_size=args.group_size,
+        uplink=args.uplink,
+        trunk=args.trunk,
+    )
 
 
 def cmd_fabric_serve(args) -> int:
     """Run one sharded fabric workload (multi-process cells + broker)."""
     from repro.fabric.broker import FabricError
-    from repro.fabric.driver import FabricConfig, run_fabric
+    from repro.fabric.driver import run_fabric
 
-    config = _fabric_config(args)
-    if not isinstance(config, FabricConfig):  # pragma: no cover - narrowing
-        raise SystemExit("error: bad fabric config")
     try:
-        result = run_fabric(config)
+        result = run_fabric(_fabric_config(args))
     except FabricError as exc:
         raise SystemExit(f"error: fabric failed: {exc}") from exc
     if args.json:
@@ -430,15 +366,10 @@ def cmd_fabric_serve(args) -> int:
 def cmd_fabric_bench(args) -> int:
     """Scaling sweep: the same per-cell load at increasing cell counts."""
     from repro.fabric.broker import FabricError
-    from repro.fabric.driver import FabricConfig, sweep_cells
+    from repro.fabric.driver import sweep_cells
 
-    config = _fabric_config(args)
-    if not isinstance(config, FabricConfig):  # pragma: no cover - narrowing
-        raise SystemExit("error: bad fabric config")
     try:
-        sweep_result = sweep_cells(config, tuple(args.cell_counts))
-    except ValueError as exc:  # a --cell-counts entry the config rejects
-        raise SystemExit(f"error: {exc}") from exc
+        sweep_result = sweep_cells(_fabric_config(args), tuple(args.cell_counts))
     except FabricError as exc:
         raise SystemExit(f"error: fabric failed: {exc}") from exc
     if args.json:
@@ -469,22 +400,18 @@ def cmd_fabric_chaos(args) -> int:
     """Whole-cell kill/rejoin chaos against a live fabric."""
     from repro.fabric.broker import FabricError, FabricInvariantError
     from repro.fabric.chaos import run_fabric_chaos
-    from repro.fabric.driver import ChaosSchedule, FabricConfig
+    from repro.fabric.driver import ChaosSchedule
 
     config = _fabric_config(args)
-    if not isinstance(config, FabricConfig):  # pragma: no cover - narrowing
-        raise SystemExit("error: bad fabric config")
+    schedule = ChaosSchedule(
+        cell=args.kill_cell,
+        kill_round=args.kill_round,
+        rejoin_round=args.rejoin_round or None,
+    )
     try:
-        schedule = ChaosSchedule(
-            cell=args.kill_cell,
-            kill_round=args.kill_round,
-            rejoin_round=args.rejoin_round or None,
-        )
         report = run_fabric_chaos(
             config, schedule, verify_determinism=args.verify_determinism
         )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     except FabricInvariantError as exc:
         raise SystemExit(f"error: fabric invariant violated: {exc}") from exc
     except FabricError as exc:
@@ -565,7 +492,7 @@ def cmd_report(args) -> int:
     trials = args.trials
     table = Table(["claim (paper)", "measured"], title="reproduction snapshot")
     # 1. Blocking probabilities (SIM-BLOCK).
-    spec = WorkloadSpec(builder=TOPOLOGIES["omega"], n_ports=8,
+    spec = WorkloadSpec(builder=omega, n_ports=8,
                         request_density=0.8, free_density=0.8)
     opt = estimate_blocking(spec, "optimal", trials=trials, seed=1)
     heur = estimate_blocking(spec, "random_binding", trials=trials, seed=1)
@@ -588,7 +515,7 @@ def cmd_report(args) -> int:
     # 3. Table II disciplines all dispatch and solve.
     from repro.core import MRSIN, Request
 
-    m = MRSIN(TOPOLOGIES["omega"](8), resource_types=["a", "b"] * 4)
+    m = MRSIN(omega(8), resource_types=["a", "b"] * 4)
     for p in range(4):
         m.submit(Request(p, resource_type="ab"[p % 2], priority=1 + p))
     hetero = OptimalScheduler().schedule(m)
@@ -722,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_loadgen)
 
     p = sub.add_parser("chaos", help="fault/repair churn with invariant checks")
-    p.add_argument("--network", choices=["omega", "benes", "clos"], default="omega")
+    p.add_argument("--network", choices=sorted(TOPOLOGIES), default="omega")
     p.add_argument("--ports", type=int, default=32, help="network size N")
     p.add_argument("--ticks", type=int, default=2000, help="scheduling cycles to churn")
     p.add_argument("--seed", type=int, default=0)
@@ -739,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chaos)
 
     def _add_fabric_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--network", choices=["omega", "benes", "clos"],
+        p.add_argument("--network", choices=sorted(TOPOLOGIES),
                        default="omega", help="intra-cell topology")
         p.add_argument("--ports", type=int, default=32, help="ports per cell")
         p.add_argument("--cells", type=int, default=4, help="number of cells")
@@ -825,7 +752,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # The library validates its own inputs (a rate of 0, a density
+        # of 2, a port count the topology cannot realise); at the shell
+        # that is one line and a nonzero exit, never a traceback.
+        raise SystemExit(f"error: {exc}") from exc
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.mapping import Mapping
 from repro.core.model import MRSIN
@@ -44,13 +44,12 @@ from repro.core.incremental import KernelFlowEngine
 from repro.flows.dinic import dinic
 from repro.flows.kernel import kernel_solve
 from repro.flows.maxflow import edmonds_karp, ford_fulkerson
-from repro.flows.mincost import cycle_cancel_min_cost, min_cost_flow
+from repro.flows.mincost import MinCostResult, min_cost_flow
 from repro.flows.multicommodity import (
     solve_integral_multicommodity,
     solve_max_multicommodity,
     solve_min_cost_multicommodity,
 )
-from repro.flows.network_simplex import network_simplex
 from repro.flows.out_of_kilter import out_of_kilter
 from repro.flows.push_relabel import push_relabel
 from repro.flows.validate import FlowViolation, check_flow, is_integral
@@ -96,7 +95,13 @@ MAXFLOW_ALGORITHMS = {
     "kernel": kernel_solve,
 }
 
-MINCOST_ALGORITHMS = ("out_of_kilter", "ssp", "cycle_cancel", "network_simplex")
+# Each is called as ``solver(net, source, sink, target_flow=F0, counter=)``.
+MINCOST_ALGORITHMS: dict[str, Callable[..., MinCostResult]] = {
+    "out_of_kilter": out_of_kilter,
+    # Successive shortest paths: shares no logic with out-of-kilter,
+    # which is why the differential checks solve with both.
+    "ssp": min_cost_flow,
+}
 
 
 class OptimalScheduler:
@@ -105,13 +110,14 @@ class OptimalScheduler:
     Parameters
     ----------
     maxflow:
-        ``"dinic"`` (default — the algorithm the paper's distributed
-        architecture realises), ``"edmonds_karp"``,
-        ``"ford_fulkerson"``, or ``"push_relabel"``.
+        A key of :data:`MAXFLOW_ALGORITHMS`: ``"dinic"`` (default — the
+        algorithm the paper's distributed architecture realises),
+        ``"edmonds_karp"``, ``"ford_fulkerson"``, ``"push_relabel"``,
+        or ``"kernel"``.
     mincost:
-        ``"out_of_kilter"`` (default — the paper's named algorithm),
-        ``"ssp"`` (successive shortest paths), ``"cycle_cancel"``, or
-        ``"network_simplex"``.
+        A key of :data:`MINCOST_ALGORITHMS`: ``"out_of_kilter"``
+        (default — the paper's named algorithm) or ``"ssp"``
+        (successive shortest paths).
     counter:
         Optional :class:`~repro.util.counters.OpCounter` charged with
         abstract operations (the monitor architecture's cost model).
@@ -229,26 +235,11 @@ class OptimalScheduler:
         problem = transformation2(mrsin, reqs)
         if problem.required_flow is None:
             raise ValueError("transformation2 produced no required flow F0")
-        if self.mincost == "out_of_kilter":
-            result = out_of_kilter(
-                problem.net, problem.source, problem.sink,
-                target_flow=problem.required_flow, counter=self.counter,
-            )
-        elif self.mincost == "network_simplex":
-            result = network_simplex(
-                problem.net, problem.source, problem.sink,
-                target_flow=problem.required_flow, counter=self.counter,
-            )
-        elif self.mincost == "ssp":
-            result = min_cost_flow(
-                problem.net, problem.source, problem.sink,
-                target_flow=problem.required_flow, counter=self.counter,
-            )
-        else:
-            result = cycle_cancel_min_cost(
-                problem.net, problem.source, problem.sink,
-                target_flow=problem.required_flow, counter=self.counter,
-            )
+        algorithm = MINCOST_ALGORITHMS[self.mincost]
+        result = algorithm(
+            problem.net, problem.source, problem.sink,
+            target_flow=problem.required_flow, counter=self.counter,
+        )
         if not is_integral(problem.net):
             raise FlowViolation("0-1 min-cost flow must be integral")
         check_flow(problem.net, problem.source, problem.sink)

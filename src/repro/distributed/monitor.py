@@ -67,11 +67,12 @@ class MonitorOutcome:
 
 
 class MonitorScheduler:
-    """Centralized monitor running the flow algorithm in software."""
+    """Centralized monitor running the flow algorithm in software.
 
-    def __init__(self, *, maxflow: str = "dinic", mincost: str = "out_of_kilter") -> None:
-        self.maxflow = maxflow
-        self.mincost = mincost
+    The algorithms are the paper's (:class:`OptimalScheduler`'s
+    defaults: Dinic, out-of-kilter) — the instruction estimate is a
+    statement about those, not a knob.
+    """
 
     def schedule(
         self, mrsin: MRSIN, requests: Sequence[Request] | None = None
@@ -83,10 +84,7 @@ class MonitorScheduler:
         settings, work the distributed architecture gets for free.
         """
         counter = OpCounter()
-        inner = OptimalScheduler(
-            maxflow=self.maxflow, mincost=self.mincost, counter=counter
-        )
-        mapping = inner.schedule(mrsin, requests)
+        mapping = OptimalScheduler(counter=counter).schedule(mrsin, requests)
         # Charge the serial transformation (one op per link scanned)
         # and extraction (one op per path link written back).
         counter.charge("transform_arc", len(mrsin.network.links))

@@ -38,11 +38,10 @@ from repro.fabric.driver import (
     run_fabric,
     sweep_cells,
 )
-from repro.fabric.partition import CELL_BUILDERS, FabricPartition
+from repro.fabric.partition import FabricPartition
 from repro.fabric.spill import SpillTopology, solve_spill
 
 __all__ = [
-    "CELL_BUILDERS",
     "ChaosSchedule",
     "FabricBroker",
     "FabricChaosReport",

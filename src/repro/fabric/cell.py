@@ -31,7 +31,7 @@ from repro.fabric.messages import (
     SnapshotRequest,
     UnplacedMsg,
 )
-from repro.fabric.partition import CELL_BUILDERS
+from repro.networks import build_network
 from repro.service.clock import VirtualClock, process_time_ns
 from repro.service.metrics import TICK_PHASES
 from repro.service.server import (
@@ -58,7 +58,7 @@ class CellWorker:
     def __init__(self, spec: CellSpec) -> None:
         self.spec = spec
         self.clock = VirtualClock()
-        self.mrsin = MRSIN(CELL_BUILDERS[spec.topology](spec.ports))
+        self.mrsin = MRSIN(build_network(spec.topology, spec.ports))
         self.service = AllocationService(
             self.mrsin,
             config=ServiceConfig(

@@ -52,6 +52,10 @@ __all__ = [
     "sweep_cells",
 ]
 
+#: Rounds a finished workload gets to drain (expire its holds and
+#: settle every spill) before the run is declared stuck.
+MAX_DRAIN_ROUNDS = 80
+
 
 @dataclass(frozen=True)
 class FabricConfig:
@@ -70,7 +74,6 @@ class FabricConfig:
     group_size: int = 4
     uplink: int = 8
     trunk: int = 32
-    max_drain_rounds: int = 80
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -87,10 +90,6 @@ class FabricConfig:
             raise ValueError(f"max_hold must be >= 1, got {self.max_hold}")
         if self.queue_limit < 0:
             raise ValueError(f"queue_limit must be >= 0, got {self.queue_limit}")
-        if self.max_drain_rounds < 1:
-            raise ValueError(
-                f"max_drain_rounds must be >= 1, got {self.max_drain_rounds}"
-            )
         # The cell shape and the spill tier validate themselves; build
         # both now so a config that cannot run fails where it is made,
         # not inside run_fabric after cell processes were spawned.
@@ -281,7 +280,7 @@ def run_fabric(
             broker_ns += outcome.broker_ns
 
         drain_rounds = 0
-        while drain_rounds < config.max_drain_rounds:
+        while drain_rounds < MAX_DRAIN_ROUNDS:
             outcome = broker.run_round([], config.ticks_per_round)
             drain_rounds += 1
             _absorb(totals, per_round, outcome)
@@ -291,7 +290,7 @@ def run_fabric(
                 break
         else:
             raise FabricInvariantError(
-                f"fabric failed to drain within {config.max_drain_rounds} rounds"
+                f"fabric failed to drain within {MAX_DRAIN_ROUNDS} rounds"
             )
 
         totals["cells_killed"] = broker.counters["cells_killed"]

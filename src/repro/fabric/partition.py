@@ -14,21 +14,12 @@ reproducible across runs and across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.networks import benes, clos, omega
+from repro.networks import build_network
 from repro.networks.topology import MultistageNetwork
 from repro.util.labels import label_hash, label_tag
 
-__all__ = ["CELL_BUILDERS", "CellPlacement", "FabricPartition", "gateway_port"]
-
-#: Topologies a cell's intra-shard MRSIN may use.  Mirrors the chaos
-#: registry (kept local so ``repro.fabric`` never imports the CLI).
-CELL_BUILDERS: dict[str, Callable[[int], MultistageNetwork]] = {
-    "omega": omega,
-    "benes": benes,
-    "clos": lambda n: clos(max(n // 2, 1), 2, max(n // 2, 1)),
-}
+__all__ = ["CellPlacement", "FabricPartition", "gateway_port"]
 
 
 def gateway_port(req_id: int, ports: int) -> int:
@@ -71,11 +62,6 @@ class FabricPartition:
     """
 
     def __init__(self, topology: str, ports: int, n_cells: int) -> None:
-        if topology not in CELL_BUILDERS:
-            raise ValueError(
-                f"unknown topology {topology!r}; "
-                f"choose from {sorted(CELL_BUILDERS)}"
-            )
         if ports < 2:
             raise ValueError(f"ports must be >= 2, got {ports}")
         if n_cells < 1:
@@ -83,19 +69,10 @@ class FabricPartition:
         self.topology = topology
         self.ports = ports
         self.n_cells = n_cells
-        # Not every builder realises every size (the log-stage ones
-        # need a power of two, clos rounds odd sizes down), and a cell
-        # process dying on its first out-of-range port is the wrong
-        # place to learn it: probe-build one cell network here.
-        try:
-            probe = self.build_network()
-        except ValueError as exc:
-            raise ValueError(f"cannot build {topology}-{ports} cells: {exc}") from exc
-        if (probe.n_processors, probe.n_resources) != (ports, ports):
-            raise ValueError(
-                f"{topology}-{ports} cells would be {probe.n_processors}x"
-                f"{probe.n_resources}; pick a port count the topology can realise"
-            )
+        # Not every topology realises every size, and a cell process
+        # dying on its first out-of-range port is the wrong place to
+        # learn it: probe-build one cell network here.
+        self.build_network()
         self.cells: tuple[CellPlacement, ...] = tuple(
             CellPlacement(
                 index=i,
@@ -141,7 +118,7 @@ class FabricPartition:
 
     def build_network(self) -> MultistageNetwork:
         """A fresh intra-cell network instance (one per cell process)."""
-        return CELL_BUILDERS[self.topology](self.ports)
+        return build_network(self.topology, self.ports)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,13 +26,12 @@ runs a 2000-tick omega-32 schedule on every push.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from repro.core.model import MRSIN
 from repro.core.requests import Request
 from repro.core.scheduler import OptimalScheduler
 from repro.faults.injector import FaultInjector
-from repro.networks import benes, clos, omega
+from repro.networks import build_network
 from repro.service.clock import VirtualClock
 from repro.service.server import (
     AllocationRejected,
@@ -43,15 +42,7 @@ from repro.service.server import (
 from repro.util.rng import spawn_rngs
 from repro.util.tables import Table
 
-__all__ = ["BUILDERS", "ChaosInvariantError", "ChaosReport", "run_chaos"]
-
-#: Chaos topologies (a subset of the CLI registry; kept local so the
-#: CLI can import this module without a cycle).
-BUILDERS: dict[str, Callable[[int], Any]] = {
-    "omega": omega,
-    "benes": benes,
-    "clos": lambda n: clos(max(n // 2, 1), 2, max(n // 2, 1)),
-}
+__all__ = ["ChaosInvariantError", "ChaosReport", "run_chaos"]
 
 
 class ChaosInvariantError(Exception):
@@ -109,7 +100,9 @@ def run_chaos(
     Parameters
     ----------
     topology, ports:
-        System under churn (see :data:`BUILDERS`).
+        System under churn, built by
+        :func:`repro.networks.build_network` (which rejects an unknown
+        name or a size the topology cannot realise).
     ticks:
         Scheduling cycles to drive (the virtual clock advances one
         time unit per tick).
@@ -124,15 +117,13 @@ def run_chaos(
         Run the cold-vs-warm differential every this many ticks
         (1 = every tick; raise it to trade confidence for speed).
     """
-    if topology not in BUILDERS:
-        raise ValueError(f"unknown chaos topology {topology!r}; pick from {sorted(BUILDERS)}")
     if ticks < 1:
         raise ValueError(f"ticks must be >= 1, got {ticks}")
     if check_every < 1:
         raise ValueError(f"check_every must be >= 1, got {check_every}")
     clock = VirtualClock()
     arrival_rng, fault_rng, hold_rng = spawn_rngs(seed, 3)
-    mrsin = MRSIN(BUILDERS[topology](ports))
+    mrsin = MRSIN(build_network(topology, ports))
     n_procs = mrsin.n_processors
     # No deadlines: deadline expiry inside run_one_cycle would shrink
     # the queue between peek_batch() and the tick, skewing the

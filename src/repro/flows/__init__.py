@@ -13,20 +13,27 @@ Heterogeneous, general topology        Integer multicommodity (NP-hard)
 =====================================  =================================
 
 This subpackage implements all of those solvers natively (NetworkX is
-used only as a cross-check oracle in the test suite):
+used only as a cross-check oracle in the test suite).  Each solver
+kept has a named job — the paper's method for a Table II row, the
+production kernel, or the structurally independent check another one
+is tested against:
 
 - :mod:`repro.flows.graph` — the :class:`FlowNetwork` digraph.
-- :mod:`repro.flows.maxflow` — Ford–Fulkerson labeling (BFS/DFS).
+- :mod:`repro.flows.maxflow` — Ford–Fulkerson labeling (BFS/DFS),
+  Table II's named method and the tests' max-flow oracle.
 - :mod:`repro.flows.dinic` — Dinic's algorithm with explicit layered
   networks (the object realized in hardware by Section IV).
 - :mod:`repro.flows.kernel` — the flat-int-array CSR Dinic kernel,
   the production hot path (``FlowNetwork.compile()`` lowers onto it;
   the object solvers remain the teaching/differential oracle).
+- :mod:`repro.flows.push_relabel` — preflow-push, the max-flow method
+  that shares no augmenting-path logic with the others (``bench/``'s
+  independent check).
 - :mod:`repro.flows.mincut` — min-cut extraction / optimality proof.
-- :mod:`repro.flows.mincost` — successive shortest paths and
-  cycle-canceling minimum-cost flow.
 - :mod:`repro.flows.out_of_kilter` — Fulkerson's out-of-kilter method,
   the algorithm the paper names for priority scheduling.
+- :mod:`repro.flows.mincost` — successive shortest paths, the one
+  other min-cost solver: out-of-kilter's independent check.
 - :mod:`repro.flows.lp` / :mod:`repro.flows.simplex` — a
   bounded-variable primal Simplex solver.
 - :mod:`repro.flows.multicommodity` — multicommodity max-flow and
@@ -40,9 +47,8 @@ from repro.flows.maxflow import MaxFlowResult, edmonds_karp, ford_fulkerson
 from repro.flows.push_relabel import push_relabel
 from repro.flows.dinic import LayeredNetwork, DinicResult, build_layered_network, dinic
 from repro.flows.mincut import MinCut, min_cut
-from repro.flows.mincost import MinCostResult, min_cost_flow, cycle_cancel_min_cost
+from repro.flows.mincost import MinCostResult, min_cost_flow
 from repro.flows.out_of_kilter import out_of_kilter
-from repro.flows.network_simplex import network_simplex
 from repro.flows.lp import LinearProgram, LPResult, LPStatus
 from repro.flows.simplex import simplex_solve
 from repro.flows.multicommodity import (
@@ -74,9 +80,7 @@ __all__ = [
     "min_cut",
     "MinCostResult",
     "min_cost_flow",
-    "cycle_cancel_min_cost",
     "out_of_kilter",
-    "network_simplex",
     "LinearProgram",
     "LPResult",
     "LPStatus",

@@ -280,11 +280,12 @@ class FlowNetwork:
 
         Returns a :class:`~repro.flows.kernel.CompiledNetwork` bound to
         this network: object arc ``k`` becomes kernel arc pair
-        ``2 * k``, lower bounds are handled by the circulation
-        reduction, and solved flows are written back onto ``Arc.flow``.
-        The compiled form captures *structure* (nodes, capacities,
-        lower bounds); arcs added after compilation are not visible to
-        it — compile again after structural changes.
+        ``2 * k`` and solved flows are written back onto ``Arc.flow``.
+        Raises ``ValueError`` naming the first arc with ``lower > 0``
+        (the kernel solves max flow without lower bounds).  The
+        compiled form captures *structure* (nodes, capacities); arcs
+        added after compilation are not visible to it — compile again
+        after structural changes.
         """
         from repro.flows.kernel import CompiledNetwork
 

@@ -28,8 +28,7 @@ is integer-valued, so the kernel needs no float arithmetic anywhere —
 Theorem 2's integrality falls out of the representation.
 
 :meth:`FlowNetwork.compile() <repro.flows.graph.FlowNetwork.compile>`
-lowers an object graph (including lower bounds, via the standard
-circulation reduction) onto a kernel and maps solved flows back onto
+lowers an object graph onto a kernel and maps solved flows back onto
 ``Arc.flow``, so every existing consumer of the object API keeps
 working; :func:`kernel_solve` packages that round trip with the same
 call shape as the object solvers.  The object Dinic stays as the
@@ -49,10 +48,6 @@ if TYPE_CHECKING:  # import cycle: graph.compile() returns CompiledNetwork
 __all__ = ["FlowKernel", "CompiledNetwork", "KernelResult", "kernel_solve"]
 
 Node = Hashable
-
-#: Effectively-unbounded capacity for reduction arcs (fits any network
-#: whose real arc capacities sum below it; all MRSIN arcs are unit).
-INF_CAPACITY = 1 << 60
 
 
 class FlowKernel:
@@ -319,12 +314,11 @@ class CompiledNetwork:
     shift, no dictionaries.  Nodes get dense ids in insertion order
     (``node_of``).
 
-    Lower bounds use the standard circulation reduction, materialised
-    at compile time when any arc has ``lower > 0``: arc capacities are
-    reduced to ``capacity - lower``, per-node imbalances are wired to a
-    super source/sink pair, and :meth:`solve` runs a feasibility phase
-    before the real max flow.  Networks without lower bounds (every
-    Transformation-1 problem) skip all of that.
+    The kernel solves plain max flow, so an arc with ``lower > 0`` is
+    rejected at compile time with a ``ValueError`` naming it rather
+    than solved as if the bound were 0.  No transformation produces
+    one: the only lower-bounded arc in the repo is out-of-kilter's
+    temporary ``[F0, F0]`` return arc, which is never compiled.
 
     ``solve`` seeds the kernel from the network's *current* flow
     assignment (the object solvers' augment-on-top contract) and
@@ -338,45 +332,21 @@ class CompiledNetwork:
         kernel = FlowKernel()
         for node in net.nodes:
             self.node_of[node] = kernel.add_node()
-        self.has_lower = any(arc.lower > 0 for arc in net.arcs)
         node_of = self.node_of
         for arc in net.arcs:
-            kernel.add_arc(
-                node_of[arc.tail], node_of[arc.head], arc.capacity - arc.lower
-            )
-        self.n_base_arcs = kernel.n_arcs
-        # Circulation-reduction plumbing (only when lower bounds exist):
-        # per-node imbalance arcs from/to a super source/sink.
-        self._super_source = -1
-        self._super_sink = -1
-        self._excess_arcs: list[int] = []
-        self._return_arc = -1
-        self._required_excess = 0
-        if self.has_lower:
-            self._super_source = kernel.add_node()
-            self._super_sink = kernel.add_node()
-            excess = [0] * (kernel.n_nodes)
-            for arc in net.arcs:
-                if arc.lower:
-                    excess[node_of[arc.head]] += arc.lower
-                    excess[node_of[arc.tail]] -= arc.lower
-            for v, e in enumerate(excess):
-                if e > 0:
-                    self._excess_arcs.append(
-                        kernel.add_arc(self._super_source, v, e)
-                    )
-                    self._required_excess += e
-                elif e < 0:
-                    self._excess_arcs.append(
-                        kernel.add_arc(v, self._super_sink, -e)
-                    )
+            if arc.lower > 0:
+                raise ValueError(
+                    f"cannot compile {arc!r}: lower bound {arc.lower} > 0, "
+                    f"and the kernel solves max flow without lower bounds"
+                )
+            kernel.add_arc(node_of[arc.tail], node_of[arc.head], arc.capacity)
         self.kernel = kernel
 
     # ------------------------------------------------------------------
     def seed_from_flow(self) -> None:
         """Load the network's current ``Arc.flow`` into the kernel.
 
-        Every flow must already sit within ``[lower, capacity]`` (the
+        Every flow must already sit within ``[0, capacity]`` (the
         repo-wide invariant between solves); violations raise
         ``ValueError`` rather than silently producing a wrong residual
         network.
@@ -384,76 +354,30 @@ class CompiledNetwork:
         cap = self.kernel.cap
         for k, arc in enumerate(self.net.arcs):
             flow = arc.flow
-            if flow < arc.lower or flow > arc.capacity:
+            if flow < 0 or flow > arc.capacity:
                 raise ValueError(
-                    f"flow {flow} outside [{arc.lower}, {arc.capacity}] on "
+                    f"flow {flow} outside [0, {arc.capacity}] on "
                     f"{arc!r}; cannot seed the kernel from an illegal flow"
                 )
             a = 2 * k
             cap[a] = arc.capacity - flow
-            cap[a + 1] = flow - arc.lower
-        for a in self._excess_arcs:
-            cap[a] = self.kernel.base[a]
-            cap[a + 1] = 0
-
-    def _feasible_circulation(self, source: int, sink: int) -> None:
-        """Satisfy all lower bounds (cold start only): saturate the
-        super source through a temporary ``sink -> source`` return arc."""
-        kernel = self.kernel
-        if self._return_arc < 0:
-            self._return_arc = kernel.add_arc(sink, source, 0)
-        ret = self._return_arc
-        kernel.cap[ret] = INF_CAPACITY
-        kernel.cap[ret + 1] = 0
-        pushed = kernel.max_flow(self._super_source, self._super_sink)
-        if pushed != self._required_excess:
-            kernel.cap[ret] = 0
-            kernel.cap[ret + 1] = 0
-            raise ValueError(
-                f"lower bounds are infeasible: circulation satisfied {pushed} "
-                f"of {self._required_excess} required units"
-            )
-        # Freeze the reduction arcs so the s-t phase cannot disturb the
-        # satisfying circulation, then drop the return arc (its flow is
-        # exactly the s-t flow already embedded in the base arcs).
-        cap = kernel.cap
-        for a in self._excess_arcs:
-            cap[a] = 0
-            cap[a + 1] = 0
-        cap[ret] = 0
-        cap[ret + 1] = 0
+            cap[a + 1] = flow
 
     def solve(self, source: Node, sink: Node, *, counter: OpCounter | None = None) -> KernelResult:
         """Max flow from ``source`` to ``sink``; flows land on ``Arc.flow``.
 
-        Seeds the kernel from the current assignment when it is legal
-        for the lower bounds; otherwise (a cold network with unmet
-        lower bounds, i.e. every ``flow < lower`` case is the all-zero
-        start) runs the circulation feasibility phase first.  Raises
-        ``ValueError`` when the lower bounds admit no feasible flow.
+        Augments on top of the network's current assignment.  A missing
+        terminal, or ``source == sink``, admits no flow: value 0, like
+        every other ``MAXFLOW_ALGORITHMS`` entry.
         """
         net = self.net
-        if source not in self.node_of or sink not in self.node_of:
+        if source == sink or source not in self.node_of or sink not in self.node_of:
             return KernelResult(value=0, phases=0)
-        s = self.node_of[source]
-        t = self.node_of[sink]
         kernel = self.kernel
         phases0 = kernel.phases
         baseline = kernel.snapshot()
-        needs_feasibility = self.has_lower and any(
-            arc.flow < arc.lower for arc in net.arcs
-        )
-        if needs_feasibility:
-            if any(arc.flow for arc in net.arcs):
-                raise ValueError(
-                    "cannot warm-start a lower-bounded solve from a partial "
-                    "assignment; zero the flow or satisfy the lower bounds"
-                )
-            kernel.reset()
-            self._feasible_circulation(s, t)
-        else:
-            self.seed_from_flow()
-        kernel.max_flow(s, t)
+        self.seed_from_flow()
+        kernel.max_flow(self.node_of[source], self.node_of[sink])
         kernel.charge(counter, baseline)
         self.readback()
         return KernelResult(
@@ -466,11 +390,10 @@ class CompiledNetwork:
         base = self.kernel.base
         for k, arc in enumerate(self.net.arcs):
             a = 2 * k
-            arc.flow = arc.lower + base[a] - cap[a]
+            arc.flow = base[a] - cap[a]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        lowered = ", +circulation" if self.has_lower else ""
-        return f"CompiledNetwork({self.kernel!r}{lowered})"
+        return f"CompiledNetwork({self.kernel!r})"
 
 
 def kernel_solve(
@@ -479,19 +402,12 @@ def kernel_solve(
     sink: Node,
     *,
     counter: OpCounter | None = None,
-    record_layers: bool = False,
 ) -> KernelResult:
     """Drop-in max-flow entry point backed by the flat-array kernel.
 
     Call-compatible with :func:`repro.flows.dinic.dinic` for the
     scheduler's purposes (augments on top of the current assignment,
-    returns an object with ``value``/``phases``); ``record_layers`` is
-    accepted for signature parity but layered networks are an
-    object-solver concept and are not recorded here.
+    returns an object with ``value``/``phases``).  Layered networks are
+    an object-solver concept; use the object ``dinic`` to record them.
     """
-    if record_layers:
-        raise ValueError(
-            "the kernel does not materialise layered networks; use the "
-            "object dinic solver to record them"
-        )
     return net.compile().solve(source, sink, counter=counter)

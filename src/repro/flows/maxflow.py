@@ -6,8 +6,9 @@ until the minimum cut-set of the network is saturated"*.  Two search
 orders are provided:
 
 - :func:`edmonds_karp` — breadth-first search, i.e. shortest
-  augmenting path first; ``O(|V||E|^2)`` in general, and the variant
-  the min-cost and out-of-kilter solvers reuse.
+  augmenting path first; ``O(|V||E|^2)`` in general.  It is the
+  subject of the paper's Fig. 3 walk-through (FIG3) and the max-flow
+  oracle most of the test suite measures against.
 - :func:`ford_fulkerson` — depth-first search, the classic labeling
   scheme.  On unit-capacity networks (every MRSIN transformation) the
   number of augmentations is bounded by the flow value, so both are
@@ -139,6 +140,10 @@ def _run(
     counter: OpCounter | None,
     flow_limit: int | None,
 ) -> MaxFlowResult:
+    if source == sink:
+        # Nothing flows from a node to itself (and the DFS finder would
+        # report the empty path as augmenting).
+        return MaxFlowResult(value=0, augmentations=0)
     if source not in net or sink not in net:
         # A terminal with no incident arcs simply admits no flow; the
         # transformations prune unreachable nodes, so tolerate this.

@@ -1,18 +1,18 @@
-"""Minimum-cost flow solvers (Section III-C).
+"""Minimum-cost flow by successive shortest paths (Section III-C).
 
 Transformation 2 reduces priority/preference scheduling to finding a
 minimum-cost flow of prescribed value ``F0`` (the number of pending
-requests).  Two independent solvers are provided:
+requests).  The paper's named algorithm lives in
+:mod:`repro.flows.out_of_kilter`; this module holds the one other
+min-cost solver the repo keeps, because it shares no logic with it:
 
 - :func:`min_cost_flow` — successive shortest augmenting paths with
   node potentials (Bellman–Ford initialisation, Dijkstra per
   augmentation).  This is the primal–dual method; with integral
   capacities it returns an integral assignment, the property Theorem 3
-  relies on.
-- :func:`cycle_cancel_min_cost` — negative-cycle canceling on top of
-  any feasible flow; asymptotically slower but structurally unrelated,
-  so the test suite uses it (and the paper's out-of-kilter method in
-  :mod:`repro.flows.out_of_kilter`) to cross-validate optimal costs.
+  relies on.  The test suite checks it against NetworkX and against
+  out-of-kilter, and ``bench/``'s output checks use it as the
+  independent solver on every priority instance.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.flows.graph import Arc, FlowNetwork
-from repro.flows.maxflow import augment_along, edmonds_karp
+from repro.flows.maxflow import augment_along
 from repro.util.counters import OpCounter
 
-__all__ = ["MinCostResult", "InfeasibleFlowError", "min_cost_flow", "cycle_cancel_min_cost"]
+__all__ = ["MinCostResult", "InfeasibleFlowError", "min_cost_flow"]
 
 Node = Hashable
 
@@ -47,7 +47,8 @@ class MinCostResult:
     cost:
         Total cost ``sum w(e) f(e)`` of the final assignment.
     augmentations:
-        Number of shortest-path augmentations (or cycles cancelled).
+        Number of augmentations: shortest paths here, breakthrough
+        cycles in out-of-kilter.
     """
 
     value: int
@@ -200,76 +201,3 @@ def min_cost_flow(
         for node, d in dist.items():
             potential[node] += d
     return MinCostResult(value=value, cost=net.total_cost(), augmentations=augmentations)
-
-
-def _find_negative_cycle(net: FlowNetwork) -> list[tuple[Arc, bool]] | None:
-    """A negative-cost cycle in the residual graph, or ``None``.
-
-    Bellman–Ford from a virtual super-source touching every node,
-    with parent-pointer walkback to extract the cycle.
-    """
-    dist: dict[Node, float] = {node: 0.0 for node in net.nodes}
-    pred: dict[Node, tuple[Node, Arc, bool]] = {}
-    last_improved: Node | None = None
-    n = net.n_nodes
-    for i in range(n):
-        last_improved = None
-        for arc in net.arcs:
-            for forward in (True, False):
-                if arc.residual(forward) <= 1e-12:
-                    continue
-                u, v = (arc.tail, arc.head) if forward else (arc.head, arc.tail)
-                cand = dist[u] + _move_cost(arc, forward)
-                if cand < dist[v] - 1e-9:
-                    dist[v] = cand
-                    pred[v] = (u, arc, forward)
-                    last_improved = v
-        if last_improved is None:
-            return None
-    # A relaxation in round n implies a negative cycle; walk back n
-    # steps to land on it, then collect it.
-    node = last_improved
-    for _ in range(n):
-        node = pred[node][0]
-    cycle: list[tuple[Arc, bool]] = []
-    cur = node
-    while True:
-        prev, arc, forward = pred[cur]
-        cycle.append((arc, forward))
-        cur = prev
-        if cur == node:
-            break
-    cycle.reverse()
-    return cycle
-
-
-def cycle_cancel_min_cost(
-    net: FlowNetwork,
-    source: Node,
-    sink: Node,
-    *,
-    target_flow: int | None = None,
-    counter: OpCounter | None = None,
-) -> MinCostResult:
-    """Min-cost flow by Klein's negative-cycle canceling.
-
-    First establishes a feasible flow of the requested value with
-    plain max-flow, then cancels negative residual cycles until none
-    remain — at which point the flow is cost-optimal for its value.
-    """
-    mf = edmonds_karp(net, source, sink, counter=counter, flow_limit=target_flow)
-    if target_flow is not None and mf.value < target_flow:
-        raise InfeasibleFlowError(
-            f"only {mf.value} of {target_flow} units can be circulated"
-        )
-    cancelled = 0
-    while True:
-        cycle = _find_negative_cycle(net)
-        if cycle is None:
-            break
-        amount = min(arc.residual(forward) for arc, forward in cycle)
-        augment_along(cycle, amount)
-        cancelled += 1
-        if counter is not None:
-            counter.charge("cycle_cancel")
-    return MinCostResult(value=net.flow_value(source), cost=net.total_cost(), augmentations=cancelled)

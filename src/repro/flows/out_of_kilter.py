@@ -5,8 +5,8 @@ algorithm to obtain the minimum cost flow of a general flow network in
 polynomial time.  For a flow network of 0-1 capacity, the time
 complexity is bounded by O(|V| |E|^2)."*  We implement the classic
 (unscaled) out-of-kilter method, which suffices for the 0–1 networks
-produced by Transformation 2 and provides a third, structurally
-independent min-cost solver for cross-validation.
+produced by Transformation 2; it is the scheduler's min-cost default,
+checked against successive shortest paths (:mod:`repro.flows.mincost`).
 
 The method works on a *circulation* network where every arc has bounds
 ``l(e) <= f(e) <= u(e)`` and a cost, with node potentials ``pi``.

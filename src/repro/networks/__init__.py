@@ -23,7 +23,8 @@ the classic topologies the paper cites from Feng's survey:
 
 All builders return a :class:`~repro.networks.topology.MultistageNetwork`
 whose switchboxes are non-broadcast crossbars, matching the model of
-Section II.
+Section II.  :data:`TOPOLOGIES` names the square ones and
+:func:`build_network` builds one by name at a validated size.
 """
 
 from repro.networks.switchbox import Switchbox
@@ -36,6 +37,7 @@ from repro.networks.clos import clos
 from repro.networks.crossbar import crossbar
 from repro.networks.gamma import gamma, data_manipulator
 from repro.networks.routing import destination_tag_path, reachable_resources
+from repro.networks.registry import TOPOLOGIES, build_network
 
 __all__ = [
     "Switchbox",
@@ -57,4 +59,6 @@ __all__ = [
     "data_manipulator",
     "destination_tag_path",
     "reachable_resources",
+    "TOPOLOGIES",
+    "build_network",
 ]

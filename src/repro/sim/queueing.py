@@ -106,6 +106,8 @@ def simulate_queueing(
         cover only types present in the pool.  ``None`` = homogeneous
         (every request uses the default type).
     """
+    if arrival_rate <= 0:
+        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
     if min_batch < 1:
         raise ValueError(f"min_batch must be >= 1, got {min_batch}")
     type_names: list = []

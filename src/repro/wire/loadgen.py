@@ -45,6 +45,17 @@ US = 1_000_000
 
 ARRIVAL_PROCESSES: tuple[str, ...] = ("poisson", "bursty", "diurnal")
 
+# Bursty shape: one on/off cycle lasts BURST_PERIOD seconds, of which
+# BURST_ON_FRACTION is on at ``rate * BURST_FACTOR`` and the rest is
+# silent; on-fraction x factor == 1 keeps the long-run mean at ``rate``.
+BURST_FACTOR = 4.0
+BURST_ON_FRACTION = 0.25
+BURST_PERIOD = 1.0
+# Diurnal shape: ``rate(t) = rate * (1 + A sin(2 pi t / period))``;
+# A < 1 keeps the instantaneous rate positive.
+DIURNAL_PERIOD = 10.0
+DIURNAL_AMPLITUDE = 0.8
+
 
 @dataclass(frozen=True)
 class Arrival:
@@ -71,9 +82,9 @@ class LoadGenConfig:
         ``[0, processors)`` — match the served network's port count.
     arrival:
         ``"poisson"`` (memoryless), ``"bursty"`` (on/off modulated
-        Poisson: rate × ``burst_factor`` while on, idle while off), or
-        ``"diurnal"`` (sinusoidal rate over ``diurnal_period``,
-        thinned).
+        Poisson: rate × ``BURST_FACTOR`` while on, idle while off), or
+        ``"diurnal"`` (sinusoidal rate over ``DIURNAL_PERIOD``,
+        thinned).  The two shapes are module constants.
     connections:
         Concurrency knob: client connections to open; requests round-
         robin across them and pipeline within each.
@@ -87,13 +98,6 @@ class LoadGenConfig:
         Mean lease hold time (exponential): acquire → hold → release.
     transmission:
         Circuit-hold before END_TX (0 skips the END_TX phase).
-    burst_factor, burst_on_fraction, burst_period:
-        Bursty process shape: one on/off cycle lasts ``burst_period``
-        seconds of which ``burst_on_fraction`` is on at
-        ``rate * burst_factor`` (off is silent); the mean stays near
-        ``rate`` when ``burst_on_fraction * burst_factor == 1``.
-    diurnal_period, diurnal_amplitude:
-        Diurnal shape: ``rate(t) = rate * (1 + A sin(2πt/period))``.
     """
 
     rate: float
@@ -105,11 +109,6 @@ class LoadGenConfig:
     request_timeout: float | None = 5.0
     mean_hold: float = 0.05
     transmission: float = 0.0
-    burst_factor: float = 4.0
-    burst_on_fraction: float = 0.25
-    burst_period: float = 1.0
-    diurnal_period: float = 10.0
-    diurnal_amplitude: float = 0.8
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -131,14 +130,6 @@ class LoadGenConfig:
             )
         if self.mean_hold < 0 or self.transmission < 0:
             raise ValueError("hold/transmission times must be >= 0")
-        if self.burst_factor < 1:
-            raise ValueError(f"burst_factor must be >= 1, got {self.burst_factor}")
-        if not 0.0 < self.burst_on_fraction <= 1.0:
-            raise ValueError("burst_on_fraction must be in (0, 1]")
-        if self.burst_period <= 0 or self.diurnal_period <= 0:
-            raise ValueError("burst/diurnal periods must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
 
 
 def arrival_schedule(config: LoadGenConfig) -> list[Arrival]:
@@ -178,9 +169,9 @@ def _poisson_times(rate: float, duration: float, rng: np.random.Generator) -> li
 
 
 def _bursty_times(config: LoadGenConfig, rng: np.random.Generator) -> list[float]:
-    """On/off modulated Poisson: bursts at ``rate * burst_factor``."""
-    on_rate = config.rate * config.burst_factor
-    on_span = config.burst_period * config.burst_on_fraction
+    """On/off modulated Poisson: bursts at ``rate * BURST_FACTOR``."""
+    on_rate = config.rate * BURST_FACTOR
+    on_span = BURST_PERIOD * BURST_ON_FRACTION
     times: list[float] = []
     cycle_start = 0.0
     while cycle_start < config.duration:
@@ -188,19 +179,19 @@ def _bursty_times(config: LoadGenConfig, rng: np.random.Generator) -> list[float
         while t < min(cycle_start + on_span, config.duration):
             times.append(t)
             t += float(rng.exponential(1.0 / on_rate))
-        cycle_start += config.burst_period
+        cycle_start += BURST_PERIOD
     return times
 
 
 def _diurnal_times(config: LoadGenConfig, rng: np.random.Generator) -> list[float]:
     """Sinusoidal-rate Poisson via thinning against the peak rate."""
-    peak = config.rate * (1.0 + config.diurnal_amplitude)
+    peak = config.rate * (1.0 + DIURNAL_AMPLITUDE)
     times: list[float] = []
     t = float(rng.exponential(1.0 / peak))
     while t < config.duration:
         instantaneous = config.rate * (
-            1.0 + config.diurnal_amplitude
-            * math.sin(2.0 * math.pi * t / config.diurnal_period)
+            1.0 + DIURNAL_AMPLITUDE
+            * math.sin(2.0 * math.pi * t / DIURNAL_PERIOD)
         )
         if float(rng.random()) * peak < instantaneous:
             times.append(t)

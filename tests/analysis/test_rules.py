@@ -260,6 +260,13 @@ class TestR005AsyncioHygiene:
             for batch in batches:
                 scheduler.schedule(batch)
     """)
+    BAD_OUT_OF_KILTER_LOOP = snippet("""
+        from repro.flows import out_of_kilter
+
+        async def drain(self, problems):
+            for p in problems:
+                out_of_kilter(p.net, p.source, p.sink, target_flow=p.required_flow)
+    """)
     GOOD = snippet("""
         async def tick_loop(self, scheduler, clock):
             while True:
@@ -277,6 +284,28 @@ class TestR005AsyncioHygiene:
         report = lint_snippet(tmp_path, self.BAD_SOLVER_LOOP, modpath="service/server2.py")
         assert rule_ids(report) == ["R005"]
         assert "yield point" in report.findings[0].message
+
+    def test_bad_out_of_kilter_loop(self, tmp_path):
+        # The scheduler's default min-cost solver was missing from
+        # SOLVER_NAMES, so this loop went unflagged.
+        report = lint_snippet(
+            tmp_path, self.BAD_OUT_OF_KILTER_LOOP, modpath="service/server2.py"
+        )
+        assert rule_ids(report) == ["R005"]
+        assert "yield point" in report.findings[0].message
+
+    def test_solver_names_cover_both_dispatch_tables(self):
+        """A solver added to (or renamed in) the scheduler's registries
+        must be known to R005, or a sync loop over it inside an
+        ``async def`` goes unflagged."""
+        from repro.analysis.rules import AsyncioHygiene
+        from repro.core.scheduler import MAXFLOW_ALGORITHMS, MINCOST_ALGORITHMS
+
+        registered = {
+            f.__name__
+            for f in (*MAXFLOW_ALGORITHMS.values(), *MINCOST_ALGORITHMS.values())
+        }
+        assert registered <= AsyncioHygiene.SOLVER_NAMES
 
     def test_good_loop_with_await(self, tmp_path):
         # One batched solve per tick with an await in the loop is the

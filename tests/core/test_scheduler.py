@@ -12,6 +12,7 @@ from repro.core import (
     Request,
     greedy_schedule,
 )
+from repro.core.scheduler import MAXFLOW_ALGORITHMS, MINCOST_ALGORITHMS
 from repro.networks import benes, crossbar, omega
 
 
@@ -49,7 +50,7 @@ class TestClassification:
 
 
 class TestHomogeneousScheduling:
-    @pytest.mark.parametrize("algo", ["dinic", "edmonds_karp", "ford_fulkerson", "push_relabel"])
+    @pytest.mark.parametrize("algo", sorted(MAXFLOW_ALGORITHMS))
     def test_all_algorithms_allocate_fully_on_free_network(self, algo):
         m = MRSIN(omega(8))
         for p in range(8):
@@ -95,7 +96,7 @@ class TestHomogeneousScheduling:
 
 
 class TestPriorityScheduling:
-    @pytest.mark.parametrize("algo", ["out_of_kilter", "ssp", "cycle_cancel", "network_simplex"])
+    @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
     def test_higher_priority_wins_contention(self, algo):
         """Two requests, one free resource: urgency decides."""
         m = MRSIN(crossbar(2, 2))
@@ -105,7 +106,7 @@ class TestPriorityScheduling:
         mapping = OptimalScheduler(mincost=algo).schedule(m)
         assert mapping.pairs == {(1, 0)}
 
-    @pytest.mark.parametrize("algo", ["out_of_kilter", "ssp", "cycle_cancel", "network_simplex"])
+    @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
     def test_preferred_resource_chosen(self, algo):
         m = MRSIN(crossbar(2, 2), preferences=[2, 9])
         m.submit(Request(0))
@@ -149,7 +150,7 @@ class TestPriorityScheduling:
                 m.submit(req)
             costs = set()
             sizes = set()
-            for algo in ("out_of_kilter", "ssp", "cycle_cancel", "network_simplex"):
+            for algo in sorted(MINCOST_ALGORITHMS):
                 m2 = MRSIN(omega(8), preferences=prefs)
                 for req in reqs:
                     m2.submit(req)
@@ -300,14 +301,16 @@ class TestValidationSurvivesOptimization:
         from repro.core import scheduler as scheduler_module
         from repro.flows.validate import FlowViolation
 
-        real = scheduler_module.out_of_kilter
+        real = scheduler_module.MINCOST_ALGORITHMS["out_of_kilter"]
 
         def corrupting_solver(net, source, sink, **kwargs):
             result = real(net, source, sink, **kwargs)
             net.arcs[0].flow += 0.5
             return result
 
-        monkeypatch.setattr(scheduler_module, "out_of_kilter", corrupting_solver)
+        monkeypatch.setitem(
+            scheduler_module.MINCOST_ALGORITHMS, "out_of_kilter", corrupting_solver
+        )
         m = MRSIN(omega(4))
         m.submit(Request(0, priority=3))
         with pytest.raises(FlowViolation, match="integral"):

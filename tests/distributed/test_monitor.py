@@ -1,7 +1,5 @@
 """Tests for the monitor architecture and its cost model."""
 
-import pytest
-
 from repro.core import MRSIN, Request
 from repro.distributed import DistributedScheduler, MonitorScheduler, INSTRUCTION_WEIGHTS
 from repro.networks import omega
@@ -53,18 +51,3 @@ class TestMonitor:
         out = MonitorScheduler().schedule(m)
         for category in out.operations.counts:
             assert category in INSTRUCTION_WEIGHTS, f"unweighted op {category}"
-
-
-class TestMonitorOptions:
-    def test_alternate_maxflow_backend(self):
-        m = loaded()
-        out = MonitorScheduler(maxflow="edmonds_karp").schedule(m)
-        assert len(out.mapping) == 8
-
-    def test_mincost_backend_for_priorities(self):
-        m = MRSIN(omega(8), preferences=[2, 9] * 4)
-        m.submit(Request(0, priority=4))
-        m.submit(Request(3, priority=7))
-        out = MonitorScheduler(mincost="ssp").schedule(m)
-        assert len(out.mapping) == 2
-        assert out.instructions > 0

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro.core.scheduler import MAXFLOW_ALGORITHMS
 from repro.flows.graph import FlowNetwork
 from repro.flows.dinic import LayeredNetwork, dinic
 from repro.flows.lp import LinearProgram, LPResult, LPStatus, Sense
@@ -52,6 +53,19 @@ class TestMaxflowEdges:
         net.add_node("s")
         assert edmonds_karp(net, "s", "t").value == 0.0
         assert edmonds_karp(net, "nope", "t").value == 0.0
+
+    @pytest.mark.parametrize("name", sorted(MAXFLOW_ALGORITHMS))
+    def test_source_equals_sink_is_zero_flow(self, name):
+        # Regression: the DFS finder reported the empty path as
+        # augmenting and ford_fulkerson died in min() of nothing, while
+        # the kernel raised its own message; every registry entry must
+        # agree that nothing flows from a node to itself.
+        net = FlowNetwork()
+        net.add_arc("s", "a", 2)
+        net.add_arc("a", "s", 1)
+        net.add_arc("a", "t", 1)
+        assert MAXFLOW_ALGORITHMS[name](net, "s", "s").value == 0
+        assert all(arc.flow == 0 for arc in net.arcs)
 
 
 class TestDinicEdges:

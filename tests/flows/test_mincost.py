@@ -1,4 +1,5 @@
-"""Tests for min-cost flow: SSP vs cycle-canceling vs NetworkX oracle."""
+"""Tests for min-cost flow: successive shortest paths vs the NetworkX oracle
+(out-of-kilter vs SSP lives in test_out_of_kilter.py)."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,7 @@ from hypothesis import strategies as st
 
 from repro.flows.graph import FlowNetwork
 from repro.flows.maxflow import edmonds_karp
-from repro.flows.mincost import (
-    InfeasibleFlowError,
-    cycle_cancel_min_cost,
-    min_cost_flow,
-)
+from repro.flows.mincost import InfeasibleFlowError, min_cost_flow
 from repro.flows.validate import check_flow, is_integral
 from tests.helpers import nx_min_cost_for_value, random_flow_network
 
@@ -89,30 +86,6 @@ class TestSuccessiveShortestPaths:
         net = two_route_network()
         res = min_cost_flow(net, "s", "t", target_flow=0)
         assert res.value == 0 and res.cost == 0
-
-
-class TestCycleCanceling:
-    def test_improves_greedy_flow(self):
-        net = two_route_network()
-        res = cycle_cancel_min_cost(net, "s", "t", target_flow=1)
-        assert res.value == 1
-        assert res.cost == 2
-
-    def test_matches_ssp_on_random_instances(self):
-        for seed in range(12):
-            rng = np.random.default_rng(400 + seed)
-            net, s, t = random_flow_network(rng, n_nodes=8, n_arcs=20)
-            maxv = edmonds_karp(net.copy(), s, t).value
-            if maxv == 0:
-                continue
-            target = int(maxv)
-            net_a = net.copy()
-            net_b = net.copy()
-            cost_a = min_cost_flow(net_a, s, t, target_flow=target).cost
-            cost_b = cycle_cancel_min_cost(net_b, s, t, target_flow=target).cost
-            assert cost_a == pytest.approx(cost_b)
-            check_flow(net_a, s, t)
-            check_flow(net_b, s, t)
 
 
 class TestAgainstOracle:

@@ -52,6 +52,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["schedule", "--network", "hypercube9"])
 
+    def test_cli_registry_is_the_networks_registry(self):
+        """``repro.cli.TOPOLOGIES`` stays importable, as a re-export of
+        the one table in ``repro.networks`` — not a second copy."""
+        import repro.networks
+
+        assert TOPOLOGIES is repro.networks.TOPOLOGIES
+
 
 class TestCommands:
     def test_schedule(self, capsys):
@@ -111,6 +118,34 @@ class TestCommands:
     def test_chaos_rejects_bad_ticks(self):
         with pytest.raises(SystemExit, match="ticks"):
             main(["chaos", "--ticks", "0"])
+
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            # One validated builder: a size the topology cannot realise
+            # used to run a 6x6 network under a "clos-7" title (chaos,
+            # sweep) or die in a traceback (sweep on omega-6).
+            ("chaos --network clos --ports 7 --ticks 5", "6x6"),
+            ("sweep --network clos --ports 7 --trials 1", "6x6"),
+            ("sweep --network omega --ports 6 --trials 1", "power of two"),
+            ("schedule --network clos --ports 7", "6x6"),
+            ("queueing --network omega --ports 6", "power of two"),
+            ("serve --network clos --ports 7 --horizon 5", "6x6"),
+            ("wire-serve --network clos --ports 7 --duration 0.1", "6x6"),
+            # Library validation reaches the shell as one line.
+            ("queueing --rate 0", "arrival_rate must be positive"),
+            ("blocking --request-density 2", "request_density"),
+            ("schedule --request-density 2", "request_density"),
+            ("tokens --free-density -1", "free_density"),
+            ("sweep --densities 1.5 --trials 1", "request_density"),
+        ],
+    )
+    def test_bad_input_is_a_one_line_error(self, argv, complaint):
+        with pytest.raises(SystemExit, match=complaint) as exit_info:
+            main(argv.split())
+        message = exit_info.value.code  # a str: printed to stderr, status 1
+        assert isinstance(message, str)
+        assert message.startswith("error: ") and "\n" not in message
 
     def test_lint_real_tree_is_clean(self, capsys):
         assert main(["lint"]) == 0

@@ -250,12 +250,25 @@ class TestChaos:
         assert a == b
 
     def test_chaos_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="unknown chaos topology"):
-            run_chaos(topology="crossbar", ticks=10)
+        with pytest.raises(ValueError, match="unknown topology"):
+            run_chaos(topology="hypercube9", ticks=10)
         with pytest.raises(ValueError, match="ticks"):
             run_chaos(ticks=0)
         with pytest.raises(ValueError, match="check_every"):
             run_chaos(ticks=10, check_every=0)
+
+    @pytest.mark.parametrize(
+        "topology,ports,complaint",
+        [("clos", 7, "6x6"), ("omega", 6, "power of two")],
+    )
+    def test_chaos_rejects_a_size_the_topology_cannot_build(
+        self, topology, ports, complaint
+    ):
+        """Regression: chaos kept its own builder table without the
+        realised-size check, so clos-7 churned a 6x6 network and
+        reported it as ``chaos: clos-7``."""
+        with pytest.raises(ValueError, match=complaint):
+            run_chaos(topology=topology, ports=ports, ticks=10)
 
 
 # ----------------------------------------------------------------------

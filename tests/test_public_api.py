@@ -9,12 +9,18 @@ accepted and ignored.
 
 import importlib
 import pkgutil
+from functools import partial
 
 import pytest
 
 import repro
+import repro.flows
+from repro.core import OptimalScheduler
+from repro.distributed import MonitorScheduler
 from repro.fabric.driver import FabricConfig
+from repro.flows import FlowNetwork, kernel_solve
 from repro.service.server import ServiceConfig
+from repro.wire.loadgen import LoadGenConfig
 
 MODULES = sorted(
     info.name
@@ -34,6 +40,9 @@ def test_every_exported_name_is_an_attribute(name):
     assert not missing, f"{name}.__all__ exports undefined names: {missing}"
 
 
+LOADGEN = partial(LoadGenConfig, rate=1.0, duration=1.0, processors=1)
+
+
 @pytest.mark.parametrize(
     "config,option",
     [
@@ -41,8 +50,26 @@ def test_every_exported_name_is_an_attribute(name):
         (ServiceConfig, "maxflow"),
         (ServiceConfig, "mincost"),
         (FabricConfig, "warm_engine"),
+        (FabricConfig, "max_drain_rounds"),
+        (MonitorScheduler, "maxflow"),
+        (MonitorScheduler, "mincost"),
+        (LOADGEN, "burst_factor"),
+        (LOADGEN, "burst_on_fraction"),
+        (LOADGEN, "burst_period"),
+        (LOADGEN, "diurnal_period"),
+        (LOADGEN, "diurnal_amplitude"),
+        (partial(kernel_solve, FlowNetwork(), "s", "t"), "record_layers"),
     ],
+    ids=lambda v: getattr(v, "func", v).__name__ if callable(v) else v,
 )
 def test_removed_options_are_rejected_not_ignored(config, option):
-    with pytest.raises(TypeError, match="unexpected keyword"):
+    with pytest.raises(TypeError, match="unexpected keyword|takes no arguments"):
         config(**{option: "kernel"})
+
+
+@pytest.mark.parametrize("name", ["network_simplex", "cycle_cancel"])
+def test_deleted_mincost_solvers_are_unknown_names(name):
+    with pytest.raises(ValueError, match="unknown mincost algorithm"):
+        OptimalScheduler(mincost=name)
+    assert not [n for n in repro.flows.__all__ if name in n]
+    assert not hasattr(repro.flows, name)

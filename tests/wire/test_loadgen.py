@@ -12,6 +12,9 @@ from repro.service.server import AllocationService, ServiceConfig
 from repro.wire import WireServer
 from repro.wire.loadgen import (
     ARRIVAL_PROCESSES,
+    BURST_ON_FRACTION,
+    BURST_PERIOD,
+    DIURNAL_PERIOD,
     LoadGenConfig,
     arrival_schedule,
     run_loadgen,
@@ -53,24 +56,21 @@ class TestSchedules:
         assert len(schedule) == pytest.approx(2000, rel=0.15)
 
     def test_bursty_clusters_into_on_windows(self):
-        config = cfg(
-            arrival="bursty", rate=200.0, duration=4.0,
-            burst_factor=4.0, burst_on_fraction=0.25, burst_period=1.0,
-        )
+        config = cfg(arrival="bursty", rate=200.0, duration=4.0)
         schedule = arrival_schedule(config)
-        # Every arrival falls in the first quarter of its cycle.
-        assert all((a.time % 1.0) < 0.25 + 1e-9 for a in schedule)
+        # Every arrival falls in the on-window of its cycle.
+        assert all(
+            (a.time % BURST_PERIOD) < BURST_PERIOD * BURST_ON_FRACTION + 1e-9
+            for a in schedule
+        )
         # The long-run mean still tracks `rate`.
         assert len(schedule) == pytest.approx(800, rel=0.2)
 
     def test_diurnal_peak_outweighs_trough(self):
-        config = cfg(
-            arrival="diurnal", rate=400.0, duration=10.0,
-            diurnal_period=10.0, diurnal_amplitude=0.8,
-        )
+        config = cfg(arrival="diurnal", rate=400.0, duration=DIURNAL_PERIOD)
         schedule = arrival_schedule(config)
         # sin > 0 on the first half-period, < 0 on the second.
-        first = sum(a.time < 5.0 for a in schedule)
+        first = sum(a.time < DIURNAL_PERIOD / 2 for a in schedule)
         second = len(schedule) - first
         assert first > 1.5 * second
 
@@ -87,10 +87,6 @@ class TestSchedules:
             cfg(processors=0)
         with pytest.raises(ValueError):
             cfg(request_timeout=0)
-        with pytest.raises(ValueError):
-            cfg(diurnal_amplitude=1.0)
-        with pytest.raises(ValueError):
-            cfg(burst_on_fraction=0.0)
 
 
 # ----------------------------------------------------------------------
