@@ -9,9 +9,9 @@ high-preference resources — the paper's result is the mapping
 
 Our Omega wiring differs from the paper's renumbered figure, so the
 specific pairs differ; the reproduced properties are (a) all requests
-served, (b) total cost is the optimum (out-of-kilter and successive
-shortest paths agree, NetworkX referees), (c) preferred resources
-chosen.
+served, (b) total cost is the optimum (out-of-kilter, successive
+shortest paths and the flat-array kernel agree, NetworkX referees),
+(c) preferred resources chosen.
 
 Timed kernel: Transformation 2 + out-of-kilter.
 """
@@ -55,6 +55,8 @@ def test_fig5_mincost_example(benchmark, capsys):
     assert len(costs) == 1, f"solvers disagree on optimal cost: {results}"
     referee = referee_min_cost(fig5_instance())
     assert costs == {round(referee, 6)}, f"NetworkX optimum {referee}: {results}"
+    # The paper's mapping {(p3,r5),(p5,r1),(p8,r7)}, 0-indexed, from every entry.
+    assert {tuple(r[2]) for r in results.values()} == {((2, 4), (4, 0), (7, 7))}, results
 
     # High-preference resources win: the three served preferences are
     # the three largest reachable ones.
@@ -70,6 +72,7 @@ def test_fig5_mincost_example(benchmark, capsys):
     table.add_row("paper's mapping", "{(p3,r5),(p5,r1),(p8,r7)}", sorted(mapping.pairs))
     table.add_row("min cost (out-of-kilter)", "(optimal)", results["out_of_kilter"][1])
     table.add_row("min cost (SSP)", "(same)", results["ssp"][1])
+    table.add_row("min cost (kernel, the default)", "(same)", results["kernel"][1])
     table.add_row("min cost (NetworkX referee)", "(same)", referee)
     table.add_row("preferences chosen", "highest available", served_prefs)
     with capsys.disabled():

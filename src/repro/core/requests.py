@@ -45,8 +45,8 @@ class Request:
     def __post_init__(self) -> None:
         if self.processor < 0:
             raise ValueError(f"processor index {self.processor} negative")
-        if self.priority < 1:
-            raise ValueError(f"priority {self.priority} must be >= 1")
+        if self.priority < 1 or self.priority % 1:
+            raise ValueError(f"priority {self.priority} must be an integer >= 1")
 
 
 @dataclass
@@ -81,8 +81,8 @@ class Resource:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"resource index {self.index} negative")
-        if self.preference < 1:
-            raise ValueError(f"preference {self.preference} must be >= 1")
+        if self.preference < 1 or self.preference % 1:
+            raise ValueError(f"preference {self.preference} must be an integer >= 1")
 
     @property
     def available(self) -> bool:

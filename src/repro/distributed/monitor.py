@@ -69,9 +69,9 @@ class MonitorOutcome:
 class MonitorScheduler:
     """Centralized monitor running the flow algorithm in software.
 
-    The algorithms are the paper's (:class:`OptimalScheduler`'s
-    defaults: Dinic, out-of-kilter) — the instruction estimate is a
-    statement about those, not a knob.
+    The algorithms are the paper's, named rather than inherited from
+    :class:`OptimalScheduler`'s defaults (Dinic, out-of-kilter) — the
+    instruction estimate is a statement about those, not a knob.
     """
 
     def schedule(
@@ -84,7 +84,8 @@ class MonitorScheduler:
         settings, work the distributed architecture gets for free.
         """
         counter = OpCounter()
-        mapping = OptimalScheduler(counter=counter).schedule(mrsin, requests)
+        scheduler = OptimalScheduler(maxflow="dinic", mincost="out_of_kilter", counter=counter)
+        mapping = scheduler.schedule(mrsin, requests)
         # Charge the serial transformation (one op per link scanned)
         # and extraction (one op per path link written back).
         counter.charge("transform_arc", len(mrsin.network.links))

@@ -23,17 +23,21 @@ is tested against:
   Table II's named method and the tests' max-flow oracle.
 - :mod:`repro.flows.dinic` — Dinic's algorithm with explicit layered
   networks (the object realized in hardware by Section IV).
-- :mod:`repro.flows.kernel` — the flat-int-array CSR Dinic kernel,
-  the production hot path (``FlowNetwork.compile()`` lowers onto it;
-  the object solvers remain the teaching/differential oracle).
+- :mod:`repro.flows.kernel` — the flat-int-array CSR kernel, the
+  production path for both homogeneous rows: Dinic max flow (the
+  serving hot path) and primal-dual min-cost flow (the default for
+  priority scheduling).  ``FlowNetwork.compile()`` lowers onto it;
+  the object solvers remain the teaching/differential oracle.
 - :mod:`repro.flows.push_relabel` — preflow-push, the max-flow method
   that shares no augmenting-path logic with the others (``bench/``'s
   independent check).
 - :mod:`repro.flows.mincut` — min-cut extraction / optimality proof.
 - :mod:`repro.flows.out_of_kilter` — Fulkerson's out-of-kilter method,
-  the algorithm the paper names for priority scheduling.
-- :mod:`repro.flows.mincost` — successive shortest paths, the one
-  other min-cost solver: out-of-kilter's independent check.
+  the algorithm the paper names for priority scheduling: the kernel's
+  differential oracle and what the monitor cost model counts.
+- :mod:`repro.flows.mincost` — object-graph successive shortest
+  paths, the independent solver ``bench/`` checks the default's
+  count and cost against; also the entries' shared call contract.
 - :mod:`repro.flows.lp` / :mod:`repro.flows.simplex` — a
   bounded-variable primal Simplex solver.
 - :mod:`repro.flows.multicommodity` — multicommodity max-flow and
@@ -42,7 +46,7 @@ is tested against:
 """
 
 from repro.flows.graph import Arc, FlowNetwork
-from repro.flows.kernel import CompiledNetwork, FlowKernel, KernelResult, kernel_solve
+from repro.flows.kernel import CompiledNetwork, FlowKernel, KernelResult, kernel_min_cost, kernel_solve
 from repro.flows.maxflow import MaxFlowResult, edmonds_karp, ford_fulkerson
 from repro.flows.push_relabel import push_relabel
 from repro.flows.dinic import LayeredNetwork, DinicResult, build_layered_network, dinic
@@ -68,6 +72,7 @@ __all__ = [
     "FlowKernel",
     "KernelResult",
     "kernel_solve",
+    "kernel_min_cost",
     "MaxFlowResult",
     "edmonds_karp",
     "ford_fulkerson",

@@ -282,7 +282,7 @@ class FlowNetwork:
         this network: object arc ``k`` becomes kernel arc pair
         ``2 * k`` and solved flows are written back onto ``Arc.flow``.
         Raises ``ValueError`` naming the first arc with ``lower > 0``
-        (the kernel solves max flow without lower bounds).  The
+        (the kernel solves without lower bounds).  The
         compiled form captures *structure* (nodes, capacities); arcs
         added after compilation are not visible to it — compile again
         after structural changes.

@@ -1,4 +1,5 @@
-"""Flat-array CSR Dinic kernel — the hot-path max-flow engine.
+"""Flat-array CSR flow kernel — Dinic max flow (the serving hot path)
+and primal-dual min-cost flow (the default for priority scheduling).
 
 The paper's Section IV realises Dinic's algorithm in *hardware* because
 the per-phase work is regular and array-shaped: token propagation reads
@@ -25,27 +26,32 @@ flat integer lists:
 Everything is a plain ``int``: PR 4's integral-flow migration (lint
 rule R003) guarantees every capacity, lower bound, and flow in the repo
 is integer-valued, so the kernel needs no float arithmetic anywhere —
-Theorem 2's integrality falls out of the representation.
+Theorem 2's and Theorem 3's integrality fall out of the
+representation.  Min-cost flow adds one more parallel list, ``cost``,
+which only :meth:`FlowKernel.min_cost_flow`'s caller builds.
 
 :meth:`FlowNetwork.compile() <repro.flows.graph.FlowNetwork.compile>`
 lowers an object graph onto a kernel and maps solved flows back onto
 ``Arc.flow``, so every existing consumer of the object API keeps
-working; :func:`kernel_solve` packages that round trip with the same
-call shape as the object solvers.  The object Dinic stays as the
-teaching implementation and the differential-test oracle.
+working; :func:`kernel_solve` and :func:`kernel_min_cost` package that
+round trip with the call shapes of the object solvers.  Those stay as
+the teaching implementations and the differential-test oracles: Dinic
+for max flow, out-of-kilter (the paper's) and SSP for min cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
+from repro.flows.mincost import InfeasibleFlowError, MinCostResult, flow_demanded
 from repro.util.counters import OpCounter
 
 if TYPE_CHECKING:  # import cycle: graph.compile() returns CompiledNetwork
     from repro.flows.graph import FlowNetwork
 
-__all__ = ["FlowKernel", "CompiledNetwork", "KernelResult", "kernel_solve"]
+__all__ = ["FlowKernel", "CompiledNetwork", "KernelResult", "kernel_solve", "kernel_min_cost"]
 
 Node = Hashable
 
@@ -271,6 +277,141 @@ class FlowKernel:
         self.pushes += pushes
         return total
 
+    # ------------------------------------------------------------------
+    # Min-cost flow (primal-dual successive shortest paths)
+    # ------------------------------------------------------------------
+    def min_cost_flow(
+        self, source: int, sink: int, cost: list[int], target: int
+    ) -> tuple[int, int]:
+        """Push up to ``target`` units at minimum cost; ``(value, cost)``.
+
+        ``cost`` runs parallel to ``cap``: ``cost[a] >= 0`` per unit on
+        forward arc ``a``, ``cost[a ^ 1] == -cost[a]`` on its reverse.
+        The kernel must hold a zero flow (zero potentials are then
+        feasible).  ``value < target`` means no more fits.
+
+        Successive shortest paths in primal-dual form.  Each round (a
+        ``phase``) runs label-setting shortest paths from ``source`` on
+        the reduced costs ``cost[a] + pi[tail] - pi[head]``, frontier in
+        buckets keyed by integer distance, and stops once the sink's
+        distance is final.  Every settled node's potential then drops
+        by how far short of the sink it lies, which keeps residual
+        reduced costs non-negative and zeroes them along every
+        shortest path; a blocking flow over the zero-reduced-cost arcs
+        follows, by :meth:`max_flow`'s cursor DFS, each unit costing
+        ``pi[sink] - pi[source]``.  Two equally cheap routes make a
+        zero-cost residual cycle, so where ``max_flow`` has levels this
+        DFS bars the nodes on its path and its dead ends: an arc passed
+        over for that can cost an extra round, never exactness, and a
+        round's first descent is a plain DFS, so it finds the path the
+        labels just proved — every round pushes at least one unit.
+        """
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        n = self.n_nodes
+        head = self.head
+        next_arc = self.next_arc
+        to = self.to
+        cap = self.cap
+        pi = [0] * n
+        # No simple path costs more, and a reduced distance never
+        # exceeds the true one (the source's potential is the lowest).
+        unreached = sum(cost[::2]) + 1
+        value = total_cost = 0
+        visits = scans = augmentations = pushes = 0
+        while value < target:
+            # --- Shortest paths.  ``reach`` is the sink's tentative
+            # distance: final once no bucket is nearer.
+            dist = [unreached] * n
+            dist[source] = 0
+            reach = unreached
+            settled: list[int] = []
+            buckets = {0: [source]}
+            while buckets:
+                d = min(buckets)
+                if d >= reach:
+                    break
+                for v in buckets[d]:  # grows as zero-cost arcs file into it
+                    if dist[v] != d:
+                        continue  # settled nearer since it was filed here
+                    visits += 1
+                    settled.append(v)
+                    shift = pi[v] + d
+                    a = head[v]
+                    while a != -1:
+                        scans += 1
+                        if cap[a] > 0:
+                            w = to[a]
+                            cand = cost[a] + shift - pi[w]
+                            if cand < dist[w] and cand < reach:
+                                dist[w] = cand
+                                if w == sink:
+                                    reach = cand
+                                elif cand in buckets:
+                                    buckets[cand].append(w)
+                                else:
+                                    buckets[cand] = [w]
+                        a = next_arc[a]
+                del buckets[d]
+            if reach == unreached:
+                break
+            self.phases += 1
+            for v in settled:
+                pi[v] += dist[v] - reach
+            # --- Blocking flow over the zero-reduced-cost arcs.
+            before = value
+            cursor = list(head)
+            barred = [False] * n
+            barred[source] = True
+            path: list[int] = []
+            v = source
+            while True:
+                if v == sink:
+                    aug = min(min(cap[a] for a in path), target - value)
+                    for a in path:
+                        cap[a] -= aug
+                        cap[a ^ 1] += aug
+                    value += aug
+                    augmentations += 1
+                    pushes += len(path)
+                    if value == target:
+                        break
+                    # Retreat to the tail of the first saturated arc.
+                    for i, a in enumerate(path):  # pragma: no branch
+                        if cap[a] == 0:
+                            for b in path[i:]:
+                                barred[to[b]] = False  # off the path again
+                            del path[i:]
+                            v = to[a ^ 1]
+                            break
+                    continue
+                visits += 1
+                a = cursor[v]
+                tight = pi[v]
+                while a != -1:
+                    scans += 1
+                    if cap[a] > 0:
+                        w = to[a]
+                        if cost[a] + tight == pi[w] and not barred[w]:
+                            break
+                    a = next_arc[a]
+                cursor[v] = a
+                if a != -1:
+                    path.append(a)
+                    v = to[a]
+                    barred[v] = True
+                    continue
+                if v == source:
+                    break
+                back = path.pop()  # dead end: stays barred this round
+                v = to[back ^ 1]
+            total_cost += (value - before) * (pi[sink] - pi[source])
+        self.visits += visits
+        self.scans += scans
+        self.augmentations += augmentations
+        self.pushes += pushes
+        return value, total_cost
+
     def charge(self, counter: OpCounter | None, baseline: tuple[int, int, int, int]) -> None:
         """Charge op-count deltas since ``baseline`` to ``counter``.
 
@@ -314,7 +455,7 @@ class CompiledNetwork:
     shift, no dictionaries.  Nodes get dense ids in insertion order
     (``node_of``).
 
-    The kernel solves plain max flow, so an arc with ``lower > 0`` is
+    The kernel knows no lower bounds, so an arc with ``lower > 0`` is
     rejected at compile time with a ``ValueError`` naming it rather
     than solved as if the bound were 0.  No transformation produces
     one: the only lower-bounded arc in the repo is out-of-kilter's
@@ -337,7 +478,7 @@ class CompiledNetwork:
             if arc.lower > 0:
                 raise ValueError(
                     f"cannot compile {arc!r}: lower bound {arc.lower} > 0, "
-                    f"and the kernel solves max flow without lower bounds"
+                    f"and the kernel solves without lower bounds"
                 )
             kernel.add_arc(node_of[arc.tail], node_of[arc.head], arc.capacity)
         self.kernel = kernel
@@ -384,6 +525,42 @@ class CompiledNetwork:
             value=net.flow_value(source), phases=kernel.phases - phases0
         )
 
+    def min_cost_solve(
+        self, source: Node, sink: Node, *, target_flow: int, counter: OpCounter | None = None
+    ) -> MinCostResult:
+        """Min-cost flow of value ``target_flow``; flows land on ``Arc.flow``.
+
+        Call shape and contract of every ``MINCOST_ALGORITHMS`` entry
+        (:func:`~repro.flows.mincost.flow_demanded`); an infeasible
+        target leaves the network at zero flow.  The kernel is
+        all-``int``: the cost list — built here, so the max-flow path
+        never pays for it — takes only non-negative integral costs and
+        a ``ValueError`` names the first arc with anything else.
+        """
+        net = self.net
+        if not flow_demanded(net, source, sink, target_flow):
+            return MinCostResult(0, 0.0, 0)
+        cost: list[int] = []
+        for arc in net.arcs:
+            whole = int(arc.cost) if math.isfinite(arc.cost) else -1
+            if whole != arc.cost or whole < 0:
+                raise ValueError(
+                    f"cannot lower {arc!r} onto the kernel: cost {arc.cost} "
+                    f"is not a non-negative integer"
+                )
+            cost += (whole, -whole)
+        kernel = self.kernel
+        kernel.reset()  # the network's flow is zero, so is the kernel's
+        baseline = kernel.snapshot()
+        value, total = kernel.min_cost_flow(
+            self.node_of[source], self.node_of[sink], cost, target_flow
+        )
+        kernel.charge(counter, baseline)
+        if value < target_flow:
+            raise InfeasibleFlowError(f"only {value} of {target_flow} units can be circulated")
+        self.readback()
+        return MinCostResult(value, float(total), kernel.augmentations - baseline[2])
+
     def readback(self) -> None:
         """Write the kernel's flow assignment back onto ``Arc.flow``."""
         cap = self.kernel.cap
@@ -411,3 +588,16 @@ def kernel_solve(
     an object-solver concept; use the object ``dinic`` to record them.
     """
     return net.compile().solve(source, sink, counter=counter)
+
+
+def kernel_min_cost(
+    net: "FlowNetwork",
+    source: Node,
+    sink: Node,
+    *,
+    target_flow: int,
+    counter: OpCounter | None = None,
+) -> MinCostResult:
+    """:func:`kernel_solve`'s min-cost twin, the ``MINCOST_ALGORITHMS``
+    entry: compile, :meth:`CompiledNetwork.min_cost_solve`."""
+    return net.compile().min_cost_solve(source, sink, target_flow=target_flow, counter=counter)

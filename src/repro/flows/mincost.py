@@ -3,8 +3,9 @@
 Transformation 2 reduces priority/preference scheduling to finding a
 minimum-cost flow of prescribed value ``F0`` (the number of pending
 requests).  The paper's named algorithm lives in
-:mod:`repro.flows.out_of_kilter`; this module holds the one other
-min-cost solver the repo keeps, because it shares no logic with it:
+:mod:`repro.flows.out_of_kilter` and the scheduler's default in
+:mod:`repro.flows.kernel`; this module holds the object-graph solver
+kept as the independent check on both, and their shared contract:
 
 - :func:`min_cost_flow` — successive shortest augmenting paths with
   node potentials (Bellman–Ford initialisation, Dijkstra per
@@ -27,7 +28,7 @@ from repro.flows.graph import Arc, FlowNetwork
 from repro.flows.maxflow import augment_along
 from repro.util.counters import OpCounter
 
-__all__ = ["MinCostResult", "InfeasibleFlowError", "min_cost_flow"]
+__all__ = ["MinCostResult", "InfeasibleFlowError", "flow_demanded", "min_cost_flow"]
 
 Node = Hashable
 
@@ -54,6 +55,30 @@ class MinCostResult:
     value: int
     cost: float
     augmentations: int
+
+
+def flow_demanded(net: FlowNetwork, source: Node, sink: Node, target_flow: int | None) -> bool:
+    """Check a min-cost request; ``False`` when the zero flow answers it.
+
+    The contract all ``MINCOST_ALGORITHMS`` entries open with: a
+    negative target or a non-zero initial flow is a ``ValueError``; an
+    explicit target is a demand on terminals that must exist, and a
+    positive one cannot be met from a node to itself
+    (:class:`InfeasibleFlowError`); target 0 touches nothing.  ``None``
+    (SSP's "as much as fits") demands nothing of degenerate terminals.
+    """
+    if target_flow is not None and target_flow < 0:
+        raise ValueError(f"negative target flow {target_flow}")
+    if any(arc.flow != 0 for arc in net.arcs):
+        raise ValueError("min-cost flow requires a zero initial flow")
+    missing = source not in net or sink not in net
+    if target_flow is None:
+        return not missing and source != sink
+    if missing:
+        raise InfeasibleFlowError("terminal missing from network")
+    if target_flow > 0 and source == sink:
+        raise InfeasibleFlowError(f"no flow can be circulated from {source!r} to itself")
+    return target_flow > 0
 
 
 def _move_cost(arc: Arc, forward: bool) -> float:
@@ -155,14 +180,7 @@ def min_cost_flow(
     initialisation assumes it); call :meth:`FlowNetwork.zero_flow`
     first when reusing a network.
     """
-    for arc in net.arcs:
-        if arc.flow != 0:
-            raise ValueError("min_cost_flow requires a zero initial flow")
-    if source not in net or sink not in net:
-        # `is not None`, not truthiness: an explicit target_flow=0 is
-        # still a demand on terminals that must exist.
-        if target_flow is not None:
-            raise InfeasibleFlowError("terminal missing from network")
+    if not flow_demanded(net, source, sink, target_flow):
         return MinCostResult(0, 0.0, 0)
     if any(arc.cost < 0 for arc in net.arcs):
         potential = _bellman_ford_potentials(net, source)

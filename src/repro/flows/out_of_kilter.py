@@ -5,8 +5,9 @@ algorithm to obtain the minimum cost flow of a general flow network in
 polynomial time.  For a flow network of 0-1 capacity, the time
 complexity is bounded by O(|V| |E|^2)."*  We implement the classic
 (unscaled) out-of-kilter method, which suffices for the 0–1 networks
-produced by Transformation 2; it is the scheduler's min-cost default,
-checked against successive shortest paths (:mod:`repro.flows.mincost`).
+produced by Transformation 2.  It is selectable (``mincost=
+"out_of_kilter"``), the differential oracle of the scheduler's default
+(:mod:`repro.flows.kernel`), and what ``MonitorScheduler`` costs.
 
 The method works on a *circulation* network where every arc has bounds
 ``l(e) <= f(e) <= u(e)`` and a cost, with node potentials ``pi``.
@@ -32,7 +33,7 @@ from collections import deque
 from typing import Hashable
 
 from repro.flows.graph import Arc, FlowNetwork
-from repro.flows.mincost import InfeasibleFlowError, MinCostResult
+from repro.flows.mincost import InfeasibleFlowError, MinCostResult, flow_demanded
 from repro.util.counters import OpCounter
 
 __all__ = ["out_of_kilter", "min_cost_circulation"]
@@ -210,8 +211,8 @@ def out_of_kilter(
     :func:`min_cost_circulation` is run.  The temporary return arc is
     removed before returning, leaving a legal s-t flow on ``net``.
     """
-    if source not in net or sink not in net:
-        raise InfeasibleFlowError("terminal missing from network")
+    if not flow_demanded(net, source, sink, target_flow):
+        return MinCostResult(0, 0.0, 0)
     return_arc = net.add_arc(sink, source, capacity=target_flow, lower=target_flow, cost=0.0)
     try:
         min_cost_circulation(net, counter=counter)

@@ -19,6 +19,14 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(0, priority=0)
 
+    @pytest.mark.parametrize("level", [2.5, float("nan"), float("inf")])
+    def test_priority_must_be_integral(self, level):
+        # Annotated int, but nothing checked: a fractional level used to
+        # surface as a non-integral arc cost deep inside a solver.
+        with pytest.raises(ValueError, match="priority .* must be an integer >= 1"):
+            Request(0, priority=level)
+        assert Request(0, priority=2.0).priority == 2  # integral value: fine
+
     def test_tag_excluded_from_equality(self):
         assert Request(1, tag="a") == Request(1, tag="b")
 
@@ -41,6 +49,11 @@ class TestResource:
     def test_preference_floor(self):
         with pytest.raises(ValueError):
             Resource(0, preference=0)
+
+    @pytest.mark.parametrize("value", [1.5, float("nan")])
+    def test_preference_must_be_integral(self, value):
+        with pytest.raises(ValueError, match="preference .* must be an integer >= 1"):
+            Resource(0, preference=value)
 
     def test_busy_means_unavailable(self):
         res = Resource(0)

@@ -297,24 +297,25 @@ class TestValidationSurvivesOptimization:
         with pytest.raises(FlowViolation, match="integral"):
             OptimalScheduler().schedule(m)
 
-    def test_nonintegral_min_cost_flow_raises(self, monkeypatch):
+    @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
+    def test_nonintegral_min_cost_flow_raises(self, monkeypatch, algo):
+        # Behind every entry, not just the default: the guard runs on
+        # the object network after whichever solver was asked for.
         from repro.core import scheduler as scheduler_module
         from repro.flows.validate import FlowViolation
 
-        real = scheduler_module.MINCOST_ALGORITHMS["out_of_kilter"]
+        real = scheduler_module.MINCOST_ALGORITHMS[algo]
 
         def corrupting_solver(net, source, sink, **kwargs):
             result = real(net, source, sink, **kwargs)
             net.arcs[0].flow += 0.5
             return result
 
-        monkeypatch.setitem(
-            scheduler_module.MINCOST_ALGORITHMS, "out_of_kilter", corrupting_solver
-        )
+        monkeypatch.setitem(scheduler_module.MINCOST_ALGORITHMS, algo, corrupting_solver)
         m = MRSIN(omega(4))
         m.submit(Request(0, priority=3))
         with pytest.raises(FlowViolation, match="integral"):
-            OptimalScheduler().schedule(m)
+            OptimalScheduler(mincost=algo).schedule(m)
 
     def test_missing_required_flow_raises(self, monkeypatch):
         from repro.core import scheduler as scheduler_module

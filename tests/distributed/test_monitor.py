@@ -46,6 +46,17 @@ class TestMonitor:
         out = MonitorScheduler().schedule(m)
         assert len(out.mapping) == 1
 
+    def test_priority_cycle_is_costed_as_out_of_kilter(self):
+        # The instruction estimate is about the paper's algorithm, not
+        # about whatever OptimalScheduler's default happens to be: only
+        # out-of-kilter charges kilter steps.
+        m = MRSIN(omega(8), preferences=[1, 2, 3, 4, 5, 6, 7, 8])
+        for p in range(4):
+            m.submit(Request(p, priority=p + 1))
+        out = MonitorScheduler().schedule(m)
+        assert len(out.mapping) == 4
+        assert out.operations["kilter_step"] > 0
+
     def test_weights_cover_all_charged_categories(self):
         m = loaded()
         out = MonitorScheduler().schedule(m)

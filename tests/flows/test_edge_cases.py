@@ -8,12 +8,12 @@ import math
 
 import pytest
 
-from repro.core.scheduler import MAXFLOW_ALGORITHMS
+from repro.core.scheduler import MAXFLOW_ALGORITHMS, MINCOST_ALGORITHMS
 from repro.flows.graph import FlowNetwork
 from repro.flows.dinic import LayeredNetwork, dinic
 from repro.flows.lp import LinearProgram, LPResult, LPStatus, Sense
 from repro.flows.maxflow import augment_along, edmonds_karp
-from repro.flows.mincost import min_cost_flow
+from repro.flows.mincost import InfeasibleFlowError, min_cost_flow
 from repro.flows.mincut import min_cut, residual_reachable
 from repro.flows.multicommodity import Commodity, MultiCommodityProblem, solve_max_multicommodity
 from repro.flows.simplex import simplex_standard_form
@@ -110,12 +110,49 @@ class TestMincostEdges:
         assert res.value == 0.0 and res.cost == 0.0
 
     def test_missing_terminal_with_target_raises(self):
-        from repro.flows.mincost import InfeasibleFlowError
-
         net = FlowNetwork()
         net.add_node("s")
         with pytest.raises(InfeasibleFlowError):
             min_cost_flow(net, "s", "t", target_flow=1)
+
+
+    @pytest.mark.parametrize("name", sorted(MINCOST_ALGORITHMS))
+    def test_registry_entries_share_one_contract(self, name):
+        # Regression: SSP died in min() of an empty path on
+        # source == sink, out-of-kilter tripped over its own self-loop
+        # return arc, and a negative target was value 0 from one and a
+        # "negative capacity" from the other.
+        solver = MINCOST_ALGORITHMS[name]
+
+        def fresh() -> FlowNetwork:
+            net = FlowNetwork()
+            net.add_arc("a", "b", 2, cost=1)
+            net.add_arc("b", "a", 1, cost=1)
+            net.add_arc("b", "t", 1, cost=3)
+            return net
+
+        def untouched(net: FlowNetwork) -> bool:
+            return all(arc.flow == 0 for arc in net.arcs)
+
+        net = fresh()
+        with pytest.raises(InfeasibleFlowError):
+            solver(net, "a", "a", target_flow=1)
+        for source, sink in (("a", "ghost"), ("ghost", "t")):
+            with pytest.raises(InfeasibleFlowError, match="terminal missing"):
+                solver(net, source, sink, target_flow=1)
+        with pytest.raises(ValueError, match="negative target flow"):
+            solver(net, "a", "t", target_flow=-1)
+        assert untouched(net) and net.n_arcs == 3
+        for source, sink in (("a", "t"), ("a", "a")):
+            res = solver(net, source, sink, target_flow=0)
+            assert (res.value, res.cost, res.augmentations) == (0, 0, 0)
+            assert untouched(net)
+        net.arcs[0].flow = 1
+        with pytest.raises(ValueError, match="zero initial flow"):
+            solver(net, "a", "t", target_flow=1)
+        # ... and on the one non-degenerate call.
+        res = solver(fresh(), "a", "t", target_flow=1)
+        assert (res.value, res.cost) == (1, 4)
 
 
 class TestLPEdges:

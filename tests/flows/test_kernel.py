@@ -1,12 +1,14 @@
 """The flat-array CSR kernel: edge cases, solver hooks, and the
-differential contract against the object Dinic oracle.
+differential contract against the object solvers.
 
-The kernel is the hot path; the object solver is the teaching
-implementation and the source of truth.  Every test here either pins a
-kernel edge case (zero-capacity arcs, unreachable sinks, rejected
-lower bounds) or fuzzes the two implementations against each other —
-on random graphs, on Transformation-1 networks over every stocked
-topology (healthy and fault-degraded), and through the warm engine's
+The kernel is the hot path; the object solvers are the teaching
+implementations and the source of truth.  Every test here either pins
+a kernel edge case (zero-capacity arcs, unreachable sinks, rejected
+lower bounds, non-integral costs) or fuzzes the two implementations
+against each other — max flow against the object Dinic, min-cost flow
+against successive shortest paths and out-of-kilter — on random
+graphs, on Transformation-1/2 networks over the stocked topologies
+(healthy, loaded and fault-degraded), and through the warm engine's
 full allocate/teardown/release lifecycle.
 """
 
@@ -15,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MRSIN, KernelFlowEngine, OptimalScheduler, Request
+from repro.core import MRSIN, Discipline, KernelFlowEngine, OptimalScheduler, Request
 from repro.core.transform import transformation1
-from repro.flows import FlowKernel, FlowNetwork, dinic, kernel_solve
+from repro.flows import FlowKernel, FlowNetwork, dinic, kernel_min_cost, kernel_solve, min_cost_flow
+from repro.flows.mincost import InfeasibleFlowError
 from repro.flows.validate import check_flow, is_integral
-from repro.networks import benes, clos, crossbar, omega
+from repro.networks import TOPOLOGIES, benes, build_network, clos, crossbar, omega
+from repro.util.counters import OpCounter
 
 BUILDERS = {
     "omega8": lambda: omega(8),
@@ -27,6 +31,20 @@ BUILDERS = {
     "clos-2x2x4": lambda: clos(2, 2, 4),
     "crossbar4": lambda: crossbar(4),
 }
+
+
+def inject_faults(mrsin: MRSIN, rng, *, resources: float, links: float, boxes: float) -> None:
+    """Fail each resource / link / switchbox with the given probability."""
+    for i in range(mrsin.n_resources):
+        if rng.random() < resources:
+            mrsin.fail_resource(i)
+    for i in range(len(mrsin.network.links)):
+        if rng.random() < links:
+            mrsin.fail_link(i)
+    for stage, stage_boxes in enumerate(mrsin.network.stages):
+        for box in range(len(stage_boxes)):
+            if rng.random() < boxes:
+                mrsin.fail_switchbox(stage, box)
 
 
 def diamond() -> FlowKernel:
@@ -193,7 +211,114 @@ class TestCompiledNetwork:
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: kernel vs object Dinic
+# Min-cost flow: kernel edges and the CompiledNetwork boundary
+# ----------------------------------------------------------------------
+def two_routes() -> FlowNetwork:
+    """s -> t directly at cost 5, or via a at cost 1 + 1; one unit each."""
+    net = FlowNetwork()
+    net.add_arc("s", "t", 1, cost=5)
+    net.add_arc("s", "a", 1, cost=1)
+    net.add_arc("a", "t", 1, cost=1)
+    return net
+
+
+class TestMinCostKernel:
+    def test_cheapest_route_first_then_the_dear_one(self):
+        k = diamond()
+        k.add_arc(0, 3, 1)
+        cost = [1, -1, 2, -2, 1, -1, 2, -2, 9, -9]
+        assert k.min_cost_flow(0, 3, cost, 1) == (1, 2)
+        k.reset()
+        assert k.min_cost_flow(0, 3, cost, 3) == (3, 2 + 4 + 9)
+
+    def test_value_short_of_target_means_no_more_fits(self):
+        k = diamond()
+        assert k.min_cost_flow(0, 3, [0] * k.n_arcs, 5) == (2, 0)
+
+    def test_empty_network_and_zero_target(self):
+        # Regression (scratch fuzz): the distance bound is taken over
+        # the cost list, which may be empty.
+        assert FlowKernel(2).min_cost_flow(0, 1, [], 1) == (0, 0)
+        k = diamond()
+        assert k.min_cost_flow(0, 3, [1, -1] * 4, 0) == (0, 0)
+        assert k.cap == k.base
+
+    def test_source_equals_sink_rejected(self):
+        with pytest.raises(ValueError, match="must differ"):
+            FlowKernel(2).min_cost_flow(1, 1, [], 1)
+
+    def test_zero_cost_residual_cycle_does_not_trap_the_dfs(self):
+        # 1 <-> 2 at cost 0 is an admissible cycle in every round.
+        k = FlowKernel(4)
+        for tail, head in ((0, 1), (1, 2), (2, 1), (2, 3)):
+            k.add_arc(tail, head, 2)
+        assert k.min_cost_flow(0, 3, [0] * k.n_arcs, 2) == (2, 0)
+
+    def test_target_caps_the_last_augmentation(self):
+        k = FlowKernel(2)
+        a = k.add_arc(0, 1, 5)
+        assert k.min_cost_flow(0, 1, [3, -3], 2) == (2, 6)
+        assert k.flow_of(a) == 2
+
+    def test_counter_is_charged_through_snapshot_and_charge(self):
+        net = two_routes()
+        counter = OpCounter()
+        res = kernel_min_cost(net, "s", "t", target_flow=2, counter=counter)
+        assert (res.value, res.cost, res.augmentations) == (2, 7, 2)
+        assert counter["augmentation"] == 2
+        assert counter["arc_update"] == 3  # one arc, then two
+        assert counter["node_visit"] > 0 and counter["arc_scan"] > 0
+
+
+class TestMinCostLowering:
+    def test_flows_land_on_the_object_network(self):
+        net = two_routes()
+        res = net.compile().min_cost_solve("s", "t", target_flow=1)
+        assert (res.value, res.cost) == (1, 2)
+        assert [arc.flow for arc in net.arcs] == [0, 1, 1]
+        assert res.cost == net.total_cost()
+
+    def test_compiled_network_can_be_solved_again(self):
+        net = two_routes()
+        compiled = net.compile()
+        first = compiled.min_cost_solve("s", "t", target_flow=2)
+        net.zero_flow()
+        again = compiled.min_cost_solve("s", "t", target_flow=2)
+        assert (first.value, first.cost) == (again.value, again.cost) == (2, 7)
+
+    def test_infeasible_target_leaves_zero_flow(self):
+        net = two_routes()
+        with pytest.raises(InfeasibleFlowError, match="only 2 of 3"):
+            kernel_min_cost(net, "s", "t", target_flow=3)
+        assert all(arc.flow == 0 for arc in net.arcs)
+
+    @pytest.mark.parametrize("bad", [2.5, -1, float("nan"), float("inf")])
+    def test_cost_must_be_a_nonnegative_integer(self, bad):
+        # The mirror of compile()'s lower-bound rejection: named at the
+        # boundary, not discovered as a wrong optimum deep in the solve.
+        net = two_routes()
+        net.add_arc("a", "b", 1, cost=bad)
+        net.add_arc("b", "t", 1, cost=-7)  # not the first offender
+        with pytest.raises(ValueError, match=r"Arc#3\('a'->'b'.*not a non-negative integer"):
+            kernel_min_cost(net, "s", "t", target_flow=1)
+        assert all(arc.flow == 0 for arc in net.arcs)
+
+    def test_integral_float_costs_are_exact(self):
+        # Transformation 2 emits float(int) costs.
+        net = FlowNetwork()
+        net.add_arc("s", "t", 2, cost=3.0)
+        assert kernel_min_cost(net, "s", "t", target_flow=2).cost == 6
+
+    def test_max_flow_path_builds_no_cost_list(self):
+        net = two_routes()
+        compiled = net.compile()
+        compiled.solve("s", "t")
+        for holder in (compiled, compiled.kernel):
+            assert not [name for name in vars(holder) if "cost" in name]
+
+
+# ----------------------------------------------------------------------
+# Differential fuzz: kernel vs the object solvers
 # ----------------------------------------------------------------------
 arc_lists = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3)),
@@ -226,6 +351,84 @@ class TestFuzzRandomGraphs:
         assert is_integral(ker)
 
 
+costed_arc_lists = st.lists(
+    st.tuples(
+        st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.integers(0, 5)
+    ),
+    max_size=18,
+)
+
+
+class TestFuzzMinCostRandomGraphs:
+    @given(arcs=costed_arc_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_ssp_at_every_target(self, arcs):
+        """General digraphs — cycles, zero capacities, zero costs, the
+        arc-less network — at every target from 0 to one more than
+        fits: same value, same cost, same infeasibility."""
+
+        def build() -> FlowNetwork:
+            net = FlowNetwork()
+            net.add_node(0)
+            net.add_node(5)
+            for tail, head, cap, cost in arcs:
+                if tail != head:
+                    net.add_arc(tail, head, cap, cost=cost)
+            return net
+
+        most = dinic(build(), 0, 5).value
+        for solve in (min_cost_flow, kernel_min_cost):
+            with pytest.raises(InfeasibleFlowError):
+                solve(build(), 0, 5, target_flow=most + 1)
+        for target in range(most + 1):
+            obj, ker = build(), build()
+            compiled = ker.compile()
+            expected = min_cost_flow(obj, 0, 5, target_flow=target)
+            got = compiled.min_cost_solve(0, 5, target_flow=target)
+            assert (got.value, got.cost) == (expected.value, expected.cost)
+            assert got.value == target and got.cost == ker.total_cost()
+            assert check_flow(ker, 0, 5) == target
+            assert is_integral(ker)
+            k = compiled.kernel
+            for a in range(0, k.n_arcs, 2):
+                assert k.cap[a] + k.cap[a ^ 1] == k.base[a]
+
+
+class TestFuzzMinCostTopologies:
+    @given(name=st.sampled_from(sorted(TOPOLOGIES)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_out_of_kilter_on_transform2(self, name, seed):
+        """Priority scheduling on every registry topology with circuits
+        in flight, resources busy and components failed: the kernel and
+        the paper's algorithm serve as many requests at the same cost,
+        and the kernel's mapping is a set of legal circuits."""
+        rng = np.random.default_rng(seed)
+        ports = 8
+        mrsin = MRSIN(
+            build_network(name, ports),
+            preferences=rng.integers(1, 11, ports).tolist(),
+        )
+        # Earlier traffic: some circuits still transmitting (occupied
+        # links), some resources busy with their links already released.
+        earlier = [Request(int(p)) for p in rng.choice(ports, size=3, replace=False)]
+        mapping = OptimalScheduler(maxflow="dinic").schedule(mrsin, earlier)
+        mrsin.apply_mapping(mapping)
+        for a in mapping.assignments:
+            if rng.random() < 0.5:
+                mrsin.complete_transmission(a.resource.index)
+        inject_faults(mrsin, rng, resources=0.1, links=0.08, boxes=0.05)
+        for p in range(ports):
+            if rng.random() < 0.7:
+                mrsin.submit(Request(p, priority=int(rng.integers(1, 11))))
+        requests = mrsin.schedulable_requests()
+        ours, paper = OptimalScheduler(mincost="kernel"), OptimalScheduler(mincost="out_of_kilter")
+        mapping = ours.schedule(mrsin, requests, discipline=Discipline.PRIORITY)
+        expected = paper.schedule(mrsin, requests, discipline=Discipline.PRIORITY)
+        assert len(mapping) == len(expected)
+        assert ours.stats.flow_cost == paper.stats.flow_cost
+        mapping.validate(mrsin)
+
+
 class TestFuzzTopologies:
     @given(
         name=st.sampled_from(sorted(BUILDERS)),
@@ -238,16 +441,7 @@ class TestFuzzTopologies:
         kernel's assignment is a legal integral flow."""
         mrsin = MRSIN(BUILDERS[name]())
         rng = np.random.default_rng(seed)
-        for i in range(mrsin.n_resources):
-            if rng.random() < 0.15:
-                mrsin.fail_resource(i)
-        for i in range(len(mrsin.network.links)):
-            if rng.random() < 0.1:
-                mrsin.fail_link(i)
-        for stage, boxes in enumerate(mrsin.network.stages):
-            for box in range(len(boxes)):
-                if rng.random() < 0.05:
-                    mrsin.fail_switchbox(stage, box)
+        inject_faults(mrsin, rng, resources=0.15, links=0.1, boxes=0.05)
         requesting = [p for p in range(mrsin.n_processors) if rng.random() < 0.6]
         problem = transformation1(mrsin, [Request(p) for p in requesting])
         obj, ker = problem.net.copy(), problem.net.copy()

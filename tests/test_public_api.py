@@ -16,6 +16,7 @@ import pytest
 import repro
 import repro.flows
 from repro.core import OptimalScheduler
+from repro.core.scheduler import MINCOST_ALGORITHMS
 from repro.distributed import MonitorScheduler
 from repro.fabric.driver import FabricConfig
 from repro.flows import FlowNetwork, kernel_solve
@@ -73,3 +74,10 @@ def test_deleted_mincost_solvers_are_unknown_names(name):
         OptimalScheduler(mincost=name)
     assert not [n for n in repro.flows.__all__ if name in n]
     assert not hasattr(repro.flows, name)
+
+
+def test_mincost_table_and_default_are_pinned():
+    # Exactly three entries, each with a named job (ROADMAP item 2); the
+    # default is the flat-array kernel, the paper's method stays selectable.
+    assert sorted(MINCOST_ALGORITHMS) == ["kernel", "out_of_kilter", "ssp"]
+    assert OptimalScheduler().mincost == "kernel"
