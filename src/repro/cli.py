@@ -13,7 +13,6 @@ Examples
     python -m repro wire-serve --network omega --ports 16 --port 7586
     python -m repro loadgen --port 7586 --rate 300 --duration 5 --seed 7
     python -m repro fabric-serve --cells 4 --ports 32 --rounds 40 --seed 7
-    python -m repro fabric-bench --cells 1 2 4 8 --ports 32 --json
     python -m repro fabric-chaos --cells 4 --kill-cell 1 --kill-round 10
     python -m repro tokens --seed 31
     python -m repro lint --stats
@@ -351,48 +350,12 @@ def cmd_fabric_serve(args) -> int:
             "rounds_run": result.rounds_run,
             "drain_rounds": result.drain_rounds,
             "wall_s": result.wall_s,
-            "critical_path_s": result.critical_path_s,
             "wall_allocs_per_sec": result.wall_allocs_per_sec,
-            "aggregate_allocs_per_sec": result.aggregate_allocs_per_sec,
-            "host_cpus": result.host_cpus,
             "snapshot": result.snapshot,
         }
         print(json.dumps(payload, sort_keys=True))
     else:
         print(result.render())
-    return 0
-
-
-def cmd_fabric_bench(args) -> int:
-    """Scaling sweep: the same per-cell load at increasing cell counts."""
-    from repro.fabric.broker import FabricError
-    from repro.fabric.driver import sweep_cells
-
-    try:
-        sweep_result = sweep_cells(_fabric_config(args), tuple(args.cell_counts))
-    except FabricError as exc:
-        raise SystemExit(f"error: fabric failed: {exc}") from exc
-    if args.json:
-        import json
-
-        print(json.dumps(sweep_result, sort_keys=True))
-    else:
-        table = Table(
-            ["cells", "offered", "allocated", "spilled", "agg allocs/s",
-             "speedup", "wait p99"],
-            title=f"fabric scaling: {args.network}-{args.ports} per cell",
-        )
-        for row in sweep_result["rows"]:
-            table.add_row(
-                row["cells"], row["offered"], row["allocated"],
-                row["spill_allocated"],
-                f"{row['aggregate_allocs_per_sec']:.0f}",
-                f"{row['speedup_vs_1']:.2f}x",
-                f"{row['wait_p99_ticks']:.2f}",
-            )
-        print(table.render())
-        print("\naggregate = allocations / critical-path CPU seconds "
-              "(one core per cell); wall-clock figures are in --json output")
     return 0
 
 
@@ -695,15 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit totals + merged snapshot as one JSON object")
     p.set_defaults(func=cmd_fabric_serve)
-
-    p = sub.add_parser("fabric-bench",
-                       help="fabric scaling sweep over cell counts")
-    _add_fabric_args(p)
-    p.add_argument("--cell-counts", nargs="+", type=int, default=[1, 2, 4, 8],
-                   help="fabric widths to sweep")
-    p.add_argument("--json", action="store_true",
-                   help="emit the sweep as one JSON object")
-    p.set_defaults(func=cmd_fabric_bench)
 
     p = sub.add_parser("fabric-chaos",
                        help="whole-cell kill/rejoin chaos with invariants")

@@ -23,8 +23,7 @@ Layout:
   its max-flow routing;
 - :mod:`repro.fabric.broker` — process supervision, lease custody,
   spill escalation, whole-cell failure handling, snapshot merging;
-- :mod:`repro.fabric.driver` — the seeded multi-process driver and the
-  scaling sweep;
+- :mod:`repro.fabric.driver` — the seeded multi-process driver;
 - :mod:`repro.fabric.chaos` — whole-cell kill/rejoin chaos with hard
   invariants.
 """
@@ -36,7 +35,6 @@ from repro.fabric.driver import (
     FabricConfig,
     FabricRunResult,
     run_fabric,
-    sweep_cells,
 )
 from repro.fabric.partition import FabricPartition
 from repro.fabric.spill import SpillTopology, solve_spill
@@ -54,5 +52,4 @@ __all__ = [
     "run_fabric",
     "run_fabric_chaos",
     "solve_spill",
-    "sweep_cells",
 ]

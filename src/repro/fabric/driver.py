@@ -1,32 +1,21 @@
-"""The seeded fabric driver: workloads, scaling sweeps, invariants.
+"""The seeded fabric driver: workloads and invariants.
 
 :func:`run_fabric` stands a whole fabric up (broker + one process per
 cell), plays a seeded Poisson workload through it in bulk-synchronous
 rounds, drains it to quiescence, verifies the conservation and
 zero-leak invariants with real exceptions, and returns a
-:class:`FabricRunResult` with both throughput readings:
-
-- ``wall`` — allocations over elapsed wall seconds, whatever the host
-  gives us;
-- ``aggregate`` — allocations over *critical-path* seconds, where each
-  round costs the slowest cell's CPU time plus the broker's serial CPU
-  time.  CPU time excludes time a process spends descheduled, so this
-  measures what a one-core-per-cell deployment would deliver — the
-  honest scaling figure on hosts with fewer cores than cells (this
-  repo's CI has one).
-
-:func:`sweep_cells` repeats the run across fabric widths for the
-near-linear-scaling benchmark (``benchmarks/bench_fabric.py``).
+:class:`FabricRunResult`: the seed-deterministic totals plus the
+elapsed wall seconds, whatever the host gives us (throughput worth
+quoting is measured by ``python3 -m bench --workload fabric-skew``).
 
 Per-cell arrival streams are seeded by stable label hashes, so a
-cell's workload does not depend on how many other cells exist — the
-1-cell and 8-cell sweeps see identical per-cell traffic.
+cell's workload does not depend on how many other cells exist — a
+1-cell and an 8-cell fabric see identical per-cell traffic.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -49,7 +38,6 @@ __all__ = [
     "FabricConfig",
     "FabricRunResult",
     "run_fabric",
-    "sweep_cells",
 ]
 
 #: Rounds a finished workload gets to drain (expire its holds and
@@ -138,28 +126,12 @@ class FabricRunResult:
     rounds_run: int
     drain_rounds: int
     wall_s: float
-    critical_path_s: float
-    broker_cpu_s: float
-    host_cpus: int
     revoked_lease_ids: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def wall_allocs_per_sec(self) -> float:
         """Allocations over elapsed wall time (host-timesharing bound)."""
         return self.totals["allocated"] / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def aggregate_allocs_per_sec(self) -> float:
-        """Allocations over critical-path seconds (one core per cell).
-
-        The denominator sums, per round, the slowest cell's CPU time
-        plus the broker's serial CPU time — the round's span if every
-        cell had a dedicated core.  Clearly labelled as a model: on a
-        host with >= cells cores, wall and aggregate converge.
-        """
-        if self.critical_path_s <= 0:
-            return 0.0
-        return self.totals["allocated"] / self.critical_path_s
 
     def render(self) -> str:
         """ASCII summary table of the run."""
@@ -175,12 +147,7 @@ class FabricRunResult:
             table.add_row(key, value)
         table.add_row("rounds (load + drain)", f"{self.rounds_run}+{self.drain_rounds}")
         table.add_row("wall seconds", f"{self.wall_s:.3f}")
-        table.add_row("critical-path seconds", f"{self.critical_path_s:.3f}")
         table.add_row("wall allocs/sec", f"{self.wall_allocs_per_sec:.0f}")
-        table.add_row(
-            "aggregate allocs/sec (1 core/cell)",
-            f"{self.aggregate_allocs_per_sec:.0f}",
-        )
         merged = self.snapshot["merged"]
         for label, ticks in merged["wait_percentiles"].items():
             table.add_row(f"wait {label} (ticks)", f"{ticks:.3f}")
@@ -249,8 +216,6 @@ def run_fabric(
         "cells_rejoined": 0,
     }
     per_round: list[int] = []
-    critical_ns = 0
-    broker_ns = 0
     next_id = 0
     wall_start = perf_counter_ns()
     broker = FabricBroker(
@@ -276,16 +241,12 @@ def run_fabric(
             totals["offered"] += len(arrivals)
             outcome = broker.run_round(arrivals, config.ticks_per_round)
             _absorb(totals, per_round, outcome)
-            critical_ns += outcome.critical_ns
-            broker_ns += outcome.broker_ns
 
         drain_rounds = 0
         while drain_rounds < MAX_DRAIN_ROUNDS:
             outcome = broker.run_round([], config.ticks_per_round)
             drain_rounds += 1
             _absorb(totals, per_round, outcome)
-            critical_ns += outcome.critical_ns
-            broker_ns += outcome.broker_ns
             if outcome.idle:
                 break
         else:
@@ -317,9 +278,6 @@ def run_fabric(
         rounds_run=config.rounds,
         drain_rounds=drain_rounds,
         wall_s=wall_s,
-        critical_path_s=(critical_ns + broker_ns) / 1e9,
-        broker_cpu_s=broker_ns / 1e9,
-        host_cpus=os.cpu_count() or 1,
         revoked_lease_ids=revoked_ids,
     )
 
@@ -373,75 +331,3 @@ def _enforce_invariants(
             raise FabricInvariantError(
                 f"cell {cell_id} leaked {outstanding} leases"
             )
-
-
-def sweep_cells(
-    config: FabricConfig,
-    cell_counts: tuple[int, ...] = (1, 2, 4, 8),
-    *,
-    repeats: int = 1,
-) -> dict[str, Any]:
-    """Scaling sweep: the same per-cell workload at increasing widths.
-
-    Because per-cell arrival streams are label-seeded, each width adds
-    cells without perturbing existing ones; near-linear scaling of
-    aggregate throughput is then a direct read of the broker's
-    coordination overhead plus any spill coupling.
-
-    With ``repeats > 1`` each width runs several times and the
-    best-timed run (shortest critical path) is kept — allocation
-    totals are seed-deterministic, so repeats differ only in timing
-    noise, and taking the best is the same noise discipline the other
-    benchmarks use (best-of-N).  A repeat whose totals differ raises
-    :class:`FabricInvariantError`.
-    """
-    if not cell_counts:
-        raise ValueError("cell_counts must be non-empty")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    rows: list[dict[str, Any]] = []
-    baseline: float | None = None
-    for cells in cell_counts:
-        result = run_fabric(replace(config, cells=cells))
-        for _ in range(repeats - 1):
-            rerun = run_fabric(replace(config, cells=cells))
-            if rerun.totals != result.totals:
-                raise FabricInvariantError(
-                    f"nondeterministic totals at {cells} cells: "
-                    f"{result.totals} != {rerun.totals}"
-                )
-            if rerun.critical_path_s < result.critical_path_s:
-                result = rerun
-        aggregate = result.aggregate_allocs_per_sec
-        if baseline is None:
-            baseline = aggregate
-        rows.append(
-            {
-                "cells": cells,
-                "offered": result.totals["offered"],
-                "allocated": result.totals["allocated"],
-                "spill_allocated": result.totals["spill_allocated"],
-                "spill_failed": result.totals["spill_failed"],
-                "wall_s": result.wall_s,
-                "critical_path_s": result.critical_path_s,
-                "wall_allocs_per_sec": result.wall_allocs_per_sec,
-                "aggregate_allocs_per_sec": aggregate,
-                "speedup_vs_1": aggregate / baseline if baseline else 0.0,
-                "wait_p99_ticks": result.snapshot["merged"][
-                    "wait_percentiles"
-                ]["p99"],
-            }
-        )
-    return {
-        "config": {
-            "topology": config.topology,
-            "ports": config.ports,
-            "seed": config.seed,
-            "rounds": config.rounds,
-            "ticks_per_round": config.ticks_per_round,
-            "rate": config.rate,
-            "spill_after": config.spill_after,
-            "max_hold": config.max_hold,
-        },
-        "rows": rows,
-    }

@@ -121,6 +121,8 @@ def run_chaos(
         raise ValueError(f"ticks must be >= 1, got {ticks}")
     if check_every < 1:
         raise ValueError(f"check_every must be >= 1, got {check_every}")
+    if not rate >= 0:
+        raise ValueError(f"rate must be >= 0, got {rate}")
     clock = VirtualClock()
     arrival_rng, fault_rng, hold_rng = spawn_rngs(seed, 3)
     mrsin = MRSIN(build_network(topology, ports))

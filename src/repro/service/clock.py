@@ -38,11 +38,11 @@ def perf_counter_ns() -> int:
 def process_time_ns() -> int:
     """CPU nanoseconds consumed by this process, for measurement only.
 
-    The fabric's cells report their per-round compute cost with this:
-    on a host with fewer cores than cells, wall time measures the
-    host's timesharing, while process CPU time measures what a
-    dedicated core per cell would spend — the quantity the scaling
-    benchmark attributes (see ``benchmarks/bench_fabric.py``).
+    The fabric's cells and broker report their per-round compute cost
+    with this (``RoundOutcome.critical_ns`` / ``broker_ns``): wall time
+    includes whatever the host spent running something else, process
+    CPU time does not, so ``bench/fabric.py`` can split a round's wall
+    time into cell CPU, broker CPU and waiting.
     """
     return time.process_time_ns()
 

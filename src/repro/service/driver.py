@@ -137,13 +137,19 @@ def run_service(
         Forwarded to :class:`~repro.service.server.ServiceConfig`:
         schedule ticks on the persistent warm-start flow engine
         (default) or rebuild the flow network from scratch every tick
-        (the benchmark's cold comparator).
+        (the cold comparator the differential tests run against).
 
     Returns a :class:`ServiceRunResult`; identical arguments produce
     an identical result.
     """
     if rate <= 0:
         raise ValueError(f"arrival rate must be positive, got {rate}")
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not transmission_time >= 0:
+        raise ValueError(f"transmission_time must be >= 0, got {transmission_time}")
+    if not mean_service >= 0:
+        raise ValueError(f"mean_service must be >= 0, got {mean_service}")
     return asyncio.run(
         _run(
             spec,
@@ -283,7 +289,7 @@ async def _run(
         snapshot = service.snapshot()
         for task in clients:
             task.cancel()
-        await asyncio.gather(*clients, return_exceptions=True)
+        ended = await asyncio.gather(*clients, return_exceptions=True)
     for task in releasers:
         task.cancel()
     await asyncio.gather(*releasers, return_exceptions=True)
@@ -292,6 +298,12 @@ async def _run(
         # service, so surface the fault instead of returning it.
         failure = ServiceFaulted(f"service faulted during run: {service.fault!r}")
         raise failure from service.fault
+    for outcome in ended:
+        # Cancellation is how every healthy client ends; anything else
+        # killed its arrival stream, and the snapshot describes a run
+        # that offered less than it was asked to.
+        if isinstance(outcome, Exception):
+            raise outcome
     return ServiceRunResult(
         snapshot=snapshot,
         horizon=horizon,

@@ -111,7 +111,7 @@ class ServiceConfig:
     max_batch:
         Cap on requests entering one solve (``None`` = everything
         pending).  ``max_batch=1`` degenerates to one-request-per-solve
-        — the unbatched comparator in the throughput benchmark.
+        — the unbatched comparator in ``tests/service/test_driver.py``.
     queue_limit:
         Bounded-queue size for admission control.
     degrade_watermark:
@@ -126,8 +126,8 @@ class ServiceConfig:
         warm-start Dinic from the standing flow, instead of rebuilding
         the network from scratch every cycle.  Allocation counts are
         identical either way; only steady-state tick cost changes.
-        Disable to force the cold from-scratch path (the benchmark
-        comparator and the tests' reference).
+        Disable to force the cold from-scratch path (the reference the
+        differential tests compare against).
     fault_budget:
         How many *consecutive* failing scheduling cycles the tick loop
         absorbs (invalidating the warm engine and retrying next tick)

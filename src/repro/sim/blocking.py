@@ -130,6 +130,8 @@ def estimate_blocking(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {sorted(POLICIES)}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     run = POLICIES[policy]
     instance_rngs = spawn_rngs(seed, trials)
     blocked = 0

@@ -110,6 +110,10 @@ def simulate_queueing(
         raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
     if min_batch < 1:
         raise ValueError(f"min_batch must be >= 1, got {min_batch}")
+    if not mean_service >= 0:
+        raise ValueError(f"mean_service must be >= 0, got {mean_service}")
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     type_names: list = []
     type_probs: list[float] = []
     if type_weights:

@@ -20,8 +20,8 @@ fault budget become observable SLOs:
   :class:`~repro.util.histogram.LatencyHistogram`.
 
 ``python -m repro wire-serve`` / ``python -m repro loadgen`` are the
-CLI wrappers; ``benchmarks/bench_wire.py`` sweeps the throughput vs.
-tail-latency frontier into ``BENCH_wire.json``.
+CLI wrappers; ``python3 -m bench --workload wire-open`` / ``wire-closed``
+measure the path.
 """
 
 from repro.wire.client import (

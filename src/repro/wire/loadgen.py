@@ -232,7 +232,7 @@ class LoadGenReport:
         }
 
     def to_json(self) -> dict[str, Any]:
-        """JSON-safe summary (what ``BENCH_wire.json`` records)."""
+        """JSON-safe summary (what ``repro loadgen --json`` prints)."""
         return {
             "arrival": self.config.arrival,
             "offered_rate": self.config.rate,

@@ -9,7 +9,7 @@ import pytest
 
 from repro.fabric.broker import FabricBroker, FabricError, LEASE_EPOCH_STRIDE
 from repro.fabric.chaos import run_fabric_chaos
-from repro.fabric.driver import ChaosSchedule, FabricConfig, run_fabric, sweep_cells
+from repro.fabric.driver import ChaosSchedule, FabricConfig, run_fabric
 from repro.fabric.messages import CellSpec, FabricRequest, RoundWork
 from repro.fabric.cell import CellWorker
 from repro.fabric.partition import FabricPartition
@@ -203,7 +203,6 @@ class TestRunFabric:
         assert totals["allocated"] + totals["spill_failed"] == totals["offered"]
         assert totals["released"] == totals["allocated"]
         assert result.drain_rounds >= 1
-        assert result.critical_path_s > 0
 
     def test_deterministic_across_real_processes(self):
         first = run_fabric(self.CONFIG)
@@ -220,13 +219,6 @@ class TestRunFabric:
         assert merged["allocated"] == sum(per_cell)
         assert set(merged["tick_timing"]) == set(TICK_PHASES)
         assert merged["wait_percentiles"]["p50"] >= 0
-
-    def test_sweep_rows_and_speedup_baseline(self):
-        sweep = sweep_cells(self.CONFIG, (1, 2))
-        rows = sweep["rows"]
-        assert [row["cells"] for row in rows] == [1, 2]
-        assert rows[0]["speedup_vs_1"] == 1.0
-        assert rows[1]["allocated"] > rows[0]["allocated"]
 
 
 class TestFabricChaos:

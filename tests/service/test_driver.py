@@ -91,32 +91,57 @@ class TestDriver:
         assert warm.snapshot["engine_warm_ticks"] == warm.snapshot["ticks"]
         assert "engine_builds" not in cold.snapshot
 
-    def test_batched_amortises_solver_cost(self):
+    @pytest.mark.parametrize(
+        "rate,batching_clears_demand",
+        [(0.5, True), (1.5, False)],
+        ids=["moderate", "heavy"],
+    )
+    def test_batched_amortises_solver_cost(self, rate, batching_clears_demand):
         """The tentpole claim at the library level: batching spends
         fewer solver instructions per allocation than one-per-solve.
 
-        The rate is chosen so batching clears the whole demand — that
-        is the regime the claim is about.  At saturating rates the
-        comparison stops being meaningful: a serial service starves its
-        queue (most requests time out unserved), and the kernel's
-        value-bound certificate makes each trivial one-request solve
-        nearly free, so "instructions per allocation" rewards serving
-        almost nobody.  The starvation asserts below pin that contrast.
+        The moderate rate is chosen so batching clears the whole demand
+        — that is the regime the claim is about.  At the heavy
+        (saturating) rate the comparison stops being meaningful and is
+        not asserted (398 vs 384 instructions per allocation): a serial
+        service starves its queue (most requests time out unserved),
+        and the kernel's value-bound certificate makes each trivial
+        one-request solve nearly free, so "instructions per allocation"
+        rewards serving almost nobody.  There the asserts pin the
+        starvation contrast instead: strictly more allocations inside
+        the horizon (203 vs 40) and fewer timeouts (39 vs 96).
         """
-        batched = run_service(spec(), rate=0.5, horizon=40.0, seed=13)
-        serial = run_service(spec(), rate=0.5, horizon=40.0, seed=13, max_batch=1)
-        per_alloc = lambda r: (
-            r.snapshot["solver_instructions"] / max(r.snapshot["allocated"], 1)
-        )
-        assert batched.allocated >= serial.allocated
-        assert per_alloc(batched) < per_alloc(serial)
-        # Same traffic: batching serves everyone, one-per-tick starves.
-        assert batched.snapshot["timed_out"] == 0
-        assert serial.snapshot["timed_out"] > 0
+        batched = run_service(spec(), rate=rate, horizon=40.0, seed=13)
+        serial = run_service(spec(), rate=rate, horizon=40.0, seed=13, max_batch=1)
+        if batching_clears_demand:
+            per_alloc = lambda r: (
+                r.snapshot["solver_instructions"] / max(r.snapshot["allocated"], 1)
+            )
+            assert batched.allocated >= serial.allocated
+            assert per_alloc(batched) < per_alloc(serial)
+            # Same traffic: batching serves everyone, one-per-tick starves.
+            assert batched.snapshot["timed_out"] == 0
+            assert serial.snapshot["timed_out"] > 0
+        else:
+            assert batched.allocated > serial.allocated
+            assert batched.snapshot["timed_out"] < serial.snapshot["timed_out"]
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             run_service(spec(), rate=0.0)
+
+    def test_dead_client_is_raised_not_reported_as_an_empty_run(self, monkeypatch):
+        """A client task that dies takes its arrival stream with it; the
+        horizon's snapshot then describes less traffic than was asked
+        for (all zeros, if every client died the same way), so the
+        driver re-raises instead of returning it."""
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("client bug")
+
+        monkeypatch.setattr("repro.service.driver._handle_request", boom)
+        with pytest.raises(RuntimeError, match="client bug"):
+            run_service(spec(), rate=0.8, horizon=10.0, seed=1)
 
 
 class TestServeCLI:

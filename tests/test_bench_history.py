@@ -42,3 +42,12 @@ def test_history_line(number):
         assert 0 <= metric["pairs_won"] <= entry["pairs"]
     assert entry["failed"] <= entry["failed_parent"]
     assert isinstance(entry["claimed"], bool) and entry["seeds"]
+
+
+def test_one_bench_tree():
+    # The contract and its history are the only BENCH* files: the four
+    # per-script BENCH_{wire,fabric,kernel,service}.json schemas were
+    # retired at ISSUE 20 (EXPERIMENTS.md RETIRED-BENCHES has their last
+    # values), and nothing may grow a fifth beside them.
+    names = sorted(p.name for p in ROOT.glob("BENCH*"))
+    assert names == ["BENCHMARK.json", "BENCH_history.jsonl"]

@@ -138,6 +138,17 @@ class TestCommands:
             ("schedule --request-density 2", "request_density"),
             ("tokens --free-density -1", "free_density"),
             ("sweep --densities 1.5 --trials 1", "request_density"),
+            # ... naming the repo's own argument, not numpy's ("scale <
+            # 0", "lam < 0"), and never an all-zero table with exit 0
+            # (a run whose clients all died, or that never started).
+            ("serve --service -1 --horizon 20", "mean_service must be >= 0"),
+            ("serve --horizon -5", "horizon must be positive"),
+            ("serve --transmission -1 --horizon 20", "transmission_time must be >= 0"),
+            ("chaos --rate -1", "rate must be >= 0"),
+            ("queueing --service -1", "mean_service must be >= 0"),
+            ("queueing --horizon -3", "horizon must be positive"),
+            ("blocking --trials 0", "trials must be >= 1"),
+            ("blocking --trials -1", "trials must be >= 1"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, argv, complaint):
@@ -317,7 +328,7 @@ class TestWireCommands:
 
 
 class TestFabricCommands:
-    @pytest.mark.parametrize("verb", ["fabric-serve", "fabric-bench", "fabric-chaos"])
+    @pytest.mark.parametrize("verb", ["fabric-serve", "fabric-chaos"])
     @pytest.mark.parametrize(
         "flags,complaint",
         [
@@ -348,10 +359,6 @@ class TestFabricCommands:
         message = exit_info.value.code  # a str: printed to stderr, status 1
         assert isinstance(message, str)
         assert message.startswith("error: ") and "\n" not in message
-
-    def test_fabric_bench_rejects_bad_cell_count(self):
-        with pytest.raises(SystemExit, match="error: n_cells must be >= 1"):
-            main(["fabric-bench", "--cell-counts", "0", "--ports", "8"])
 
 
 def test_scheduler_handles_rendered_instance():

@@ -14,11 +14,13 @@ from functools import partial
 import pytest
 
 import repro
+import repro.fabric
 import repro.flows
+from repro.cli import build_parser
 from repro.core import OptimalScheduler
 from repro.core.scheduler import MINCOST_ALGORITHMS
 from repro.distributed import MonitorScheduler
-from repro.fabric.driver import FabricConfig
+from repro.fabric.driver import FabricConfig, FabricRunResult
 from repro.flows import FlowNetwork, kernel_solve
 from repro.service.server import ServiceConfig
 from repro.wire.loadgen import LoadGenConfig
@@ -81,3 +83,15 @@ def test_mincost_table_and_default_are_pinned():
     # default is the flat-array kernel, the paper's method stays selectable.
     assert sorted(MINCOST_ALGORITHMS) == ["kernel", "out_of_kilter", "ssp"]
     assert OptimalScheduler().mincost == "kernel"
+
+
+def test_fabric_throughput_model_and_its_verb_are_gone():
+    # ISSUE 20: the critical-path "aggregate allocs/sec" was a model of
+    # a one-core-per-cell host, not a measurement; it left with the
+    # sweep and the verb that printed it (bench/'s fabric-skew is the
+    # wall-clock successor).
+    assert not hasattr(repro.fabric, "sweep_cells")
+    assert not hasattr(repro.fabric.driver, "sweep_cells")
+    assert not hasattr(FabricRunResult, "aggregate_allocs_per_sec")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fabric-bench"])
