@@ -30,7 +30,7 @@ from repro.flows.multicommodity import (
 from repro.networks import omega
 from repro.util.tables import Table
 
-SIZES = (4, 8, 16)
+SIZES = (4, 8, 16, 32)
 
 
 def hetero_instance(n: int) -> MRSIN:

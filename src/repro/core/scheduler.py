@@ -43,6 +43,7 @@ from repro.core.transform import (
 from repro.core.incremental import KernelFlowEngine
 from repro.flows.dinic import dinic
 from repro.flows.kernel import kernel_min_cost, kernel_solve
+from repro.flows.lp import LPStatus
 from repro.flows.maxflow import edmonds_karp, ford_fulkerson
 from repro.flows.mincost import MinCostResult, min_cost_flow
 from repro.flows.multicommodity import (
@@ -256,6 +257,8 @@ class OptimalScheduler:
     def _schedule_heterogeneous(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping:
         problem, meta = heterogeneous_max_problem(mrsin, reqs)
         result = solve_max_multicommodity(problem)
+        if result.status is not LPStatus.OPTIMAL:
+            raise FlowViolation(f"multicommodity LP stopped {result.status.value}, not optimal")
         if not result.integral:
             # General-topology fallback: the NP-hard integral problem,
             # via branch and bound on the LP relaxation.
@@ -266,6 +269,8 @@ class OptimalScheduler:
     def _schedule_heterogeneous_priority(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping:
         problem, meta = heterogeneous_min_cost_problem(mrsin, reqs)
         result = solve_min_cost_multicommodity(problem)
+        if result.status is not LPStatus.OPTIMAL:
+            raise FlowViolation(f"multicommodity LP stopped {result.status.value}, not optimal")
         if not result.integral:
             raise NotImplementedError(
                 "fractional heterogeneous min-cost optimum on a general topology; "

@@ -239,7 +239,9 @@ def solve_integral_multicommodity(
     exponential in the worst case; ``max_nodes`` caps the search.  The
     LP relaxation provides bounds; branching fixes one fractional
     ``f_i(e)`` to ``floor`` or ``ceil`` of its relaxed value (0/1 on
-    unit-capacity networks).
+    unit-capacity networks).  A node whose LP stops at the simplex
+    iteration limit raises ``RuntimeError`` like an exhausted node
+    budget: only an infeasible node may be pruned.
     """
     best: MultiCommodityResult | None = None
     total_iter = 0
@@ -253,8 +255,10 @@ def solve_integral_multicommodity(
         lp = _build_lp(problem, maximize_total=True, fixed_bounds=bounds)
         res = simplex_solve(lp)
         total_iter += res.iterations
+        if res.status is LPStatus.ITERATION_LIMIT:
+            raise RuntimeError(f"simplex hit its iteration limit at branch-and-bound node {explored}")
         if res.status is not LPStatus.OPTIMAL:
-            continue
+            continue  # infeasible under these bounds: prune
         if best is not None and res.objective <= best.total_flow + INT_TOL:
             continue  # bound: cannot beat the incumbent
         packaged = _package(problem, res.values, res.status, res.iterations)

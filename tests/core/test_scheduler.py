@@ -332,3 +332,21 @@ class TestValidationSurvivesOptimization:
         m.submit(Request(0, priority=3))
         with pytest.raises(ValueError, match="required flow"):
             OptimalScheduler().schedule(m)
+
+    @pytest.mark.parametrize("priority", [1, 5], ids=["heterogeneous", "heterogeneous_priority"])
+    def test_truncated_lp_raises(self, monkeypatch, priority):
+        # Regression: the LP status was never read above ``flows``, so a
+        # simplex stopped at its iteration limit came back as an
+        # "optimal" allocation whenever its vertex happened to be integral.
+        from repro.flows import multicommodity
+        from repro.flows.simplex import simplex_solve
+        from repro.flows.validate import FlowViolation
+
+        monkeypatch.setattr(
+            multicommodity, "simplex_solve", lambda lp: simplex_solve(lp, max_iter=5)
+        )
+        m = MRSIN(omega(4), resource_types=["a", "b", "a", "b"])
+        for p in range(4):
+            m.submit(Request(p, resource_type="ab"[p % 2], priority=priority))
+        with pytest.raises(FlowViolation, match="iteration_limit"):
+            OptimalScheduler().schedule(m)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from repro.core import MRSIN, Request
+from repro.core.transform import heterogeneous_max_problem, heterogeneous_min_cost_problem
+from repro.flows import multicommodity
 from repro.flows.graph import FlowNetwork
-from repro.flows.lp import LPStatus
+from repro.flows.lp import LinearProgram, LPStatus
 from repro.flows.maxflow import edmonds_karp
 from repro.flows.multicommodity import (
     Commodity,
@@ -13,6 +17,9 @@ from repro.flows.multicommodity import (
     solve_max_multicommodity,
     solve_min_cost_multicommodity,
 )
+from repro.flows.simplex import simplex_solve, simplex_standard_form
+from repro.networks import omega
+from repro.util.rng import make_rng
 
 
 def shared_link_instance() -> MultiCommodityProblem:
@@ -141,3 +148,123 @@ class TestIntegral:
                 res.commodity_flow(k, arc) for k in range(len(problem.commodities))
             )
             assert total <= arc.capacity + 1e-6
+
+    def test_truncated_node_is_not_pruned_as_infeasible(self, monkeypatch):
+        # Regression: an ITERATION_LIMIT node was skipped like an
+        # infeasible one, so a truncated search could return a smaller
+        # "optimal" flow (or INFEASIBLE) without a word.
+        monkeypatch.setattr(
+            multicommodity, "simplex_solve", lambda lp: simplex_solve(lp, max_iter=3)
+        )
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            solve_integral_multicommodity(shared_link_instance())
+
+
+# ----------------------------------------------------------------------
+# The LPs the scheduler's two heterogeneous disciplines really solve.
+
+TYPES = ("fft", "conv")
+
+
+def multi_lp(ports: int) -> LinearProgram:
+    """MULTI's instance (``benchmarks/bench_multicommodity.py``): every
+    processor of an omega asks, types alternating."""
+    types = list(TYPES) * (ports // 2)
+    mrsin = MRSIN(omega(ports), resource_types=types)
+    for p in range(ports):
+        mrsin.submit(Request(p, resource_type=types[p % 2]))
+    problem, _ = heterogeneous_max_problem(mrsin)
+    return multicommodity._build_lp(problem, maximize_total=True)
+
+
+def seeded_lp(seed: int, *, priorities: bool, ports: int = 8, asking: int = 6) -> LinearProgram:
+    """A seeded two-type omega instance, drawn the way the
+    ``solve-disciplines`` benchmark draws its LP rows: max flow without
+    priorities, min-cost with."""
+    rng = make_rng(seed)
+    mrsin = MRSIN(
+        omega(ports),
+        resource_types=[TYPES[i % 2] for i in range(ports)],
+        preferences=rng.integers(1, 6, ports).tolist() if priorities else None,
+    )
+    processors = rng.choice(ports, size=asking, replace=False)
+    types = [TYPES[int(t)] for t in rng.integers(0, 2, asking)]
+    levels = rng.integers(1, 10, asking).tolist() if priorities else [1] * asking
+    requests = [
+        Request(int(p), resource_type=t, priority=y)
+        for p, t, y in zip(sorted(processors.tolist()), types, levels)
+    ]
+    if priorities:
+        problem, _ = heterogeneous_min_cost_problem(mrsin, requests)
+    else:
+        problem, _ = heterogeneous_max_problem(mrsin, requests)
+    return multicommodity._build_lp(problem, maximize_total=not priorities)
+
+
+def solved(lp: LinearProgram) -> tuple[int, int, int, float]:
+    res = simplex_solve(lp)
+    assert res.status is LPStatus.OPTIMAL
+    return lp.n_variables, lp.n_constraints, res.iterations, res.objective
+
+
+class TestPivotSequencePinned:
+    """``(variables, constraints, pivots, objective)`` recorded at commit
+    a2d297b, *before* the solver carried a basis inverse.  Bland's rule
+    and the ratio test's tie rule fix the pivot sequence, so these are
+    properties of the paper's method: a changed count means an
+    implementation change altered which pivots are taken (and with them
+    MULTI's published numbers and every extracted mapping) — fix the
+    solver, do not re-record."""
+
+    @pytest.mark.parametrize("ports, expected", [
+        (4, (42, 52, 73, 4.0)),
+        (8, (98, 112, 170, 8.0)),
+        (16, (226, 248, 397, 16.0)),
+        (32, (514, 552, 932, 32.0)),
+    ])
+    def test_multi_instances(self, ports, expected):
+        assert solved(multi_lp(ports)) == expected
+
+    @pytest.mark.parametrize("seed, expected", enumerate([
+        (43, 72, 137, 4.0), (94, 110, 249, 6.0), (94, 110, 190, 6.0),
+        (94, 110, 187, 6.0), (94, 110, 178, 6.0), (94, 110, 200, 5.0),
+        (94, 110, 191, 6.0), (94, 110, 239, 6.0), (94, 110, 223, 5.0),
+        (94, 110, 240, 5.0),
+    ]))
+    def test_heterogeneous_rows(self, seed, expected):
+        assert solved(seeded_lp(seed, priorities=False)) == expected
+
+    @pytest.mark.parametrize("seed, expected", enumerate([
+        (108, 122, 365, 67.0), (108, 122, 316, 92.0), (108, 122, 417, 67.0),
+        (108, 122, 355, 68.0), (108, 122, 381, 51.0), (108, 122, 366, 61.0),
+        (108, 122, 311, 62.0), (108, 122, 334, 61.0), (108, 122, 297, 67.0),
+        (108, 122, 393, 68.0),
+    ]))
+    def test_heterogeneous_priority_rows(self, seed, expected):
+        assert solved(seeded_lp(seed, priorities=True)) == expected
+
+
+class TestFlowShapedAgainstHighs:
+    """Hundreds to ~1 500 pivots, i.e. many refactor intervals: a wrong
+    rank-1 update or an interval too long to hold the rounding error
+    shows here as a wrong optimum or an infeasible vertex, not later as
+    a wrong mapping."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: multi_lp(8), id="max-omega8"),
+        pytest.param(lambda: multi_lp(16), id="max-omega16"),
+        pytest.param(lambda: seeded_lp(5, priorities=True), id="mincost-omega8"),
+        pytest.param(
+            lambda: seeded_lp(5, priorities=True, ports=16, asking=12), id="mincost-omega16"
+        ),
+    ])
+    def test_optimum_and_vertex(self, build):
+        lp = build()
+        A, b, c, low, high = lp.to_standard_form()
+        status, x, objective, pivots = simplex_standard_form(A, b, c, low, high)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(low, high)), method="highs")
+        assert status is LPStatus.OPTIMAL and ref.status == 0
+        assert pivots >= 170
+        assert objective == pytest.approx(ref.fun, abs=1e-7)
+        assert np.abs(A @ x - b).max() <= 1e-9
+        assert (x >= low - 1e-9).all() and (x <= high + 1e-9).all()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.flows.lp import LinearProgram, LPStatus, Sense
-from repro.flows.simplex import simplex_solve
+from repro.flows.simplex import REFACTOR_EVERY, simplex_solve, simplex_standard_form
 
 
 class TestModel:
@@ -94,6 +94,21 @@ class TestSimplexBasics:
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(2.0)
 
+    def test_no_constraints_zero_cost_rests_at_a_finite_bound(self):
+        # Regression: a zero-cost variable unbounded below was reported
+        # UNBOUNDED (objective -inf); only a *profitable* infinite
+        # direction is.
+        lp = LinearProgram()
+        lp.add_variable("x", low=-math.inf, high=5.0, objective=0.0)
+        lp.add_variable("free", low=-math.inf, objective=0.0)
+        lp.add_variable("y", low=0.0, high=2.0, objective=1.0)
+        res = simplex_solve(lp)
+        assert res.status is LPStatus.OPTIMAL
+        assert res.objective == 0.0
+        assert (res["x"], res["free"], res["y"]) == (5.0, 0.0, 0.0)
+        lp.set_objective("x", 1.0)  # now pushing x down pays for ever
+        assert simplex_solve(lp).status is LPStatus.UNBOUNDED
+
     def test_degenerate_does_not_cycle(self):
         # Classic Beale cycling example (cycles under Dantzig's rule).
         lp = LinearProgram()
@@ -137,6 +152,25 @@ class TestAgainstScipy:
         elif ref.status == 0:
             assert res.status is LPStatus.OPTIMAL
             assert res.objective == pytest.approx(ref.fun, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_lp_outlives_the_refactor_interval(self, seed):
+        # Real-valued coefficients (nothing cancels exactly) and a few
+        # hundred pivots: the carried inverse is updated, refactored and
+        # updated again several times before the optimum.
+        rng = np.random.default_rng(seed)
+        m, n = 40, 60
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(0.0, 3.0, n)  # feasible by construction
+        c = rng.normal(size=n)
+        low, high = np.zeros(n), np.full(n, 4.0)
+        status, x, objective, pivots = simplex_standard_form(A, b, c, low, high)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(low, high)), method="highs")
+        assert status is LPStatus.OPTIMAL and ref.status == 0
+        assert pivots > 4 * REFACTOR_EVERY
+        assert objective == pytest.approx(ref.fun, abs=1e-8)
+        assert np.abs(A @ x - b).max() <= 1e-9
+        assert (x >= low - 1e-9).all() and (x <= high + 1e-9).all()
 
 
 @given(seed=st.integers(0, 100_000))
