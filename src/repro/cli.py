@@ -158,7 +158,6 @@ def cmd_serve(args) -> int:
             tick_interval=args.tick,
             max_batch=args.max_batch,
             queue_limit=args.queue_limit,
-            degrade_watermark=args.watermark,
             request_timeout=args.timeout,
             transmission_time=args.transmission,
             mean_service=args.service,
@@ -187,11 +186,12 @@ def cmd_wire_serve(args) -> int:
     from repro.wire.server import WireServer
 
     network = build_network(args.network, args.ports)
+    if args.duration is not None and not args.duration > 0:
+        raise ValueError(f"duration must be positive, got {args.duration}")
     config = ServiceConfig(
         tick_interval=args.tick,
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
-        degrade_watermark=args.watermark,
         default_timeout=args.timeout,
         fault_budget=args.fault_budget,
     )
@@ -540,8 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap requests per solve (default: everything pending)")
     p.add_argument("--queue-limit", type=int, default=64,
                    help="bounded queue size (admission control)")
-    p.add_argument("--watermark", type=int, default=None,
-                   help="queue depth that degrades ticks to the greedy heuristic")
     p.add_argument("--timeout", type=float, default=16.0,
                    help="per-request deadline in virtual time units")
     p.add_argument("--transmission", type=float, default=0.1,
@@ -566,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batching tick interval, seconds")
     p.add_argument("--max-batch", type=int, default=None)
     p.add_argument("--queue-limit", type=int, default=256)
-    p.add_argument("--watermark", type=int, default=None,
-                   help="queue depth that degrades ticks to the greedy heuristic")
     p.add_argument("--timeout", type=float, default=5.0,
                    help="default per-request deadline, seconds")
     p.add_argument("--max-connections", type=int, default=64)

@@ -16,8 +16,7 @@ Two policies:
   moved.  Failed components are avoided the same way occupied ones
   are: failed resources are not ``available`` and the destination-tag
   router never takes a failed link or enters a failed switchbox, so
-  the degraded tick path of the allocation service stays safe under
-  faults too.
+  the comparator stays safe on a faulted network too.
 - :func:`arbitrary_schedule` — the paper's "arbitrary resource-request
   mapping": the i-th request is bound to the i-th free resource, no
   alternatives tried.  Used in the extra-stage experiment.

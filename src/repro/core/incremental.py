@@ -248,8 +248,8 @@ class KernelFlowEngine:
         """Record ``mapping`` as applied (circuits now live on the MRSIN).
 
         The engine's own pending mapping is frozen in place along each
-        unit path.  Any *other* mapping — a greedy degraded tick, a
-        cold priority solve — is forced onto the persistent network
+        unit path.  Any *other* mapping — a cold priority or
+        heterogeneous solve — is forced onto the persistent network
         through the link → arc index; if its paths cannot be reconciled
         with the standing flow the engine marks itself dirty and the
         next cycle rebuilds.

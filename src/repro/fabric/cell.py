@@ -64,7 +64,6 @@ class CellWorker:
             config=ServiceConfig(
                 queue_limit=spec.queue_limit,
                 default_timeout=float(spec.spill_after),
-                warm_start=True,
             ),
             clock=self.clock,
         )

@@ -133,7 +133,6 @@ def run_chaos(
     config = ServiceConfig(
         queue_limit=max(4 * n_procs, 8),
         default_timeout=None,
-        warm_start=True,
     )
     service = AllocationService(mrsin, config=config, clock=clock)
     injector = FaultInjector(

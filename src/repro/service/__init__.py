@@ -7,12 +7,12 @@ one solve per tick, receive leases, and release — the sustained-load
 regime the ROADMAP's production north-star calls for.
 
 - :mod:`repro.service.server` — :class:`AllocationService` with
-  ``acquire``/``submit``/``release``, batching loop, admission control,
-  backpressure, and degradation watermark;
+  ``acquire``/``submit``/``release``, batching loop, admission control
+  and backpressure;
 - :mod:`repro.service.clock` — wall-time and deterministic virtual
   clocks;
 - :mod:`repro.service.metrics` — queue/wait/batch/solver-cost
-  counters with table rendering;
+  counters;
 - :mod:`repro.service.driver` — seeded finite-horizon runs
   (``python -m repro serve`` is a thin wrapper).
 """

@@ -19,6 +19,7 @@ that the one-shot `sample_instance` snapshots cannot express.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -85,8 +86,8 @@ class ServiceRunResult:
         table = Table(["metric", "value"], title=title)
         order = (
             "ticks", "submitted", "allocated", "released", "timed_out",
-            "rejected_full", "degraded_ticks", "mean_batch", "mean_wait",
-            "mean_queue_depth", "max_queue_depth",
+            "rejected_full", "mean_batch", "mean_wait", "mean_queue_depth",
+            "max_queue_depth",
         )
         for key in order:
             value = self.snapshot[key]
@@ -109,11 +110,9 @@ def run_service(
     tick_interval: float = 1.0,
     max_batch: int | None = None,
     queue_limit: int = 64,
-    degrade_watermark: int | None = None,
     request_timeout: float | None = 16.0,
     transmission_time: float = 0.1,
     mean_service: float = 1.0,
-    warm_start: bool = True,
 ) -> ServiceRunResult:
     """Run the allocation service for ``horizon`` virtual time units.
 
@@ -133,38 +132,26 @@ def run_service(
         Model item 5's two phases: the circuit is held for
         ``transmission_time``, the resource for an additional
         exponential service time of mean ``mean_service``.
-    warm_start:
-        Forwarded to :class:`~repro.service.server.ServiceConfig`:
-        schedule ticks on the persistent warm-start flow engine
-        (default) or rebuild the flow network from scratch every tick
-        (the cold comparator the differential tests run against).
 
     Returns a :class:`ServiceRunResult`; identical arguments produce
     an identical result.
     """
-    if rate <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"arrival rate must be positive and finite, got {rate}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not transmission_time >= 0:
         raise ValueError(f"transmission_time must be >= 0, got {transmission_time}")
     if not mean_service >= 0:
         raise ValueError(f"mean_service must be >= 0, got {mean_service}")
+    config = ServiceConfig(
+        tick_interval=tick_interval,
+        max_batch=max_batch,
+        queue_limit=queue_limit,
+        default_timeout=request_timeout,
+    )
     return asyncio.run(
-        _run(
-            spec,
-            rate=rate,
-            horizon=horizon,
-            seed=seed,
-            tick_interval=tick_interval,
-            max_batch=max_batch,
-            queue_limit=queue_limit,
-            degrade_watermark=degrade_watermark,
-            request_timeout=request_timeout,
-            transmission_time=transmission_time,
-            mean_service=mean_service,
-            warm_start=warm_start,
-        )
+        _run(spec, config, rate, horizon, seed, transmission_time, mean_service)
     )
 
 
@@ -246,30 +233,16 @@ def _build_mrsin(spec: WorkloadSpec, rng: np.random.Generator) -> MRSIN:
 
 async def _run(
     spec: WorkloadSpec,
-    *,
+    config: ServiceConfig,
     rate: float,
     horizon: float,
     seed: int,
-    tick_interval: float,
-    max_batch: int | None,
-    queue_limit: int,
-    degrade_watermark: int | None,
-    request_timeout: float | None,
     transmission_time: float,
     mean_service: float,
-    warm_start: bool = True,
 ) -> ServiceRunResult:
     clock = VirtualClock()
     setup_rng, *client_rngs = spawn_rngs(seed, 1 + spec.builder(spec.n_ports).n_processors)
     mrsin = _build_mrsin(spec, setup_rng)
-    config = ServiceConfig(
-        tick_interval=tick_interval,
-        max_batch=max_batch,
-        queue_limit=queue_limit,
-        degrade_watermark=degrade_watermark,
-        default_timeout=request_timeout,
-        warm_start=warm_start,
-    )
     service = AllocationService(mrsin, config=config, clock=clock)
     releasers: set[asyncio.Task] = set()
     async with service:

@@ -16,7 +16,6 @@ from typing import Any
 from repro.distributed.monitor import INSTRUCTION_WEIGHTS
 from repro.util.counters import OpCounter
 from repro.util.histogram import LatencyHistogram
-from repro.util.tables import Table
 
 __all__ = ["ServiceMetrics", "TICK_PHASES", "WAIT_BUCKET_TICKS"]
 
@@ -58,7 +57,6 @@ class ServiceMetrics:
         self.allocated = 0
         self.released = 0
         self.ticks = 0
-        self.degraded_ticks = 0
         self.revoked = 0
         self.tick_retries = 0
         self.faults_injected = 0
@@ -141,14 +139,12 @@ class ServiceMetrics:
         self.phase_hists["solve"].record(max(solve_ns, 0))
         self.phase_hists["apply"].record(max(apply_ns, 0))
 
-    def record_tick(self, batch_size: int, queue_depth: int, degraded: bool) -> None:
+    def record_tick(self, batch_size: int, queue_depth: int) -> None:
         """One scheduling cycle finished."""
         self.ticks += 1
         self._batch_sum += batch_size
         self._queue_depth_sum += queue_depth
         self.max_queue_depth = max(self.max_queue_depth, queue_depth)
-        if degraded:
-            self.degraded_ticks += 1
 
     # ------------------------------------------------------------------
     # Reporting
@@ -228,7 +224,6 @@ class ServiceMetrics:
             "released": self.released,
             "timed_out": self.timed_out,
             "rejected_full": self.rejected_full,
-            "degraded_ticks": self.degraded_ticks,
             "revoked": self.revoked,
             "tick_retries": self.tick_retries,
             "faults_injected": self.faults_injected,
@@ -243,34 +238,3 @@ class ServiceMetrics:
             "solver_ops": dict(sorted(self.counter.counts.items())),
             "solver_instructions": self.counter.total(INSTRUCTION_WEIGHTS),
         }
-
-    def render(self, title: str | None = None) -> str:
-        """ASCII table of the snapshot (histogram rows inlined)."""
-        snap = self.snapshot()
-        table = Table(["metric", "value"], title=title or "service metrics")
-        for key in (
-            "ticks", "submitted", "allocated", "released", "timed_out",
-            "rejected_full", "degraded_ticks", "revoked", "tick_retries",
-            "faults_injected", "repairs_applied",
-        ):
-            table.add_row(key, snap[key])
-        table.add_row("mean_batch", f"{snap['mean_batch']:.3f}")
-        table.add_row("mean_wait", f"{snap['mean_wait']:.3f}")
-        table.add_row("mean_queue_depth", f"{snap['mean_queue_depth']:.3f}")
-        table.add_row("max_queue_depth", snap["max_queue_depth"])
-        for label, count in snap["wait_histogram"].items():
-            table.add_row(f"wait {label}", count)
-        for label, ticks in snap["wait_percentiles"].items():
-            table.add_row(f"wait {label} (ticks)", f"{ticks:.3f}")
-        for phase, stats in snap["tick_timing"].items():
-            table.add_row(
-                f"tick {phase} (us, mean/p99)",
-                f"{stats['mean_ns'] / 1000:.1f} / {stats['p99_ns'] / 1000:.1f}",
-            )
-        table.add_row("solver_instructions", f"{snap['solver_instructions']:.0f}")
-        if snap["allocated"]:
-            table.add_row(
-                "instructions_per_allocation",
-                f"{snap['solver_instructions'] / snap['allocated']:.1f}",
-            )
-        return table.render()

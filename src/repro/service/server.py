@@ -12,11 +12,13 @@ down, so the network state genuinely evolves across cycles.
 - **Admission control**: a bounded queue (``queue_limit``, else
   :class:`AllocationRejected`); a deadline per request, checked at tick
   boundaries only so runs are reproducible under a virtual clock (else
-  :class:`AllocationTimeout`); above ``degrade_watermark`` queued, ticks
-  fall back to the deterministic greedy heuristic.
-- **Warm start** (default): one persistent Transformation-1 network
-  survives across ticks (:mod:`repro.core.incremental`) — the same
-  allocations as a cold solve at a fraction of the per-tick cost.
+  :class:`AllocationTimeout`).  Overload sheds at the queue bound; the
+  allocator under load is the same optimal one.
+- **One solve path**: every tick solves on one persistent
+  Transformation-1 network that survives across ticks
+  (:mod:`repro.core.incremental`) — the same allocations as a cold
+  ``OptimalScheduler().schedule(mrsin, service.peek_batch())``, which
+  is the reference the differential tests compare against per tick.
 - **Faults**: a fault severing a held circuit *revokes* the lease at
   the next tick (``lease.revoked`` / ``revocation`` / ``on_revoke``;
   touching it later raises :class:`LeaseRevoked`) while the service
@@ -39,7 +41,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultEvent
 
-from repro.core.heuristic import greedy_schedule
 from repro.core.incremental import KernelFlowEngine
 from repro.core.model import MRSIN
 from repro.core.requests import Request
@@ -100,6 +101,12 @@ class LeaseRevoked(AllocationError):
     """
 
 
+def _check_timeout(timeout: float) -> None:
+    """The one rule for a per-request and a configured timeout alike."""
+    if not 0 < timeout < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs of the batching loop.
@@ -114,20 +121,9 @@ class ServiceConfig:
         — the unbatched comparator in ``tests/service/test_driver.py``.
     queue_limit:
         Bounded-queue size for admission control.
-    degrade_watermark:
-        Queue depth above which ticks use the greedy heuristic instead
-        of the optimal flow solver (``None`` = never degrade).
     default_timeout:
         Deadline applied when ``acquire`` is called without one
-        (``None`` = wait indefinitely).
-    warm_start:
-        Keep one persistent Transformation-1 network across ticks (a
-        :class:`~repro.core.incremental.KernelFlowEngine`) and
-        warm-start Dinic from the standing flow, instead of rebuilding
-        the network from scratch every cycle.  Allocation counts are
-        identical either way; only steady-state tick cost changes.
-        Disable to force the cold from-scratch path (the reference the
-        differential tests compare against).
+        (``None`` = wait indefinitely); a finite number > 0 otherwise.
     fault_budget:
         How many *consecutive* failing scheduling cycles the tick loop
         absorbs (invalidating the warm engine and retrying next tick)
@@ -138,20 +134,20 @@ class ServiceConfig:
     tick_interval: float = 1.0
     max_batch: int | None = None
     queue_limit: int = 64
-    degrade_watermark: int | None = None
     default_timeout: float | None = None
-    warm_start: bool = True
     fault_budget: int = 0
 
     def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError(f"tick_interval must be positive, got {self.tick_interval}")
+        if not 0 < self.tick_interval < math.inf:
+            raise ValueError(
+                f"tick_interval must be positive and finite, got {self.tick_interval}"
+            )
         if self.max_batch is not None and self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.degrade_watermark is not None and self.degrade_watermark < 0:
-            raise ValueError("degrade_watermark must be >= 0")
+        if self.default_timeout is not None:
+            _check_timeout(self.default_timeout)
         if self.fault_budget < 0:
             raise ValueError(f"fault_budget must be >= 0, got {self.fault_budget}")
 
@@ -289,11 +285,7 @@ class AllocationService:
         self.counter = OpCounter()
         self.metrics = ServiceMetrics(self.counter, self.config.tick_interval)
         self._scheduler = OptimalScheduler(counter=self.counter)
-        self._engine = (
-            KernelFlowEngine(mrsin, counter=self.counter)
-            if self.config.warm_start
-            else None
-        )
+        self._engine = KernelFlowEngine(mrsin, counter=self.counter)
         self._queue: list[_Entry] = []
         self._leases: dict[int, Lease] = {}
         self._ids = itertools.count(1)
@@ -345,9 +337,7 @@ class AllocationService:
             await self.clock.sleep(delay)
             try:
                 self.run_one_cycle()
-            except asyncio.CancelledError:  # pragma: no cover - close() path
-                raise
-            except Exception as exc:
+            except Exception as exc:  # CancelledError (close()) passes through
                 consecutive_failures += 1
                 if consecutive_failures > self.config.fault_budget:
                     # A dying tick loop must not strand queued acquires:
@@ -357,8 +347,7 @@ class AllocationService:
                 # Within budget: assume transient corruption, drop the
                 # warm state and retry on the next tick.
                 self.metrics.record_tick_retry()
-                if self._engine is not None:
-                    self._engine.invalidate()
+                self._engine.invalidate()
             else:
                 consecutive_failures = 0
             # A cycle that overran the interval yields once (delay 0)
@@ -403,7 +392,9 @@ class AllocationService:
     async def acquire(self, request: Request, *, timeout: float | None = None) -> Lease:
         """Queue ``request`` and await its lease.
 
-        Raises :class:`AllocationRejected` immediately when the queue
+        Raises ``ValueError`` for a request this system cannot hold or
+        a ``timeout`` that is not a finite number > 0,
+        :class:`AllocationRejected` immediately when the queue
         is full, :class:`AllocationTimeout` when the deadline (from
         ``timeout`` or the config default) passes before a tick can
         serve it, and :class:`ServiceClosed` if the service shuts down
@@ -444,13 +435,15 @@ class AllocationService:
             )
         if request.resource_type not in self.mrsin.resource_types:
             raise ValueError(f"no resource of type {request.resource_type!r} in this system")
+        if timeout is None:
+            timeout = self.config.default_timeout
+        else:
+            _check_timeout(timeout)
         if len(self._queue) >= self.config.queue_limit:
             self.metrics.record_rejection()
             raise AllocationRejected(
                 f"queue full ({self.config.queue_limit} requests waiting)"
             )
-        if timeout is None:
-            timeout = self.config.default_timeout
         now = self.clock.now()
         self._queue.append(_Entry(
             request=request,
@@ -480,8 +473,7 @@ class AllocationService:
             raise AllocationError(f"lease {lease.lease_id} already released")
         self._check_open()
         self.mrsin.complete_service(lease.resource)
-        if self._engine is not None:
-            self._engine.note_release(lease.resource)
+        self._engine.note_release(lease.resource)
         lease.active = False
         lease.transmitting = False
         del self._leases[lease.lease_id]
@@ -504,8 +496,7 @@ class AllocationService:
         if not lease.transmitting:
             return
         self.mrsin.complete_transmission(lease.resource)
-        if self._engine is not None:
-            self._engine.note_transmission_end(lease.resource)
+        self._engine.note_transmission_end(lease.resource)
         lease.transmitting = False
 
     # ------------------------------------------------------------------
@@ -550,8 +541,7 @@ class AllocationService:
         by_resource = {lease.resource: lease for lease in self._leases.values()}
         for idx in severed:
             self.mrsin.revoke(idx)
-            if self._engine is not None:
-                self._engine.note_release(idx)
+            self._engine.note_release(idx)
             lease = by_resource.get(idx)
             if lease is None:
                 continue
@@ -587,22 +577,13 @@ class AllocationService:
         self._expire_deadlines(now)
         t_reconciled = self.clock.perf_ns()
         batch = self._select_batch()
-        degraded = (
-            self.config.degrade_watermark is not None
-            and len(self._queue) > self.config.degrade_watermark
-        )
         leases: list[Lease] = []
         t_solved = t_reconciled
         if batch:
             requests = [entry.request for entry in batch]
-            if degraded:
-                mapping = greedy_schedule(self.mrsin, requests, order="nearest")
-            elif self._engine is not None:
-                mapping = self._scheduler.schedule_incremental(
-                    self.mrsin, requests, engine=self._engine
-                )
-            else:
-                mapping = self._scheduler.schedule(self.mrsin, requests)
+            mapping = self._scheduler.schedule_incremental(
+                self.mrsin, requests, engine=self._engine
+            )
             t_solved = self.clock.perf_ns()
             # Charge the serial status-read / switch-write overhead the
             # monitor cost model accounts for (once per solve — this is
@@ -610,8 +591,7 @@ class AllocationService:
             self.counter.charge("transform_arc", len(self.mrsin.network.links))
             self.counter.charge("extract", sum(len(a.path) for a in mapping.assignments))
             circuits = self.mrsin.apply_mapping(mapping)
-            if self._engine is not None:
-                self._engine.commit(mapping)
+            self._engine.commit(mapping)
             by_processor = {entry.request.processor: entry for entry in batch}
             served: set[_Entry] = set()
             try:
@@ -622,7 +602,8 @@ class AllocationService:
                         # The winner's acquire was cancelled while queued:
                         # undo the allocation on the spot instead of leaking
                         # the resource into _leases with no one to release it.
-                        self._unwind_allocation(assignment.resource.index)
+                        self.mrsin.complete_service(assignment.resource.index)
+                        self._engine.note_release(assignment.resource.index)
                         continue
                     lease = Lease(
                         lease_id=next(self._ids),
@@ -646,16 +627,8 @@ class AllocationService:
             solve_ns=t_solved - t_reconciled,
             apply_ns=t_applied - t_solved,
         )
-        self.metrics.record_tick(
-            batch_size=len(leases), queue_depth=len(self._queue), degraded=degraded
-        )
+        self.metrics.record_tick(batch_size=len(leases), queue_depth=len(self._queue))
         return leases
-
-    def _unwind_allocation(self, resource_index: int) -> None:
-        """Tear down a just-established circuit whose winner vanished."""
-        self.mrsin.complete_service(resource_index)
-        if self._engine is not None:
-            self._engine.note_release(resource_index)
 
     def _expire_deadlines(self, now: float) -> None:
         """Reject queued entries whose deadline has passed."""
@@ -727,9 +700,8 @@ class AllocationService:
         snap["failed_links"] = len(failed["links"])
         snap["failed_switchboxes"] = len(failed["switchboxes"])
         snap["failed_resources"] = len(failed["resources"])
-        if self._engine is not None:
-            snap["engine_builds"] = self._engine.builds
-            snap["engine_warm_ticks"] = self._engine.warm_ticks
+        snap["engine_builds"] = self._engine.builds
+        snap["engine_warm_ticks"] = self._engine.warm_ticks
         return snap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

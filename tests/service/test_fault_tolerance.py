@@ -435,67 +435,3 @@ class TestAcquireWithRetry:
                 )
 
         run(scenario())
-
-
-# ----------------------------------------------------------------------
-# Cold-path regressions: the fixes hold with warm_start=False too
-# ----------------------------------------------------------------------
-class TestColdPathRegressions:
-    def test_cancelled_acquire_unwinds_without_engine(self):
-        """The cancelled-winner unwind must not depend on the warm
-        engine being present."""
-
-        async def scenario():
-            mrsin = MRSIN(omega(4))
-            service = make_service(mrsin, warm_start=False)
-            task0, task1 = await enqueue(service, [Request(0), Request(1)])
-            original = service._select_batch
-
-            def select_then_cancel():
-                batch = original()
-                for entry in batch:
-                    if entry.request.processor == 0:
-                        entry.future.cancel()
-                return batch
-
-            service._select_batch = select_then_cancel
-            leases = service.run_one_cycle()
-            await drain()
-            assert len(leases) == 1
-            assert leases[0].request.processor == 1
-            busy = [res.index for res in mrsin.resources if res.busy]
-            assert busy == [leases[0].resource]
-            assert task0.cancelled()
-            assert (await task1) is leases[0]
-
-        run(scenario())
-
-    def test_double_release_raises_without_engine(self):
-        async def scenario():
-            mrsin = MRSIN(omega(4))
-            service = make_service(mrsin, warm_start=False)
-            tasks = await enqueue(service, [Request(1)])
-            (lease,) = service.run_one_cycle()
-            await finish(tasks)
-            service.release(lease)
-            with pytest.raises(AllocationError):
-                service.release(lease)
-
-        run(scenario())
-
-    def test_revocation_works_without_engine(self):
-        async def scenario():
-            mrsin = MRSIN(omega(4))
-            service = make_service(mrsin, warm_start=False)
-            tasks = await enqueue(service, [Request(0)])
-            (lease,) = service.run_one_cycle()
-            await finish(tasks)
-            mrsin.fail_link(lease.circuit.links[0].index)
-            (revoked,) = service.reconcile_faults()
-            assert revoked is lease
-            tasks2 = await enqueue(service, [Request(1)])
-            leases2 = service.run_one_cycle()
-            await finish(tasks2)
-            assert len(leases2) == 1
-
-        run(scenario())

@@ -2,6 +2,7 @@
 scheduler, lease lifecycle, admission control, and backpressure."""
 
 import asyncio
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import MRSIN, OptimalScheduler, Request
 from repro.networks import omega
 from repro.service.clock import VirtualClock
+from repro.service.driver import ServiceRunResult
 from repro.service.server import (
     AllocationError,
     AllocationRejected,
@@ -285,18 +287,20 @@ class TestAdmissionControl:
         assert snap["rejected_full"] == 1
         assert snap["submitted"] == 2
 
-    def test_degradation_watermark_switches_to_greedy(self):
-        async def scenario():
-            mrsin = MRSIN(omega(8))
-            service = make_service(mrsin, degrade_watermark=0)
-            tasks = await enqueue(service, [Request(p) for p in range(8)])
-            leases = service.run_one_cycle()
-            await finish(tasks)
-            return len(leases), service.metrics.snapshot()
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, bad):
+        """A NaN/inf deadline never expires: it used to bypass
+        ``default_timeout`` and pin a queue slot until the caller left."""
 
-        n, snap = run(scenario())
-        assert snap["degraded_ticks"] == 1
-        assert n >= 1  # greedy still allocates, possibly suboptimally
+        async def scenario():
+            service = make_service(MRSIN(omega(4)), default_timeout=0.05)
+            with pytest.raises(ValueError, match="timeout"):
+                await service.acquire(Request(0), timeout=bad)
+            with pytest.raises(ValueError, match="timeout"):
+                service.submit(Request(0), timeout=bad, on_done=lambda ticket: None)
+            return service.queue_depth, service.metrics.submitted
+
+        assert run(scenario()) == (0, 0)
 
     def test_invalid_requests_rejected_eagerly(self):
         async def scenario():
@@ -465,18 +469,6 @@ class TestWarmStart:
         assert snap["engine_builds"] == 1
         assert snap["engine_warm_ticks"] == 1
 
-    def test_cold_config_has_no_engine_stats(self):
-        async def scenario():
-            service = make_service(MRSIN(omega(4)), warm_start=False)
-            tasks = await enqueue(service, [Request(0)])
-            leases = service.run_one_cycle()
-            await finish(tasks)
-            return len(leases), service.snapshot()
-
-        n, snap = run(scenario())
-        assert n == 1
-        assert "engine_builds" not in snap
-
     def test_lifecycle_stays_warm_across_release_and_reacquire(self):
         async def scenario():
             mrsin = MRSIN(omega(8))
@@ -529,8 +521,12 @@ class TestTickLoop:
             ServiceConfig(max_batch=0)
         with pytest.raises(ValueError):
             ServiceConfig(queue_limit=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(degrade_watermark=-1)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="timeout"):
+                ServiceConfig(default_timeout=bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tick_interval"):
+                ServiceConfig(tick_interval=bad)
 
     def test_metrics_render_mentions_all_counters(self):
         async def scenario():
@@ -538,9 +534,12 @@ class TestTickLoop:
             tasks = await enqueue(service, [Request(0)])
             service.run_one_cycle()
             await finish(tasks)
-            return service.metrics.render()
+            return service.snapshot()
 
-        text = run(scenario())
+        # The renderer that ships: `repro serve` prints exactly this.
+        text = ServiceRunResult(
+            snapshot=run(scenario()), horizon=1.0, rate=1.0, seed=0, network="omega-4"
+        ).render()
         for key in ("allocated", "timed_out", "rejected_full", "wait <= 1",
                     "solver_instructions", "instructions_per_allocation"):
             assert key in text, key

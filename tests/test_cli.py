@@ -149,6 +149,14 @@ class TestCommands:
             ("queueing --horizon -3", "horizon must be positive"),
             ("blocking --trials 0", "trials must be >= 1"),
             ("blocking --trials -1", "trials must be >= 1"),
+            # NaN slips past every `x <= 0` test and inf never ends:
+            # these used to print a table from a run that served
+            # nothing (exit 0), hang, or return at once.
+            ("serve --tick nan --horizon 5", "tick_interval must be positive"),
+            ("serve --rate nan --horizon 5", "arrival rate must be positive"),
+            ("serve --timeout -1 --horizon 5", "timeout must be a finite number > 0"),
+            ("serve --horizon inf", "horizon must be positive and finite"),
+            ("wire-serve --duration -1", "duration must be positive"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, argv, complaint):

@@ -7,8 +7,11 @@ in the suite runs; an option removed from a config must be a
 accepted and ignored.
 """
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
+import typing
 from functools import partial
 
 import pytest
@@ -17,12 +20,16 @@ import repro
 import repro.fabric
 import repro.flows
 from repro.cli import build_parser
-from repro.core import OptimalScheduler
+from repro.core import MRSIN, OptimalScheduler
 from repro.core.scheduler import MINCOST_ALGORITHMS
 from repro.distributed import MonitorScheduler
 from repro.fabric.driver import FabricConfig, FabricRunResult
-from repro.flows import FlowNetwork, kernel_solve
-from repro.service.server import ServiceConfig
+from repro.faults.injector import FaultEvent
+from repro.flows import CompiledNetwork, FlowNetwork, kernel_solve
+from repro.networks import omega
+from repro.service.driver import run_service
+from repro.service.metrics import ServiceMetrics
+from repro.service.server import AllocationService, ServiceConfig
 from repro.wire.loadgen import LoadGenConfig
 
 MODULES = sorted(
@@ -43,6 +50,47 @@ def test_every_exported_name_is_an_attribute(name):
     assert not missing, f"{name}.__all__ exports undefined names: {missing}"
 
 
+#: Names the source imports under ``if TYPE_CHECKING:`` only (import
+#: cycles); everything else must resolve from its module's own globals.
+TYPE_CHECKING_ONLY = {
+    cls.__name__: cls
+    for cls in (MRSIN, AllocationService, FlowNetwork, CompiledNetwork, FaultEvent)
+}
+
+
+def _annotated(obj):
+    """``obj`` and, for a class, every function, property getter and
+    class/static method written in its body (a NamedTuple's generated
+    ``__new__`` lives in a namespace without builtins: skipped)."""
+    if inspect.isfunction(obj):
+        yield obj
+    elif inspect.isclass(obj):
+        yield obj
+        for member in vars(obj).values():
+            member = getattr(member, "__func__", member)
+            if isinstance(member, property):
+                member = member.fget
+            if inspect.isfunction(member) and member.__module__ == obj.__module__:
+                yield member
+
+
+@pytest.mark.parametrize("name", ["repro", *MODULES])
+def test_annotations_of_every_exported_callable_resolve(name):
+    """The half of the typing gate that runs without mypy: an annotation
+    naming something undefined or unimported (all of them are strings
+    under ``from __future__ import annotations``) fails here, not only
+    in CI's ``repro typecheck``."""
+    module = importlib.import_module(name)
+    broken = []
+    for attr in getattr(module, "__all__", ()):
+        for target in _annotated(getattr(module, attr)):
+            try:
+                typing.get_type_hints(target, localns=TYPE_CHECKING_ONLY)
+            except Exception as exc:  # NameError, TypeError, SyntaxError, ...
+                broken.append(f"{name}.{attr}: {target.__qualname__}: {exc!r}")
+    assert not broken, "\n".join(broken)
+
+
 LOADGEN = partial(LoadGenConfig, rate=1.0, duration=1.0, processors=1)
 
 
@@ -52,6 +100,10 @@ LOADGEN = partial(LoadGenConfig, rate=1.0, duration=1.0, processors=1)
         (ServiceConfig, "warm_engine"),
         (ServiceConfig, "maxflow"),
         (ServiceConfig, "mincost"),
+        (ServiceConfig, "warm_start"),
+        (ServiceConfig, "degrade_watermark"),
+        (partial(run_service, None), "warm_start"),
+        (partial(run_service, None), "degrade_watermark"),
         (FabricConfig, "warm_engine"),
         (FabricConfig, "max_drain_rounds"),
         (MonitorScheduler, "maxflow"),
@@ -95,3 +147,19 @@ def test_fabric_throughput_model_and_its_verb_are_gone():
     assert not hasattr(FabricRunResult, "aggregate_allocs_per_sec")
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fabric-bench"])
+
+
+def test_the_service_has_one_solve_path_and_no_knob_for_another():
+    # ISSUE 22: the cold rebuild and the greedy fallback above a queue
+    # watermark left with their two knobs, their flag and their counter;
+    # overload is shed at queue_limit and every tick solves warm.
+    assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+        "tick_interval", "max_batch", "queue_limit", "default_timeout", "fault_budget",
+    ]
+    for verb in ("serve", "wire-serve"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb, "--watermark", "4"])
+    snapshot = AllocationService(MRSIN(omega(4))).snapshot()
+    assert "degraded_ticks" not in snapshot
+    assert {"engine_builds", "engine_warm_ticks"} <= set(snapshot)
+    assert not hasattr(ServiceMetrics, "render")

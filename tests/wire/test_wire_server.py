@@ -505,6 +505,153 @@ class TestBatching:
 
 
 # ----------------------------------------------------------------------
+# One request, exactly one reply (lint rule R008's contract, at run time)
+# ----------------------------------------------------------------------
+async def replies_to(reader, writer, request_id, line):
+    """Every frame carrying ``request_id`` that arrives before the PONG
+    of a PING sent right behind ``line``: a doubled reply is counted,
+    and a dropped one is an empty list instead of a hung read."""
+    fence = request_id + 1000
+    writer.write(line + protocol.encode(protocol.make_ping(fence)))
+    await writer.drain()
+    answers = []
+    while True:
+        frame = protocol.decode(await asyncio.wait_for(reader.readline(), 2.0))
+        if (frame.kind, frame.request_id) == ("PONG", fence):
+            return answers
+        if frame.request_id == request_id:
+            answers.append(frame)
+
+
+async def raw_lease(reader, writer, request_id=1, processor=0):
+    reply = await raw_roundtrip(
+        reader, writer, protocol.make_acquire(request_id, processor)
+    )
+    assert reply.kind == "LEASE"
+    return reply.get("lease_id")
+
+
+class TestExactlyOneReply:
+    """Each case fails under one single-edit mutant of ``wire/server.py``
+    (reply dropped or doubled) that the rest of the suite let through."""
+
+    def test_release_success_is_answered_once(self):
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                lease_id = await raw_lease(reader, writer)
+                answers = await replies_to(
+                    reader, writer, 7, protocol.encode(protocol.make_release(7, lease_id))
+                )
+                assert [a.kind for a in answers] == ["OK"]
+                assert service.active_leases == 0
+                writer.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("make", [protocol.make_release, protocol.make_end_tx])
+    def test_lease_revoked_under_the_request_is_answered_revoked(self, make):
+        """The service raises ``LeaseRevoked`` for a lease the connection
+        still lists (no push reached it): the reply is REVOKED, once."""
+
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                lease_id = await raw_lease(reader, writer)
+                (conn,) = server._connections.values()
+                lease = conn.leases[lease_id]
+                lease.on_revoke = None  # the push never happens
+                service.mrsin.fail_resource(lease.resource)
+                service.reconcile_faults()
+                assert lease.revoked and lease_id in conn.leases
+                answers = await replies_to(
+                    reader, writer, 7, protocol.encode(make(7, lease_id))
+                )
+                assert [a.kind for a in answers] == ["REVOKED"]
+                assert answers[0].get("lease_id") == lease_id
+                assert lease_id not in conn.leases
+                writer.close()
+
+        run(scenario())
+
+    def test_bad_acquire_field_is_answered_once_and_not_submitted(self):
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                bad = protocol.Frame("ACQUIRE", 3, {"processor": 0, "timeout": "soon"})
+                answers = await replies_to(reader, writer, 3, protocol.encode(bad))
+                assert [a.kind for a in answers] == ["ERROR"]
+                assert "timeout" in answers[0].get("message")
+                assert service.metrics.submitted == 0
+                assert server.pending_acquires() == 0
+                writer.close()
+
+        run(scenario())
+
+    def test_full_queue_is_answered_rejected(self):
+        async def scenario():
+            # A 1 s tick: the first ACQUIRE stays queued for the whole test.
+            async with stack(tick=1.0, queue_limit=1) as (service, server):
+                reader, writer = await raw_connect(server)
+                writer.write(protocol.encode(protocol.make_acquire(1, 0)))
+                answers = await replies_to(
+                    reader, writer, 2, protocol.encode(protocol.make_acquire(2, 1))
+                )
+                assert [a.kind for a in answers] == ["REJECTED"]
+                assert "queue full" in answers[0].get("reason")
+                assert server.pending_acquires() == 1
+                writer.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("how", ["service_closed", "released_behind_the_wire"])
+    def test_release_the_service_refuses_is_answered_error(self, how):
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                lease_id = await raw_lease(reader, writer)
+                (conn,) = server._connections.values()
+                if how == "service_closed":
+                    await service.close()
+                else:
+                    service.release(conn.leases[lease_id])
+                answers = await replies_to(
+                    reader, writer, 7, protocol.encode(protocol.make_release(7, lease_id))
+                )
+                assert [a.kind for a in answers] == ["ERROR"]
+                writer.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999", "0", "-1.5"])
+    def test_acquire_timeout_must_be_finite_and_positive(self, literal):
+        """``json.loads`` turns NaN / Infinity / 1e999 into floats whose
+        deadline never expires: such an ACQUIRE used to sit in the
+        admission queue past ``default_timeout`` until disconnect."""
+
+        async def scenario():
+            async with stack(ports=4, default_timeout=0.05) as (service, server):
+                host, port = server.address
+                async with WireClient(host, port, request_timeout=2.0) as holder:
+                    for p in range(4):  # saturated: an admitted ACQUIRE would queue
+                        await holder.acquire(p)
+                    reader, writer = await raw_connect(server)
+                    line = (
+                        '{"v":1,"kind":"ACQUIRE","id":5,"processor":0,"timeout":%s}\n'
+                        % literal
+                    ).encode()
+                    answers = await replies_to(reader, writer, 5, line)
+                    assert [a.kind for a in answers] == ["ERROR"]
+                    assert "timeout" in answers[0].get("message")
+                    assert service.queue_depth == 0
+                    assert server.pending_acquires() == 0
+                    assert server.protocol_errors == 0
+                    writer.close()
+
+        run(scenario())
+
+
+# ----------------------------------------------------------------------
 # Guards and error replies
 # ----------------------------------------------------------------------
 class TestGuards:
