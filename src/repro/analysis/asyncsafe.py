@@ -321,7 +321,7 @@ class ResourceEscape(Rule):
     title = "resource custody must not escape"
 
     #: Call-name tails that produce a tracked resource.
-    ACQUIRE_TAILS = frozenset({"acquire", "acquire_with_retry", "checkout"})
+    ACQUIRE_TAILS = frozenset({"acquire", "checkout"})
     #: Methods on the resource itself that end custody.
     RELEASE_METHODS = frozenset({"release", "close"})
 

@@ -32,7 +32,6 @@ from functools import partial
 from typing import Sequence
 
 from repro.core import MRSIN, OptimalScheduler, Request
-from repro.core.heuristic import arbitrary_schedule, greedy_schedule, random_binding_schedule
 from repro.distributed import DistributedScheduler
 from repro.networks import TOPOLOGIES, build_network, omega
 from repro.networks.render import render_circuits, render_network
@@ -40,6 +39,7 @@ from repro.sim.blocking import POLICIES, estimate_blocking
 from repro.sim.queueing import simulate_queueing
 from repro.sim.runner import sweep as run_sweep
 from repro.sim.workload import WorkloadSpec, sample_instance
+from repro.util.rng import make_rng
 from repro.util.tables import Table
 
 __all__ = ["main", "TOPOLOGIES"]
@@ -71,16 +71,7 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
 def cmd_schedule(args) -> int:
     """One scheduling cycle; print the mapping (and optionally the net)."""
     m = sample_instance(_spec(args), args.seed)
-    if args.policy == "optimal":
-        mapping = OptimalScheduler().schedule(m)
-    elif args.policy == "distributed":
-        mapping = DistributedScheduler().schedule(m).mapping
-    elif args.policy == "greedy":
-        mapping = greedy_schedule(m, order="random", rng=args.seed)
-    elif args.policy == "random_binding":
-        mapping = random_binding_schedule(m, rng=args.seed)
-    else:
-        mapping = arbitrary_schedule(m)
+    mapping = POLICIES[args.policy](m, make_rng(args.seed))
     n_req = len(m.schedulable_requests())
     print(f"{m.network.name}: {n_req} requests, "
           f"{len(m.free_resources())} free resources")
@@ -182,7 +173,6 @@ def cmd_wire_serve(args) -> int:
 
     from repro.core import MRSIN
     from repro.service.server import AllocationService, ServiceConfig
-    from repro.util.rng import make_rng
     from repro.wire.server import WireServer
 
     network = build_network(args.network, args.ports)
@@ -199,7 +189,7 @@ def cmd_wire_serve(args) -> int:
     async def _run() -> dict:
         service = AllocationService(MRSIN(network), config=config)
         injector = None
-        if args.fault_rate > 0:
+        if args.fault_rate != 0:  # 0 = no injector; NaN / < 0 are FaultInjector's to refuse
             from repro.faults.injector import FaultInjector
 
             injector = FaultInjector(
@@ -501,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="run one scheduling cycle")
     _add_workload_args(p)
-    p.add_argument("--policy", default="optimal",
-                   choices=["optimal", "distributed", "greedy", "random_binding", "arbitrary"])
+    p.add_argument("--policy", default="optimal", choices=sorted(POLICIES))
     p.add_argument("--render", action="store_true", help="draw the network state")
     p.set_defaults(func=cmd_schedule)
 

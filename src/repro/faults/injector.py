@@ -19,6 +19,7 @@ schedule replayable: generate once, apply anywhere.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -105,12 +106,12 @@ class FaultInjector:
         mean_repair: float = 5.0,
         kinds: tuple[str, ...] = KINDS,
     ) -> None:
-        if fault_rate <= 0:
-            raise ValueError(f"fault_rate must be positive, got {fault_rate}")
+        if not 0 < fault_rate < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"fault_rate must be positive and finite, got {fault_rate}")
         if not 0.0 <= transient_fraction <= 1.0:
             raise ValueError(f"transient_fraction must be in [0, 1], got {transient_fraction}")
-        if mean_repair <= 0:
-            raise ValueError(f"mean_repair must be positive, got {mean_repair}")
+        if not 0 < mean_repair < math.inf:
+            raise ValueError(f"mean_repair must be positive and finite, got {mean_repair}")
         unknown = set(kinds) - set(KINDS)
         if unknown:
             raise ValueError(f"unknown fault kinds: {sorted(unknown)}")

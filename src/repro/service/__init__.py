@@ -18,7 +18,7 @@ regime the ROADMAP's production north-star calls for.
 """
 
 from repro.service.clock import Clock, MonotonicClock, VirtualClock
-from repro.service.driver import ServiceRunResult, acquire_with_retry, run_service
+from repro.service.driver import ServiceRunResult, run_service
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import (
     AllocationError,
@@ -49,6 +49,5 @@ __all__ = [
     "ServiceRunResult",
     "Ticket",
     "VirtualClock",
-    "acquire_with_retry",
     "run_service",
 ]

@@ -3,7 +3,7 @@
 The service's batching loop never reads wall time directly; it asks a
 :class:`Clock` for ``now()`` and awaits ``sleep(dt)``.  Production runs
 use :class:`MonotonicClock` (the asyncio event-loop clock).  Tests and
-the deterministic driver use :class:`VirtualClock`, which only moves
+the deterministic drivers use :class:`VirtualClock`, which only moves
 when explicitly advanced — a finite-horizon run is then a pure
 function of its seeds, with no wall-time in any code path.
 """
@@ -84,11 +84,14 @@ class MonotonicClock(Clock):
 
 
 class VirtualClock(Clock):
-    """Deterministic simulated time for tests and the driver.
+    """Deterministic simulated time for tests and the drivers.
 
-    ``sleep`` parks the calling task on a heap of ``(wake_time, tie)``
-    entries; time only moves when the driver calls :meth:`run_until`
-    (or :meth:`advance`).  Sleepers are woken strictly in
+    Every in-process driver in ``src/`` (``run_service``, ``run_chaos``,
+    the fabric cell) is synchronous and moves time with :meth:`step`
+    alone.  ``sleep`` / :meth:`run_until` / :meth:`advance` are the fake
+    the tests drive ``acquire()`` and the tick loop with; nothing in
+    ``src/`` calls them.  ``sleep`` parks the calling task on a heap of
+    ``(wake_time, tie)`` entries; sleepers are woken strictly in
     ``(wake_time, registration order)`` order, one at a time, with the
     event loop drained between wake-ups so a woken task runs to its
     next ``await`` before the clock moves again.  Given deterministic
@@ -156,8 +159,8 @@ class VirtualClock(Clock):
 
     def step(self, dt: float) -> None:
         """Move ``now()`` to exactly where :meth:`advance` would, without
-        an event loop.  Wakes no sleeper: for hand-ticked synchronous
-        drivers (the fabric cell), which park nothing on the clock."""
+        an event loop.  Wakes no sleeper: for the synchronous drivers,
+        which park nothing on the clock."""
         self._now = max(self._now, self._now + dt)
 
     async def _drain(self) -> None:

@@ -14,36 +14,40 @@ resource-type mix, priority levels, and initial circuit occupancy;
 the driver adds the *online* part (Poisson arrivals per processor,
 exponential service times, transmission-then-release lease lifecycle)
 that the one-shot `sample_instance` snapshots cannot express.
+
+Like ``run_chaos`` and the fabric cell, the driver is a plain function
+with no event loop: the run is one heap of timed events (tick, arrival,
+end of transmission, release) played through the service's synchronous
+calls, with :meth:`VirtualClock.step` moving time between them.
 """
 
 from __future__ import annotations
 
-import asyncio
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from repro.core.model import MRSIN
 from repro.core.requests import DEFAULT_TYPE, Request
-from repro.service.clock import Clock, VirtualClock
+from repro.service.clock import VirtualClock
 from repro.service.server import (
-    AllocationError,
     AllocationRejected,
     AllocationService,
-    AllocationTimeout,
     Lease,
-    LeaseRevoked,
-    ServiceClosed,
     ServiceConfig,
     ServiceFaulted,
+    Ticket,
 )
 from repro.sim.workload import WorkloadSpec, occupy_random_circuits
-from repro.util.rng import make_rng, spawn_rngs
+from repro.util.rng import spawn_rngs
 from repro.util.tables import Table
 
-__all__ = ["ServiceRunResult", "acquire_with_retry", "run_service"]
+__all__ = ["ServiceRunResult", "run_service"]
 
 
 @dataclass
@@ -126,7 +130,7 @@ def run_service(
     rate:
         Poisson arrival rate per processor (requests per time unit).
     request_timeout:
-        Deadline each client attaches to ``acquire`` (``None`` waits
+        Deadline every request is submitted with (``None`` waits
         forever).
     transmission_time, mean_service:
         Model item 5's two phases: the circuit is held for
@@ -134,7 +138,8 @@ def run_service(
         exponential service time of mean ``mean_service``.
 
     Returns a :class:`ServiceRunResult`; identical arguments produce
-    an identical result.
+    an identical result.  A scheduling cycle that raises ends the run
+    at once as :class:`ServiceFaulted` (the original is ``__cause__``).
     """
     if not 0 < rate < math.inf:
         raise ValueError(f"arrival rate must be positive and finite, got {rate}")
@@ -150,57 +155,96 @@ def run_service(
         queue_limit=queue_limit,
         default_timeout=request_timeout,
     )
-    return asyncio.run(
-        _run(spec, config, rate, horizon, seed, transmission_time, mean_service)
+    clock = VirtualClock()
+    setup_rng, *client_rngs = spawn_rngs(seed, 1 + spec.builder(spec.n_ports).n_processors)
+    mrsin = _build_mrsin(spec, setup_rng)
+    service = AllocationService(mrsin, config=config, clock=clock)
+
+    # One heap of (time, delayed, seq, kind, payload).  ``seq`` is
+    # registration order, so simultaneous events fire first-registered-
+    # first; a zero delay (``delayed`` False) is the rest of the current
+    # instant and runs ahead of anything else due at it.  The tick is
+    # always armed, so the heap is never empty.
+    events: list[tuple[float, bool, int, str, Any]] = []
+    seq = itertools.count()
+
+    def after(delay: float, kind: str, payload: Any = None) -> None:
+        heapq.heappush(events, (clock.now() + delay, delay > 0, next(seq), kind, payload))
+
+    granted: list[tuple[Lease, float]] = []  # (lease, service time), this cycle's
+
+    def on_done(ticket: Ticket, hold: float) -> None:
+        if ticket.lease is not None:  # else timed out; the metrics counted it
+            granted.append((ticket.lease, hold))
+
+    after(tick_interval, "tick")
+    for processor, rng in enumerate(client_rngs):
+        after(float(rng.exponential(1.0 / rate)), "arrival", processor)
+    while events[0][0] <= horizon:
+        when, _, _, kind, payload = heapq.heappop(events)
+        _step_to(clock, when)
+        if kind == "tick":
+            try:
+                service.run_one_cycle()
+            except Exception as exc:
+                raise ServiceFaulted(f"service faulted during run: {exc!r}") from exc
+            # The tick re-arms before the leases it granted, so a
+            # transmission as long as the interval ends after the next solve.
+            after(tick_interval, "tick")
+            for lease, hold in granted:
+                after(transmission_time, "sent", (lease, hold))
+            granted.clear()
+        elif kind == "arrival":
+            # Open loop: a processor may have several requests queued (the
+            # MRSIN schedules at most one per cycle), which is what
+            # exercises admission control.  All of a request's randomness
+            # is drawn here, in arrival order from the processor's stream.
+            rng = client_rngs[payload]
+            rtype = (
+                DEFAULT_TYPE
+                if spec.resource_types is None
+                else spec.resource_types[int(rng.integers(0, len(spec.resource_types)))]
+            )
+            priority = (
+                1 if spec.priority_levels == 1
+                else int(rng.integers(1, spec.priority_levels + 1))
+            )
+            hold = float(rng.exponential(mean_service))
+            after(float(rng.exponential(1.0 / rate)), "arrival", payload)
+            try:
+                service.submit(
+                    Request(payload, resource_type=rtype, priority=priority),
+                    on_done=partial(on_done, hold=hold),
+                )
+            except AllocationRejected:
+                pass  # shed at the queue bound; the metrics counted it
+        elif kind == "sent":
+            lease, hold = payload
+            service.end_transmission(lease)
+            after(hold, "release", lease)
+        else:
+            service.release(payload)
+    # Whatever is still queued or held at the horizon stays in the
+    # snapshot: submitted == allocated + timed_out + queue_depth.
+    return ServiceRunResult(
+        snapshot=service.snapshot(),
+        horizon=horizon,
+        rate=rate,
+        seed=seed,
+        network=mrsin.network.name,
     )
 
 
-async def acquire_with_retry(
-    service: AllocationService,
-    request: Request,
-    *,
-    clock: Clock | None = None,
-    rng: int | np.random.Generator | None = None,
-    attempts: int = 6,
-    base_delay: float = 0.5,
-    max_delay: float = 8.0,
-    timeout: float | None = None,
-) -> Lease:
-    """``acquire`` with exponential backoff on rejection/timeout.
+def _step_to(clock: VirtualClock, when: float) -> None:
+    """``clock.step`` to exactly ``when``, not one ulp beside it.
 
-    Retries only the *transient* failures — :class:`AllocationRejected`
-    (queue full) and :class:`AllocationTimeout` (deadline passed while
-    queued) — up to ``attempts`` total tries, sleeping
-    ``min(max_delay, base_delay * 2**k)`` scaled by a jitter factor in
-    ``[0.5, 1.0)`` between them.  :class:`ServiceClosed` (including
-    :class:`~repro.service.server.ServiceFaulted`) and validation
-    errors propagate immediately: a closed service will not reopen, so
-    backing off would just hide the failure.
-
-    The jitter is *deterministic*: pass a seed (or a prepared
-    generator) for ``rng`` and the retry schedule reproduces exactly —
-    the same :mod:`repro.util.rng` discipline the rest of the repo
-    follows.  ``clock`` defaults to the service's own clock, so
-    virtual-time tests control the backoff sleeps too.
+    ``now + (when - now)`` is only sure to round back to ``when`` when
+    ``now >= when / 2`` (the subtraction is then exact — Sterbenz), so
+    a longer jump first steps by half of ``when``, which lands there.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if base_delay <= 0:
-        raise ValueError(f"base_delay must be positive, got {base_delay}")
-    if max_delay < base_delay:
-        raise ValueError(f"max_delay {max_delay} < base_delay {base_delay}")
-    gen = make_rng(rng)
-    sleeper = clock if clock is not None else service.clock
-    for attempt in range(attempts):
-        try:
-            return await service.acquire(request, timeout=timeout)
-        except (AllocationRejected, AllocationTimeout):
-            if attempt == attempts - 1:
-                raise
-            delay = min(max_delay, base_delay * 2.0**attempt)
-            delay *= 0.5 + 0.5 * float(gen.random())
-            await sleeper.sleep(delay)
-    raise AssertionError("unreachable")  # pragma: no cover
+    if clock.now() < when / 2:
+        clock.step(when / 2)
+    clock.step(when - clock.now())
 
 
 def _build_mrsin(spec: WorkloadSpec, rng: np.random.Generator) -> MRSIN:
@@ -229,137 +273,3 @@ def _build_mrsin(spec: WorkloadSpec, rng: np.random.Generator) -> MRSIN:
     )
     occupy_random_circuits(net, mrsin, spec.occupied_circuits, rng)
     return mrsin
-
-
-async def _run(
-    spec: WorkloadSpec,
-    config: ServiceConfig,
-    rate: float,
-    horizon: float,
-    seed: int,
-    transmission_time: float,
-    mean_service: float,
-) -> ServiceRunResult:
-    clock = VirtualClock()
-    setup_rng, *client_rngs = spawn_rngs(seed, 1 + spec.builder(spec.n_ports).n_processors)
-    mrsin = _build_mrsin(spec, setup_rng)
-    service = AllocationService(mrsin, config=config, clock=clock)
-    releasers: set[asyncio.Task] = set()
-    async with service:
-        clients = [
-            asyncio.ensure_future(
-                _client(
-                    service, clock, processor=p, rng=client_rngs[p], spec=spec,
-                    rate=rate, transmission_time=transmission_time,
-                    mean_service=mean_service, releasers=releasers,
-                )
-            )
-            for p in range(mrsin.n_processors)
-        ]
-        await clock.run_until(horizon)
-        # Snapshot at the horizon, before teardown fails the still-queued
-        # requests — so submitted == allocated + timed_out + queue_depth.
-        snapshot = service.snapshot()
-        for task in clients:
-            task.cancel()
-        ended = await asyncio.gather(*clients, return_exceptions=True)
-    for task in releasers:
-        task.cancel()
-    await asyncio.gather(*releasers, return_exceptions=True)
-    if service.fault is not None:
-        # The tick loop died mid-run: the snapshot is from a broken
-        # service, so surface the fault instead of returning it.
-        failure = ServiceFaulted(f"service faulted during run: {service.fault!r}")
-        raise failure from service.fault
-    for outcome in ended:
-        # Cancellation is how every healthy client ends; anything else
-        # killed its arrival stream, and the snapshot describes a run
-        # that offered less than it was asked to.
-        if isinstance(outcome, Exception):
-            raise outcome
-    return ServiceRunResult(
-        snapshot=snapshot,
-        horizon=horizon,
-        rate=rate,
-        seed=seed,
-        network=mrsin.network.name,
-    )
-
-
-async def _client(
-    service: AllocationService,
-    clock: VirtualClock,
-    *,
-    processor: int,
-    rng: np.random.Generator,
-    spec: WorkloadSpec,
-    rate: float,
-    transmission_time: float,
-    mean_service: float,
-    releasers: set[asyncio.Task],
-) -> None:
-    """One processor's open-loop arrival stream.
-
-    Arrivals are *open loop*: each spawns an independent task that
-    queues on ``acquire`` — a processor may have several requests
-    waiting (the MRSIN schedules at most one per cycle; the rest queue
-    up, which is what exercises admission control and backpressure).
-    All randomness is drawn here, in arrival order from this
-    processor's private stream, so the spawned tasks are pure.
-    """
-    while True:
-        await clock.sleep(float(rng.exponential(1.0 / rate)))
-        rtype = (
-            DEFAULT_TYPE
-            if spec.resource_types is None
-            else spec.resource_types[int(rng.integers(0, len(spec.resource_types)))]
-        )
-        priority = (
-            1 if spec.priority_levels == 1
-            else int(rng.integers(1, spec.priority_levels + 1))
-        )
-        hold = float(rng.exponential(mean_service))
-        request = Request(processor, resource_type=rtype, priority=priority)
-        task = asyncio.ensure_future(
-            _handle_request(service, clock, request, transmission_time, hold)
-        )
-        releasers.add(task)
-        task.add_done_callback(releasers.discard)
-
-
-async def _handle_request(
-    service: AllocationService,
-    clock: VirtualClock,
-    request: Request,
-    transmission_time: float,
-    hold: float,
-) -> None:
-    """One request's lifecycle: queue → lease → transmit → serve → free."""
-    try:
-        lease = await service.acquire(request)
-    except AllocationError:
-        return  # dropped; the metrics block has already counted it
-    try:
-        await clock.sleep(transmission_time)
-        if lease.active:
-            service.end_transmission(lease)
-        await clock.sleep(hold)
-    except (LeaseRevoked, ServiceClosed):
-        return  # revoked by a fault, or torn down at shutdown
-    finally:
-        _release_quietly(service, lease)
-
-
-def _release_quietly(service: AllocationService, lease: Lease) -> None:
-    """Free the lease if custody is still ours; swallow teardown races.
-
-    Runs in the ``finally`` of every request lifecycle so cancellation
-    (driver teardown mid-sleep) cannot strand a granted lease — the
-    escape R007 guards against.
-    """
-    if not lease.active:
-        return  # released, revoked, or reclaimed — custody is gone
-    try:
-        service.release(lease)
-    except (LeaseRevoked, ServiceClosed):
-        pass  # a fault or shutdown beat us to it

@@ -20,8 +20,8 @@ down, so the network state genuinely evolves across cycles.
   ``OptimalScheduler().schedule(mrsin, service.peek_batch())``, which
   is the reference the differential tests compare against per tick.
 - **Faults**: a fault severing a held circuit *revokes* the lease at
-  the next tick (``lease.revoked`` / ``revocation`` / ``on_revoke``;
-  touching it later raises :class:`LeaseRevoked`) while the service
+  the next tick (``lease.revoked`` / ``on_revoke``; touching it later
+  raises :class:`LeaseRevoked`) while the service
   keeps allocating; up to ``fault_budget`` consecutive failing cycles
   are retried before :class:`ServiceFaulted`; ``release`` on a closed
   service raises instead of mutating an MRSIN nobody serves.
@@ -96,7 +96,7 @@ class LeaseRevoked(AllocationError):
     """The lease was revoked because a fault severed its allocation.
 
     Raised by ``release``/``end_transmission`` on a revoked lease;
-    holders watching ``lease.revocation`` learn about it at revocation
+    holders that set ``lease.on_revoke`` learn about it at revocation
     time instead.
     """
 
@@ -162,11 +162,10 @@ class Lease:
     frees the resource (tearing down the circuit too if still held).
 
     A fault that severs the allocation revokes the lease instead:
-    ``active`` drops, ``revoked`` rises, and the ``revocation`` event
-    fires — ``await lease.revocation.wait()`` is the holder's push
-    notification; a holder without a task to park sets ``on_revoke``
-    and is called back from the revoking cycle instead.  Touching a
-    revoked lease afterwards raises :class:`LeaseRevoked`.
+    ``active`` drops, ``revoked`` rises, and ``on_revoke(lease)`` — the
+    holder's push notification, if it set one — is called from the
+    revoking cycle.  Touching a revoked lease afterwards raises
+    :class:`LeaseRevoked`.
     """
 
     lease_id: int
@@ -179,22 +178,6 @@ class Lease:
     active: bool = True
     revoked: bool = False
     on_revoke: Callable[[Lease], None] | None = field(default=None, repr=False)
-    _revocation: asyncio.Event | None = field(default=None, repr=False)
-
-    @property
-    def revocation(self) -> asyncio.Event:
-        """The revocation push-notification event, created on first use.
-
-        Lazily built so the allocation hot path (thousands of leases
-        per second, almost none of them ever awaited on) does not pay
-        for an :class:`asyncio.Event` per grant; the service sets it at
-        revocation time only if a holder ever asked for it.
-        """
-        if self._revocation is None:
-            self._revocation = asyncio.Event()
-            if self.revoked:
-                self._revocation.set()
-        return self._revocation
 
 
 @dataclass(eq=False, slots=True)
@@ -529,7 +512,7 @@ class AllocationService:
         its holder (the component is gone), so the service reclaims it:
         the surviving links and the resource slot go back to the pool,
         the warm engine retracts the unit of flow, and the lease is
-        revoked (``lease.revocation`` fires).  Severed circuits with no
+        revoked (``lease.on_revoke`` is called).  Severed circuits with no
         lease (e.g. background load applied directly to the MRSIN) are
         reclaimed too.  Returns the leases revoked; called at the top
         of every :meth:`run_one_cycle`.
@@ -548,8 +531,6 @@ class AllocationService:
             lease.active = False
             lease.transmitting = False
             lease.revoked = True
-            if lease._revocation is not None:
-                lease._revocation.set()
             if lease.on_revoke is not None:
                 lease.on_revoke(lease)
             del self._leases[lease.lease_id]

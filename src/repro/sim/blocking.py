@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.heuristic import arbitrary_schedule, greedy_schedule, random_binding_schedule
+from repro.core.mapping import Mapping
 from repro.core.model import MRSIN
 from repro.core.scheduler import OptimalScheduler
 from repro.distributed.simulator import DistributedScheduler
@@ -34,32 +35,16 @@ from repro.util.rng import spawn_rngs
 __all__ = ["POLICIES", "BlockingEstimate", "estimate_blocking"]
 
 
-def _run_optimal(mrsin: MRSIN, rng: np.random.Generator) -> int:
-    return len(OptimalScheduler().schedule(mrsin))
-
-
-def _run_distributed(mrsin: MRSIN, rng: np.random.Generator) -> int:
-    return len(DistributedScheduler().schedule(mrsin).mapping)
-
-
-def _run_greedy(mrsin: MRSIN, rng: np.random.Generator) -> int:
-    return len(greedy_schedule(mrsin, order="random", rng=rng))
-
-
-def _run_random_binding(mrsin: MRSIN, rng: np.random.Generator) -> int:
-    return len(random_binding_schedule(mrsin, rng=rng))
-
-
-def _run_arbitrary(mrsin: MRSIN, rng: np.random.Generator) -> int:
-    return len(arbitrary_schedule(mrsin))
-
-
-POLICIES: dict[str, Callable[[MRSIN, np.random.Generator], int]] = {
-    "optimal": _run_optimal,
-    "distributed": _run_distributed,
-    "greedy": _run_greedy,
-    "random_binding": _run_random_binding,
-    "arbitrary": _run_arbitrary,
+#: ``name -> policy(mrsin, rng) -> Mapping``: the one scheduling-policy
+#: dispatch.  ``repro schedule`` / ``blocking`` / ``sweep`` and
+#: :func:`~repro.sim.queueing.simulate_queueing` all resolve names here;
+#: the deterministic policies ignore ``rng``.
+POLICIES: dict[str, Callable[[MRSIN, np.random.Generator], Mapping]] = {
+    "optimal": lambda mrsin, rng: OptimalScheduler().schedule(mrsin),
+    "distributed": lambda mrsin, rng: DistributedScheduler().schedule(mrsin).mapping,
+    "greedy": lambda mrsin, rng: greedy_schedule(mrsin, order="random", rng=rng),
+    "random_binding": lambda mrsin, rng: random_binding_schedule(mrsin, rng=rng),
+    "arbitrary": lambda mrsin, rng: arbitrary_schedule(mrsin),
 }
 
 
@@ -142,7 +127,6 @@ def estimate_blocking(
         ideal = _ideal_allocations(mrsin)
         if ideal == 0:
             continue
-        served = run(mrsin, policy_rng)
-        blocked += ideal - served
+        blocked += ideal - len(run(mrsin, policy_rng))
         possible += ideal
     return BlockingEstimate(policy=policy, blocked=blocked, possible=possible, trials=trials)

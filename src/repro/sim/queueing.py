@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.core.heuristic import greedy_schedule, random_binding_schedule
-from repro.core.mapping import Mapping
 from repro.core.model import MRSIN
 from repro.core.requests import Request
-from repro.core.scheduler import OptimalScheduler
+from repro.sim.blocking import POLICIES
 from repro.util.rng import make_rng
 
 __all__ = ["QueueingResult", "simulate_queueing"]
@@ -56,17 +54,6 @@ class QueueingResult:
     completed: int
     offered_load: float
     mean_queue: float
-
-
-def _make_policy(policy: str, rng: np.random.Generator) -> Callable[[MRSIN], Mapping]:
-    if policy == "optimal":
-        sched = OptimalScheduler()
-        return lambda m: sched.schedule(m)
-    if policy == "greedy":
-        return lambda m: greedy_schedule(m, order="random", rng=rng)
-    if policy == "random_binding":
-        return lambda m: random_binding_schedule(m, rng=rng)
-    raise ValueError(f"unknown policy {policy!r}")
 
 
 def simulate_queueing(
@@ -106,14 +93,18 @@ def simulate_queueing(
         cover only types present in the pool.  ``None`` = homogeneous
         (every request uses the default type).
     """
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
+    if policy not in ("optimal", "greedy", "random_binding"):
+        raise ValueError(f"unknown policy {policy!r}")
+    if not 0 < arrival_rate < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"arrival_rate must be positive and finite, got {arrival_rate}")
     if min_batch < 1:
         raise ValueError(f"min_batch must be >= 1, got {min_batch}")
     if not mean_service >= 0:
         raise ValueError(f"mean_service must be >= 0, got {mean_service}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not transmission_time >= 0:
+        raise ValueError(f"transmission_time must be >= 0, got {transmission_time}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     type_names: list = []
     type_probs: list[float] = []
     if type_weights:
@@ -124,7 +115,7 @@ def simulate_queueing(
         type_names = list(type_weights)
         type_probs = [w / total_w for w in type_weights.values()]
     rng = make_rng(seed)
-    dispatch = _make_policy(policy, rng)
+    dispatch = POLICIES[policy]
     mrsin.reset()
     n_proc = mrsin.n_processors
     tie = itertools.count()
@@ -188,7 +179,7 @@ def simulate_queueing(
             and mrsin.free_resources()
         ):
             needs_schedule = False
-            mapping = dispatch(mrsin)
+            mapping = dispatch(mrsin, rng)
             if mapping.assignments:
                 mrsin.apply_mapping(mapping)
                 for a in mapping.assignments:

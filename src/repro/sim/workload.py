@@ -114,6 +114,10 @@ class WorkloadSpec:
             raise ValueError(f"request_density {self.request_density} outside [0, 1]")
         if not 0.0 <= self.free_density <= 1.0:
             raise ValueError(f"free_density {self.free_density} outside [0, 1]")
+        if self.occupied_circuits < 0:
+            raise ValueError(
+                f"occupied_circuits must be >= 0, got {self.occupied_circuits}"
+            )
         if self.priority_levels < 1:
             raise ValueError("priority_levels must be >= 1")
 

@@ -1,12 +1,13 @@
 """Open-loop load generation against a :class:`~repro.wire.server.WireServer`.
 
-The closed-loop drivers elsewhere in the repo (``repro serve``'s
-client tasks, the chaos harness) wait for one request to finish before
-issuing the next, so the offered load adapts to the server — exactly
-the feedback that hides tail latency.  This generator is **open
-loop**: the arrival schedule is drawn up front from a seeded RNG
-(Poisson, bursty on/off, or diurnal sinusoid), and requests fire at
-their scheduled instants whether or not earlier ones completed.
+A closed-loop driver waits for one request to finish before issuing
+the next, so the offered load adapts to the server — exactly the
+feedback that hides tail latency.  This generator is **open loop**,
+like ``repro serve``'s per-processor arrival streams on virtual time,
+but against a real server on the wall clock: the arrival schedule is
+drawn up front from a seeded RNG (Poisson, bursty on/off, or diurnal
+sinusoid), and requests fire at their scheduled instants whether or
+not earlier ones completed.
 Under overload the queue grows, deadlines fire, and the waiting-time
 tail becomes observable — the heavy-traffic regime the resource-
 sharing literature reasons about.
@@ -111,10 +112,10 @@ class LoadGenConfig:
     transmission: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0 < self.rate < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if self.processors < 1:
             raise ValueError(f"processors must be >= 1, got {self.processors}")
         if self.arrival not in ARRIVAL_PROCESSES:
@@ -124,12 +125,14 @@ class LoadGenConfig:
             )
         if self.connections < 1:
             raise ValueError(f"connections must be >= 1, got {self.connections}")
-        if self.request_timeout is not None and self.request_timeout <= 0:
+        if self.request_timeout is not None and not 0 < self.request_timeout < math.inf:
             raise ValueError(
-                f"request_timeout must be positive, got {self.request_timeout}"
+                f"request_timeout must be positive and finite, got {self.request_timeout}"
             )
-        if self.mean_hold < 0 or self.transmission < 0:
-            raise ValueError("hold/transmission times must be >= 0")
+        if not 0 <= self.mean_hold < math.inf:
+            raise ValueError(f"mean_hold must be finite and >= 0, got {self.mean_hold}")
+        if not 0 <= self.transmission < math.inf:
+            raise ValueError(f"transmission must be finite and >= 0, got {self.transmission}")
 
 
 def arrival_schedule(config: LoadGenConfig) -> list[Arrival]:

@@ -1,10 +1,15 @@
 """Tests for the deterministic service driver and its CLI wrapper."""
 
+import hashlib
+import json
+from functools import partial
+
 import pytest
 
 from repro.cli import main
-from repro.networks import omega
+from repro.networks import build_network, omega
 from repro.service.driver import run_service
+from repro.service.server import AllocationService, ServiceFaulted
 from repro.sim.workload import WorkloadSpec
 
 
@@ -102,17 +107,121 @@ class TestDriver:
             run_service(spec(), rate=0.0)
 
     def test_dead_client_is_raised_not_reported_as_an_empty_run(self, monkeypatch):
-        """A client task that dies takes its arrival stream with it; the
-        horizon's snapshot then describes less traffic than was asked
-        for (all zeros, if every client died the same way), so the
-        driver re-raises instead of returning it."""
+        """An arrival that dies must not be swallowed: the horizon's
+        snapshot would describe less traffic than was asked for (all
+        zeros, if every arrival died the same way).  Only the queue
+        bound's ``AllocationRejected`` is an expected outcome of
+        ``submit``; anything else leaves ``run_service`` as raised."""
 
         def boom(*args, **kwargs):
             raise RuntimeError("client bug")
 
-        monkeypatch.setattr("repro.service.driver._handle_request", boom)
+        monkeypatch.setattr(AllocationService, "submit", boom)
         with pytest.raises(RuntimeError, match="client bug"):
             run_service(spec(), rate=0.8, horizon=10.0, seed=1)
+
+    def test_raising_cycle_is_service_faulted_at_once(self, monkeypatch):
+        """A broken tick is not a result: the run stops at the first
+        raising cycle with the original as ``__cause__``."""
+        cycles = []
+
+        def broken(self):
+            cycles.append(self.clock.now())
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(AllocationService, "run_one_cycle", broken)
+        with pytest.raises(ServiceFaulted, match="solver exploded") as excinfo:
+            run_service(spec(), rate=0.8, horizon=10.0, seed=1)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert cycles == [1.0]
+
+
+# ----------------------------------------------------------------------
+# Behaviour pinned across the rewrite: run_service used to replay this
+# schedule on asyncio (a task per processor and per request, parked on
+# the VirtualClock); the digests below were recorded from that driver at
+# dddc0ba and must never be re-recorded to make a change pass.
+# ----------------------------------------------------------------------
+def named(net="omega", ports=8, **kwargs):
+    return spec(builder=partial(build_network, net), n_ports=ports, **kwargs)
+
+
+GRID = [
+    # five topologies x three seeds
+    *[
+        (f"{net}-8/seed{seed}", named(net), dict(rate=0.8, horizon=60.0, seed=seed))
+        for net in ("omega", "cube", "benes", "crossbar", "clos")
+        for seed in (1, 2, 3)
+    ],
+    ("overload", named(ports=4), dict(
+        rate=4.0, horizon=60.0, seed=5, queue_limit=6, request_timeout=4.0,
+        mean_service=4.0)),
+    ("typed+priority", named(resource_types=("fft", "io"), priority_levels=3),
+     dict(rate=0.5, horizon=30.0, seed=11)),
+    ("max_batch=1", named(), dict(rate=1.5, horizon=40.0, seed=13, max_batch=1)),
+    ("tick=0.25", named(), dict(rate=0.8, horizon=40.0, seed=4, tick_interval=0.25)),
+    ("tick=0.5", named(), dict(rate=0.8, horizon=40.0, seed=4, tick_interval=0.5)),
+    ("transmission=0", named(), dict(rate=0.8, horizon=40.0, seed=6, transmission_time=0.0)),
+    ("transmission=tick", named(), dict(rate=0.8, horizon=40.0, seed=6, transmission_time=1.0)),
+    ("mean_service=0", named(), dict(rate=0.8, horizon=40.0, seed=8, mean_service=0.0)),
+    ("timeout=None", named(), dict(rate=1.5, horizon=40.0, seed=9, request_timeout=None)),
+    ("omega-32", named(ports=32), dict(rate=0.8, horizon=100.0, seed=7)),
+    ("omega-8/horizon200", named(), dict(rate=0.8, horizon=200.0, seed=7)),
+    # Same-instant orderings: a zero service time releases within the
+    # instant its transmission ends, ahead of a tick due at that instant.
+    ("service=0,transmission=2ticks",
+     named("benes", occupied_circuits=1, priority_levels=2, resource_types=("a", "b")),
+     dict(rate=0.3, horizon=33.3, seed=1, max_batch=3, queue_limit=2,
+          request_timeout=4.0, transmission_time=2.0, mean_service=0.0)),
+    ("service=0,transmission=4ticks", named(ports=4, occupied_circuits=1), dict(
+        rate=0.8, horizon=33.3, seed=60, tick_interval=0.5, queue_limit=6,
+        request_timeout=4.0, transmission_time=1.0, mean_service=0.0)),
+    ("service=0,transmission=0", named(occupied_circuits=2), dict(
+        rate=1.0, horizon=30.0, seed=100, transmission_time=0.0, mean_service=0.0)),
+    # The first arrival is at 0.03, the next event at 0.96: stepping the
+    # clock by the difference lands one ulp off.
+    ("long-first-hop", named(ports=4), dict(rate=0.5, horizon=3.0, seed=48)),
+]
+
+GOLDEN = {
+    "omega-8/seed1": "8c829df75a9cd9b3d07934ba4e76ebeeec0919a12d0f4397b5e6e7606c92fb50",
+    "omega-8/seed2": "22282fef266a768ccfbec594d43899c825704a5f430947c24a391ca84612d890",
+    "omega-8/seed3": "7c11f380bd1b763fa6edb76f4527c209aab2a053c8ef0005d2c40454e3d4f2f8",
+    "cube-8/seed1": "30839f590157fa636ca38b5a62d6d4d5d01891896a90d7cfae247ba12fd45a7b",
+    "cube-8/seed2": "3a8303026c14e69fdef65c36645bc748ec6ed146dfb7628ee47b1c1fb4fcf8dc",
+    "cube-8/seed3": "0927e2a2632e8608941fbe99caff036a419b0a281e47e7856c33ddd4cff99b3b",
+    "benes-8/seed1": "517a9069714c446cc56b3bc7d4de43b706f382b0c61a325ebd6c5018566c1c34",
+    "benes-8/seed2": "9fa4a1e83917122c59547c7ef58c22c64c8b96aea1405b5245dac6efd827a967",
+    "benes-8/seed3": "1fc8620374bd1c190749b4931a00fa97cb6e8fce2efafb8bcc47303288378894",
+    "crossbar-8/seed1": "47c423e706b2dbddc71a4b584d7eb72844c41fdca8fa11cc7f75cdedd248039b",
+    "crossbar-8/seed2": "a5bed94b7b16b5635c33cdb37bac5e10959c91684047a291e35373e645a74db1",
+    "crossbar-8/seed3": "cc05918d074f708c9a0eff29c39254a7262401646b92cde0a51f267d05d7fb6c",
+    "clos-8/seed1": "687d308830a69a4272b1a1ae9fb25a60da4885a309b14184ab1e70c67673a29c",
+    "clos-8/seed2": "f61ab3d9780f34dd62b99be2436b9008328b02731fc40a171bb46c11a7cb93f5",
+    "clos-8/seed3": "ad025265de7d0baa6657cb9aa3849cba5cf93d809fb50b1063f415e02ea84579",
+    "overload": "dcdd95da93c304da5d2773616b9f59af4d695f27d3ebfdec7a56c60f4129cde5",
+    "typed+priority": "6059e17cb609109565c9209d66e2bdd4407be8dd4993812d441671c92107cb1d",
+    "max_batch=1": "53b66d88a84837b7493ee4efd42e5367c3e5e0a16094a93b343f49499810826f",
+    "tick=0.25": "8153a8678d94554e8f9cf046bf03d4a5d5ab26ecdc819a669af4ae618c884fb5",
+    "tick=0.5": "df5c9fffdda723d5ced3ad5e2e9d44eeb4dfe1c0b3eb96e9325c426bf19de0b8",
+    "transmission=0": "9439d74a7a0a8dca5aa0c0bab5e7cc1010a923500f6577841684fc9c75975d77",
+    "transmission=tick": "f70631a0b4a185606cd78dacc93440e3fefd0103b0f326e5c0be17ccb328471a",
+    "mean_service=0": "fea33e44c675685a739aff5993b4e94fbf8491bb77959b3c7dc707dcc1af6df2",
+    "timeout=None": "048773b4e32587e78cb85f419d4a42f3306cf89d0fba314c3189932fbbb68c72",
+    "omega-32": "c1e88df27a36cf2266cff5a2cb10935ed8bf3fb092df4b34420c5ae8846d2b26",
+    "omega-8/horizon200": "1dbcf874030a5004e75968b3d35853a5d2e98a2a2661538b42b394439d3d9e2a",
+    "service=0,transmission=2ticks": "d3d91fad0167fd1f23512a852ffb3a68c315689686591d77a841ddfc2be43c08",
+    "service=0,transmission=4ticks": "65eb4168771c75022e8a6b94c76fbc0934404dfa598b23d92a950b4265e480de",
+    "service=0,transmission=0": "f433a65840fca2c93452175053c068fc240f5da1105f2d1418fda9b787ea0119",
+    "long-first-hop": "f818fff91a400e8c72ed7952f772bd6c0d3f0a293a1b8573355e82a5bff537d1",
+}
+
+
+@pytest.mark.parametrize("name,workload,kwargs", GRID, ids=[row[0] for row in GRID])
+def test_snapshot_and_table_match_the_event_loop_driver(name, workload, kwargs):
+    result = run_service(workload, **kwargs)
+    blob = json.dumps(result.snapshot, sort_keys=True) + "\n" + result.render()
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[name]
 
 
 class TestServeCLI:

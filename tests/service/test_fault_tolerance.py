@@ -1,5 +1,5 @@
 """Service-level fault tolerance: lease revocation, the tick-loop
-fault budget, closed/faulted-service errors, and retry-with-backoff."""
+fault budget, and closed/faulted-service errors."""
 
 import asyncio
 
@@ -9,7 +9,6 @@ from repro.core import MRSIN, Request
 from repro.faults import FaultEvent
 from repro.networks import omega
 from repro.service.clock import VirtualClock
-from repro.service.driver import acquire_with_retry
 from repro.service.server import (
     AllocationError,
     AllocationRejected,
@@ -75,7 +74,6 @@ class TestLeaseRevocation:
             revoked = service.reconcile_faults()
             assert revoked == [victim]
             assert victim.revoked and not victim.active
-            assert victim.revocation.is_set()
             assert service.active_leases == 3
             for survivor in leases[1:]:
                 assert survivor.active and not survivor.revoked
@@ -128,13 +126,13 @@ class TestLeaseRevocation:
             tasks = await enqueue(service, [Request(0)])
             (lease,) = service.run_one_cycle()
             await finish(tasks)
-            waiter = asyncio.ensure_future(lease.revocation.wait())
-            await drain()
-            assert not waiter.done()
+            pushed = []
+            lease.on_revoke = pushed.append
             mrsin.fail_resource(lease.resource)
+            assert pushed == []  # a fault alone revokes nothing
             service.reconcile_faults()
-            await drain()
-            assert waiter.done()  # push notification, no polling
+            assert pushed == [lease]  # push notification, no polling
+            assert lease.revoked
 
         run(scenario())
 
@@ -317,121 +315,3 @@ class TestFaultBudget:
     def test_fault_budget_validation(self):
         with pytest.raises(ValueError, match="fault_budget"):
             ServiceConfig(fault_budget=-1)
-
-
-# ----------------------------------------------------------------------
-# acquire_with_retry: bounded, deterministic backoff
-# ----------------------------------------------------------------------
-class TestAcquireWithRetry:
-    def test_retry_succeeds_after_queue_drains(self):
-        async def scenario():
-            clock = VirtualClock()
-            mrsin = MRSIN(omega(8))
-            service = AllocationService(
-                mrsin,
-                config=ServiceConfig(tick_interval=1.0, queue_limit=1),
-                clock=clock,
-            )
-            async with service:
-                blocker = asyncio.ensure_future(service.acquire(Request(0)))
-                await drain()
-                retrier = asyncio.ensure_future(
-                    acquire_with_retry(service, Request(1), rng=7, base_delay=0.5)
-                )
-                await drain()
-                assert not retrier.done()  # first attempt bounced, backing off
-                await clock.run_until(20.0)
-                await drain()
-                lease0 = await blocker
-                lease1 = await retrier
-                assert lease1.request.processor == 1
-                service.release(lease0)
-                service.release(lease1)
-
-        run(scenario())
-
-    def test_retry_gives_up_after_attempts(self):
-        async def scenario():
-            clock = VirtualClock()
-            mrsin = MRSIN(omega(4))
-            service = AllocationService(
-                mrsin,
-                config=ServiceConfig(tick_interval=1.0, queue_limit=1),
-                clock=clock,
-            )
-            # Never start the loop: the queue never drains.
-            blocker = asyncio.ensure_future(service.acquire(Request(0)))
-            await drain()
-            retrier = asyncio.ensure_future(
-                acquire_with_retry(service, Request(1), rng=3, attempts=3)
-            )
-            await drain()
-            await clock.run_until(100.0)
-            await drain()
-            with pytest.raises(AllocationRejected):
-                await retrier
-            blocker.cancel()
-            await asyncio.gather(blocker, return_exceptions=True)
-            await service.close()
-
-        run(scenario())
-
-    def test_retry_schedule_is_deterministic(self):
-        async def attempt_times(seed):
-            clock = VirtualClock()
-            mrsin = MRSIN(omega(4))
-            service = AllocationService(
-                mrsin, config=ServiceConfig(queue_limit=1), clock=clock
-            )
-            blocker = asyncio.ensure_future(service.acquire(Request(0)))
-            await drain()
-            times = []
-            original = service.acquire
-
-            async def recording_acquire(request, **kwargs):
-                times.append(clock.now())
-                return await original(request, **kwargs)
-
-            service.acquire = recording_acquire
-            retrier = asyncio.ensure_future(
-                acquire_with_retry(service, Request(1), rng=seed, attempts=4)
-            )
-            await drain()
-            await clock.run_until(100.0)
-            await drain()
-            with pytest.raises(AllocationRejected):
-                await retrier
-            blocker.cancel()
-            await asyncio.gather(blocker, return_exceptions=True)
-            await service.close()
-            return times
-
-        first = run(attempt_times(11))
-        second = run(attempt_times(11))
-        other = run(attempt_times(12))
-        assert len(first) == 4
-        assert first == second  # same seed, same backoff schedule
-        assert first != other  # jitter really depends on the seed
-
-    def test_closed_service_propagates_immediately(self):
-        async def scenario():
-            service = make_service(MRSIN(omega(4)))
-            await service.close()
-            with pytest.raises(ServiceClosed):
-                await acquire_with_retry(service, Request(0), rng=0)
-
-        run(scenario())
-
-    def test_retry_validates_parameters(self):
-        async def scenario():
-            service = make_service(MRSIN(omega(4)))
-            with pytest.raises(ValueError, match="attempts"):
-                await acquire_with_retry(service, Request(0), attempts=0)
-            with pytest.raises(ValueError, match="base_delay"):
-                await acquire_with_retry(service, Request(0), base_delay=0.0)
-            with pytest.raises(ValueError, match="max_delay"):
-                await acquire_with_retry(
-                    service, Request(0), base_delay=2.0, max_delay=1.0
-                )
-
-        run(scenario())

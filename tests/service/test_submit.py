@@ -261,11 +261,10 @@ class TestTicket:
 
 
 def test_revocation_allocates_no_event_and_needs_no_loop():
-    """``reconcile_faults`` used to build an ``asyncio.Event`` for every
-    revoked lease through the lazy ``revocation`` property.  On a thread
-    that never had an event loop: the lease is revoked, ``on_revoke``
-    fires, and no event exists until a holder asks for one — which then
-    comes back already set."""
+    """Revocation is ``lease.revoked`` plus the ``on_revoke`` callback and
+    nothing else — no ``asyncio.Event`` per lease.  On a thread that
+    never had an event loop: the lease is revoked and ``on_revoke``
+    fires from the reconciling call."""
     outcome = {}
 
     def body():
@@ -278,16 +277,12 @@ def test_revocation_allocates_no_event_and_needs_no_loop():
         service.mrsin.fail_resource(lease.resource)
         outcome["revoked"] = service.reconcile_faults() == [lease] and lease.revoked
         outcome["pushed"] = pushed == [lease]
-        outcome["no_event"] = lease._revocation is None
-        outcome["backfilled"] = lease.revocation.is_set()
 
     thread = threading.Thread(target=body)
     thread.start()
     thread.join(timeout=10)
     assert not thread.is_alive()
-    assert outcome == {
-        "revoked": True, "pushed": True, "no_event": True, "backfilled": True,
-    }
+    assert outcome == {"revoked": True, "pushed": True}
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,21 @@ class TestQueueing:
         with pytest.raises(ValueError, match="unknown policy"):
             simulate_queueing(MRSIN(omega(8)), policy="psychic")
 
+    @pytest.mark.parametrize(
+        "knob,value",
+        [
+            ("arrival_rate", float("nan")), ("arrival_rate", float("inf")),
+            ("horizon", float("nan")), ("horizon", float("inf")),
+            ("mean_service", float("nan")),
+            ("transmission_time", float("nan")), ("transmission_time", -1.0),
+        ],
+    )
+    def test_rejects_nan_inf_and_negative(self, knob, value):
+        """``arrival_rate=nan`` used to die mid-run on an internal
+        "no transmitting circuit" error; an infinite horizon never ends."""
+        with pytest.raises(ValueError, match=knob):
+            simulate_queueing(MRSIN(omega(8)), **{knob: value})
+
     def test_network_state_consistent_after_run(self):
         m = MRSIN(omega(8))
         simulate_queueing(m, arrival_rate=0.5, horizon=100.0, seed=3)

@@ -22,6 +22,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WorkloadSpec(builder=omega, priority_levels=0)
 
+    def test_negative_occupancy_rejected(self):
+        """``occupied_circuits=-1`` used to run as 0 under a -1 label."""
+        with pytest.raises(ValueError, match="occupied_circuits"):
+            WorkloadSpec(builder=omega, occupied_circuits=-1)
+
 
 class TestOccupancyHelpers:
     def test_occupy_random_circuits(self):

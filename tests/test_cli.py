@@ -157,6 +157,23 @@ class TestCommands:
             ("serve --timeout -1 --horizon 5", "timeout must be a finite number > 0"),
             ("serve --horizon inf", "horizon must be positive and finite"),
             ("wire-serve --duration -1", "duration must be positive"),
+            # The same family one layer out: a NaN rate used to inject
+            # zero faults and report "invariants all held", schedule zero
+            # arrivals and report a clean run, or die on an internal
+            # error; an infinite one never returned.
+            ("chaos --fault-rate nan --ticks 5", "fault_rate must be positive and finite"),
+            ("chaos --mean-repair nan --ticks 5", "mean_repair must be positive and finite"),
+            ("chaos --fault-rate inf --ticks 5", "fault_rate must be positive and finite"),
+            ("wire-serve --fault-rate nan --duration 0.1", "fault_rate must be positive"),
+            ("queueing --rate nan", "arrival_rate must be positive and finite"),
+            ("queueing --horizon inf", "horizon must be positive and finite"),
+            ("loadgen --port 1 --rate nan", "rate must be positive and finite"),
+            ("loadgen --port 1 --rate inf", "rate must be positive and finite"),
+            ("loadgen --port 1 --duration nan", "duration must be positive and finite"),
+            ("loadgen --port 1 --hold nan", "mean_hold must be finite and >= 0"),
+            ("loadgen --port 1 --timeout nan", "request_timeout must be positive and finite"),
+            ("serve --occupied -1 --horizon 5", "occupied_circuits must be >= 0"),
+            ("schedule --occupied -1", "occupied_circuits must be >= 0"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, argv, complaint):

@@ -220,6 +220,15 @@ class TestFaultInjector:
         with pytest.raises(ValueError):
             FaultInjector(m, kinds=("link", "bus"))
 
+    @pytest.mark.parametrize("knob", ["fault_rate", "mean_repair"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_injector_rejects_nan_and_inf(self, knob, value):
+        """NaN passes ``x <= 0``: the injector then never draws a fault
+        (``nan <= now`` is false for ever) and a chaos run reports
+        "invariants all held" over zero faults."""
+        with pytest.raises(ValueError, match=knob):
+            FaultInjector(MRSIN(omega(4)), **{knob: value})
+
 
 # ----------------------------------------------------------------------
 # Chaos: churn with hard invariants (CI runs the full 2000-tick job)

@@ -7,9 +7,11 @@ in the suite runs; an option removed from a config must be a
 accepted and ignored.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import typing
 from functools import partial
@@ -19,6 +21,7 @@ import pytest
 import repro
 import repro.fabric
 import repro.flows
+import repro.service
 from repro.cli import build_parser
 from repro.core import MRSIN, OptimalScheduler
 from repro.core.scheduler import MINCOST_ALGORITHMS
@@ -29,7 +32,7 @@ from repro.flows import CompiledNetwork, FlowNetwork, kernel_solve
 from repro.networks import omega
 from repro.service.driver import run_service
 from repro.service.metrics import ServiceMetrics
-from repro.service.server import AllocationService, ServiceConfig
+from repro.service.server import AllocationService, Lease, ServiceConfig
 from repro.wire.loadgen import LoadGenConfig
 
 MODULES = sorted(
@@ -163,3 +166,42 @@ def test_the_service_has_one_solve_path_and_no_knob_for_another():
     assert "degraded_ticks" not in snapshot
     assert {"engine_builds", "engine_warm_ticks"} <= set(snapshot)
     assert not hasattr(ServiceMetrics, "render")
+
+
+def _imports_asyncio(path):
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "asyncio" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "asyncio":
+                return True
+    return False
+
+
+def test_no_event_loop_outside_the_network_edge():
+    # ISSUE 23: every in-process driver (run_service, run_chaos, the
+    # fabric cell) is a plain function over submit / run_one_cycle.  An
+    # event loop belongs to the service's own tick loop, the clock that
+    # fakes it for tests, the TCP layer and the verbs that start them.
+    # A parse, not an import: nothing here runs.
+    src = pathlib.Path(repro.__file__).parent
+    importers = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if _imports_asyncio(path)
+    }
+    allowed = {"cli.py", "service/server.py", "service/clock.py"}
+    assert {p for p in importers if not p.startswith("wire/")} <= allowed
+
+
+def test_one_retry_loop_and_one_revocation_notice():
+    # ISSUE 23: acquire_with_retry had no caller (the wire client has
+    # its own seeded backoff), and the service-side lazy asyncio.Event
+    # was a second notification beside Lease.on_revoke.
+    assert not hasattr(repro.service, "acquire_with_retry")
+    assert not hasattr(repro.service.driver, "acquire_with_retry")
+    assert "revocation" not in {f.name.lstrip("_") for f in dataclasses.fields(Lease)}
+    assert not hasattr(Lease, "revocation")
+    assert any(f.name == "on_revoke" for f in dataclasses.fields(Lease))

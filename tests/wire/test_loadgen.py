@@ -8,14 +8,18 @@ import pytest
 
 from repro.core import MRSIN
 from repro.networks import omega
+from repro.service.clock import MonotonicClock
 from repro.service.server import AllocationService, ServiceConfig
-from repro.wire import WireServer
+from repro.wire import WireClient, WireServer
 from repro.wire.loadgen import (
     ARRIVAL_PROCESSES,
     BURST_ON_FRACTION,
     BURST_PERIOD,
     DIURNAL_PERIOD,
+    Arrival,
     LoadGenConfig,
+    LoadGenReport,
+    _one_request,
     arrival_schedule,
     run_loadgen,
 )
@@ -88,6 +92,16 @@ class TestSchedules:
         with pytest.raises(ValueError):
             cfg(request_timeout=0)
 
+    @pytest.mark.parametrize(
+        "knob", ["rate", "duration", "request_timeout", "mean_hold", "transmission"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_nan_and_inf(self, knob, value):
+        """NaN passes ``x <= 0`` — an empty schedule reported as a clean
+        run — and ``rate=inf`` never left ``arrival_schedule``."""
+        with pytest.raises(ValueError, match=knob):
+            cfg(**{knob: value})
+
 
 # ----------------------------------------------------------------------
 # A short real run
@@ -129,3 +143,36 @@ class TestRun:
             assert "loadgen" in report.render()
 
         asyncio.run(scenario())
+
+    def test_request_cancelled_mid_hold_gives_its_lease_back(self):
+        """Cancelling one request's lifecycle while it holds its lease
+        (a deadline, a shutdown) must hand the lease back itself: the
+        connection stays open, so the server's disconnect cleanup will
+        not do it."""
+
+        async def scenario():
+            service = AllocationService(
+                MRSIN(omega(8)),
+                config=ServiceConfig(tick_interval=0.005, default_timeout=2.0),
+            )
+            config = cfg(request_timeout=2.0)
+            report = LoadGenReport(config=config, offered=1)
+            async with service:
+                async with WireServer(service) as server:
+                    host, port = server.address
+                    async with WireClient(host, port, request_timeout=2.0) as client:
+                        request = asyncio.ensure_future(_one_request(
+                            client, Arrival(time=0.0, processor=3, hold=30.0),
+                            config, MonotonicClock(), report,
+                        ))
+                        while report.completed == 0:  # LEASE received: holding
+                            await asyncio.sleep(0.005)
+                        assert service.active_leases == 1
+                        request.cancel()
+                        await asyncio.gather(request, return_exceptions=True)
+                        assert request.cancelled()
+                        assert service.active_leases == 0
+                        assert server.open_connections == 1
+                        await client.ping()  # and still usable
+
+        asyncio.run(asyncio.wait_for(scenario(), 10.0))

@@ -205,6 +205,7 @@ class TestDrain:
                     await poll_until(lambda: service.queue_depth == 1)
                     drain_task = asyncio.ensure_future(server.drain())
                     await poll_until(lambda: server.draining)
+                    assert server.pending_acquires() == 1
                     # New ACQUIREs bounce immediately...
                     with pytest.raises(WireRejected, match="draining"):
                         await client.acquire(1)
@@ -216,6 +217,9 @@ class TestDrain:
                     await client.release(held[0])
                     lease = await asyncio.wait_for(queued, 2.0)
                     await asyncio.wait_for(drain_task, 2.0)
+                    # drain() slept across the grant: it must not put back
+                    # the in-flight count it saw before sleeping.
+                    assert server.pending_acquires() == 0
                     assert lease.active
                     # Cleanup still works on a draining server.
                     await client.release(lease)
@@ -655,6 +659,24 @@ class TestExactlyOneReply:
 # Guards and error replies
 # ----------------------------------------------------------------------
 class TestGuards:
+    def test_concurrent_connections_are_each_counted_once(self):
+        """Every handler coroutine is parked in its read loop at the same
+        time; a count read before that await and written back after it
+        would lose all but one of them."""
+
+        async def scenario():
+            async with stack() as (service, server):
+                host, port = server.address
+                clients = [WireClient(host, port, request_timeout=2.0) for _ in range(6)]
+                await asyncio.gather(*(client.connect() for client in clients))
+                await asyncio.gather(*(client.ping() for client in clients))
+                assert server.open_connections == server.connections_accepted == 6
+                await asyncio.gather(*(client.close() for client in clients))
+                await poll_until(lambda: server.open_connections == 0)
+                assert server.connections_accepted == 6
+
+        run(scenario())
+
     def test_max_connections_refused_with_error_frame(self):
         async def scenario():
             async with stack(max_connections=1) as (service, server):
