@@ -247,51 +247,6 @@ def parse_suppressions(path: str, source: str, known_rules: Iterable[str]) -> tu
     return suppressions, meta
 
 
-def changed_files(paths: Sequence[str | Path]) -> list[Path]:
-    """``.py`` files under ``paths`` that differ from git HEAD.
-
-    The union of staged, unstaged, and untracked changes — the set a
-    pre-commit hook cares about.  Files deleted from the worktree are
-    skipped.  Raises :class:`LintError` when git is unavailable or the
-    working directory is not inside a repository, so callers fail loud
-    rather than silently linting nothing.
-    """
-    import subprocess
-
-    def git(*argv: str) -> str:
-        try:
-            proc = subprocess.run(
-                ["git", *argv], capture_output=True, text=True, check=False
-            )
-        except OSError as exc:
-            raise LintError(f"git unavailable: {exc}") from exc
-        if proc.returncode != 0:
-            raise LintError(
-                f"git {' '.join(argv)} failed: {proc.stderr.strip()}"
-            )
-        return proc.stdout
-
-    toplevel = Path(git("rev-parse", "--show-toplevel").strip())
-    names: set[str] = set()
-    for out in (
-        git("diff", "--name-only", "HEAD"),
-        git("ls-files", "--others", "--exclude-standard"),
-    ):
-        names.update(line.strip() for line in out.splitlines() if line.strip())
-    roots = [Path(p).resolve() for p in paths]
-    selected: list[Path] = []
-    for name in sorted(names):
-        candidate = toplevel / name
-        if candidate.suffix != ".py" or not candidate.is_file():
-            continue
-        resolved = candidate.resolve()
-        if any(
-            resolved == root or root in resolved.parents for root in roots
-        ):
-            selected.append(candidate)
-    return selected
-
-
 class LintEngine:
     """Run a set of rules over files and reconcile suppressions."""
 

@@ -13,7 +13,7 @@ Examples
     python -m repro wire-serve --network omega --ports 16 --port 7586
     python -m repro loadgen --port 7586 --rate 300 --duration 5 --seed 7
     python -m repro fabric-serve --cells 4 --ports 32 --rounds 40 --seed 7
-    python -m repro fabric-chaos --cells 4 --kill-cell 1 --kill-round 10
+    python -m repro fabric-serve --cells 4 --kill-cell 1 --kill-round 10
     python -m repro tokens --seed 31
     python -m repro lint --stats
     python -m repro typecheck
@@ -35,6 +35,7 @@ from repro.core import MRSIN, OptimalScheduler, Request
 from repro.distributed import DistributedScheduler
 from repro.networks import TOPOLOGIES, build_network, omega
 from repro.networks.render import render_circuits, render_network
+from repro.service.invariants import InvariantError
 from repro.sim.blocking import POLICIES, estimate_blocking
 from repro.sim.queueing import simulate_queueing
 from repro.sim.runner import sweep as run_sweep
@@ -283,30 +284,30 @@ def cmd_loadgen(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Fault/repair churn against the service, with hard invariants."""
-    from repro.faults.chaos import ChaosInvariantError, run_chaos
+    from repro.faults.chaos import run_chaos
 
-    try:
-        report = run_chaos(
-            topology=args.network,
-            ports=args.ports,
-            ticks=args.ticks,
-            seed=args.seed,
-            rate=args.rate,
-            fault_rate=args.fault_rate,
-            transient_fraction=args.transient,
-            mean_repair=args.mean_repair,
-            check_every=args.check_every,
-        )
-    except ChaosInvariantError as exc:
-        raise SystemExit(f"error: chaos invariant violated: {exc}") from exc
+    report = run_chaos(
+        topology=args.network,
+        ports=args.ports,
+        ticks=args.ticks,
+        seed=args.seed,
+        rate=args.rate,
+        fault_rate=args.fault_rate,
+        transient_fraction=args.transient,
+        mean_repair=args.mean_repair,
+        check_every=args.check_every,
+    )
     print(report.render())
     return 0
 
 
-def _fabric_config(args):
-    from repro.fabric.driver import FabricConfig
+def cmd_fabric_serve(args) -> int:
+    """Run one sharded fabric workload (multi-process cells + broker),
+    optionally SIGKILLing one cell mid-run (``--kill-cell``)."""
+    from repro.fabric.broker import FabricError
+    from repro.fabric.driver import ChaosSchedule, FabricConfig, run_fabric
 
-    return FabricConfig(
+    config = FabricConfig(
         topology=args.network,
         ports=args.ports,
         cells=args.cells,
@@ -321,15 +322,17 @@ def _fabric_config(args):
         uplink=args.uplink,
         trunk=args.trunk,
     )
-
-
-def cmd_fabric_serve(args) -> int:
-    """Run one sharded fabric workload (multi-process cells + broker)."""
-    from repro.fabric.broker import FabricError
-    from repro.fabric.driver import run_fabric
-
+    schedule = None
+    if args.kill_cell is not None:
+        schedule = ChaosSchedule(
+            cell=args.kill_cell,
+            kill_round=10 if args.kill_round is None else args.kill_round,
+            rejoin_round=20 if args.rejoin_round is None else args.rejoin_round or None,
+        )
+    elif args.kill_round is not None or args.rejoin_round is not None:
+        raise ValueError("--kill-round / --rejoin-round need --kill-cell")
     try:
-        result = run_fabric(_fabric_config(args))
+        result = run_fabric(config, chaos=schedule)
     except FabricError as exc:
         raise SystemExit(f"error: fabric failed: {exc}") from exc
     if args.json:
@@ -346,30 +349,6 @@ def cmd_fabric_serve(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(result.render())
-    return 0
-
-
-def cmd_fabric_chaos(args) -> int:
-    """Whole-cell kill/rejoin chaos against a live fabric."""
-    from repro.fabric.broker import FabricError, FabricInvariantError
-    from repro.fabric.chaos import run_fabric_chaos
-    from repro.fabric.driver import ChaosSchedule
-
-    config = _fabric_config(args)
-    schedule = ChaosSchedule(
-        cell=args.kill_cell,
-        kill_round=args.kill_round,
-        rejoin_round=args.rejoin_round or None,
-    )
-    try:
-        report = run_fabric_chaos(
-            config, schedule, verify_determinism=args.verify_determinism
-        )
-    except FabricInvariantError as exc:
-        raise SystemExit(f"error: fabric invariant violated: {exc}") from exc
-    except FabricError as exc:
-        raise SystemExit(f"error: fabric failed: {exc}") from exc
-    print(report.render())
     return 0
 
 
@@ -392,7 +371,6 @@ def cmd_lint(args) -> int:
     from pathlib import Path
 
     from repro.analysis import LintEngine, LintError, default_rules
-    from repro.analysis.engine import changed_files
 
     rules = default_rules()
     if args.select:
@@ -402,12 +380,8 @@ def cmd_lint(args) -> int:
             raise SystemExit(f"error: unknown rule id(s): {', '.join(sorted(unknown))}")
         rules = [r for r in rules if r.id in wanted]
     paths = args.paths or [str(Path(__file__).resolve().parent)]
-    engine = LintEngine(rules)
     try:
-        targets: list = list(paths)
-        if args.changed:
-            targets = list(changed_files(paths))
-        report = engine.run(targets)
+        report = LintEngine(rules).run(paths)
     except LintError as exc:
         raise SystemExit(f"error: {exc}") from exc
     if args.format == "json":
@@ -613,48 +587,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cold-vs-warm differential every K ticks")
     p.set_defaults(func=cmd_chaos)
 
-    def _add_fabric_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--network", choices=sorted(TOPOLOGIES),
-                       default="omega", help="intra-cell topology")
-        p.add_argument("--ports", type=int, default=32, help="ports per cell")
-        p.add_argument("--cells", type=int, default=4, help="number of cells")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rounds", type=int, default=40,
-                       help="bulk-synchronous rounds of load")
-        p.add_argument("--ticks-per-round", type=int, default=8)
-        p.add_argument("--rate", type=float, default=0.18,
-                       help="arrivals per port per tick (per cell)")
-        p.add_argument("--spill-after", type=int, default=4,
-                       help="home-queue ticks before a request escalates")
-        p.add_argument("--max-hold", type=int, default=6,
-                       help="lease hold times drawn from 1..K ticks")
-        p.add_argument("--queue-limit", type=int, default=0,
-                       help="per-cell admission queue (0 = 4*ports)")
-        p.add_argument("--group-size", type=int, default=4,
-                       help="cells per spill-network aggregation pod")
-        p.add_argument("--uplink", type=int, default=8,
-                       help="per-cell spill uplink, requests/round")
-        p.add_argument("--trunk", type=int, default=32,
-                       help="spill core trunk, requests/round")
-
     p = sub.add_parser("fabric-serve",
                        help="run a sharded multi-process allocation fabric")
-    _add_fabric_args(p)
+    p.add_argument("--network", choices=sorted(TOPOLOGIES),
+                   default="omega", help="intra-cell topology")
+    p.add_argument("--ports", type=int, default=32, help="ports per cell")
+    p.add_argument("--cells", type=int, default=4, help="number of cells")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rounds", type=int, default=40,
+                   help="bulk-synchronous rounds of load")
+    p.add_argument("--ticks-per-round", type=int, default=8)
+    p.add_argument("--rate", type=float, default=0.18,
+                   help="arrivals per port per tick (per cell)")
+    p.add_argument("--spill-after", type=int, default=4,
+                   help="home-queue ticks before a request escalates")
+    p.add_argument("--max-hold", type=int, default=6,
+                   help="lease hold times drawn from 1..K ticks")
+    p.add_argument("--queue-limit", type=int, default=0,
+                   help="per-cell admission queue (0 = 4*ports)")
+    p.add_argument("--group-size", type=int, default=4,
+                   help="cells per spill-network aggregation pod")
+    p.add_argument("--uplink", type=int, default=8,
+                   help="per-cell spill uplink, requests/round")
+    p.add_argument("--trunk", type=int, default=32,
+                   help="spill core trunk, requests/round")
+    p.add_argument("--kill-cell", type=int, default=None,
+                   help="cell index to SIGKILL mid-run (whole-cell chaos "
+                        "with its invariants; default: no kill)")
+    p.add_argument("--kill-round", type=int, default=None,
+                   help="round of the kill (default 10)")
+    p.add_argument("--rejoin-round", type=int, default=None,
+                   help="round the killed cell rejoins (default 20; 0 = never)")
     p.add_argument("--json", action="store_true",
                    help="emit totals + merged snapshot as one JSON object")
     p.set_defaults(func=cmd_fabric_serve)
-
-    p = sub.add_parser("fabric-chaos",
-                       help="whole-cell kill/rejoin chaos with invariants")
-    _add_fabric_args(p)
-    p.add_argument("--kill-cell", type=int, default=1,
-                   help="cell index to SIGKILL")
-    p.add_argument("--kill-round", type=int, default=10)
-    p.add_argument("--rejoin-round", type=int, default=20,
-                   help="round the killed cell rejoins (0 = never)")
-    p.add_argument("--verify-determinism", action="store_true",
-                   help="run the schedule twice and compare settlements")
-    p.set_defaults(func=cmd_fabric_chaos)
 
     p = sub.add_parser("tokens", help="trace the distributed token architecture")
     _add_workload_args(p)
@@ -669,10 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print per-rule hit and suppression counts")
     p.add_argument("--select", action="append", default=[],
                    help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--changed", action="store_true",
-                   help="lint only files under the given paths that differ "
-                        "from git HEAD (staged, unstaged, or untracked) — "
-                        "the pre-commit fast path")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("typecheck",
@@ -698,6 +660,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # of 2, a port count the topology cannot realise); at the shell
         # that is one line and a nonzero exit, never a traceback.
         raise SystemExit(f"error: {exc}") from exc
+    except InvariantError as exc:  # chaos, fabric-serve
+        raise SystemExit(f"error: invariant violated: {exc}") from exc
 
 
 if __name__ == "__main__":  # pragma: no cover

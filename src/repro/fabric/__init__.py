@@ -23,13 +23,12 @@ Layout:
   its max-flow routing;
 - :mod:`repro.fabric.broker` — process supervision, lease custody,
   spill escalation, whole-cell failure handling, snapshot merging;
-- :mod:`repro.fabric.driver` — the seeded multi-process driver;
-- :mod:`repro.fabric.chaos` — whole-cell kill/rejoin chaos with hard
-  invariants.
+- :mod:`repro.fabric.driver` — the seeded multi-process driver, with
+  an optional whole-cell kill/rejoin schedule, under hard invariants
+  (:class:`repro.service.invariants.InvariantError`).
 """
 
-from repro.fabric.broker import FabricBroker, FabricError, FabricInvariantError
-from repro.fabric.chaos import FabricChaosReport, run_fabric_chaos
+from repro.fabric.broker import FabricBroker, FabricError
 from repro.fabric.driver import (
     ChaosSchedule,
     FabricConfig,
@@ -42,14 +41,11 @@ from repro.fabric.spill import SpillTopology, solve_spill
 __all__ = [
     "ChaosSchedule",
     "FabricBroker",
-    "FabricChaosReport",
     "FabricConfig",
     "FabricError",
-    "FabricInvariantError",
     "FabricPartition",
     "FabricRunResult",
     "SpillTopology",
     "run_fabric",
-    "run_fabric_chaos",
     "solve_spill",
 ]

@@ -47,14 +47,14 @@ from repro.fabric.messages import (
 from repro.fabric.partition import FabricPartition, gateway_port
 from repro.fabric.spill import SpillTopology, solve_spill
 from repro.service.clock import process_time_ns
-from repro.service.metrics import TICK_PHASES, UNITS_PER_TICK
+from repro.service.invariants import InvariantError
+from repro.service.metrics import TICK_PHASES, tick_timing, wait_percentiles
 from repro.util.counters import OpCounter
 from repro.util.histogram import LatencyHistogram
 
 __all__ = [
     "FabricBroker",
     "FabricError",
-    "FabricInvariantError",
     "LEASE_EPOCH_STRIDE",
     "RoundOutcome",
 ]
@@ -67,10 +67,6 @@ LEASE_EPOCH_STRIDE = 1_000_000_000
 
 class FabricError(Exception):
     """The broker was used incorrectly or the protocol broke down."""
-
-
-class FabricInvariantError(FabricError):
-    """A hard fabric invariant failed (real exception: survives -O)."""
 
 
 @dataclass
@@ -140,6 +136,12 @@ class FabricBroker:
         self.spill_counter = OpCounter()
         self.events: list[dict[str, Any]] = []
         self.counters: dict[str, int] = {
+            "offered": 0,
+            "allocated": 0,
+            "spill_allocated": 0,
+            "released": 0,
+            "home_timeouts": 0,
+            "home_rejections": 0,
             "escalated": 0,
             "spill_planned": 0,
             "spill_failed": 0,
@@ -395,7 +397,7 @@ class FabricBroker:
             for grant in result.granted:
                 self._inflight[index].pop(grant.req_id, None)
                 if grant.lease_id in self._registry:
-                    raise FabricInvariantError(
+                    raise InvariantError(
                         f"duplicate lease name {grant.lease_id!r}"
                     )
                 self._registry[grant.lease_id] = index
@@ -422,6 +424,12 @@ class FabricBroker:
         spares = {i: r.spare for i, r in sorted(results.items())}
         queue_depths = {i: r.queue_depth for i, r in sorted(results.items())}
         active = {i: r.active_leases for i, r in sorted(results.items())}
+        self.counters["offered"] += len(arrivals)
+        self.counters["allocated"] += len(granted_all)
+        self.counters["spill_allocated"] += sum(1 for g in granted_all if g.spilled)
+        self.counters["released"] += released
+        self.counters["home_timeouts"] += home_timeouts
+        self.counters["home_rejections"] += home_rejections
         self.counters["escalated"] += escalated
         self.counters["spill_planned"] += planned
         self.counters["spill_failed"] += len(spill_failed)
@@ -556,20 +564,6 @@ class FabricBroker:
                 phases[phase].merge(reply.hists[f"tick_{phase}"])
             allocated += int(reply.snapshot["allocated"])
 
-        wait_percentiles = {
-            label: (value + 1) / UNITS_PER_TICK
-            for label, value in wait.percentiles().items()
-        }
-        tick_timing: dict[str, dict[str, float]] = {}
-        for phase in TICK_PHASES:
-            hist = phases[phase]
-            quantiles = hist.percentiles()
-            tick_timing[phase] = {
-                "total_ns": hist.total,
-                "mean_ns": hist.mean,
-                "p50_ns": quantiles["p50"],
-                "p99_ns": quantiles["p99"],
-            }
         return {
             "cells": {
                 replies[index].cell_id: replies[index].snapshot
@@ -577,8 +571,8 @@ class FabricBroker:
             },
             "merged": {
                 "allocated": allocated,
-                "wait_percentiles": wait_percentiles,
-                "tick_timing": tick_timing,
+                "wait_percentiles": wait_percentiles(wait),
+                "tick_timing": tick_timing(phases),
             },
             "broker": {
                 "rounds": self._round_no,

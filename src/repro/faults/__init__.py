@@ -12,16 +12,16 @@ whose circuits a fault severed (see :mod:`repro.service.server`).
   fault/repair events, driven by the service clock;
 - :mod:`repro.faults.chaos` — :func:`run_chaos`: thousands of ticks
   of random fault/repair churn against a live allocation service,
-  with hard invariants (no circuit over a failed link, no lease
-  leaks, warm-start == cold allocation counts) enforced every tick.
+  with the shared invariant set of :mod:`repro.service.invariants`
+  (no circuit over a failed link, no lease leak, no lost request,
+  warm-start == cold allocation counts) enforced every tick.
   ``python -m repro chaos`` is the CLI wrapper.
 """
 
-from repro.faults.chaos import ChaosInvariantError, ChaosReport, run_chaos
+from repro.faults.chaos import ChaosReport, run_chaos
 from repro.faults.injector import FaultEvent, FaultInjector, apply_event
 
 __all__ = [
-    "ChaosInvariantError",
     "ChaosReport",
     "FaultEvent",
     "FaultInjector",

@@ -6,33 +6,29 @@ for thousands of manually stepped ticks under a
 :class:`~repro.faults.injector.FaultInjector` failing and repairing
 links, switchboxes, and resources mid-flight, Poisson request arrivals
 queueing through ``submit``, and leases walking the full
-transmit → serve → release lifecycle.  Every tick it enforces three
-hard invariants (real exceptions, so they survive ``python -O``):
+transmit → serve → release lifecycle.  Every tick runs through
+:func:`repro.service.invariants.checked_cycle` — the shared invariant
+set (no circuit over a failed component, no lease leak, no lost
+request) plus the warm == cold differential, all real exceptions, so
+they survive ``python -O``.
 
-1. **No circuit over a failed component** — after
-   :meth:`~repro.service.server.AllocationService.reconcile_faults`,
-   no severed allocation remains and no failed link is occupied;
-2. **No lease leaks** — busy resources and active leases stay in
-   one-to-one correspondence across every revocation;
-3. **Warm == cold** — the warm-start engine allocates exactly as many
-   requests per tick as a cold from-scratch optimal solve on the same
-   degraded network (Theorem 2 on the surviving subgraph).
-
-A violation raises :class:`ChaosInvariantError`; a clean run returns a
-:class:`ChaosReport`.  ``python -m repro chaos`` wraps this, and CI
-runs a 2000-tick omega-32 schedule on every push.
+A violation raises :class:`~repro.service.invariants.InvariantError`
+naming the tick; a clean run returns a :class:`ChaosReport`.
+``python -m repro chaos`` wraps this, and CI runs a 2000-tick omega-32
+schedule on every push.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.model import MRSIN
 from repro.core.requests import Request
-from repro.core.scheduler import OptimalScheduler
 from repro.faults.injector import FaultInjector
 from repro.networks import build_network
 from repro.service.clock import VirtualClock
+from repro.service.invariants import InvariantError, check_service, checked_cycle
 from repro.service.server import (
     AllocationRejected,
     AllocationService,
@@ -42,11 +38,7 @@ from repro.service.server import (
 from repro.util.rng import spawn_rngs
 from repro.util.tables import Table
 
-__all__ = ["ChaosInvariantError", "ChaosReport", "run_chaos"]
-
-
-class ChaosInvariantError(Exception):
-    """A hard invariant of the fault model was violated mid-churn."""
+__all__ = ["ChaosReport", "run_chaos"]
 
 
 @dataclass
@@ -121,15 +113,15 @@ def run_chaos(
         raise ValueError(f"ticks must be >= 1, got {ticks}")
     if check_every < 1:
         raise ValueError(f"check_every must be >= 1, got {check_every}")
-    if not rate >= 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
+    if not 0 <= rate < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"rate must be >= 0 and finite, got {rate}")
     clock = VirtualClock()
     arrival_rng, fault_rng, hold_rng = spawn_rngs(seed, 3)
     mrsin = MRSIN(build_network(topology, ports))
     n_procs = mrsin.n_processors
-    # No deadlines: deadline expiry inside run_one_cycle would shrink
-    # the queue between peek_batch() and the tick, skewing the
-    # differential.  Backpressure still applies via the bounded queue.
+    # Backpressure is the bounded queue.  No deadlines: CI pins this
+    # harness's output from before peek_batch() accounted for them
+    # (tests/service/test_invariants.py churns with deadlines on).
     config = ServiceConfig(
         queue_limit=max(4 * n_procs, 8),
         default_timeout=None,
@@ -139,7 +131,6 @@ def run_chaos(
         mrsin, rng=fault_rng, fault_rate=fault_rate,
         transient_fraction=transient_fraction, mean_repair=mean_repair,
     )
-    cold = OptimalScheduler()
     held: list[tuple[int, int, Lease]] = []  # (end_tx_tick, release_tick, lease)
     allocated = released = rejected = differential_checks = 0
     max_failures = 0
@@ -168,28 +159,21 @@ def run_chaos(
         held = surviving
         # 3. Fault/repair events due this tick.
         injector.inject(service, now)
-        # 4. Reconcile, then enforce the invariants.
-        service.reconcile_faults()
-        _check_invariants(service, mrsin, tick)
         failed = mrsin.failed_components()
         max_failures = max(
             max_failures,
             len(failed["links"]) + len(failed["switchboxes"]) + len(failed["resources"]),
         )
-        # 5. The tick itself, with the cold-vs-warm differential.
-        if tick % check_every == 0:
-            batch = service.peek_batch()
-            cold_count = len(cold.schedule(mrsin, batch)) if batch else 0
-            differential_checks += 1
-        else:
-            batch, cold_count = None, -1
-        leases = service.run_one_cycle()
-        if batch is not None and len(leases) != cold_count:
-            raise ChaosInvariantError(
-                f"tick {tick}: warm-start allocated {len(leases)} of "
-                f"{len(batch)} requests but a cold optimal solve on the "
-                f"same degraded network allocates {cold_count}"
-            )
+        # 4. The tick itself, under the shared invariant set.
+        try:
+            if tick % check_every == 0:
+                leases = checked_cycle(service)
+                differential_checks += 1
+            else:
+                leases = service.run_one_cycle()
+                check_service(service)
+        except InvariantError as exc:
+            raise InvariantError(f"tick {tick}: {exc}") from exc
         for lease in leases:
             hold = int(hold_rng.integers(1, 6))
             held.append((tick + 1, tick + 1 + hold, lease))
@@ -211,22 +195,3 @@ def run_chaos(
         max_concurrent_failures=max_failures,
     )
 
-
-def _check_invariants(service: AllocationService, mrsin: MRSIN, tick: int) -> None:
-    """Invariants 1 and 2, as real raises (``python -O`` safe)."""
-    severed = mrsin.severed_resources()
-    if severed:
-        raise ChaosInvariantError(
-            f"tick {tick}: severed allocations {severed} survived reconcile_faults"
-        )
-    for link in mrsin.network.links:
-        if link.failed and link.occupied:
-            raise ChaosInvariantError(
-                f"tick {tick}: failed link {link.index} still carries a circuit"
-            )
-    busy = sum(1 for res in mrsin.resources if res.busy)
-    if busy != service.active_leases:
-        raise ChaosInvariantError(
-            f"tick {tick}: {busy} busy resources vs {service.active_leases} "
-            f"active leases — a lease leaked across a revocation"
-        )

@@ -11,13 +11,20 @@ times, allocations/rejections/timeouts) and *solver* cost
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import Any
 
 from repro.distributed.monitor import INSTRUCTION_WEIGHTS
 from repro.util.counters import OpCounter
 from repro.util.histogram import LatencyHistogram
 
-__all__ = ["ServiceMetrics", "TICK_PHASES", "WAIT_BUCKET_TICKS"]
+__all__ = [
+    "ServiceMetrics",
+    "TICK_PHASES",
+    "WAIT_BUCKET_TICKS",
+    "tick_timing",
+    "wait_percentiles",
+]
 
 # Wait-time histogram bucket upper bounds, in units of the tick
 # interval (the natural quantum: requests are only granted at ticks).
@@ -38,6 +45,45 @@ UNITS_PER_TICK = 1024
 #: + the flow solve, ``apply`` = mapping application, engine commit,
 #: and lease fan-out.
 TICK_PHASES: tuple[str, ...] = ("reconcile", "solve", "apply")
+
+
+def wait_percentiles(hist: LatencyHistogram) -> dict[str, float]:
+    """p50/p90/p99/p999 granted-request wait, in ticks.
+
+    ``hist`` holds waits as :meth:`ServiceMetrics.record_allocation`
+    stores them (one service's, or several merged).  Each quantile is
+    resolved on the unit histogram and mapped back through the
+    recording shift (``units + 1`` upper-bounds ``ticks * 1024``), so
+    the figure is a tight upper bound at the histogram's log-bucket
+    resolution.
+    """
+    return {
+        label: (value + 1) / UNITS_PER_TICK
+        for label, value in hist.percentiles().items()
+    }
+
+
+def tick_timing(
+    phase_hists: Mapping[str, LatencyHistogram],
+) -> dict[str, dict[str, float]]:
+    """Per-phase tick durations: total/mean and p50/p99, in ns.
+
+    The breakdown that attributes where a cell's time goes (solve vs
+    apply vs reconcile).  Quantiles come from the per-phase
+    :class:`LatencyHistogram`, so per-cell histograms merged with
+    :meth:`LatencyHistogram.merge` keep them exact.
+    """
+    timing: dict[str, dict[str, float]] = {}
+    for phase in TICK_PHASES:
+        hist = phase_hists[phase]
+        p = hist.percentiles()
+        timing[phase] = {
+            "total_ns": hist.total,
+            "mean_ns": hist.mean,
+            "p50_ns": p["p50"],
+            "p99_ns": p["p99"],
+        }
+    return timing
 
 
 class ServiceMetrics:
@@ -182,39 +228,6 @@ class ServiceMetrics:
                 hist["> 32 ticks"] = self.wait_hist.count - below_prev
         return hist
 
-    def wait_percentiles(self) -> dict[str, float]:
-        """p50/p90/p99/p999 granted-request wait, in ticks.
-
-        Each quantile is resolved on the unit histogram and mapped back
-        through the recording shift (``units + 1`` upper-bounds
-        ``ticks * 1024``), so the figure is a tight upper bound at the
-        histogram's log-bucket resolution.
-        """
-        return {
-            label: (value + 1) / UNITS_PER_TICK
-            for label, value in self.wait_hist.percentiles().items()
-        }
-
-    def tick_timing(self) -> dict[str, dict[str, float]]:
-        """Per-phase tick durations: total/mean and p50/p99, in ns.
-
-        The breakdown the fabric benchmark uses to attribute where a
-        cell's time goes (solve vs apply vs reconcile).  Quantiles come
-        from the per-phase :class:`LatencyHistogram`, so merging
-        per-cell metrics preserves them exactly.
-        """
-        timing: dict[str, dict[str, float]] = {}
-        for phase in TICK_PHASES:
-            hist = self.phase_hists[phase]
-            p = hist.percentiles()
-            timing[phase] = {
-                "total_ns": hist.total,
-                "mean_ns": hist.mean,
-                "p50_ns": p["p50"],
-                "p99_ns": p["p99"],
-            }
-        return timing
-
     def snapshot(self) -> dict[str, Any]:
         """All metrics as a plain dict (JSON-serialisable)."""
         return {
@@ -233,8 +246,8 @@ class ServiceMetrics:
             "mean_queue_depth": self.mean_queue_depth,
             "max_queue_depth": self.max_queue_depth,
             "wait_histogram": self.wait_histogram(),
-            "wait_percentiles": self.wait_percentiles(),
-            "tick_timing": self.tick_timing(),
+            "wait_percentiles": wait_percentiles(self.wait_hist),
+            "tick_timing": tick_timing(self.phase_hists),
             "solver_ops": dict(sorted(self.counter.counts.items())),
             "solver_instructions": self.counter.total(INSTRUCTION_WEIGHTS),
         }

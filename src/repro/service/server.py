@@ -663,12 +663,20 @@ class AllocationService:
     def peek_batch(self) -> list[Request]:
         """The requests the next cycle would feed the solver (read-only).
 
-        The chaos harness uses this for its cold-vs-warm differential:
-        it computes a cold schedule on exactly the batch the warm tick
-        is about to solve.  Call :meth:`reconcile_faults` first if
-        faults may have landed since the last tick.
+        :func:`repro.service.invariants.checked_cycle` computes a cold
+        schedule on exactly the batch the warm tick is about to solve.
+        Entries whose deadline the cycle would expire first are left
+        out, so the two agree with or without deadlines.  Call
+        :meth:`reconcile_faults` first if faults may have landed since
+        the last tick.
         """
-        return [entry.request for entry in self._select_batch()]
+        now = self.clock.now()
+        queue = self._queue
+        self._queue = [entry for entry in queue if entry.deadline > now]
+        try:
+            return [entry.request for entry in self._select_batch()]
+        finally:
+            self._queue = queue
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

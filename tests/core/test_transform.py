@@ -47,6 +47,7 @@ class TestTransformation1Structure:
         m = omega_mrsin(requesters=[0, 1, 2])
         problem = transformation1(m)
         assert all(arc.capacity == 1 for arc in problem.net.arcs)
+        assert {type(arc.capacity) for arc in problem.net.arcs} == {int}
 
     def test_occupied_links_excluded(self):
         """Step T3/T4: occupied links get no arc."""

@@ -8,7 +8,6 @@ for exact control.
 import pytest
 
 from repro.fabric.broker import FabricBroker, FabricError, LEASE_EPOCH_STRIDE
-from repro.fabric.chaos import run_fabric_chaos
 from repro.fabric.driver import ChaosSchedule, FabricConfig, run_fabric
 from repro.fabric.messages import CellSpec, FabricRequest, RoundWork
 from repro.fabric.cell import CellWorker
@@ -230,21 +229,57 @@ class TestFabricChaos:
             max_hold=10, seed=5,
         )
         schedule = ChaosSchedule(cell=1, kill_round=4, rejoin_round=8)
-        report = run_fabric_chaos(config, schedule, verify_determinism=True)
-        assert report.deterministic is True
-        assert report.revoked > 0
-        assert report.granted_during_outage > 0
-        totals = report.result.totals
+        result = run_fabric(config, chaos=schedule)
+        rerun = run_fabric(config, chaos=schedule)
+        assert rerun.totals == result.totals
+        assert rerun.revoked_lease_ids == result.revoked_lease_ids
+        assert rerun.per_round_granted == result.per_round_granted
+        assert len(result.revoked_lease_ids) > 0
+        assert result.granted_during_outage > 0
+        assert result.granted_during_outage == sum(result.per_round_granted[3:8])
+        totals = result.totals
         assert totals["cells_killed"] == 1
         assert totals["cells_rejoined"] == 1
         assert totals["allocated"] + totals["spill_failed"] == totals["offered"]
         assert totals["released"] == totals["allocated"] - totals["revoked_on_death"]
         prefix = f"{FabricPartition('omega', 8, 3).cells[1].cell_id}:"
         assert all(
-            lease.startswith(prefix)
-            for lease in report.result.revoked_lease_ids
+            lease.startswith(prefix) for lease in result.revoked_lease_ids
         )
+        table = result.render()
+        assert "kill cell 1 @ round 4" in table
+        assert "grants during outage" in table and "leases revoked at kill" in table
+        assert "grants during outage" not in run_fabric(TestRunFabric.CONFIG).render()
 
     def test_rejects_undersized_fabric(self):
-        with pytest.raises(ValueError):
-            run_fabric_chaos(FabricConfig(ports=8, cells=1, rounds=4))
+        with pytest.raises(ValueError, match="cells must be >= 2"):
+            run_fabric(
+                FabricConfig(ports=8, cells=1, rounds=4),
+                chaos=ChaosSchedule(cell=0, kill_round=2, rejoin_round=None),
+            )
+
+    @pytest.mark.parametrize(
+        "schedule,complaint",
+        [
+            (ChaosSchedule(kill_round=13, rejoin_round=None), "kill_round 13 beyond"),
+            (ChaosSchedule(kill_round=4, rejoin_round=20), "rejoin_round 20 beyond"),
+            (ChaosSchedule(cell=2, kill_round=4, rejoin_round=8), "cell 2 outside"),
+        ],
+    )
+    def test_a_schedule_the_run_cannot_play_is_refused_before_any_spawn(
+        self, schedule, complaint, monkeypatch
+    ):
+        """These used to run the whole workload and then report a usage
+        error as ``fabric invariant violated: scheduled rejoin did not
+        happen``; ``run_fabric(chaos=)`` itself checked only the cell."""
+        def no_spawn(self):
+            raise AssertionError("a cell process was about to be spawned")
+
+        monkeypatch.setattr(FabricBroker, "start", no_spawn)
+        with pytest.raises(ValueError, match=complaint):
+            run_fabric(FabricConfig(ports=8, cells=2, rounds=12), chaos=schedule)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_config_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            FabricConfig(rate=rate)

@@ -138,6 +138,24 @@ class TestBlockingFlow:
         assert blocking_flow(net, layered) == 0.0
 
 
+class TestFlowsStayInt:
+    """R003's runtime half (ISSUE 24 audit): ``1.0 == 1`` passes every
+    value check in this file, so a re-floated flow is pinned by type."""
+
+    def test_dinic_leaves_int_flows_and_an_int_value(self):
+        net = fig8_network()
+        res = dinic(net, "s", "t")
+        assert res.value == 3 and type(res.value) is int
+        assert {type(arc.flow) for arc in net.arcs} == {int}
+
+    def test_blocking_flow_is_an_int_even_when_nothing_reaches_the_sink(self):
+        net = FlowNetwork()
+        net.add_arc("s", "t", 1).flow = 1
+        layered = build_layered_network(net, "s", "t")
+        assert not layered.reaches_sink
+        assert type(blocking_flow(net, layered)) is int
+
+
 class TestDinic:
     def test_fig8_recovers_blocked_request(self):
         """All three resources allocatable after reallocation (Fig. 8)."""

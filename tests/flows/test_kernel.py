@@ -276,6 +276,7 @@ class TestMinCostLowering:
         res = net.compile().min_cost_solve("s", "t", target_flow=1)
         assert (res.value, res.cost) == (1, 2)
         assert [arc.flow for arc in net.arcs] == [0, 1, 1]
+        assert {type(arc.flow) for arc in net.arcs} == {int}  # readback keeps Theorem 2's ints
         assert res.cost == net.total_cost()
 
     def test_compiled_network_can_be_solved_again(self):

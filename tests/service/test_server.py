@@ -514,6 +514,31 @@ class TestTickLoop:
         assert acquired_at == 1.0
         assert waited == 1.0
 
+    def test_a_tick_of_the_loop_costs_one_cycle_of_solver_work(self):
+        """Extra solves between two yields of the tick loop grant the
+        same leases (R005's solver-loop half, ISSUE 24 audit): the
+        operation counter is where they show."""
+
+        async def scenario(drive):
+            clock = VirtualClock()
+            service = AllocationService(
+                MRSIN(omega(8)), config=ServiceConfig(tick_interval=1.0), clock=clock
+            )
+            tasks = await enqueue(service, [Request(p) for p in (0, 3, 5)])
+            await drive(service, clock)
+            assert all(task.done() for task in tasks)
+            return service.snapshot()["solver_ops"]
+
+        async def by_the_loop(service, clock):
+            async with service:
+                await clock.run_until(1.0)
+
+        async def by_hand(service, clock):
+            service.run_one_cycle()
+            await drain()
+
+        assert run(scenario(by_the_loop)) == run(scenario(by_hand))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(tick_interval=0.0)

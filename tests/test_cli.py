@@ -174,6 +174,18 @@ class TestCommands:
             ("loadgen --port 1 --timeout nan", "request_timeout must be positive and finite"),
             ("serve --occupied -1 --horizon 5", "occupied_circuits must be >= 0"),
             ("schedule --occupied -1", "occupied_circuits must be >= 0"),
+            # An infinite rate reached numpy ("lam value too large") —
+            # for the fabric after its cells were forked.
+            ("chaos --rate inf --ticks 5", "rate must be >= 0 and finite"),
+            ("fabric-serve --rate inf", "rate must be positive and finite"),
+            # A kill schedule the run cannot play: reported as an
+            # invariant violation after the whole workload had run.
+            ("fabric-serve --cells 2 --ports 8 --rounds 12 --kill-cell 1 "
+             "--kill-round 4 --rejoin-round 20", "rejoin_round 20 beyond the 12 rounds"),
+            ("fabric-serve --cells 2 --ports 8 --rounds 12 --kill-cell 1 "
+             "--kill-round 13 --rejoin-round 0", "kill_round 13 beyond the 12 rounds"),
+            ("fabric-serve --cells 1 --ports 8 --kill-cell 0", "cells must be >= 2"),
+            ("fabric-serve --kill-round 4", "need --kill-cell"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, argv, complaint):
@@ -353,7 +365,7 @@ class TestWireCommands:
 
 
 class TestFabricCommands:
-    @pytest.mark.parametrize("verb", ["fabric-serve", "fabric-chaos"])
+    @pytest.mark.parametrize("verb", ["fabric-serve", "fabric-serve --kill-cell 1"])
     @pytest.mark.parametrize(
         "flags,complaint",
         [
@@ -380,10 +392,27 @@ class TestFabricCommands:
 
         monkeypatch.setattr(FabricBroker, "start", no_spawn)
         with pytest.raises(SystemExit, match=complaint) as exit_info:
-            main([verb, *flags.split()])
+            main([*verb.split(), *flags.split()])
         message = exit_info.value.code  # a str: printed to stderr, status 1
         assert isinstance(message, str)
         assert message.startswith("error: ") and "\n" not in message
+
+
+    def test_fabric_serve_plays_a_cell_kill(self, capsys):
+        argv = (
+            "fabric-serve --cells 3 --ports 8 --rounds 12 --ticks-per-round 6 "
+            "--max-hold 10 --seed 5 --kill-cell 1 --kill-round 4 --rejoin-round 8"
+        )
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert "kill cell 1 @ round 4" in out
+        rows = dict(
+            (cell.strip() for cell in line.split("|"))
+            for line in out.splitlines() if "|" in line
+        )
+        assert rows["cells_killed"] == rows["cells_rejoined"] == "1"
+        assert int(rows["leases revoked at kill"]) == int(rows["revoked_on_death"]) > 0
+        assert int(rows["grants during outage"]) > 0
 
 
 def test_scheduler_handles_rendered_instance():

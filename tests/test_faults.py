@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import MRSIN, OptimalScheduler, Request
 from repro.core.heuristic import greedy_schedule
 from repro.core.incremental import KernelFlowEngine
-from repro.faults import ChaosInvariantError, FaultEvent, FaultInjector, apply_event, run_chaos
+from repro.faults import FaultEvent, FaultInjector, apply_event, run_chaos
 from repro.networks import benes, omega
 
 
@@ -265,6 +265,17 @@ class TestChaos:
             run_chaos(ticks=0)
         with pytest.raises(ValueError, match="check_every"):
             run_chaos(ticks=10, check_every=0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -1.0])
+    def test_chaos_rate_must_be_finite_and_not_negative(self, rate):
+        """inf used to reach numpy: ``lam value too large``."""
+        with pytest.raises(ValueError, match="rate must be >= 0 and finite"):
+            run_chaos(ticks=10, rate=rate)
+
+    def test_a_sparser_differential_still_checks_state_every_tick(self):
+        report = run_chaos(topology="omega", ports=8, ticks=60, seed=3, check_every=4)
+        assert report.differential_checks == 15
+        assert report.allocated > 0
 
     @pytest.mark.parametrize(
         "topology,ports,complaint",

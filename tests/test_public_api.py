@@ -205,3 +205,58 @@ def test_one_retry_loop_and_one_revocation_notice():
     assert "revocation" not in {f.name.lstrip("_") for f in dataclasses.fields(Lease)}
     assert not hasattr(Lease, "revocation")
     assert any(f.name == "on_revoke" for f in dataclasses.fields(Lease))
+
+
+def _src_files():
+    src = pathlib.Path(repro.__file__).parent
+    return {path.relative_to(src).as_posix(): path.read_text() for path in src.rglob("*.py")}
+
+
+def test_one_invariant_set_and_one_fabric_harness():
+    # ISSUE 24: run_chaos, the hypothesis state machine and run_fabric
+    # raise the one InvariantError out of service/invariants.py; the
+    # post-hoc fabric chaos wrapper, its report class, its verb and the
+    # rerun-and-compare flag went (a cell kill is run_fabric(chaos=) /
+    # `fabric-serve --kill-cell`), and so did `lint --changed`.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.fabric.chaos")
+    for module, name in [
+        (repro.fabric, "run_fabric_chaos"),
+        (repro.fabric, "FabricChaosReport"),
+        (repro.fabric, "FabricInvariantError"),
+        (repro.fabric.broker, "FabricInvariantError"),
+        (importlib.import_module("repro.faults"), "ChaosInvariantError"),
+        (importlib.import_module("repro.faults.chaos"), "ChaosInvariantError"),
+        (importlib.import_module("repro.faults.chaos"), "_check_invariants"),
+        (importlib.import_module("repro.analysis.engine"), "changed_files"),
+    ]:
+        assert not hasattr(module, name), f"{module.__name__}.{name} is back"
+    sources = _src_files()
+    error_classes = [
+        f"{name}: {node.name}"
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef) and "Invariant" in node.name
+    ]
+    assert error_classes == ["service/invariants.py: InvariantError"]
+    # Who may ask the MRSIN what a fault severed: the model that answers,
+    # the service that reconciles, the invariant set that checks.
+    callers = {name for name, text in sources.items() if "severed_resources()" in text}
+    assert callers == {"core/model.py", "service/server.py", "service/invariants.py"}
+
+
+def test_thirteen_verbs():
+    (subparsers,) = [
+        action for action in build_parser()._actions if hasattr(action, "choices") and action.choices
+    ]
+    assert sorted(subparsers.choices) == [
+        "blocking", "chaos", "fabric-serve", "lint", "loadgen", "queueing", "report",
+        "schedule", "serve", "sweep", "tokens", "typecheck", "wire-serve",
+    ]
+    for argv in (
+        ["fabric-chaos"],
+        ["fabric-serve", "--verify-determinism"],
+        ["lint", "--changed"],
+    ):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)

@@ -780,3 +780,48 @@ class TestGuards:
                 await client.connect()
 
         run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Nothing blocks the loop (R005's runtime half; ISSUE 24 audit)
+# ----------------------------------------------------------------------
+def test_no_blocking_primitive_runs_on_the_event_loop(monkeypatch):
+    """A ``time.sleep`` per read, a blocking DNS lookup per flush or a
+    sleeping reconnect backoff changes no reply and no count, so no
+    other test sees it; here the primitives themselves refuse to run
+    on a thread that has a running loop."""
+    import socket
+    import time
+
+    def refuse_on_the_loop(module, name):
+        real = getattr(module, name)
+
+        def guarded(*args, **kwargs):
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:
+                return real(*args, **kwargs)  # an executor thread: fine
+            raise AssertionError(f"{module.__name__}.{name} called on the event loop")
+
+        monkeypatch.setattr(module, name, guarded)
+
+    refuse_on_the_loop(time, "sleep")
+    refuse_on_the_loop(socket, "gethostbyname")
+
+    async def scenario():
+        unreachable = WireClient(
+            "127.0.0.1", 1, reconnect_attempts=1,
+            backoff_base=0.001, backoff_max=0.002, rng=7,
+        )
+        with pytest.raises(WireConnectionError, match="2 attempt"):
+            await unreachable.connect()  # one backoff wait taken
+        async with stack() as (service, server):
+            host, port = server.address
+            async with WireClient(host, port, request_timeout=2.0) as client:
+                lease = await client.acquire(3)
+                await client.end_transmission(lease)
+                await client.release(lease)
+                await client.ping()
+            assert server.protocol_errors == 0 and service.active_leases == 0
+
+    run(scenario())
