@@ -44,7 +44,7 @@ def main() -> None:
 
     # 5. ... while the optimal scheduler solves a max-flow problem over
     #    the network state and finds a conflict-free mapping for all 5.
-    scheduler = OptimalScheduler()          # maxflow="dinic" by default
+    scheduler = OptimalScheduler()          # Dinic on the flat-array kernel
     mapping = scheduler.schedule(system)
     print(f"optimal scheduler allocated {len(mapping)} of 5: "
           f"{sorted(mapping.pairs)}")

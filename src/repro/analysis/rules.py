@@ -447,12 +447,13 @@ class AsyncioHygiene(Rule):
         "time.sleep", "os.system", "os.wait", "input",
     }
     BLOCKING_PREFIXES = ("subprocess.", "socket.", "urllib.request.")
-    # Must cover every MAXFLOW_ALGORITHMS / MINCOST_ALGORITHMS entry
+    # Must cover every MAXFLOW_ALGORITHMS / MINCOST_ALGORITHMS entry and
+    # the FlowKernel solves schedule() calls on its lowered networks
     # (tests/analysis/test_rules.py checks; this package imports
     # nothing from the rest of repro, so the names are spelled out).
     SOLVER_NAMES = {
         "schedule", "schedule_incremental", "dinic", "edmonds_karp",
-        "ford_fulkerson", "push_relabel", "kernel_solve", "kernel_min_cost",
+        "ford_fulkerson", "push_relabel", "kernel_solve", "kernel_min_cost", "max_flow",
         "out_of_kilter", "min_cost_flow", "min_cost_circulation",
         "greedy_schedule", "random_binding_schedule",
         "estimate_blocking", "simulate_queueing", "solve",

@@ -15,7 +15,7 @@ code:
   dispatching per Table II;
 - :mod:`repro.core.incremental` — the warm-start
   :class:`KernelFlowEngine` persisting one Transformation-1 network,
-  compiled onto the flat-array kernel, across scheduling cycles;
+  lowered onto the flat-array kernel, across scheduling cycles;
 - :mod:`repro.core.heuristic` — address-mapped greedy comparators
   (the paper's "heuristic routing", ~20% blocking);
 - :mod:`repro.core.mapping` — request→resource mappings with their

@@ -7,9 +7,10 @@ Under sustained load — many short-lived allocations against a slowly
 changing network — that O(V+E) rebuild dominates steady-state cost.
 
 :class:`KernelFlowEngine` keeps **one persistent Transformation-1
-network per service**, compiled once onto the flat-array
-:class:`~repro.flows.kernel.FlowKernel`, and evolves it with the
-system:
+network per service**, lowered once per build straight onto the
+flat-array :class:`~repro.flows.kernel.FlowKernel` by the same
+:func:`~repro.core.transform.lower_to_kernel` the cold default uses (no
+object graph in between), and evolves it with the system:
 
 - every physical link is materialised once as a unit arc (occupied
   links as capacity-0 arcs), every processor gets a permanent
@@ -52,11 +53,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.mapping import Assignment, Mapping
+from repro.core.mapping import Mapping
 from repro.core.model import MRSIN
 from repro.core.requests import Request, Resource
-from repro.core.transform import TransformedProblem, _add_structure_arcs
-from repro.flows.graph import FlowNetwork
+from repro.core.transform import kernel_mapping, lower_to_kernel
 from repro.flows.kernel import FlowKernel
 from repro.networks.topology import Link
 from repro.util.counters import OpCounter
@@ -87,7 +87,7 @@ class KernelFlowEngine:
 
     Hot-path representation:
 
-    - the persistent network is **compiled once** per build onto a
+    - the persistent network is **lowered once** per build onto a
       :class:`~repro.flows.kernel.FlowKernel`; every per-tick operation
       (enable/disable source arcs, solve, extract the flow delta,
       freeze, retract) runs on flat int arrays.  A unit arc pair
@@ -127,7 +127,6 @@ class KernelFlowEngine:
         self._src_pair: dict[int, int] = {}
         self._sink_pair: dict[int, int] = {}
         self._proc_of_arc: dict[int, int] = {}
-        self._res_of_arc: dict[int, int] = {}
         self._arc_of_link: dict[int, int] = {}
         # kernel arc id -> the link it mirrors (None for S/T arcs).
         self._link_of_arc: list[Link | None] = []
@@ -142,7 +141,7 @@ class KernelFlowEngine:
         self._frozen = bytearray()
         self._enabled: set[int] = set()
         self._request_of: dict[int, Request] = {}
-        self._pending: list[tuple[int, int, list[int]]] | None = None
+        self._pending: list[tuple[int, list[int]]] | None = None
         self._pending_mapping: Mapping | None = None
         # Static level labeling (node -> physical layer depth) computed
         # once per build; Transformation-1 networks are layered DAGs,
@@ -220,27 +219,13 @@ class KernelFlowEngine:
         if len(aug_paths) == added and not any(a & 1 for a in touched):
             paths = sorted(aug_paths, key=lambda p: p[0])
         else:
-            paths = self._delta_paths(kernel, touched)
-        mapping = Mapping()
-        pending: list[tuple[int, int, list[int]]] = []
-        link_of_arc = self._link_of_arc
-        for path in paths:
-            proc = self._proc_of_arc[path[0]]
-            res = self._res_of_arc[path[-1]]
-            links = tuple(
-                [link for a in path if (link := link_of_arc[a]) is not None]
-            )
-            mapping.add(
-                Assignment(
-                    request=self._request_of[proc],
-                    resource=self.mrsin.resources[res],
-                    path=links,
-                )
-            )
-            pending.append((proc, res, path))
-        self._pending = pending
+            # New flow can only sit on a pushed-on pair; sorted, these
+            # are the ascending-arc order a scan of every pair would see.
+            paths = kernel.decompose(self._s, self._t, sorted({a & -2 for a in touched}))
+        mapping = kernel_mapping(paths, self._link_of_arc, self._request_of, self.mrsin)
+        self._pending = [(asg.resource.index, path) for asg, path in zip(mapping, paths)]
         self._pending_mapping = mapping
-        self.last_new_flow = len(pending)
+        self.last_new_flow = len(paths)
         self.warm_ticks += 1
         return mapping
 
@@ -268,7 +253,7 @@ class KernelFlowEngine:
                     "kernel engine invariant broken: a pending mapping was "
                     "recorded without its pending flow paths"
                 )
-            for _proc, res, arcs in self._pending:
+            for res, arcs in self._pending:
                 self._freeze(arcs)
                 self._circuit_arcs[res] = arcs
             self._pending = None
@@ -342,40 +327,20 @@ class KernelFlowEngine:
         """Cold build of the persistent network from the live MRSIN.
 
         Source arcs start closed, link and sink arcs mirror the current
-        occupied/busy/failed state.  The network is then compiled:
-        object arc ``k`` is kernel pair ``2k``, which is all the index
-        maps below record.
+        occupied/busy/failed state (:func:`lower_to_kernel
+        <repro.core.transform.lower_to_kernel>`'s persistent mode).
         """
         mrsin = self.mrsin
-        net = FlowNetwork()
-        net.add_node("s")
-        net.add_node("t")
-        problem = TransformedProblem(net=net, source="s", sink="t")
-        self._src_pair = {
-            p: 2 * net.add_arc("s", ("p", p), capacity=0).index
-            for p in range(mrsin.n_processors)
-        }
-        resource_in = _add_structure_arcs(net, mrsin, problem, include_occupied=True)
-        self._sink_pair = {
-            res.index: 2 * net.add_arc(
-                ("r", res.index), "t", capacity=0 if (res.busy or res.failed) else 1
-            ).index
-            for res in mrsin.resources
-            if res.index in resource_in
-        }
-        compiled = net.compile()
-        kernel = compiled.kernel
-        self._kernel = kernel
-        self._s = compiled.node_of["s"]
-        self._t = compiled.node_of["t"]
+        lowered = lower_to_kernel(mrsin, persistent=True)
+        kernel = self._kernel = lowered.kernel
+        self._s, self._t = lowered.source, lowered.sink
+        self._src_pair = lowered.source_arc
+        self._sink_pair = lowered.sink_arc
         self._proc_of_arc = {a: p for p, a in self._src_pair.items()}
-        self._res_of_arc = {a: r for r, a in self._sink_pair.items()}
+        self._link_of_arc = lowered.link_of_arc
         self._arc_of_link = {
-            lidx: 2 * aidx for lidx, aidx in problem.arc_of_link.items()
+            link.index: a for a, link in enumerate(self._link_of_arc) if link is not None
         }
-        self._link_of_arc = [None] * kernel.n_arcs
-        for aidx, link in problem.arc_link.items():
-            self._link_of_arc[2 * aidx] = link
         self._link_tuples = [
             (link, self._arc_of_link[link.index]) for link in mrsin.network.links
         ]
@@ -427,7 +392,7 @@ class KernelFlowEngine:
         cap = kernel.cap
         frozen = self._frozen
         # The same test the build's capacities came from
-        # (_add_structure_arcs): a link is down with either adjacent box.
+        # (lower_to_kernel): a link is down with either adjacent box.
         link_usable = self.mrsin.network.link_usable
         for link, a in self._link_tuples:
             if link.occupied:
@@ -456,84 +421,6 @@ class KernelFlowEngine:
         delta = self.mrsin.state_epoch - self._synced_epoch
         if delta == 0 or delta == expected:
             self._synced_epoch = self.mrsin.state_epoch
-
-    def _delta_paths(
-        self, kernel: FlowKernel, touched: Sequence[int]
-    ) -> list[list[int]]:
-        """Decompose the uncommitted flow into s-t paths of kernel arcs.
-
-        The walk of ``FlowNetwork.decompose_paths`` on kernel arrays:
-        frozen pairs are (0, 0) so only the new flow shows up, and a
-        revisited node cuts the enclosed cycle out of the path.  Cycle
-        components (cut or unreachable) carry no s-t value; their flow
-        is cancelled in place so it cannot read as stale flow later.
-
-        ``touched`` (the arc ids the solve pushed on) bounds the
-        candidates: new flow can only sit on a pushed-on pair.  Sorting
-        them gives the ascending-arc extraction order a scan of every
-        pair would, so the mapping is deterministic and byte-for-byte
-        the one :meth:`schedule`'s fast path produces.
-        """
-        cap = kernel.cap
-        to = kernel.to
-        delta = [a for a in sorted({a & -2 for a in touched}) if cap[a ^ 1]]
-        avail: dict[int, int] = {}
-        out: dict[int, list[int]] = {}
-        for a in delta:
-            avail[a] = cap[a ^ 1]
-            out.setdefault(to[a ^ 1], []).append(a)
-        paths: list[list[int]] = []
-        cut_arcs: list[int] = []
-        s, t = self._s, self._t
-        source_out = out.get(s, [])
-        while True:
-            start = -1
-            for a in source_out:
-                if avail[a]:
-                    start = a
-                    break
-            if start < 0:
-                break
-            avail[start] -= 1
-            path = [start]
-            on_path = {s: 0, to[start]: 1}
-            v = to[start]
-            while v != t:
-                nxt = -1
-                for a in out.get(v, ()):
-                    if avail[a]:
-                        nxt = a
-                        break
-                if nxt < 0:
-                    raise RuntimeError(
-                        "kernel delta decomposition ran out of flow mid-path; "
-                        "the residual arrays violate conservation"
-                    )
-                avail[nxt] -= 1
-                w = to[nxt]
-                pos = on_path.get(w)
-                if pos is not None:
-                    # Cycle: cut it out of the path; its units are
-                    # cancelled below, exactly like decompose_paths.
-                    cut_arcs.extend(path[pos:])
-                    cut_arcs.append(nxt)
-                    for a in path[pos:]:
-                        on_path.pop(to[a], None)
-                    del path[pos:]
-                    v = w
-                    continue
-                path.append(nxt)
-                on_path[w] = len(path)
-                v = w
-            paths.append(path)
-        for a in cut_arcs:
-            cap[a] += 1
-            cap[a ^ 1] -= 1
-        for a, left in avail.items():
-            if left:
-                cap[a] += left
-                cap[a ^ 1] -= left
-        return paths
 
     def _path_arcs(
         self, processor: int, links: Sequence[Link], resource: int
@@ -582,7 +469,7 @@ class KernelFlowEngine:
         kernel = self._kernel
         if self._pending and kernel is not None:
             cap = kernel.cap
-            for _proc, _res, arcs in self._pending:
+            for _res, arcs in self._pending:
                 for a in arcs:
                     cap[a] = 1
                     cap[a ^ 1] = 0

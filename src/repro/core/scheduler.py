@@ -1,22 +1,30 @@
 """The optimal scheduler facade — the paper's Table II dispatch.
 
-==============================  ============================  ==================
+==============================  ============================  ==========================
 Scheduling discipline           Equivalent flow problem        Algorithms
-==============================  ============================  ==================
-Homogeneous, no priority        Maximum flow                   Ford–Fulkerson, Dinic
-Homogeneous, priority/pref.     Min-cost flow                  Out-of-kilter (kernel, SSP)
+==============================  ============================  ==========================
+Homogeneous, no priority        Maximum flow                   Dinic (kernel); Ford–Fulkerson
+Homogeneous, priority/pref.     Min-cost flow                  Primal-dual (kernel); out-of-kilter
 Heterogeneous, restricted       Real multicommodity LP         Simplex
 Heterogeneous, general          Integer multicommodity         Branch & bound (NP-hard)
-==============================  ============================  ==================
+==============================  ============================  ==========================
 
 :class:`OptimalScheduler` inspects the MRSIN (heterogeneous? priorities
 in play?) and runs the matching transformation + solver, returning a
 :class:`~repro.core.mapping.Mapping` ready for
-:meth:`~repro.core.model.MRSIN.apply_mapping`.
+:meth:`~repro.core.model.MRSIN.apply_mapping`.  By default the two
+homogeneous rows never build a :class:`~repro.flows.graph.FlowNetwork`:
+:func:`~repro.core.transform.lower_to_kernel` emits Transformation 1 /
+2 straight onto a :class:`~repro.flows.kernel.FlowKernel` (the lowering
+the warm engine builds on too), the kernel solves, and one array walk
+reads the mapping back.  The object solvers named in the two tables —
+Dinic, Ford–Fulkerson, push-relabel, out-of-kilter, SSP — run on the
+object transformations and are the oracles the default is tested
+against.
 
 Fault tolerance falls out of the reduction for free: failed links,
 switchboxes, and resources enter every transformation at capacity 0
-(see :func:`repro.core.transform._add_structure_arcs`), so each solve
+(see :func:`repro.core.transform.lower_to_kernel`), so each solve
 is exactly the same flow problem on the *surviving* subnetwork and the
 mapping extracted is optimal for the degraded system — the paper's
 untagged-request premise ("any free resource of a type will do") is
@@ -37,6 +45,8 @@ from repro.core.transform import (
     extract_multicommodity_mapping,
     heterogeneous_max_problem,
     heterogeneous_min_cost_problem,
+    kernel_mapping,
+    lower_to_kernel,
     transformation1,
     transformation2,
 )
@@ -91,15 +101,17 @@ MAXFLOW_ALGORITHMS = {
     "edmonds_karp": edmonds_karp,
     "ford_fulkerson": ford_fulkerson,
     "push_relabel": push_relabel,
-    # The flat-array CSR kernel (repro.flows.kernel): compiles the
-    # problem network, solves on int arrays, writes flows back.
+    # The flat-array CSR kernel (repro.flows.kernel), the default.  The
+    # scheduler solves it on lower_to_kernel's network; this callable is
+    # the same solve on a compiled object network, for the oracles.
     "kernel": kernel_solve,
 }
 
 # Each is called as ``solver(net, source, sink, target_flow=F0, counter=)``.
 MINCOST_ALGORITHMS: dict[str, Callable[..., MinCostResult]] = {
     # Primal-dual successive shortest paths on the flat-array kernel:
-    # the default — the optimum of the two below at a fraction of the time.
+    # the default — the optimum of the two below at a fraction of the
+    # time, reached like MAXFLOW_ALGORITHMS["kernel"].
     "kernel": kernel_min_cost,
     # The algorithm Table II names; the kernel's differential oracle
     # and what MonitorScheduler's instruction counts are about.
@@ -116,15 +128,17 @@ class OptimalScheduler:
     Parameters
     ----------
     maxflow:
-        A key of :data:`MAXFLOW_ALGORITHMS`: ``"dinic"`` (default — the
-        algorithm the paper's distributed architecture realises),
-        ``"edmonds_karp"``, ``"ford_fulkerson"``, ``"push_relabel"``,
-        or ``"kernel"``.
+        A key of :data:`MAXFLOW_ALGORITHMS`: ``"kernel"`` (default —
+        Dinic on the flat-array kernel, lowered without an object
+        graph), or an object-graph oracle: ``"dinic"`` (the algorithm
+        the paper's distributed architecture realises),
+        ``"edmonds_karp"``, ``"ford_fulkerson"``, ``"push_relabel"``.
     mincost:
         A key of :data:`MINCOST_ALGORITHMS`: ``"kernel"`` (default —
-        primal-dual shortest paths on the flat-array kernel),
-        ``"out_of_kilter"`` (the paper's named algorithm) or ``"ssp"``
-        (object-graph successive shortest paths).
+        primal-dual shortest paths on the flat-array kernel, lowered
+        the same way), or an object-graph oracle: ``"out_of_kilter"``
+        (the paper's named algorithm) or ``"ssp"`` (successive
+        shortest paths).
     counter:
         Optional :class:`~repro.util.counters.OpCounter` charged with
         abstract operations (the monitor architecture's cost model).
@@ -133,7 +147,7 @@ class OptimalScheduler:
     def __init__(
         self,
         *,
-        maxflow: str = "dinic",
+        maxflow: str = "kernel",
         mincost: str = "kernel",
         counter: OpCounter | None = None,
     ) -> None:
@@ -226,7 +240,31 @@ class OptimalScheduler:
         return mapping
 
     # ------------------------------------------------------------------
+    def _schedule_on_kernel(
+        self, mrsin: MRSIN, reqs: Sequence[Request], *, priced: bool
+    ) -> Mapping:
+        """Rows 1-2 on the ``"kernel"`` entries: lower, solve, one walk back."""
+        lowered = lower_to_kernel(mrsin, reqs, priced=priced)
+        kernel, s, t = lowered.kernel, lowered.source, lowered.sink
+        baseline = kernel.snapshot()
+        if priced:
+            value, cost = kernel.min_cost_flow(s, t, lowered.cost, len(reqs))
+            self.stats.flow_cost = float(cost)
+        else:
+            value = kernel.max_flow(s, t)
+        kernel.charge(self.counter, baseline)
+        self.stats.flow_value = value
+        paths = kernel.decompose(s, t, range(0, kernel.n_arcs, 2))
+        # A real exception, not an assert: it guards circuit
+        # realisability and must survive `python -O`.
+        if len(paths) != value:
+            raise FlowViolation(f"a flow of value {value} decomposed into {len(paths)} units")
+        request_of = {req.processor: req for req in reqs}
+        return kernel_mapping(paths, lowered.link_of_arc, request_of, mrsin)
+
     def _schedule_homogeneous(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping:
+        if self.maxflow == "kernel":
+            return self._schedule_on_kernel(mrsin, reqs, priced=False)
         problem = transformation1(mrsin, reqs)
         algorithm = MAXFLOW_ALGORITHMS[self.maxflow]
         result = algorithm(problem.net, problem.source, problem.sink, counter=self.counter)
@@ -239,6 +277,8 @@ class OptimalScheduler:
         return extract_mapping(problem, mrsin)
 
     def _schedule_priority(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping:
+        if self.mincost == "kernel":
+            return self._schedule_on_kernel(mrsin, reqs, priced=True)
         problem = transformation2(mrsin, reqs)
         if problem.required_flow is None:
             raise ValueError("transformation2 produced no required flow F0")

@@ -36,6 +36,7 @@ from repro.core.mapping import Assignment, Mapping
 from repro.core.model import MRSIN
 from repro.core.requests import Request
 from repro.flows.graph import Arc, FlowNetwork
+from repro.flows.kernel import FlowKernel
 from repro.flows.multicommodity import Commodity, MultiCommodityProblem, MultiCommodityResult
 from repro.networks.topology import Link
 
@@ -43,6 +44,9 @@ __all__ = [
     "TransformedProblem",
     "transformation1",
     "transformation2",
+    "KernelProblem",
+    "lower_to_kernel",
+    "kernel_mapping",
     "heterogeneous_max_problem",
     "heterogeneous_min_cost_problem",
     "extract_mapping",
@@ -65,11 +69,6 @@ class TransformedProblem:
         Terminal node names.
     arc_link:
         Flow-arc index → physical :class:`Link` for the ``B`` arcs.
-    arc_of_link:
-        The inverse index: ``Link.index`` → flow-arc index.  Circuit
-        teardown (the incremental engine retracting a released
-        circuit's unit of flow) maps a link path back to its flow arcs
-        in O(path length) through this dict.
     request_of:
         Processor index → the request scheduled for it this cycle.
     bypass:
@@ -82,7 +81,6 @@ class TransformedProblem:
     source: Hashable
     sink: Hashable
     arc_link: dict[int, Link] = field(default_factory=dict)
-    arc_of_link: dict[int, int] = field(default_factory=dict)
     request_of: dict[int, Request] = field(default_factory=dict)
     bypass: Hashable | None = None
     required_flow: int | None = None
@@ -124,36 +122,26 @@ def link_nodes(link: Link) -> tuple[Hashable, Hashable]:
 
 
 def _add_structure_arcs(
-    net: FlowNetwork,
-    mrsin: MRSIN,
-    problem: TransformedProblem,
-    *,
-    include_occupied: bool = False,
+    net: FlowNetwork, mrsin: MRSIN, problem: TransformedProblem
 ) -> dict[int, Arc]:
     """Steps T2/T3 for the ``B`` arc set: one unit arc per *free* link.
 
     Occupied links get capacity zero in the paper and are then removed
-    by step T4; we simply never add them — except for the persistent
-    (incremental-engine) network, which passes ``include_occupied=True``
-    to materialise them as capacity-0 arcs so the structure never has
-    to be rebuilt when occupancy changes.  Failed links (and links
-    touching a failed switchbox) are handled the same way: capacity 0,
-    so a solve on a faulted MRSIN is simply max flow on the surviving
-    subgraph and Theorem 2 keeps holding for it.  Both the forward
-    (``arc_link``) and inverse (``arc_of_link``) indices are filled.
-    Returns resource index → the arc entering its ``("r", j)`` node
+    by step T4; we simply never add them.  Failed links (and links
+    touching a failed switchbox) are handled the same way, so a solve
+    on a faulted MRSIN is simply max flow on the surviving subgraph and
+    Theorem 2 keeps holding for it.  Fills ``problem.arc_link`` and
+    returns resource index → the arc entering its ``("r", j)`` node
     (used to wire ``T`` arcs).
     """
     resource_in_arc: dict[int, Arc] = {}
     network = mrsin.network
     for link in network.links:
-        down = link.occupied or not network.link_usable(link)
-        if down and not include_occupied:
+        if link.occupied or not network.link_usable(link):
             continue
         tail, head = link_nodes(link)
-        arc = net.add_arc(tail, head, capacity=0 if down else 1)
+        arc = net.add_arc(tail, head, capacity=1)
         problem.arc_link[arc.index] = link
-        problem.arc_of_link[link.index] = arc.index
         if link.dst.kind == "res":
             resource_in_arc[link.dst.box] = arc
     return resource_in_arc
@@ -243,6 +231,149 @@ def transformation2(
                 cost=float(mrsin.max_preference - res.preference),
             )
     return problem
+
+
+# ----------------------------------------------------------------------
+# Transformations 1 and 2 straight onto the flow kernel
+# ----------------------------------------------------------------------
+
+@dataclass
+class KernelProblem:
+    """Transformation 1 or 2 built directly on a :class:`FlowKernel`.
+
+    Arc and node ids are exactly the ones ``FlowNetwork.compile()``
+    gives the network :func:`transformation1` / :func:`transformation2`
+    build (object arc ``k`` is kernel pair ``2 * k``), so every kernel
+    solve takes the same steps on either form.
+
+    Attributes
+    ----------
+    kernel:
+        The flow network; node 0 is ``s``, node 1 is ``t``.
+    link_of_arc:
+        Kernel arc id → the physical link it mirrors (``None`` for
+        source, sink, bypass and reverse arcs).
+    source_arc, sink_arc:
+        Processor / resource index → its ``s → (p, i)`` /
+        ``(r, j) → t`` arc id.
+    cost:
+        Unit cost per arc, parallel to ``kernel.cap`` (Transformation
+        2's prices; read only by a min-cost solve).
+    """
+
+    kernel: FlowKernel
+    link_of_arc: list[Link | None]
+    source_arc: dict[int, int]
+    sink_arc: dict[int, int]
+    cost: list[int]
+    source: int = 0
+    sink: int = 1
+
+
+def lower_to_kernel(
+    mrsin: MRSIN,
+    requests: Sequence[Request] = (),
+    *,
+    priced: bool = False,
+    persistent: bool = False,
+) -> KernelProblem:
+    """Transformation 1 (``priced``: 2) as a :class:`KernelProblem`.
+
+    No :class:`FlowNetwork` is built: arcs go onto the kernel in the
+    order the object transformation adds them — source arcs (each
+    followed by its bypass arc ``(p, u)`` when priced, then ``(u, t)``),
+    one arc per free usable link in ``network.links`` order, then one
+    sink arc per free resource a link reaches — priced as
+    :func:`transformation2` prices them.
+
+    ``persistent`` lowers the warm engine's network instead
+    (``requests`` unused): a closed source arc for every processor, an
+    arc for *every* link, at capacity 0 while it is occupied or down,
+    and a sink arc for every resource a link reaches, at capacity 0
+    while it is busy or failed — so occupancy and faults rewrite
+    capacities, never the structure.
+    """
+    network = mrsin.network
+    # One (tail, head, capacity, cost, link) row per arc; arc i is
+    # kernel pair 2 * i.
+    rows: list[tuple[Hashable, Hashable, int, int, Link | None]] = []
+    source_arc: dict[int, int] = {}
+    sink_arc: dict[int, int] = {}
+    if persistent:
+        for p in range(mrsin.n_processors):
+            source_arc[p] = 2 * len(rows)
+            rows.append(("s", ("p", p), 0, 0, None))
+    else:
+        reqs = _schedulable(mrsin, requests)
+        penalty = int(bypass_cost(mrsin))
+        for req in reqs:
+            if priced and req.priority > mrsin.max_priority:
+                raise ValueError(f"priority {req.priority} exceeds ymax={mrsin.max_priority}")
+            proc = ("p", req.processor)
+            source_arc[req.processor] = 2 * len(rows)
+            rows.append(("s", proc, 1, mrsin.max_priority - req.priority, None))
+            if priced:
+                rows.append((proc, "u", 1, penalty + req.priority, None))
+        if priced and reqs:
+            rows.append(("u", "t", len(reqs), penalty, None))
+    reached: set[int] = set()
+    usable = network.link_usable
+    for link in network.links:
+        down = link.occupied or not usable(link)
+        if down and not persistent:
+            continue
+        tail, head = link_nodes(link)
+        rows.append((tail, head, 0 if down else 1, 0, link))
+        if link.dst.kind == "res":
+            reached.add(link.dst.box)
+    for res in mrsin.resources if persistent else mrsin.free_resources():
+        if priced and res.preference > mrsin.max_preference:
+            raise ValueError(f"preference {res.preference} exceeds qmax={mrsin.max_preference}")
+        if res.index in reached:
+            sink_arc[res.index] = 2 * len(rows)
+            rows.append((
+                ("r", res.index), "t", 1 if res.available else 0,
+                mrsin.max_preference - res.preference, None,
+            ))
+    # A node's id is its order of first appearance, as in FlowNetwork.
+    node_of: dict[Hashable, int] = {"s": 0, "t": 1}
+    ends: list[int] = []
+    for row in rows:
+        ends.append(node_of.setdefault(row[0], len(node_of)))
+        ends.append(node_of.setdefault(row[1], len(node_of)))
+    kernel = FlowKernel(len(node_of))
+    kernel.add_arcs(ends[0::2], ends[1::2], [row[2] for row in rows])
+    link_of_arc: list[Link | None] = [None] * kernel.n_arcs
+    link_of_arc[0::2] = [row[4] for row in rows]
+    cost = [0] * kernel.n_arcs
+    cost[0::2] = [row[3] for row in rows]
+    cost[1::2] = [-row[3] for row in rows]
+    return KernelProblem(kernel, link_of_arc, source_arc, sink_arc, cost)
+
+
+def kernel_mapping(
+    paths: list[list[int]],
+    link_of_arc: list[Link | None],
+    request_of: dict[int, Request],
+    mrsin: MRSIN,
+) -> Mapping:
+    """Read a mapping off kernel arc paths (:meth:`FlowKernel.decompose`).
+
+    One assignment per path, in path order; a path that crosses no
+    link went through the bypass node ``u`` and serves nobody.
+    """
+    mapping = Mapping()
+    for path in paths:
+        links = tuple([link for a in path if (link := link_of_arc[a]) is not None])
+        if links:
+            mapping.add(
+                Assignment(
+                    request=request_of[links[0].src.box],
+                    resource=mrsin.resources[links[-1].dst.box],
+                    path=links,
+                )
+            )
+    return mapping
 
 
 # ----------------------------------------------------------------------

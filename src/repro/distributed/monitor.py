@@ -69,8 +69,9 @@ class MonitorOutcome:
 class MonitorScheduler:
     """Centralized monitor running the flow algorithm in software.
 
-    The algorithms are the paper's, named rather than inherited from
-    :class:`OptimalScheduler`'s defaults (Dinic, out-of-kilter) — the
+    The algorithms are the paper's, Dinic and out-of-kilter on the
+    object graph, named rather than inherited from
+    :class:`OptimalScheduler`'s defaults (the flat-array kernel) — the
     instruction estimate is a statement about those, not a knob.
     """
 

@@ -26,8 +26,10 @@ is tested against:
 - :mod:`repro.flows.kernel` — the flat-int-array CSR kernel, the
   production path for both homogeneous rows: Dinic max flow (the
   serving hot path) and primal-dual min-cost flow (the default for
-  priority scheduling).  ``FlowNetwork.compile()`` lowers onto it;
-  the object solvers remain the teaching/differential oracle.
+  priority scheduling).  The scheduler lowers onto it directly
+  (``repro.core.transform.lower_to_kernel``), ``FlowNetwork.compile()``
+  from an object graph; the object solvers remain the
+  teaching/differential oracle.
 - :mod:`repro.flows.push_relabel` — preflow-push, the max-flow method
   that shares no augmenting-path logic with the others (``bench/``'s
   independent check).

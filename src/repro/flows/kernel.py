@@ -30,22 +30,25 @@ Theorem 2's and Theorem 3's integrality fall out of the
 representation.  Min-cost flow adds one more parallel list, ``cost``,
 which only :meth:`FlowKernel.min_cost_flow`'s caller builds.
 
+The scheduler's default Table II rows 1–2 and the warm engine build
+their kernels directly (:func:`repro.core.transform.lower_to_kernel`)
+and read mappings off the arrays with :meth:`FlowKernel.decompose`.
 :meth:`FlowNetwork.compile() <repro.flows.graph.FlowNetwork.compile>`
 lowers an object graph onto a kernel and maps solved flows back onto
-``Arc.flow``, so every existing consumer of the object API keeps
-working; :func:`kernel_solve` and :func:`kernel_min_cost` package that
-round trip with the call shapes of the object solvers.  Those stay as
-the teaching implementations and the differential-test oracles: Dinic
-for max flow, out-of-kilter (the paper's) and SSP for min cost.
+``Arc.flow``; :func:`kernel_solve` and :func:`kernel_min_cost` package
+that round trip with the call shapes of the object solvers, which stay
+as the teaching implementations and the differential-test oracles:
+Dinic for max flow, out-of-kilter (the paper's) and SSP for min cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.flows.mincost import InfeasibleFlowError, MinCostResult, flow_demanded
+from repro.flows.validate import FlowViolation
 from repro.util.counters import OpCounter
 
 if TYPE_CHECKING:  # import cycle: graph.compile() returns CompiledNetwork
@@ -99,12 +102,6 @@ class FlowKernel:
         """Number of directed arcs (always even: forward/reverse pairs)."""
         return len(self.to)
 
-    def add_node(self) -> int:
-        """Append one node; returns its index."""
-        self.head.append(-1)
-        self.n_nodes += 1
-        return self.n_nodes - 1
-
     def add_arc(self, tail: int, head: int, capacity: int) -> int:
         """Add a ``tail -> head`` arc pair; returns the forward arc id.
 
@@ -112,22 +109,41 @@ class FlowKernel:
         the object graph, self-loops and parallel arcs are accepted —
         the compiler, not the kernel, enforces model rules.
         """
-        if capacity < 0:
-            raise ValueError(f"negative capacity {capacity} on {tail}->{head}")
-        if not (0 <= tail < self.n_nodes and 0 <= head < self.n_nodes):
-            raise ValueError(f"arc {tail}->{head} outside 0..{self.n_nodes - 1}")
         a = len(self.to)
-        self.to.append(head)
-        self.next_arc.append(self.head[tail])
-        self.head[tail] = a
-        self.cap.append(capacity)
-        self.base.append(capacity)
-        self.to.append(tail)
-        self.next_arc.append(self.head[head])
-        self.head[head] = a + 1
-        self.cap.append(0)
-        self.base.append(0)
+        self.add_arcs([tail], [head], [capacity])
         return a
+
+    def add_arcs(self, tails: list[int], heads: list[int], caps: list[int]) -> None:
+        """:meth:`add_arc` for every ``(tails[i], heads[i], caps[i])``, in order.
+
+        Forward arc ``i`` of the batch gets id ``n_arcs + 2 * i``; the
+        resulting arrays are exactly those of one :meth:`add_arc` call
+        per arc, built with list slicing instead.
+        """
+        n = self.n_nodes
+        ends = tails + heads
+        if ends and (min(caps) < 0 or min(ends) < 0 or max(ends) >= n):
+            for tail, head, capacity in zip(tails, heads, caps):  # name the first
+                if capacity < 0:
+                    raise ValueError(f"negative capacity {capacity} on {tail}->{head}")
+                if not (0 <= tail < n and 0 <= head < n):
+                    raise ValueError(f"arc {tail}->{head} outside 0..{n - 1}")
+        first = len(self.to)
+        to = [0] * (2 * len(tails))
+        to[0::2], to[1::2] = heads, tails
+        self.to += to
+        # Arc a joins the list of its own tail: tails[i] for forward
+        # arc 2i, heads[i] for its reverse.
+        owner = [0] * len(to)
+        owner[0::2], owner[1::2] = tails, heads
+        head, next_arc = self.head, self.next_arc
+        for a, v in enumerate(owner, first):
+            next_arc.append(head[v])
+            head[v] = a
+        cap = [0] * len(to)
+        cap[0::2] = caps
+        self.cap += cap
+        self.base += cap
 
     def flow_of(self, arc: int) -> int:
         """Current flow on forward arc ``arc`` (``base - cap``)."""
@@ -412,6 +428,76 @@ class FlowKernel:
         self.pushes += pushes
         return value, total_cost
 
+    # ------------------------------------------------------------------
+    # Path decomposition (Theorem 2 in reverse)
+    # ------------------------------------------------------------------
+    def decompose(self, source: int, sink: int, arcs: Iterable[int]) -> list[list[int]]:
+        """Decompose the flow on forward ``arcs`` into s-t paths of arc ids.
+
+        The walk of ``FlowNetwork.decompose_paths`` on the arrays: the
+        flow on forward arc ``a`` is ``cap[a ^ 1]``, each node leaves by
+        its first forward arc with flow left in the order ``arcs`` lists
+        them (ascending ids gives the object walk's order), and a
+        revisited node cuts the enclosed cycle out of the path.  Flow no
+        s-t path uses (cut cycles, components the walk never reaches)
+        is cancelled in place so it cannot read as stale flow later.
+
+        Raises :class:`~repro.flows.validate.FlowViolation` — a real
+        raise that survives ``python -O`` — when a walk runs out of flow
+        before the sink: the arrays violate conservation.
+        """
+        cap = self.cap
+        to = self.to
+        flowing = [a for a in arcs if cap[a ^ 1]]
+        avail = {a: cap[a ^ 1] for a in flowing}
+        # Per node, the arcs it still has flow on, the next one to take last.
+        out: dict[int, list[int]] = {}
+        for a in reversed(flowing):
+            v = to[a ^ 1]
+            if v in out:
+                out[v].append(a)
+            else:
+                out[v] = [a]
+        paths: list[list[int]] = []
+        cut_arcs: list[int] = []
+        while out.get(source):
+            path: list[int] = []
+            on_path = {source: 0}
+            v = source
+            while v != sink:
+                outs = out.get(v)
+                if not outs:
+                    raise FlowViolation(
+                        f"flow decomposition ran out of flow at node {v}: "
+                        "the kernel arrays violate conservation"
+                    )
+                a = outs[-1]
+                avail[a] -= 1
+                if not avail[a]:
+                    outs.pop()
+                v = to[a]
+                pos = on_path.get(v)
+                if pos is None:
+                    path.append(a)
+                    on_path[v] = len(path)
+                else:
+                    # Cycle: cut it out of the path; its units are
+                    # cancelled below, exactly like decompose_paths.
+                    cut_arcs += path[pos:]
+                    cut_arcs.append(a)
+                    for b in path[pos:]:
+                        del on_path[to[b]]
+                    del path[pos:]
+            paths.append(path)
+        for a in cut_arcs:
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+        for a, left in avail.items():
+            if left:
+                cap[a] += left
+                cap[a ^ 1] -= left
+        return paths
+
     def charge(self, counter: OpCounter | None, baseline: tuple[int, int, int, int]) -> None:
         """Charge op-count deltas since ``baseline`` to ``counter``.
 
@@ -469,19 +555,19 @@ class CompiledNetwork:
 
     def __init__(self, net: "FlowNetwork") -> None:
         self.net = net
-        self.node_of: dict[Node, int] = {}
-        kernel = FlowKernel()
-        for node in net.nodes:
-            self.node_of[node] = kernel.add_node()
-        node_of = self.node_of
+        self.node_of = node_of = {node: v for v, node in enumerate(net.nodes)}
         for arc in net.arcs:
             if arc.lower > 0:
                 raise ValueError(
                     f"cannot compile {arc!r}: lower bound {arc.lower} > 0, "
                     f"and the kernel solves without lower bounds"
                 )
-            kernel.add_arc(node_of[arc.tail], node_of[arc.head], arc.capacity)
-        self.kernel = kernel
+        self.kernel = FlowKernel(len(node_of))
+        self.kernel.add_arcs(
+            [node_of[arc.tail] for arc in net.arcs],
+            [node_of[arc.head] for arc in net.arcs],
+            [arc.capacity for arc in net.arcs],
+        )
 
     # ------------------------------------------------------------------
     def seed_from_flow(self) -> None:

@@ -300,10 +300,16 @@ class TestR005AsyncioHygiene:
         ``async def`` goes unflagged."""
         from repro.analysis.rules import AsyncioHygiene
         from repro.core.scheduler import MAXFLOW_ALGORITHMS, MINCOST_ALGORITHMS
+        from repro.flows.kernel import FlowKernel
 
         registered = {
             f.__name__
-            for f in (*MAXFLOW_ALGORITHMS.values(), *MINCOST_ALGORITHMS.values())
+            for f in (
+                *MAXFLOW_ALGORITHMS.values(), *MINCOST_ALGORITHMS.values(),
+                # The "kernel" entries' default route: lowered, then
+                # solved by these methods, not the table's callables.
+                FlowKernel.max_flow, FlowKernel.min_cost_flow,
+            )
         }
         assert registered <= AsyncioHygiene.SOLVER_NAMES
 

@@ -273,6 +273,32 @@ class TestRobustness:
         assert sched.stats.blocking_fraction == pytest.approx(0.5)
 
 
+def _dropping_a_sink_unit(solve):
+    """``solve``, then one unit on the first flowing arc into ``t``
+    cancelled: the flow's value no longer reaches the sink."""
+
+    def broken(kernel, source, sink, *args, **kwargs):
+        result = solve(kernel, source, sink, *args, **kwargs)
+        a = next(
+            a for a in range(0, kernel.n_arcs, 2)
+            if kernel.to[a] == sink and kernel.cap[a ^ 1]
+        )
+        kernel.cap[a] += 1
+        kernel.cap[a ^ 1] -= 1
+        return result
+
+    return broken
+
+
+def _over_reporting(solve):
+    """``solve``, claiming one unit more than it pushed."""
+
+    def broken(kernel, source, sink, *args, **kwargs):
+        return solve(kernel, source, sink, *args, **kwargs) + 1
+
+    return broken
+
+
 class TestValidationSurvivesOptimization:
     """Regression: these guards were bare ``assert`` statements, which
     ``python -O`` strips — a buggy solver could then hand physically
@@ -295,13 +321,33 @@ class TestValidationSurvivesOptimization:
         m = MRSIN(omega(4))
         m.submit(Request(0))
         with pytest.raises(FlowViolation, match="integral"):
+            OptimalScheduler(maxflow="dinic").schedule(m)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [(_dropping_a_sink_unit, "conservation"), (_over_reporting, "decomposed")],
+        ids=["conservation", "value"],
+    )
+    def test_kernel_max_flow_breaking_conservation_raises(self, monkeypatch, corrupt, match):
+        # The twin on the default route: the kernel's flow is all-int,
+        # so what a broken solve can do is break conservation or
+        # misreport the value it reached.
+        from repro.flows.kernel import FlowKernel
+        from repro.flows.validate import FlowViolation
+
+        monkeypatch.setattr(FlowKernel, "max_flow", corrupt(FlowKernel.max_flow))
+        m = MRSIN(omega(4))
+        m.submit(Request(0))
+        with pytest.raises(FlowViolation, match=match):
             OptimalScheduler().schedule(m)
 
     @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
     def test_nonintegral_min_cost_flow_raises(self, monkeypatch, algo):
-        # Behind every entry, not just the default: the guard runs on
-        # the object network after whichever solver was asked for.
+        # Behind every entry, not just the default: the object entries'
+        # guard runs on the object network after the solve; "kernel"
+        # solves lowered int arrays, whose guard is the decomposition.
         from repro.core import scheduler as scheduler_module
+        from repro.flows.kernel import FlowKernel
         from repro.flows.validate import FlowViolation
 
         real = scheduler_module.MINCOST_ALGORITHMS[algo]
@@ -312,9 +358,12 @@ class TestValidationSurvivesOptimization:
             return result
 
         monkeypatch.setitem(scheduler_module.MINCOST_ALGORITHMS, algo, corrupting_solver)
+        monkeypatch.setattr(
+            FlowKernel, "min_cost_flow", _dropping_a_sink_unit(FlowKernel.min_cost_flow)
+        )
         m = MRSIN(omega(4))
         m.submit(Request(0, priority=3))
-        with pytest.raises(FlowViolation, match="integral"):
+        with pytest.raises(FlowViolation, match="conservation" if algo == "kernel" else "integral"):
             OptimalScheduler(mincost=algo).schedule(m)
 
     def test_missing_required_flow_raises(self, monkeypatch):
@@ -331,7 +380,7 @@ class TestValidationSurvivesOptimization:
         m = MRSIN(omega(4))
         m.submit(Request(0, priority=3))
         with pytest.raises(ValueError, match="required flow"):
-            OptimalScheduler().schedule(m)
+            OptimalScheduler(mincost="out_of_kilter").schedule(m)
 
     @pytest.mark.parametrize("priority", [1, 5], ids=["heterogeneous", "heterogeneous_priority"])
     def test_truncated_lp_raises(self, monkeypatch, priority):

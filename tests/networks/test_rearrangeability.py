@@ -12,9 +12,7 @@ hard routing instances.
 import numpy as np
 import pytest
 
-from repro.core import MRSIN, TransformedProblem
-from repro.core.transform import _add_structure_arcs  # type: ignore[attr-defined]
-from repro.flows.graph import FlowNetwork
+from repro.core import MRSIN, transformation1
 from repro.flows.lp import LPStatus
 from repro.flows.multicommodity import (
     Commodity,
@@ -25,11 +23,13 @@ from repro.networks import benes, omega
 
 
 def permutation_problem(net_builder, permutation) -> MultiCommodityProblem:
-    """One unit commodity per (p, sigma(p)) pair over the link graph."""
+    """One unit commodity per (p, sigma(p)) pair over the link graph.
+
+    The link graph is Transformation 1's with no request: its ``B`` arcs
+    plus ``(r, t)`` arcs into a sink no commodity uses.
+    """
     mrsin = MRSIN(net_builder(len(permutation)))
-    net = FlowNetwork()
-    problem = TransformedProblem(net=net, source="s", sink="t")
-    _add_structure_arcs(net, mrsin, problem)
+    net = transformation1(mrsin, []).net
     commodities = []
     for p, r in enumerate(permutation):
         src, dst = ("src", p), ("dst", r)
