@@ -13,12 +13,14 @@ Regenerates: integrality rate and pivot counts vs network size, plus a
 non-MRSIN triangle instance where the LP relaxation is genuinely
 fractional and branch-and-bound is required.
 
-Timed kernel: one heterogeneous scheduling cycle (Simplex solve).
+Timed kernel: one heterogeneous LP solve, by name (the scheduler's
+row 3 reaches the LP only when per-type kernel max flows cannot certify
+their total).
 """
 
 import pytest
 
-from repro.core import MRSIN, OptimalScheduler, Request
+from repro.core import MRSIN, Request
 from repro.core.transform import heterogeneous_max_problem
 from repro.flows.graph import FlowNetwork
 from repro.flows.multicommodity import (
@@ -65,7 +67,8 @@ def test_multicommodity_report(benchmark, capsys):
     assert max(densities) < 4 * max(densities[0], 0.5), densities
 
     def kernel():
-        return len(OptimalScheduler().schedule(hetero_instance(8)))
+        problem, _ = heterogeneous_max_problem(hetero_instance(8))
+        return solve_max_multicommodity(problem).total_flow
 
     assert benchmark(kernel) == 8
 

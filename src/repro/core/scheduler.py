@@ -5,8 +5,9 @@ Scheduling discipline           Equivalent flow problem        Algorithms
 ==============================  ============================  ==========================
 Homogeneous, no priority        Maximum flow                   Dinic (kernel); Ford–Fulkerson
 Homogeneous, priority/pref.     Min-cost flow                  Primal-dual (kernel); out-of-kilter
-Heterogeneous, restricted       Real multicommodity LP         Simplex
+Heterogeneous, restricted       Real multicommodity LP         Per-type Dinic (kernel), certified; else Simplex
 Heterogeneous, general          Integer multicommodity         Branch & bound (NP-hard)
+Heterogeneous + priority        Multicommodity min-cost LP     Simplex (no kernel route)
 ==============================  ============================  ==========================
 
 :class:`OptimalScheduler` inspects the MRSIN (heterogeneous? priorities
@@ -22,6 +23,16 @@ Dinic, Ford–Fulkerson, push-relabel, out-of-kilter, SSP — run on the
 object transformations and are the oracles the default is tested
 against.
 
+The heterogeneous row first solves one kernel max flow per requested
+type on the same lowering, freezing the paths earlier types took.  The
+total is kept only when it equals ``min(F_all, sum F_k)`` — the
+type-blind max flow and the per-type max flows, each an upper bound on
+the LP optimum — and is then optimal; otherwise the multicommodity LP
+runs exactly as the paper describes, branch and bound included.  With
+priorities the LP always runs: a kernel route would pick a different
+optimum among equal-cost ties, and the service's pinned traces record
+the LP's.
+
 Fault tolerance falls out of the reduction for free: failed links,
 switchboxes, and resources enter every transformation at capacity 0
 (see :func:`repro.core.transform.lower_to_kernel`), so each solve
@@ -35,7 +46,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import permutations
+from typing import Callable, Hashable, Sequence
 
 from repro.core.mapping import Mapping
 from repro.core.model import MRSIN
@@ -220,8 +232,9 @@ class OptimalScheduler:
         network — usually 0–2 Dinic phases atop the standing flow
         instead of a full rebuild-and-solve — and allocate exactly as
         many requests as the cold path would on the same state.  Any
-        other discipline (priorities, heterogeneity) falls back to the
-        cold per-cycle solve.
+        other discipline takes the cold per-cycle solve: priorities a
+        fresh kernel min-cost flow, heterogeneity the certified per-type
+        kernel max flows (or, uncertified or prioritised, the LP).
 
         Either way the caller must apply the returned mapping and then
         call ``engine.commit(mapping)`` so the persistent flow keeps
@@ -294,7 +307,69 @@ class OptimalScheduler:
         self.stats.flow_cost = result.cost
         return extract_mapping(problem, mrsin)
 
+    def _schedule_typed_on_kernel(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping | None:
+        """Row 3 as one kernel max flow per type; ``None`` unless certified.
+
+        The types are solved one after another on one lowering: each
+        opens its own source and sink arcs, and the paths earlier types
+        took are frozen, as the warm engine freezes granted circuits.
+        The type-blind max flow ``F_all`` (every request, every free
+        resource of a requested type) and the per-type max flows ``F_k``
+        each bound the integral optimum and the LP's from above, so a
+        total reaching ``min(F_all, sum F_k)`` is optimal.  Every type
+        order is tried when there are at most three types.
+        """
+        lowered = lower_to_kernel(mrsin, reqs)
+        kernel, s, t = lowered.kernel, lowered.source, lowered.sink
+        cap, base = kernel.cap, kernel.base
+        types = list(dict.fromkeys(req.resource_type for req in reqs))
+        # Each type's source and sink arcs (the lowering left out the
+        # sink arcs of types nobody asks for).
+        gates: dict[Hashable, list[int]] = {rtype: [] for rtype in types}
+        for req in reqs:
+            gates[req.resource_type].append(lowered.source_arc[req.processor])
+        for r, a in lowered.sink_arc.items():
+            gates[mrsin.resources[r].resource_type].append(a)
+        forward = range(0, kernel.n_arcs, 2)
+
+        def solve_in(order: Sequence[Hashable]) -> list[list[int]]:
+            kernel.reset()
+            for gate in gates.values():
+                for a in gate:
+                    cap[a] = 0
+            found: list[list[int]] = []
+            for rtype in order:
+                for a in gates[rtype]:
+                    cap[a] = base[a]
+                value = kernel.max_flow(s, t)
+                paths = kernel.decompose(s, t, forward)
+                # A real exception, not an assert: see _schedule_on_kernel.
+                if len(paths) != value:
+                    raise FlowViolation(f"a flow of value {value} decomposed into {len(paths)} units")
+                for path in paths:
+                    for a in path:
+                        cap[a] = cap[a ^ 1] = 0
+                for a in gates[rtype]:
+                    cap[a] = 0
+                found += paths
+            return found
+
+        baseline = kernel.snapshot()
+        # F_all runs first, on the fresh lowering; solve_in resets it.
+        bound = min(kernel.max_flow(s, t), sum(len(solve_in([rtype])) for rtype in types))
+        orders = permutations(types) if len(types) <= 3 else [types]
+        certified = next((paths for paths in map(solve_in, orders) if len(paths) == bound), None)
+        kernel.charge(self.counter, baseline)
+        if certified is None:
+            return None
+        self.stats.flow_value = bound
+        request_of = {req.processor: req for req in reqs}
+        return kernel_mapping(certified, lowered.link_of_arc, request_of, mrsin)
+
     def _schedule_heterogeneous(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping:
+        mapping = self._schedule_typed_on_kernel(mrsin, reqs)
+        if mapping is not None:
+            return mapping
         problem, meta = heterogeneous_max_problem(mrsin, reqs)
         result = solve_max_multicommodity(problem)
         if result.status is not LPStatus.OPTIMAL:
@@ -317,5 +392,7 @@ class OptimalScheduler:
                 "the paper notes the integral problem is NP-hard"
             )
         self.stats.flow_value = result.total_flow
-        self.stats.flow_cost = result.cost
+        # Integral flows at integral prices: report the cost as a whole
+        # number, not the simplex's rounding residue.
+        self.stats.flow_cost = float(round(result.cost))
         return extract_multicommodity_mapping(result, problem, meta, mrsin)

@@ -38,7 +38,7 @@ from repro.core.requests import Request
 from repro.flows.graph import Arc, FlowNetwork
 from repro.flows.kernel import FlowKernel
 from repro.flows.multicommodity import Commodity, MultiCommodityProblem, MultiCommodityResult
-from repro.networks.topology import Link
+from repro.networks.topology import FLOW_TERMINALS, Link
 
 __all__ = [
     "TransformedProblem",
@@ -241,15 +241,19 @@ def transformation2(
 class KernelProblem:
     """Transformation 1 or 2 built directly on a :class:`FlowKernel`.
 
-    Arc and node ids are exactly the ones ``FlowNetwork.compile()``
-    gives the network :func:`transformation1` / :func:`transformation2`
-    build (object arc ``k`` is kernel pair ``2 * k``), so every kernel
-    solve takes the same steps on either form.
+    Arc ids are exactly the ones ``FlowNetwork.compile()`` gives the
+    network :func:`transformation1` / :func:`transformation2` build
+    (object arc ``k`` is kernel pair ``2 * k``); node ids are the
+    network's wiring-time table
+    (:attr:`~repro.networks.topology.MultistageNetwork.flow_ends`).
+    Each node keeps its arcs in the same order on either form, so every
+    kernel solve takes the same steps on both.
 
     Attributes
     ----------
     kernel:
-        The flow network; node 0 is ``s``, node 1 is ``t``.
+        The flow network; node 0 is ``s``, node 1 is ``t``, node 2 the
+        bypass ``u``.
     link_of_arc:
         Kernel arc id → the physical link it mirrors (``None`` for
         source, sink, bypass and reverse arcs).
@@ -283,8 +287,9 @@ def lower_to_kernel(
     order the object transformation adds them — source arcs (each
     followed by its bypass arc ``(p, u)`` when priced, then ``(u, t)``),
     one arc per free usable link in ``network.links`` order, then one
-    sink arc per free resource a link reaches — priced as
-    :func:`transformation2` prices them.
+    sink arc per free resource a link reaches whose type some request
+    asks for — priced as :func:`transformation2` prices them.  Node ids
+    come from the network's wiring-time table, so nothing is hashed.
 
     ``persistent`` lowers the warm engine's network instead
     (``requests`` unused): a closed source arc for every processor, an
@@ -294,60 +299,80 @@ def lower_to_kernel(
     capacities, never the structure.
     """
     network = mrsin.network
-    # One (tail, head, capacity, cost, link) row per arc; arc i is
-    # kernel pair 2 * i.
-    rows: list[tuple[Hashable, Hashable, int, int, Link | None]] = []
+    s, t, u = range(FLOW_TERMINALS)
+    proc0 = FLOW_TERMINALS
+    res0 = proc0 + network.n_processors
+    box0 = res0 + network.n_resources
+    # Arc i (kernel pair 2 * i) is tails[i] -> heads[i], and so on.
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int] = []
+    costs: list[int] = []
+    links: list[Link | None] = []
     source_arc: dict[int, int] = {}
     sink_arc: dict[int, int] = {}
+    wanted: set[Hashable] | None = None
     if persistent:
-        for p in range(mrsin.n_processors):
-            source_arc[p] = 2 * len(rows)
-            rows.append(("s", ("p", p), 0, 0, None))
+        n = mrsin.n_processors
+        source_arc = {p: 2 * p for p in range(n)}
+        tails, heads = [s] * n, list(range(proc0, proc0 + n))
+        caps, costs = [0] * n, [0] * n
     else:
         reqs = _schedulable(mrsin, requests)
+        wanted = {req.resource_type for req in reqs}
         penalty = int(bypass_cost(mrsin))
         for req in reqs:
             if priced and req.priority > mrsin.max_priority:
                 raise ValueError(f"priority {req.priority} exceeds ymax={mrsin.max_priority}")
-            proc = ("p", req.processor)
-            source_arc[req.processor] = 2 * len(rows)
-            rows.append(("s", proc, 1, mrsin.max_priority - req.priority, None))
+            proc = proc0 + req.processor
+            source_arc[req.processor] = 2 * len(tails)
+            tails.append(s)
+            heads.append(proc)
+            caps.append(1)
+            costs.append(mrsin.max_priority - req.priority)
             if priced:
-                rows.append((proc, "u", 1, penalty + req.priority, None))
+                tails.append(proc)
+                heads.append(u)
+                caps.append(1)
+                costs.append(penalty + req.priority)
         if priced and reqs:
-            rows.append(("u", "t", len(reqs), penalty, None))
+            tails.append(u)
+            heads.append(t)
+            caps.append(len(reqs))
+            costs.append(penalty)
+    links += [None] * len(tails)
     reached: set[int] = set()
     usable = network.link_usable
-    for link in network.links:
+    ends = network.flow_ends
+    for link, tail, head in zip(network.links, ends[0::2], ends[1::2]):
         down = link.occupied or not usable(link)
         if down and not persistent:
             continue
-        tail, head = link_nodes(link)
-        rows.append((tail, head, 0 if down else 1, 0, link))
-        if link.dst.kind == "res":
-            reached.add(link.dst.box)
+        tails.append(tail)
+        heads.append(head)
+        caps.append(0 if down else 1)
+        costs.append(0)
+        links.append(link)
+        if head < box0:
+            reached.add(head)
     for res in mrsin.resources if persistent else mrsin.free_resources():
         if priced and res.preference > mrsin.max_preference:
             raise ValueError(f"preference {res.preference} exceeds qmax={mrsin.max_preference}")
-        if res.index in reached:
-            sink_arc[res.index] = 2 * len(rows)
-            rows.append((
-                ("r", res.index), "t", 1 if res.available else 0,
-                mrsin.max_preference - res.preference, None,
-            ))
-    # A node's id is its order of first appearance, as in FlowNetwork.
-    node_of: dict[Hashable, int] = {"s": 0, "t": 1}
-    ends: list[int] = []
-    for row in rows:
-        ends.append(node_of.setdefault(row[0], len(node_of)))
-        ends.append(node_of.setdefault(row[1], len(node_of)))
-    kernel = FlowKernel(len(node_of))
-    kernel.add_arcs(ends[0::2], ends[1::2], [row[2] for row in rows])
+        node = res0 + res.index
+        if node in reached and (wanted is None or res.resource_type in wanted):
+            sink_arc[res.index] = 2 * len(tails)
+            tails.append(node)
+            heads.append(t)
+            caps.append(1 if res.available else 0)
+            costs.append(mrsin.max_preference - res.preference)
+            links.append(None)
+    kernel = FlowKernel(network.n_flow_nodes)
+    kernel.add_arcs(tails, heads, caps)
     link_of_arc: list[Link | None] = [None] * kernel.n_arcs
-    link_of_arc[0::2] = [row[4] for row in rows]
+    link_of_arc[0::2] = links
     cost = [0] * kernel.n_arcs
-    cost[0::2] = [row[3] for row in rows]
-    cost[1::2] = [-row[3] for row in rows]
+    cost[0::2] = costs
+    cost[1::2] = [-c for c in costs]
     return KernelProblem(kernel, link_of_arc, source_arc, sink_arc, cost)
 
 

@@ -24,9 +24,10 @@ is tested against:
 - :mod:`repro.flows.dinic` — Dinic's algorithm with explicit layered
   networks (the object realized in hardware by Section IV).
 - :mod:`repro.flows.kernel` — the flat-int-array CSR kernel, the
-  production path for both homogeneous rows: Dinic max flow (the
-  serving hot path) and primal-dual min-cost flow (the default for
-  priority scheduling).  The scheduler lowers onto it directly
+  production path for both homogeneous rows and the certified
+  heterogeneous one: Dinic max flow (the serving hot path, and one
+  solve per type for typed requests) and primal-dual min-cost flow
+  (the default for priority scheduling).  The scheduler lowers onto it directly
   (``repro.core.transform.lower_to_kernel``), ``FlowNetwork.compile()``
   from an object graph; the object solvers remain the
   teaching/differential oracle.

@@ -30,7 +30,7 @@ Theorem 2's and Theorem 3's integrality fall out of the
 representation.  Min-cost flow adds one more parallel list, ``cost``,
 which only :meth:`FlowKernel.min_cost_flow`'s caller builds.
 
-The scheduler's default Table II rows 1–2 and the warm engine build
+The scheduler's default Table II rows 1–3 and the warm engine build
 their kernels directly (:func:`repro.core.transform.lower_to_kernel`)
 and read mappings off the arrays with :meth:`FlowKernel.decompose`.
 :meth:`FlowNetwork.compile() <repro.flows.graph.FlowNetwork.compile>`

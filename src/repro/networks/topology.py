@@ -23,7 +23,11 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.networks.switchbox import Switchbox
 
-__all__ = ["PortRef", "Link", "Circuit", "MultistageNetwork", "assemble"]
+__all__ = ["PortRef", "Link", "Circuit", "MultistageNetwork", "assemble", "FLOW_TERMINALS"]
+
+#: Flow-node ids below the processors: source ``s``, sink ``t`` and
+#: Transformation 2's bypass ``u`` (see ``MultistageNetwork.flow_ends``).
+FLOW_TERMINALS = 3
 
 
 class PortRef(NamedTuple):
@@ -117,6 +121,15 @@ class MultistageNetwork:
         # (box entered, its input port, box left, its output port);
         # the box is None at a processor or resource end.
         self._hops: list[tuple[Switchbox | None, int, Switchbox | None, int]] = []
+        # The flow-node table, fixed at wiring time like the hop table:
+        # link i's tail and head node ids in the flow lowering are
+        # flow_ends[2 * i] and flow_ends[2 * i + 1] (flat, so a network
+        # adds no tuple per link for the garbage collector to walk).
+        # Ids run s, t, u, then processors, resources, and boxes stage
+        # by stage, so no id moves once assigned.
+        self.flow_ends: list[int] = []
+        self.n_flow_nodes = FLOW_TERMINALS + n_processors + n_resources
+        self._box_node_base: list[int] = []
         # Active circuits by the index of their first link (circuits
         # are link-disjoint, so the key is unique), in establish order.
         self._circuits: dict[int, Circuit] = {}
@@ -129,6 +142,8 @@ class MultistageNetwork:
         stage = len(self.stages)
         created = [Switchbox(stage, i, n_in, n_out) for i, (n_in, n_out) in enumerate(boxes)]
         self.stages.append(created)
+        self._box_node_base.append(self.n_flow_nodes)
+        self.n_flow_nodes += len(created)
         return created
 
     def add_link(self, src: PortRef, dst: PortRef) -> Link:
@@ -137,25 +152,33 @@ class MultistageNetwork:
             raise ValueError(f"port {src} already wired")
         if dst in self._to_dst:
             raise ValueError(f"port {dst} already wired")
-        left, entered = self._box_at(src, "box_out"), self._box_at(dst, "box_in")
+        left, tail = self._link_end(src, "box_out")
+        entered, head = self._link_end(dst, "box_in")
         link = Link(len(self.links), src, dst)
         self.links.append(link)
         self._hops.append((entered, dst.port, left, src.port))
+        self.flow_ends += (tail, head)
         self._from_src[src] = link
         self._to_dst[dst] = link
         if src.kind == "proc":
             self._processor_links[src.box] = link
         return link
 
-    def _box_at(self, ref: PortRef, kind: str) -> Switchbox | None:
-        """The switchbox whose ``kind`` port ``ref`` names (else None).
+    def _link_end(self, ref: PortRef, kind: str) -> tuple[Switchbox | None, int]:
+        """The switchbox whose ``kind`` port ``ref`` names (else None),
+        and the end's flow-node id.
 
         Checked here, once, so the per-grant pass over the hop table
-        never meets a missing box or an out-of-range port.
+        never meets a missing box or an out-of-range port, and no two
+        ends share a flow-node id unless they share a node.
         """
         ref_kind, stage, index, port = ref
         if ref_kind != kind:
-            return None
+            if ref_kind == "proc" and 0 <= index < self.n_processors:
+                return None, FLOW_TERMINALS + index
+            if ref_kind == "res" and 0 <= index < self.n_resources:
+                return None, FLOW_TERMINALS + self.n_processors + index
+            raise ValueError(f"port {ref} names no processor, resource or switchbox port")
         try:
             box = self.stages[stage][index]
         except IndexError:
@@ -164,7 +187,7 @@ class MultistageNetwork:
             0 <= port < (box.n_in if kind == "box_in" else box.n_out)
         ):
             raise ValueError(f"port {ref} names no switchbox port")
-        return box
+        return box, self._box_node_base[stage] + index
 
     # ------------------------------------------------------------------
     # Structure queries

@@ -191,6 +191,24 @@ class TestHeterogeneousScheduling:
         assert len(mapping) >= 4  # plenty of capacity for 3+3 typed requests
         m.apply_mapping(mapping)
 
+    def test_a_later_type_order_certifies(self, monkeypatch):
+        """Serving the "b" requests first strands the "a" request on
+        omega-4; the reverse order serves all three, which meets the
+        bound, so the LP never runs."""
+        from repro.core import scheduler as scheduler_module
+
+        def no_lp(problem):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(scheduler_module, "solve_max_multicommodity", no_lp)
+        m = MRSIN(omega(4), resource_types=["a", "b", "a", "b"])
+        m.resources[2].busy = True
+        requests = [Request(1, resource_type="b"), Request(2, resource_type="b"),
+                    Request(3, resource_type="a")]
+        mapping = OptimalScheduler().schedule(m, requests)
+        assert mapping.pairs == {(1, 3), (2, 1), (3, 0)}
+        mapping.validate(m)
+
     def test_heterogeneous_priority(self):
         m = MRSIN(crossbar(3, 3), resource_types=["a", "a", "b"], preferences=[9, 1, 1])
         m.submit(Request(0, resource_type="a", priority=5))
@@ -271,6 +289,20 @@ class TestRobustness:
         mapping = sched.schedule(m)
         assert len(mapping) == 2  # only two free resources
         assert sched.stats.blocking_fraction == pytest.approx(0.5)
+
+
+def uncertified_typed_system(priority: int) -> tuple[MRSIN, list[Request]]:
+    """Three one-request types on omega-4 where only two can be served.
+
+    Every type reaches a free resource alone and the type-blind flow is
+    3, but the unique paths collide, so no per-type kernel solve reaches
+    the bound and row 3 falls back to the LP (optimum 2).
+    """
+    m = MRSIN(omega(4), resource_types=["a", "b", "c", "a"])
+    m.resources[0].busy = True
+    return m, [
+        Request(p, resource_type=t, priority=priority) for p, t in ((1, "a"), (2, "b"), (3, "c"))
+    ]
 
 
 def _dropping_a_sink_unit(solve):
@@ -394,8 +426,32 @@ class TestValidationSurvivesOptimization:
         monkeypatch.setattr(
             multicommodity, "simplex_solve", lambda lp: simplex_solve(lp, max_iter=5)
         )
-        m = MRSIN(omega(4), resource_types=["a", "b", "a", "b"])
-        for p in range(4):
-            m.submit(Request(p, resource_type="ab"[p % 2], priority=priority))
+        # Row 3 reaches the LP only when the kernel's certificate fails.
+        m, requests = uncertified_typed_system(priority)
         with pytest.raises(FlowViolation, match="iteration_limit"):
-            OptimalScheduler().schedule(m)
+            OptimalScheduler().schedule(m, requests)
+
+    def test_uncertified_row3_returns_the_lp_route_mapping(self, monkeypatch):
+        from repro.core import scheduler as scheduler_module
+        from repro.core.transform import (
+            extract_multicommodity_mapping,
+            heterogeneous_max_problem,
+        )
+        from repro.flows.multicommodity import solve_max_multicommodity
+
+        solved = []
+        monkeypatch.setattr(
+            scheduler_module, "solve_max_multicommodity",
+            lambda problem: solved.append(problem) or solve_max_multicommodity(problem),
+        )
+        m, requests = uncertified_typed_system(1)
+        sched = OptimalScheduler()
+        mapping = sched.schedule(m, requests)
+        assert len(solved) == 1, "the certificate must refuse this instance"
+        problem, meta = heterogeneous_max_problem(m, requests)
+        result = solve_max_multicommodity(problem)
+        assert mapping.assignments == extract_multicommodity_mapping(
+            result, problem, meta, m
+        ).assignments
+        assert len(mapping) == sched.stats.flow_value == 2
+        mapping.validate(m)

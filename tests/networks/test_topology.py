@@ -53,6 +53,29 @@ class TestAssembly:
         for r in range(8):
             assert net.resource_link(r).dst == PortRef.resource(r)
 
+    def test_flow_node_table(self):
+        # s, t, u; processors 3..10; resources 11..18; then the twelve
+        # boxes stage by stage: one id per link end, fixed at wiring.
+        net = omega(8)
+        assert net.n_flow_nodes == 3 + 8 + 8 + 12
+        ids = {}
+        for i, link in enumerate(net.links):
+            for ref, node in zip((link.src, link.dst), net.flow_ends[2 * i:2 * i + 2]):
+                key = ref.kind.split("_")[0], ref.stage, ref.box
+                assert ids.setdefault(key, node) == node
+        assert sorted(ids.values()) == list(range(3, net.n_flow_nodes))
+        assert ids["proc", -1, 5] == 8 and ids["res", -1, 0] == 11
+        assert ids["box", 0, 0] == 19 and ids["box", 2, 3] == 30
+
+    def test_terminal_outside_the_network_rejected_at_wiring_time(self):
+        net = MultistageNetwork("x", 1, 1)
+        net.add_stage([(1, 1)])
+        with pytest.raises(ValueError, match="names no processor"):
+            net.add_link(PortRef.processor(1), PortRef.box_in(0, 0, 0))
+        with pytest.raises(ValueError, match="names no processor"):
+            net.add_link(PortRef.box_out(0, 0, 0), PortRef.resource(1))
+        assert net.links == [] and net.flow_ends == []
+
 
 class TestCircuits:
     def test_establish_sets_switches_and_occupancy(self):
