@@ -90,7 +90,13 @@ class KernelFlowEngine:
     - the persistent network is **lowered once** per build onto a
       :class:`~repro.flows.kernel.FlowKernel`; every per-tick operation
       (enable/disable source arcs, solve, extract the flow delta,
-      freeze, retract) runs on flat int arrays.  A unit arc pair
+      freeze, retract) runs on flat int arrays.  Solve and extraction
+      are one call, :meth:`FlowKernel.unit_paths
+      <repro.flows.kernel.FlowKernel.unit_paths>` — the routine cold
+      Table II row 1 runs too — with the network's wiring-time
+      :attr:`~repro.networks.topology.MultistageNetwork.flow_levels` as
+      its first phase and the enabled source arcs as its value bound.
+      A unit arc pair
       ``(a, a ^ 1)`` encodes the arc lifecycle directly: ``(1, 0)``
       free, ``(0, 1)`` carrying uncommitted flow, ``(0, 0)`` frozen
       (committed circuit, tracked in ``_frozen``) or disabled;
@@ -143,10 +149,6 @@ class KernelFlowEngine:
         self._request_of: dict[int, Request] = {}
         self._pending: list[tuple[int, list[int]]] | None = None
         self._pending_mapping: Mapping | None = None
-        # Static level labeling (node -> physical layer depth) computed
-        # once per build; Transformation-1 networks are layered DAGs,
-        # so this doubles as the first phase's BFS result every tick.
-        self._levels: list[int] | None = None
         self._dirty = True
         self._synced_epoch = -1
 
@@ -198,30 +200,13 @@ class KernelFlowEngine:
             cap[self._src_pair[p]] = 1
         self._enabled = wanted
         baseline = kernel.snapshot()
-        touched: list[int] = []
-        aug_paths: list[list[int]] = []
-        added = kernel.max_flow(
-            self._s,
-            self._t,
-            levels=self._levels,
-            value_bound=len(wanted),
-            touched=touched,
-            paths_out=aug_paths,
+        # Between solves every held unit is a frozen (0, 0) pair and no
+        # other pair carries flow: the wiring-time levels are a sound
+        # (here: exact) first phase, and the new units are the paths.
+        paths = kernel.unit_paths(
+            self._s, self._t, levels=self.mrsin.network.flow_levels, value_bound=len(wanted)
         )
         kernel.charge(self.counter, baseline)
-        # Fast path: no reverse arc was pushed on (all touched ids are
-        # even), so no unit was cancelled or rerouted — on this
-        # unit-capacity network each augmentation carried exactly one
-        # unit (`added` paths in total) and the recorded paths are the
-        # delta decomposition verbatim.  Sorting by source arc matches
-        # the ascending-arc scan order of the general decomposition, so
-        # both branches yield byte-for-byte identical mappings.
-        if len(aug_paths) == added and not any(a & 1 for a in touched):
-            paths = sorted(aug_paths, key=lambda p: p[0])
-        else:
-            # New flow can only sit on a pushed-on pair; sorted, these
-            # are the ascending-arc order a scan of every pair would see.
-            paths = kernel.decompose(self._s, self._t, sorted({a & -2 for a in touched}))
         mapping = kernel_mapping(paths, self._link_of_arc, self._request_of, self.mrsin)
         self._pending = [(asg.resource.index, path) for asg, path in zip(mapping, paths)]
         self._pending_mapping = mapping
@@ -360,24 +345,6 @@ class KernelFlowEngine:
                 continue
             self._freeze(arcs)
             self._circuit_arcs[res] = arcs
-        # Static levels: BFS over the forward arcs *ignoring* capacity.
-        # Between solves no pair carries a reverse residual, so the
-        # residual graph at solve time is always a subgraph of this one
-        # and the labeling is a sound (here: exact) first-phase hint.
-        levels = [-1] * kernel.n_nodes
-        levels[self._s] = 0
-        bfs = [self._s]
-        for v in bfs:
-            lv = levels[v] + 1
-            a = kernel.head[v]
-            while a != -1:
-                if not a & 1:
-                    w = kernel.to[a]
-                    if levels[w] < 0:
-                        levels[w] = lv
-                        bfs.append(w)
-                a = kernel.next_arc[a]
-        self._levels = levels
         self._dirty = False
         self._synced_epoch = mrsin.state_epoch
         self.builds += 1

@@ -256,22 +256,34 @@ class OptimalScheduler:
     def _schedule_on_kernel(
         self, mrsin: MRSIN, reqs: Sequence[Request], *, priced: bool
     ) -> Mapping:
-        """Rows 1-2 on the ``"kernel"`` entries: lower, solve, one walk back."""
+        """Rows 1-2 on the ``"kernel"`` entries: lower, solve, read the paths.
+
+        Row 1 is :meth:`FlowKernel.unit_paths
+        <repro.flows.kernel.FlowKernel.unit_paths>`, the warm engine's
+        solve: the network's wiring-time levels stand in for the first
+        BFS, ``min(requests, sink arcs)`` for the last, and the
+        augmenting paths, certified, for the walk.  Row 2's min-cost
+        flow is walked back by :meth:`FlowKernel.decompose
+        <repro.flows.kernel.FlowKernel.decompose>`.
+        """
         lowered = lower_to_kernel(mrsin, reqs, priced=priced)
         kernel, s, t = lowered.kernel, lowered.source, lowered.sink
         baseline = kernel.snapshot()
         if priced:
             value, cost = kernel.min_cost_flow(s, t, lowered.cost, len(reqs))
             self.stats.flow_cost = float(cost)
+            paths = kernel.decompose(s, t, range(0, kernel.n_arcs, 2))
+            # A real exception, not an assert: it guards circuit
+            # realisability and must survive `python -O`.
+            if len(paths) != value:
+                raise FlowViolation(f"a flow of value {value} decomposed into {len(paths)} units")
         else:
-            value = kernel.max_flow(s, t)
+            paths = kernel.unit_paths(
+                s, t, levels=mrsin.network.flow_levels,
+                value_bound=min(len(reqs), len(lowered.sink_arc)),
+            )
         kernel.charge(self.counter, baseline)
-        self.stats.flow_value = value
-        paths = kernel.decompose(s, t, range(0, kernel.n_arcs, 2))
-        # A real exception, not an assert: it guards circuit
-        # realisability and must survive `python -O`.
-        if len(paths) != value:
-            raise FlowViolation(f"a flow of value {value} decomposed into {len(paths)} units")
+        self.stats.flow_value = len(paths)
         request_of = {req.processor: req for req in reqs}
         return kernel_mapping(paths, lowered.link_of_arc, request_of, mrsin)
 
@@ -317,7 +329,10 @@ class OptimalScheduler:
         resource of a requested type) and the per-type max flows ``F_k``
         each bound the integral optimum and the LP's from above, so a
         total reaching ``min(F_all, sum F_k)`` is optimal.  Every type
-        order is tried when there are at most three types.
+        order is tried when there are at most three types.  Each type's
+        solve is row 1's :meth:`FlowKernel.unit_paths
+        <repro.flows.kernel.FlowKernel.unit_paths>`, bounded by the
+        type's requests.
         """
         lowered = lower_to_kernel(mrsin, reqs)
         kernel, s, t = lowered.kernel, lowered.source, lowered.sink
@@ -328,9 +343,10 @@ class OptimalScheduler:
         gates: dict[Hashable, list[int]] = {rtype: [] for rtype in types}
         for req in reqs:
             gates[req.resource_type].append(lowered.source_arc[req.processor])
+        asking = {rtype: len(gate) for rtype, gate in gates.items()}
         for r, a in lowered.sink_arc.items():
             gates[mrsin.resources[r].resource_type].append(a)
-        forward = range(0, kernel.n_arcs, 2)
+        levels = mrsin.network.flow_levels
 
         def solve_in(order: Sequence[Hashable]) -> list[list[int]]:
             kernel.reset()
@@ -341,11 +357,7 @@ class OptimalScheduler:
             for rtype in order:
                 for a in gates[rtype]:
                     cap[a] = base[a]
-                value = kernel.max_flow(s, t)
-                paths = kernel.decompose(s, t, forward)
-                # A real exception, not an assert: see _schedule_on_kernel.
-                if len(paths) != value:
-                    raise FlowViolation(f"a flow of value {value} decomposed into {len(paths)} units")
+                paths = kernel.unit_paths(s, t, levels=levels, value_bound=asking[rtype])
                 for path in paths:
                     for a in path:
                         cap[a] = cap[a ^ 1] = 0

@@ -31,8 +31,12 @@ representation.  Min-cost flow adds one more parallel list, ``cost``,
 which only :meth:`FlowKernel.min_cost_flow`'s caller builds.
 
 The scheduler's default Table II rows 1–3 and the warm engine build
-their kernels directly (:func:`repro.core.transform.lower_to_kernel`)
-and read mappings off the arrays with :meth:`FlowKernel.decompose`.
+their kernels directly (:func:`repro.core.transform.lower_to_kernel`).
+Rows 1 and 3 and the warm engine solve and read back in one call,
+:meth:`FlowKernel.unit_paths`: the network's wiring-time levels stand
+in for the first BFS, a value bound for the last, and the certified
+augmenting paths for the walk; row 2 walks its min-cost flow with
+:meth:`FlowKernel.decompose`.
 :meth:`FlowNetwork.compile() <repro.flows.graph.FlowNetwork.compile>`
 lowers an object graph onto a kernel and maps solved flows back onto
 ``Arc.flow``; :func:`kernel_solve` and :func:`kernel_min_cost` package
@@ -45,6 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.flows.mincost import InfeasibleFlowError, MinCostResult, flow_demanded
@@ -174,7 +180,8 @@ class FlowKernel:
         arrays already encode — warm starting is just calling this
         again after nudging capacities.  Returns the flow added.
 
-        Three optional work-saving hooks (all preserve exactness):
+        Four optional hooks, all exact; :meth:`unit_paths` uses every
+        one of them:
 
         ``levels``
             A precomputed level labeling used for the *first* phase in
@@ -184,27 +191,25 @@ class FlowKernel:
             level, so every path it pushes is a real augmenting path
             and no cycle can form; phases after the first rebuild
             levels by BFS as usual, so optimality never depends on the
-            hint.  On the layered Transformation-1 networks the node's
-            physical layer *is* its BFS level, making the hint exact.
+            hint.  On a stage-structured network the wiring-time table
+            (:attr:`MultistageNetwork.flow_levels
+            <repro.networks.topology.MultistageNetwork.flow_levels>`)
+            is every reachable node's BFS level, making the hint exact.
         ``value_bound``
-            A known upper bound on the flow this call can add (for the
-            warm engine: the number of enabled unit source arcs).  When
+            A known upper bound on the flow this call can add.  When
             the augmented total reaches it the solve stops without the
             terminating everyone-unreachable BFS — reaching a bound
             that caps the max flow is already a certificate of
             optimality.
         ``touched``
             When given, every arc id pushed on (forward or reverse,
-            duplicates included) is appended.  Lets the caller find the
-            flow delta of a warm solve by looking only at touched arc
-            pairs instead of scanning the whole arc array.
+            duplicates included) is appended: the only pairs the flow
+            delta can sit on.
         ``paths_out``
             When given, each augmentation's arc path is appended (once
-            per augmentation, regardless of the units it pushed).  When
-            no reverse arc was ever pushed on — ``touched`` is all even
-            — no unit was cancelled or rerouted, so on unit-capacity
-            networks these paths *are* the flow-delta decomposition and
-            the caller can skip decomposing entirely.
+            per augmentation, regardless of the units it pushed).  On
+            unit arcs, with no reverse arc in ``touched``, these paths
+            *are* the flow delta's decomposition.
         """
         if source == sink:
             raise ValueError("source and sink must differ")
@@ -496,6 +501,63 @@ class FlowKernel:
             if left:
                 cap[a] += left
                 cap[a ^ 1] -= left
+        return paths
+
+    def unit_paths(
+        self, source: int, sink: int, *, levels: list[int], value_bound: int
+    ) -> list[list[int]]:
+        """:meth:`max_flow` on unit arcs; its new units as s-t arc paths.
+
+        The kernel must hold no unfrozen flow (no reverse residual).
+        The solve takes ``levels`` as its first phase and stops at
+        ``value_bound``.  When that one blocking flow is all it ran,
+        every push climbed a level, so no reverse arc was pushed and no
+        unit cancelled or rerouted: the augmenting paths are the flow
+        delta's decomposition, and sorted by first arc they are what
+        :meth:`decompose` walks (the DFS and the walk pair each node's
+        in-units with its out-arcs in arc-id order).  After a second
+        phase the touched pairs are walked.
+
+        The shortcut carries the walk's guard, as a certificate: every
+        path arc is a forward arc carrying exactly one unit, the paths
+        are arc-disjoint and, end to end, exactly the touched arcs, and
+        each leaves ``source`` and ends on an arc into ``sink``.  A
+        failed leg, or a unit count other than the solve's value,
+        raises :class:`~repro.flows.validate.FlowViolation`, which
+        survives ``python -O``.
+        """
+        touched: list[int] = []
+        paths: list[list[int]] = []
+        phases = self.phases
+        value = self.max_flow(
+            source, sink, levels=levels, value_bound=value_bound,
+            touched=touched, paths_out=paths,
+        )
+        if self.phases - phases > 1:
+            paths = self.decompose(source, sink, sorted({a & -2 for a in touched}))
+        else:
+            # A warm tick runs this over every arc it grants, so it is
+            # plain loops and C-level compares.  a | 1 is a forward
+            # arc's reverse, at 1 while the arc carries its unit, and a
+            # reverse arc itself, which a push leaves at 0.
+            cap, to = self.cap, self.to
+            for a in touched:
+                if cap[a | 1] != 1:
+                    raise FlowViolation(
+                        "an augmenting path arc does not carry exactly one unit: "
+                        "the kernel arrays violate conservation"
+                    )
+            if len(set(touched)) != len(touched) or list(chain.from_iterable(paths)) != touched:
+                raise FlowViolation(
+                    "the augmenting paths are not arc-disjoint or do not cover "
+                    "exactly the touched arcs"
+                )
+            for path in paths:
+                if to[path[0] ^ 1] != source or to[path[-1]] != sink:
+                    raise FlowViolation("an augmenting path does not run from source to sink")
+            paths.sort(key=itemgetter(0))
+        if len(paths) != value:
+            raise FlowViolation(f"a flow of value {value} decomposed into {len(paths)} units")
         return paths
 
     def charge(self, counter: OpCounter | None, baseline: tuple[int, int, int, int]) -> None:

@@ -14,8 +14,11 @@ simplex with variable bounds:
 
 It is the *revised* form of that method: the basis inverse is carried
 from pivot to pivot (phase 1 starts from the artificials' ``diag(+/-1)``;
-a basis change is one rank-1 update), so a pivot costs three
-matrix–vector products and ``O(m^2)`` instead of two ``O(m^3)`` solves,
+a basis change is one rank-1 update, applied only to the rows where the
+entering column is nonzero — on the others it subtracts zeros — so on
+these sparse flow LPs it rewrites a few rows of ``Binv``, not all ``m``),
+so a pivot costs three matrix–vector products and at most ``O(m^2)``
+instead of two ``O(m^3)`` solves,
 and every ``REFACTOR_EVERY`` basis changes the inverse and the basic
 values are recomputed from ``A`` and ``b`` to shed accumulated rounding
 error.  Which pivots are taken is untouched — Bland's rule and the
@@ -46,9 +49,12 @@ def _replace_basic(Binv: np.ndarray, col: np.ndarray, pos: int) -> None:
 
     ``col`` is ``Binv @ A[:, entering]``: the product-form (eta)
     update, one rank-1 correction instead of a fresh factorisation.
+    The correction touches only the rows where ``col`` is nonzero; on
+    the others it would subtract exact zeros.
     """
     row = Binv[pos] / col[pos]
-    Binv -= np.outer(col, row)
+    rows = np.flatnonzero(col)
+    Binv[rows] -= np.outer(col[rows], row)
     Binv[pos] = row
 
 

@@ -130,6 +130,7 @@ class MultistageNetwork:
         self.flow_ends: list[int] = []
         self.n_flow_nodes = FLOW_TERMINALS + n_processors + n_resources
         self._box_node_base: list[int] = []
+        self._flow_levels: list[int] | None = None
         # Active circuits by the index of their first link (circuits
         # are link-disjoint, so the key is unique), in establish order.
         self._circuits: dict[int, Circuit] = {}
@@ -144,6 +145,7 @@ class MultistageNetwork:
         self.stages.append(created)
         self._box_node_base.append(self.n_flow_nodes)
         self.n_flow_nodes += len(created)
+        self._flow_levels = None
         return created
 
     def add_link(self, src: PortRef, dst: PortRef) -> Link:
@@ -158,6 +160,7 @@ class MultistageNetwork:
         self.links.append(link)
         self._hops.append((entered, dst.port, left, src.port))
         self.flow_ends += (tail, head)
+        self._flow_levels = None
         self._from_src[src] = link
         self._to_dst[dst] = link
         if src.kind == "proc":
@@ -205,6 +208,40 @@ class MultistageNetwork:
         """All switchboxes, stage by stage."""
         for stage in self.stages:
             yield from stage
+
+    @property
+    def flow_levels(self) -> list[int]:
+        """Every flow node's BFS layer over all links, by flow-node id.
+
+        ``s`` is 0, processors 1, ``t`` one more than the nearest
+        resource; ``u`` and any node no link path reaches are -1.  Like
+        ``flow_ends`` it is fixed by the wiring (computed on first read,
+        reset by :meth:`add_stage` / :meth:`add_link`), so on a
+        stage-structured network it is every reachable node's BFS level
+        in any lowering, whatever is occupied or failed: the paper's
+        request-token layering (Sec. IV, Theorem 4).  Shared: read it,
+        never mutate it.
+        """
+        levels = self._flow_levels
+        if levels is None:
+            out: list[list[int]] = [[] for _ in range(self.n_flow_nodes)]
+            ends = self.flow_ends
+            for tail, head in zip(ends[0::2], ends[1::2]):
+                out[tail].append(head)
+            res0 = FLOW_TERMINALS + self.n_processors
+            levels = [-1] * self.n_flow_nodes
+            levels[0] = 0
+            levels[FLOW_TERMINALS:res0] = [1] * self.n_processors
+            queue = list(range(FLOW_TERMINALS, res0))
+            for v in queue:
+                for w in out[v]:
+                    if levels[w] < 0:
+                        levels[w] = levels[v] + 1
+                        queue.append(w)
+            reached = [lv for lv in levels[res0:res0 + self.n_resources] if lv >= 0]
+            levels[1] = min(reached) + 1 if reached else -1
+            self._flow_levels = levels
+        return levels
 
     @property
     def circuits(self) -> list[Circuit]:

@@ -308,7 +308,7 @@ class TestR005AsyncioHygiene:
                 *MAXFLOW_ALGORITHMS.values(), *MINCOST_ALGORITHMS.values(),
                 # The "kernel" entries' default route: lowered, then
                 # solved by these methods, not the table's callables.
-                FlowKernel.max_flow, FlowKernel.min_cost_flow,
+                FlowKernel.max_flow, FlowKernel.min_cost_flow, FlowKernel.unit_paths,
             )
         }
         assert registered <= AsyncioHygiene.SOLVER_NAMES

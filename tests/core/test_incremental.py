@@ -17,7 +17,9 @@ from repro.core import (
     OptimalScheduler,
     Request,
 )
-from repro.networks import benes, omega
+from repro.core.transform import lower_to_kernel
+from repro.networks import TOPOLOGIES, benes, build_network, omega
+from repro.networks.topology import MultistageNetwork, PortRef
 
 
 def cold_count(mrsin: MRSIN, reqs) -> int:
@@ -91,6 +93,77 @@ class TestDifferential:
         engine = KernelFlowEngine(mrsin)
         assert len(engine.schedule([])) == 0
         assert engine.last_new_flow == 0
+
+
+def build_time_levels(mrsin: MRSIN) -> list[int]:
+    """BFS from ``s`` over the persistent lowering's forward arcs,
+    capacity ignored: the first phase of a warm solve with every arc
+    open."""
+    lowered = lower_to_kernel(mrsin, persistent=True)
+    kernel = lowered.kernel
+    levels = [-1] * kernel.n_nodes
+    levels[lowered.source] = 0
+    queue = [lowered.source]
+    for v in queue:
+        a = kernel.head[v]
+        while a != -1:
+            w = kernel.to[a]
+            if not a & 1 and levels[w] < 0:
+                levels[w] = levels[v] + 1
+                queue.append(w)
+            a = kernel.next_arc[a]
+    return levels
+
+
+def hand_built() -> MultistageNetwork:
+    """Two processors, three resources: the stage-0 box reaches r2
+    directly, skipping stage 1, and box (1, 1) feeds r1 but is fed by
+    nothing."""
+    net = MultistageNetwork("hand", 2, 3)
+    net.add_stage([(2, 2)])
+    net.add_stage([(1, 1), (1, 1)])
+    for p in range(2):
+        net.add_link(PortRef.processor(p), PortRef.box_in(0, 0, p))
+    net.add_link(PortRef.box_out(0, 0, 0), PortRef.box_in(1, 0, 0))
+    net.add_link(PortRef.box_out(0, 0, 1), PortRef.resource(2))
+    net.add_link(PortRef.box_out(1, 0, 0), PortRef.resource(0))
+    net.add_link(PortRef.box_out(1, 1, 0), PortRef.resource(1))
+    return net
+
+
+class TestLevelTable:
+    """``MultistageNetwork.flow_levels`` is the engine's first phase: it
+    must be that BFS, whatever the network's state."""
+
+    @pytest.mark.parametrize("ports", [4, 8, 16])
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_registry_levels_are_the_build_time_bfs(self, name, ports):
+        try:
+            network = build_network(name, ports)
+        except ValueError:
+            pytest.skip(f"{name} has no {ports}-port build")
+        mrsin = MRSIN(network)
+        # Load and faults change capacities, never the labelling.
+        mrsin.apply_mapping(OptimalScheduler().schedule(mrsin, [Request(0), Request(1)]))
+        mrsin.fail_link(network.links[-1].index)
+        assert network.flow_levels == build_time_levels(mrsin)
+
+    def test_hand_built_levels_are_the_build_time_bfs(self):
+        mrsin = MRSIN(hand_built())
+        levels = mrsin.network.flow_levels
+        assert levels == build_time_levels(mrsin)
+        # t sits above the nearest resource (r2, one box away); box
+        # (1, 1) and r1 are unreached.
+        assert levels[1] == 4 and levels[5:8] == [4, -1, 3]
+        assert levels[-1] == -1
+
+    def test_engine_serves_the_hand_built_network(self):
+        mrsin = MRSIN(hand_built())
+        engine = KernelFlowEngine(mrsin)
+        mapping = engine.schedule([Request(0), Request(1)])
+        assert len(mapping) == cold_count(mrsin, [Request(0), Request(1)]) == 2
+        mrsin.apply_mapping(mapping)
+        engine.commit(mapping)
 
 
 class TestLifecycle:

@@ -6,7 +6,10 @@ Transformation 1 / 2 in the object builders' order, the kernel solves,
 and one array walk reads the mapping back.  The object route —
 ``transformation1/2`` + the ``"kernel"`` table entry + ``extract_mapping``
 — is the oracle: same mapping, assignment for assignment, and the same
-cost, on loaded and fault-degraded registry topologies.
+cost, on loaded and fault-degraded registry topologies, in any request
+order.  Row 1's read-back is ``FlowKernel.unit_paths`` (the warm
+engine's too): its augmenting paths stand in for the walk, so both of
+its branches are held to the walk on the same draws.
 
 Row 3 (heterogeneous) solves one kernel max flow per type and keeps
 the result only when it reaches the type-blind and per-type upper
@@ -33,6 +36,7 @@ from repro.core.transform import (
     transformation2,
 )
 from repro.flows.graph import FlowNetwork
+from repro.flows.kernel import FlowKernel
 from repro.flows.multicommodity import solve_integral_multicommodity, solve_max_multicommodity
 from repro.networks import TOPOLOGIES as REGISTRY
 from repro.networks import build_network
@@ -43,7 +47,7 @@ TYPES = ("fft", "conv", "fir")
 
 
 def degraded_system(
-    name: str, seed: int, types: Sequence[str] = ("default",)
+    name: str, seed: int, types: Sequence[str] = ("default",), ports: int = PORTS
 ) -> tuple[MRSIN, list[Request]]:
     """A registry network carrying a random prior mapping, with busy and
     failed resources, failed links and switchboxes, random preferences,
@@ -51,13 +55,13 @@ def degraded_system(
     ``types`` in turn and each request one of them at random."""
     rng = np.random.default_rng(seed)
     mrsin = MRSIN(
-        build_network(name, PORTS),
-        resource_types=[types[i % len(types)] for i in range(PORTS)],
-        preferences=rng.integers(1, 11, PORTS).tolist(),
+        build_network(name, ports),
+        resource_types=[types[i % len(types)] for i in range(ports)],
+        preferences=rng.integers(1, 11, ports).tolist(),
     )
     prior = [
         Request(int(p), resource_type=types[int(p) % len(types)])
-        for p in rng.choice(PORTS, int(rng.integers(0, 4)), replace=False)
+        for p in rng.choice(ports, int(rng.integers(0, 4)), replace=False)
     ]
     forced = Discipline.HETEROGENEOUS if len(types) > 1 else None
     mrsin.apply_mapping(
@@ -82,16 +86,29 @@ def degraded_system(
             resource_type=types[int(rng.integers(len(types)))],
             priority=int(rng.integers(1, 11)),
         )
-        for p in range(PORTS)
+        for p in range(ports)
         if p not in served and rng.random() < 0.7
     ]
     return mrsin, requests
 
 
-@given(name=st.sampled_from(TOPOLOGIES), seed=st.integers(0, 2**32 - 1), priced=st.booleans())
+def shuffled(requests: list[Request], order: int) -> list[Request]:
+    """``requests`` permuted by seed ``order``; 0 keeps them as built."""
+    if not order:
+        return requests
+    return [requests[i] for i in np.random.default_rng(order).permutation(len(requests))]
+
+
+@given(
+    name=st.sampled_from(TOPOLOGIES),
+    seed=st.integers(0, 2**32 - 1),
+    priced=st.booleans(),
+    order=st.integers(0, 2**32 - 1),
+)
 @settings(max_examples=60, deadline=None)
-def test_default_route_equals_object_kernel_route(name, seed, priced):
+def test_default_route_equals_object_kernel_route(name, seed, priced, order):
     mrsin, requests = degraded_system(name, seed)
+    requests = shuffled(requests, order)
     discipline = Discipline.PRIORITY if priced else Discipline.HOMOGENEOUS
     scheduler = OptimalScheduler()
     mapping = scheduler.schedule(mrsin, requests, discipline=discipline)
@@ -134,6 +151,52 @@ def test_default_rows_and_engine_build_no_object_graph(monkeypatch):
     # Row 3, certified: the LP (which builds a FlowNetwork) never runs.
     mrsin, requests = degraded_system("omega", 5, TYPES[:2])
     assert len(OptimalScheduler().schedule(mrsin, requests, discipline=Discipline.HETEROGENEOUS))
+
+
+def unit_paths_against_the_walk(name: str, seed: int, ports: int, order: int) -> bool:
+    """Row 1's ``FlowKernel.unit_paths`` on one degraded draw, held to
+    the walk it replaces; returns whether its fast path served the draw.
+
+    On the same arrays the fast path's paths are what ``decompose``
+    walks over every forward arc; on either branch they are what a
+    BFS-led ``max_flow`` plus that walk give on a fresh lowering.
+    """
+    mrsin, requests = degraded_system(name, seed, ports=ports)
+    plain = shuffled([Request(r.processor) for r in requests], order)
+    lowered = lower_to_kernel(mrsin, plain)
+    kernel, s, t = lowered.kernel, lowered.source, lowered.sink
+    walks = []
+    real_walk = FlowKernel.decompose
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FlowKernel, "decompose", lambda *args: walks.append(1) or real_walk(*args))
+        paths = kernel.unit_paths(
+            s, t, levels=mrsin.network.flow_levels,
+            value_bound=min(len(plain), len(lowered.sink_arc)),
+        )
+    if not walks:
+        assert paths == kernel.decompose(s, t, range(0, kernel.n_arcs, 2))
+    fresh = lower_to_kernel(mrsin, plain)
+    value = fresh.kernel.max_flow(fresh.source, fresh.sink)
+    assert paths == fresh.kernel.decompose(s, t, range(0, fresh.kernel.n_arcs, 2))
+    assert len(paths) == value
+    return not walks
+
+
+@given(
+    name=st.sampled_from(sorted(REGISTRY)),
+    seed=st.integers(0, 2**32 - 1),
+    ports=st.sampled_from([8, 16]),
+    order=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_unit_paths_are_the_walk(name, seed, ports, order):
+    unit_paths_against_the_walk(name, seed, ports, order)
+
+
+def test_unit_paths_draws_both_branches():
+    # About one loaded omega-16 draw in four pushes on a reverse arc.
+    fast = [unit_paths_against_the_walk("omega", seed, 16, seed) for seed in range(12)]
+    assert any(fast) and not all(fast)
 
 
 def _kernel_max_flow(mrsin: MRSIN, requests: list[Request]) -> int:

@@ -331,6 +331,55 @@ def _over_reporting(solve):
     return broken
 
 
+def _cancelling_a_mid_path_unit(solve):
+    """``solve``, then the unit on the middle arc of the first recorded
+    augmenting path cancelled: the path no longer carries it."""
+
+    def broken(kernel, source, sink, *args, **kwargs):
+        result = solve(kernel, source, sink, *args, **kwargs)
+        path = kwargs["paths_out"][0]
+        a = path[len(path) // 2]
+        kernel.cap[a] += 1
+        kernel.cap[a ^ 1] -= 1
+        return result
+
+    return broken
+
+
+def _pushing_an_unpathed_source_unit(solve):
+    """``solve``, then one unit pushed, and recorded as touched, on a
+    source arc no augmenting path took."""
+
+    def broken(kernel, source, sink, *args, **kwargs):
+        result = solve(kernel, source, sink, *args, **kwargs)
+        touched = kwargs["touched"]
+        a = next(
+            a for a in range(0, kernel.n_arcs, 2)
+            if kernel.to[a ^ 1] == source and kernel.cap[a] and a not in touched
+        )
+        kernel.cap[a] -= 1
+        kernel.cap[a ^ 1] += 1
+        touched.append(a)
+        return result
+
+    return broken
+
+
+def _stopping_a_path_short_of_the_sink(solve):
+    """``solve``, then the first recorded path's arc into the sink
+    cancelled and forgotten: the path ends at its resource."""
+
+    def broken(kernel, source, sink, *args, **kwargs):
+        result = solve(kernel, source, sink, *args, **kwargs)
+        a = kwargs["paths_out"][0].pop()
+        kwargs["touched"].remove(a)
+        kernel.cap[a] += 1
+        kernel.cap[a ^ 1] -= 1
+        return result
+
+    return broken
+
+
 class TestValidationSurvivesOptimization:
     """Regression: these guards were bare ``assert`` statements, which
     ``python -O`` strips — a buggy solver could then hand physically
@@ -372,6 +421,37 @@ class TestValidationSurvivesOptimization:
         m.submit(Request(0))
         with pytest.raises(FlowViolation, match=match):
             OptimalScheduler().schedule(m)
+
+    @pytest.mark.parametrize("route", ["cold", "warm"])
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (_cancelling_a_mid_path_unit, "exactly one unit"),
+            (_pushing_an_unpathed_source_unit, "touched arcs"),
+            (_stopping_a_path_short_of_the_sink, "source to sink"),
+        ],
+        ids=["mid_path_unit", "unpathed_source_unit", "short_path"],
+    )
+    def test_unit_path_certificate_raises(self, monkeypatch, corrupt, match, route):
+        # FlowKernel.unit_paths returns augmenting paths without walking
+        # the flow, so its certificate is the only guard left on cold
+        # row 1 and the warm engine: one mutant per leg, each caught by
+        # that leg alone.  Two requests, one free resource, so a source
+        # arc stays unused.
+        from repro.core import KernelFlowEngine
+        from repro.flows.kernel import FlowKernel
+        from repro.flows.validate import FlowViolation
+
+        monkeypatch.setattr(FlowKernel, "max_flow", corrupt(FlowKernel.max_flow))
+        m = MRSIN(omega(4))
+        for r in (1, 2, 3):
+            m.resources[r].busy = True
+        requests = [Request(0), Request(1)]
+        with pytest.raises(FlowViolation, match=match):
+            if route == "cold":
+                OptimalScheduler().schedule(m, requests)
+            else:
+                KernelFlowEngine(m).schedule(requests)
 
     @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
     def test_nonintegral_min_cost_flow_raises(self, monkeypatch, algo):

@@ -67,6 +67,30 @@ class TestAssembly:
         assert ids["proc", -1, 5] == 8 and ids["res", -1, 0] == 11
         assert ids["box", 0, 0] == 19 and ids["box", 2, 3] == 30
 
+    def test_flow_level_table(self):
+        # s 0, processors 1, stage k boxes k + 2, resources 5, t 6; u -1.
+        net = omega(8)
+        levels = net.flow_levels
+        assert levels[:3] == [0, 6, -1]
+        assert levels[3:11] == [1] * 8 and levels[11:19] == [5] * 8
+        assert levels[19:] == [2] * 4 + [3] * 4 + [4] * 4
+        assert net.flow_levels is levels  # computed once, on first read
+
+    def test_flow_level_table_reset_by_wiring(self):
+        # p0 -> box (0, 0) -> r0 skips a stage; box (1, 0) -> r1 is
+        # wired from nowhere, so r1 is unreached until a link feeds it.
+        # Ids: s t u, p0 3, r0 4, r1 5, box (0, 0) 6, box (1, 0) 7.
+        net = MultistageNetwork("x", 1, 2)
+        net.add_stage([(1, 2)])
+        net.add_link(PortRef.processor(0), PortRef.box_in(0, 0, 0))
+        net.add_link(PortRef.box_out(0, 0, 0), PortRef.resource(0))
+        assert net.flow_levels == [0, 4, -1, 1, 3, -1, 2]
+        net.add_stage([(1, 1)])
+        net.add_link(PortRef.box_out(1, 0, 0), PortRef.resource(1))
+        assert net.flow_levels == [0, 4, -1, 1, 3, -1, 2, -1]
+        net.add_link(PortRef.box_out(0, 0, 1), PortRef.box_in(1, 0, 0))
+        assert net.flow_levels == [0, 4, -1, 1, 3, 4, 2, 3]
+
     def test_terminal_outside_the_network_rejected_at_wiring_time(self):
         net = MultistageNetwork("x", 1, 1)
         net.add_stage([(1, 1)])
