@@ -91,11 +91,6 @@ class CFGNode:
         """Source line of the underlying statement (0 for synthetics)."""
         return getattr(self.stmt, "lineno", 0)
 
-    @property
-    def col(self) -> int:
-        """Source column of the underlying statement."""
-        return getattr(self.stmt, "col_offset", 0)
-
 
 @dataclass
 class CFG:
@@ -106,9 +101,6 @@ class CFG:
     entry: int
     exit: int
     error: int
-
-    def node(self, index: int) -> CFGNode:
-        return self.nodes[index]
 
     def await_points(self) -> list[ast.AST]:
         """Every recorded ``await`` expression, in node-creation order."""

@@ -24,13 +24,10 @@ Two policies:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.mapping import Assignment, Mapping
 from repro.core.model import MRSIN
-from repro.core.requests import Request
 from repro.networks.routing import destination_tag_path
 from repro.util.rng import make_rng
 
@@ -48,7 +45,6 @@ def _finish(mrsin: MRSIN, tentative: list) -> Mapping:
 
 def greedy_schedule(
     mrsin: MRSIN,
-    requests: Sequence[Request] | None = None,
     *,
     order: str = "nearest",
     rng: int | np.random.Generator | None = None,
@@ -68,12 +64,11 @@ def greedy_schedule(
     """
     if order not in ("nearest", "random"):
         raise ValueError(f"unknown order {order!r}")
-    reqs = mrsin.schedulable_requests() if requests is None else list(requests)
     gen = make_rng(rng)
     tentative: list = []
     taken: set[int] = set()
     try:
-        for req in reqs:
+        for req in mrsin.schedulable_requests():
             candidates = [
                 res for res in mrsin.free_resources(req.resource_type)
                 if res.index not in taken
@@ -99,7 +94,6 @@ def greedy_schedule(
 
 def random_binding_schedule(
     mrsin: MRSIN,
-    requests: Sequence[Request] | None = None,
     *,
     rng: int | np.random.Generator | None = None,
 ) -> Mapping:
@@ -112,12 +106,11 @@ def random_binding_schedule(
     examining the address bits"* — with no knowledge of network state.
     It is the comparator behind the ~20% blocking figure.
     """
-    reqs = mrsin.schedulable_requests() if requests is None else list(requests)
     gen = make_rng(rng)
     tentative: list = []
     taken: set[int] = set()
     try:
-        order = list(reqs)
+        order = mrsin.schedulable_requests()
         gen.shuffle(order)
         for req in order:
             candidates = [
@@ -140,10 +133,7 @@ def random_binding_schedule(
     return _finish(mrsin, tentative)
 
 
-def arbitrary_schedule(
-    mrsin: MRSIN,
-    requests: Sequence[Request] | None = None,
-) -> Mapping:
+def arbitrary_schedule(mrsin: MRSIN) -> Mapping:
     """The paper's "arbitrary mapping": i-th request → i-th free resource.
 
     No alternatives are tried: if the bound pair does not route, the
@@ -151,10 +141,9 @@ def arbitrary_schedule(
     nearly as good as optimal (the SIM-EXTRA claim); on a bare Omega
     it is terrible.
     """
-    reqs = mrsin.schedulable_requests() if requests is None else list(requests)
     tentative: list = []
     try:
-        for req in reqs:
+        for req in mrsin.schedulable_requests():
             free = [
                 res for res in mrsin.free_resources(req.resource_type)
                 if res.index not in {r.index for _, r, _ in tentative}

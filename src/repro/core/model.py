@@ -101,13 +101,6 @@ class MRSIN:
         """More than one resource type present."""
         return len(self._resource_types) > 1
 
-    @property
-    def has_priorities(self) -> bool:
-        """Any non-default priority or preference in play."""
-        return any(req.priority != 1 for req in self.pending) or any(
-            res.preference != 1 for res in self.resources
-        )
-
     def free_resources(self, resource_type: Hashable | None = None) -> list[Resource]:
         """Available resources, optionally filtered by type."""
         return [

@@ -100,13 +100,6 @@ class SchedulerStats:
     n_requests: int = 0
     n_allocated: int = 0
 
-    @property
-    def blocking_fraction(self) -> float:
-        """Requests *not* served this cycle, as a fraction."""
-        if self.n_requests == 0:
-            return 0.0
-        return 1.0 - self.n_allocated / self.n_requests
-
 
 MAXFLOW_ALGORITHMS = {
     "dinic": dinic,

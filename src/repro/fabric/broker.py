@@ -64,6 +64,9 @@ __all__ = [
 #: reuse a name revoked from its predecessor.
 LEASE_EPOCH_STRIDE = 1_000_000_000
 
+#: Seconds the broker waits on one cell's reply before declaring it dead.
+ROUND_TIMEOUT_S = 120.0
+
 
 class FabricError(Exception):
     """The broker was used incorrectly or the protocol broke down."""
@@ -111,18 +114,13 @@ class FabricBroker:
         queue_limit: int = 64,
         spill_after: int = 4,
         spill_topology: SpillTopology | None = None,
-        round_timeout: float = 120.0,
-        start_method: str | None = None,
     ) -> None:
         self.partition = partition
         self.queue_limit = queue_limit
         self.spill_after = spill_after
         self.spill_topology = spill_topology or SpillTopology()
-        self.round_timeout = round_timeout
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         self._handles: list[_CellHandle] = []
         self._registry: dict[str, int] = {}
         self._inflight: dict[int, dict[int, FabricRequest]] = {
@@ -362,7 +360,7 @@ class FabricBroker:
                 continue
             index = handle.spec.index
             try:
-                if not handle.conn.poll(self.round_timeout):
+                if not handle.conn.poll(ROUND_TIMEOUT_S):
                     raise EOFError(f"cell {index} unresponsive")
                 message = handle.conn.recv()
             except (EOFError, OSError, BrokenPipeError):
@@ -523,10 +521,6 @@ class FabricBroker:
         """Live leases under broker custody, fabric-wide."""
         return len(self._registry)
 
-    def lease_owner(self, lease_id: str) -> int | None:
-        """The cell serving ``lease_id``, or None if not live."""
-        return self._registry.get(lease_id)
-
     def snapshot(self) -> dict[str, Any]:
         """Per-cell snapshots plus exact merged fabric-wide metrics.
 
@@ -541,7 +535,7 @@ class FabricBroker:
             index = handle.spec.index
             try:
                 handle.conn.send(SnapshotRequest())
-                if not handle.conn.poll(self.round_timeout):
+                if not handle.conn.poll(ROUND_TIMEOUT_S):
                     raise EOFError(f"cell {index} unresponsive")
                 message = handle.conn.recv()
             except (EOFError, OSError, BrokenPipeError):

@@ -55,10 +55,10 @@ class CellPlacement:
 class FabricPartition:
     """An equal split of a large installation into identical cells.
 
-    Processor ``p`` (fabric-wide, ``0 <= p < cells * ports``) lives in
-    cell ``p // ports`` at local port ``p % ports``.  Every cell runs
-    the same topology at the same radix, so the spill tier may treat
-    spare capacity as fungible across cells.
+    Every cell runs the same topology at the same radix, so the spill
+    tier may treat spare capacity as fungible across cells.  Requests
+    are addressed by ``(cell, local port)``: the fabric never names a
+    processor fabric-wide.
     """
 
     def __init__(self, topology: str, ports: int, n_cells: int) -> None:
@@ -86,35 +86,6 @@ class FabricPartition:
             raise ValueError(
                 f"cell_id collision across {n_cells} cells of {topology}-{ports}"
             )
-
-    @property
-    def n_processors(self) -> int:
-        """Fabric-wide processor count."""
-        return self.n_cells * self.ports
-
-    def home_cell(self, processor: int) -> int:
-        """The cell index owning fabric-wide ``processor``."""
-        if not 0 <= processor < self.n_processors:
-            raise ValueError(
-                f"processor {processor} outside fabric of {self.n_processors}"
-            )
-        return processor // self.ports
-
-    def local_port(self, processor: int) -> int:
-        """``processor``'s input port within its home cell."""
-        if not 0 <= processor < self.n_processors:
-            raise ValueError(
-                f"processor {processor} outside fabric of {self.n_processors}"
-            )
-        return processor % self.ports
-
-    def global_processor(self, cell: int, local_port: int) -> int:
-        """The fabric-wide index of ``local_port`` in ``cell``."""
-        if not 0 <= cell < self.n_cells:
-            raise ValueError(f"cell {cell} outside fabric of {self.n_cells}")
-        if not 0 <= local_port < self.ports:
-            raise ValueError(f"local port {local_port} outside cell of {self.ports}")
-        return cell * self.ports + local_port
 
     def build_network(self) -> MultistageNetwork:
         """A fresh intra-cell network instance (one per cell process)."""

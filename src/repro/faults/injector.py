@@ -92,8 +92,8 @@ class FaultInjector:
         permanent.
     mean_repair:
         Mean time-to-repair for transient faults.
-    kinds:
-        Component classes to draw from (default: all three).
+
+    Each fault draws its component class uniformly from :data:`KINDS`.
     """
 
     def __init__(
@@ -104,7 +104,6 @@ class FaultInjector:
         fault_rate: float = 0.05,
         transient_fraction: float = 0.8,
         mean_repair: float = 5.0,
-        kinds: tuple[str, ...] = KINDS,
     ) -> None:
         if not 0 < fault_rate < math.inf:  # NaN fails both comparisons
             raise ValueError(f"fault_rate must be positive and finite, got {fault_rate}")
@@ -112,15 +111,11 @@ class FaultInjector:
             raise ValueError(f"transient_fraction must be in [0, 1], got {transient_fraction}")
         if not 0 < mean_repair < math.inf:
             raise ValueError(f"mean_repair must be positive and finite, got {mean_repair}")
-        unknown = set(kinds) - set(KINDS)
-        if unknown:
-            raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
         self.mrsin = mrsin
         self.rng = make_rng(rng)
         self.fault_rate = fault_rate
         self.transient_fraction = transient_fraction
         self.mean_repair = mean_repair
-        self.kinds = tuple(kinds)
         self._boxes = [
             (s, b)
             for s, stage in enumerate(mrsin.network.stages)
@@ -144,7 +139,7 @@ class FaultInjector:
         return int(self.rng.integers(0, len(self.mrsin.resources)))
 
     def _draw_fault(self, time: float) -> None:
-        kind = self.kinds[int(self.rng.integers(0, len(self.kinds)))]
+        kind = KINDS[int(self.rng.integers(0, len(KINDS)))]
         target = self._draw_target(kind)
         transient = bool(self.rng.random() < self.transient_fraction)
         self._push(FaultEvent(time=time, kind=kind, target=target, transient=transient))

@@ -67,10 +67,6 @@ class LayeredNetwork:
         """Number of layers (= shortest augmenting path length + 1)."""
         return len(self.layers)
 
-    def useful_moves(self, node: Node) -> list[tuple[Arc, bool]]:
-        """Residual moves from ``node`` into the next layer."""
-        return self.moves.get(node, [])
-
 
 def build_layered_network(
     net: FlowNetwork,
@@ -212,15 +208,10 @@ class DinicResult:
     phases:
         Number of layered-network phases executed (each corresponds to
         one scheduling iteration of the distributed architecture).
-    layered_networks:
-        The layered network built in each phase, recorded when
-        ``record_layers=True`` — used by the figures and by the tests
-        that compare hardware token propagation against software Dinic.
     """
 
     value: int
     phases: int
-    layered_networks: list[LayeredNetwork] = field(default_factory=list)
 
 
 def dinic(
@@ -229,7 +220,6 @@ def dinic(
     sink: Node,
     *,
     counter: OpCounter | None = None,
-    record_layers: bool = False,
 ) -> DinicResult:
     """Compute the maximum flow with Dinic's algorithm.
 
@@ -239,14 +229,11 @@ def dinic(
     increase the source–sink distance, so the loop terminates.
     """
     phases = 0
-    recorded: list[LayeredNetwork] = []
     value = net.flow_value(source) if source in net else 0
     while True:
         layered = build_layered_network(net, source, sink, counter=counter)
-        if record_layers:
-            recorded.append(layered)
         if not layered.reaches_sink:
             break
         phases += 1
         value += blocking_flow(net, layered, counter=counter)
-    return DinicResult(value=value, phases=phases, layered_networks=recorded)
+    return DinicResult(value=value, phases=phases)

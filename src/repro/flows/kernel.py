@@ -151,10 +151,6 @@ class FlowKernel:
         self.cap += cap
         self.base += cap
 
-    def flow_of(self, arc: int) -> int:
-        """Current flow on forward arc ``arc`` (``base - cap``)."""
-        return self.base[arc] - self.cap[arc]
-
     def reset(self) -> None:
         """Restore every arc to its base capacity (zero flow)."""
         self.cap[:] = self.base

@@ -18,7 +18,7 @@ commodity, and the bundling constraint ``sum_i f_i(e) <= c(e)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.flows.graph import Arc, FlowNetwork
@@ -63,18 +63,12 @@ class Commodity:
 class MultiCommodityProblem:
     """A shared-capacity network plus its commodities.
 
-    ``costs[(k, arc_index)]`` optionally overrides the per-commodity
-    unit cost ``w_i(e)``; otherwise the arc's own ``cost`` is charged
-    to every commodity.
+    Every commodity pays the arc's own ``cost`` as its unit cost
+    ``w_i(e)``.
     """
 
     net: FlowNetwork
     commodities: list[Commodity]
-    costs: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def cost_of(self, k: int, arc: Arc) -> float:
-        """Unit cost of commodity ``k`` on ``arc``."""
-        return self.costs.get((k, arc.index), arc.cost)
 
 
 @dataclass
@@ -136,7 +130,7 @@ def _build_lp(
         for arc in net.arcs:
             key = ("f", k, arc.index)
             low, high = fixed_bounds.get(key, (0.0, arc.capacity))
-            cost = 0.0 if maximize_total else problem.cost_of(k, arc)
+            cost = 0.0 if maximize_total else arc.cost
             lp.add_variable(key, low=low, high=high, objective=cost)
         if maximize_total:
             lp.add_variable(("F", k), low=0.0, high=math.inf, objective=1.0)
@@ -174,7 +168,6 @@ def _package(
     values: dict[Hashable, float],
     status: LPStatus,
     iterations: int,
-    nodes_explored: int = 0,
 ) -> MultiCommodityResult:
     net = problem.net
     arc_flows: dict[tuple[int, int], float] = {}
@@ -186,7 +179,7 @@ def _package(
             f = values.get(("f", k, arc.index), 0.0)
             if abs(f) > INT_TOL:
                 arc_flows[(k, arc.index)] = f
-                cost += problem.cost_of(k, arc) * f
+                cost += arc.cost * f
         for arc in net.out_arcs(com.source):
             out += values.get(("f", k, arc.index), 0.0)
         for arc in net.in_arcs(com.source):
@@ -201,7 +194,6 @@ def _package(
         arc_flows=arc_flows,
         integral=integral,
         iterations=iterations,
-        nodes_explored=nodes_explored,
     )
 
 

@@ -85,7 +85,6 @@ def min_cost_circulation(
     net: FlowNetwork,
     *,
     counter: OpCounter | None = None,
-    max_steps: int | None = None,
 ) -> float:
     """Find a minimum-cost feasible circulation by the out-of-kilter method.
 
@@ -95,10 +94,9 @@ def min_cost_circulation(
     bounds.
     """
     pi: dict[Node, float] = {node: 0.0 for node in net.nodes}
-    if max_steps is None:
-        # Generous polynomial bound; out-of-kilter on integral data
-        # terminates well within it.  Guards against silent nontermination.
-        max_steps = 20 * (net.n_nodes + 5) * (net.n_arcs + 5) ** 2 + 10_000
+    # Generous polynomial bound; out-of-kilter on integral data
+    # terminates well within it.  Guards against silent nontermination.
+    max_steps = 20 * (net.n_nodes + 5) * (net.n_arcs + 5) ** 2 + 10_000
     steps = 0
     while True:
         target_arc = None

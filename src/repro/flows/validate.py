@@ -26,8 +26,6 @@ def check_flow(
     net: FlowNetwork,
     source: Hashable | None = None,
     sink: Hashable | None = None,
-    *,
-    eps: float = EPS,
 ) -> int:
     """Verify the current assignment is a legal flow; return its value.
 
@@ -36,7 +34,7 @@ def check_flow(
     source must equal the net inflow of the sink and that common value
     is returned; with no terminals, the assignment must be a
     circulation and 0 is returned.  Arc flows are ints (Theorem 2), so
-    the value is too; ``eps`` only cushions the legality comparisons.
+    the value is too; :data:`EPS` only cushions the legality comparisons.
 
     Raises
     ------
@@ -44,7 +42,7 @@ def check_flow(
         On any capacity, lower-bound, or conservation violation.
     """
     for arc in net.arcs:
-        if arc.flow < arc.lower - eps or arc.flow > arc.capacity + eps:
+        if arc.flow < arc.lower - EPS or arc.flow > arc.capacity + EPS:
             raise FlowViolation(
                 f"capacity violated on {arc!r}: {arc.flow} not in "
                 f"[{arc.lower}, {arc.capacity}]"
@@ -53,25 +51,25 @@ def check_flow(
         if node == source or node == sink:
             continue
         imbalance = net.net_outflow(node)
-        if abs(imbalance) > eps:
+        if abs(imbalance) > EPS:
             raise FlowViolation(f"conservation violated at {node!r}: net outflow {imbalance}")
     if source is None:
         return 0
     value = net.net_outflow(source)
     if sink is not None:
         sink_value = -net.net_outflow(sink)
-        if abs(value - sink_value) > eps:
+        if abs(value - sink_value) > EPS:
             raise FlowViolation(
                 f"source emits {value} but sink absorbs {sink_value}"
             )
     return value
 
 
-def is_integral(net: FlowNetwork, *, eps: float = EPS) -> bool:
+def is_integral(net: FlowNetwork) -> bool:
     """True if every arc carries an integral amount of flow.
 
     Integrality is what makes a flow *realisable* as circuit-switched
     paths (Theorems 1 and 2): half a unit of flow has no meaning as a
     switch setting.
     """
-    return all(abs(arc.flow - round(arc.flow)) <= eps for arc in net.arcs)
+    return all(abs(arc.flow - round(arc.flow)) <= EPS for arc in net.arcs)

@@ -21,11 +21,7 @@ from typing import Iterator
 
 from repro.networks.topology import Link, MultistageNetwork, PortRef
 
-__all__ = ["destination_tag_path", "reachable_resources", "clear_reachability_cache"]
-
-def clear_reachability_cache(net: MultistageNetwork) -> None:
-    """Drop a network's memoized reachability table (mostly for tests)."""
-    net.__dict__.pop("_reach_table", None)
+__all__ = ["destination_tag_path", "reachable_resources"]
 
 
 def _reach_table(net: MultistageNetwork) -> dict[int, frozenset[int]]:

@@ -80,11 +80,6 @@ class Switchbox:
         self._check_port(in_port, self.n_in, "input")
         return self._in_to_out.get(in_port)
 
-    def input_for(self, out_port: int) -> int | None:
-        """Input port connected to ``out_port`` (None if free)."""
-        self._check_port(out_port, self.n_out, "output")
-        return self._out_to_in.get(out_port)
-
     # ------------------------------------------------------------------
     def connect(self, in_port: int, out_port: int) -> None:
         """Establish ``in_port -> out_port``; both must be free."""

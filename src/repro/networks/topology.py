@@ -264,26 +264,6 @@ class MultistageNetwork:
         """Link whose destination is ``port`` (None if unwired)."""
         return self._to_dst.get(port)
 
-    def links_out_of_box(self, stage: int, index: int) -> list[Link]:
-        """Links leaving each output port of a box, in port order."""
-        box = self.box(stage, index)
-        out = []
-        for port in range(box.n_out):
-            link = self._from_src.get(PortRef.box_out(stage, index, port))
-            if link is not None:
-                out.append(link)
-        return out
-
-    def links_into_box(self, stage: int, index: int) -> list[Link]:
-        """Links entering each input port of a box, in port order."""
-        box = self.box(stage, index)
-        inn = []
-        for port in range(box.n_in):
-            link = self._to_dst.get(PortRef.box_in(stage, index, port))
-            if link is not None:
-                inn.append(link)
-        return inn
-
     # ------------------------------------------------------------------
     # Fault state
     # ------------------------------------------------------------------

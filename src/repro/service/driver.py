@@ -76,11 +76,6 @@ class ServiceRunResult:
         """Requests granted within the horizon."""
         return self.snapshot["allocated"]
 
-    @property
-    def mean_wait(self) -> float:
-        """Mean queue wait of granted requests."""
-        return self.snapshot["mean_wait"]
-
     def render(self) -> str:
         """The metrics table plus a parameter header."""
         title = (

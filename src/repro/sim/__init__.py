@@ -23,7 +23,6 @@ from repro.sim.workload import (
     WorkloadSpec,
     sample_instance,
     occupy_random_circuits,
-    occupy_random_links,
 )
 from repro.sim.blocking import BlockingEstimate, estimate_blocking, POLICIES
 from repro.sim.metrics import mean_and_ci, wilson_interval
@@ -34,7 +33,6 @@ __all__ = [
     "WorkloadSpec",
     "sample_instance",
     "occupy_random_circuits",
-    "occupy_random_links",
     "BlockingEstimate",
     "estimate_blocking",
     "POLICIES",

@@ -11,7 +11,7 @@ __all__ = ["mean_and_ci", "wilson_interval"]
 Z95 = 1.959963984540054
 
 
-def mean_and_ci(values: Sequence[float], z: float = Z95) -> tuple[float, float]:
+def mean_and_ci(values: Sequence[float]) -> tuple[float, float]:
     """Sample mean and half-width of its normal 95% confidence interval."""
     n = len(values)
     if n == 0:
@@ -20,10 +20,10 @@ def mean_and_ci(values: Sequence[float], z: float = Z95) -> tuple[float, float]:
     if n == 1:
         return mean, math.inf
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, z * math.sqrt(var / n)
+    return mean, Z95 * math.sqrt(var / n)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
     Better behaved than the normal approximation near 0 — exactly
@@ -34,6 +34,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
+    z = Z95
     denom = 1 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))

@@ -25,10 +25,6 @@ class SweepResult:
     points: Sequence[str]
     rows: dict[tuple[str, str], BlockingEstimate] = field(default_factory=dict)
 
-    def estimate(self, point: str, policy: str) -> BlockingEstimate:
-        """The estimate at one sweep point for one policy."""
-        return self.rows[(point, policy)]
-
     def render(self) -> str:
         """ASCII table: one row per sweep point, one column per policy."""
         table = Table(

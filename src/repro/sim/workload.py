@@ -24,8 +24,10 @@ __all__ = [
     "WorkloadSpec",
     "sample_instance",
     "occupy_random_circuits",
-    "occupy_random_links",
 ]
+
+#: Random (processor, resource) draws before occupancy gives up.
+MAX_OCCUPY_ATTEMPTS = 200
 
 
 def occupy_random_circuits(
@@ -33,18 +35,17 @@ def occupy_random_circuits(
     mrsin: MRSIN,
     n_circuits: int,
     rng: np.random.Generator,
-    max_attempts: int = 200,
 ) -> int:
     """Establish up to ``n_circuits`` random processor→resource circuits.
 
     Models the *"network is not completely free"* regime: other
     allocations already hold paths.  The target resources are marked
     busy.  Returns the number actually established (dense networks may
-    not admit all).
+    not admit all within :data:`MAX_OCCUPY_ATTEMPTS` draws).
     """
     established = 0
     attempts = 0
-    while established < n_circuits and attempts < max_attempts:
+    while established < n_circuits and attempts < MAX_OCCUPY_ATTEMPTS:
         attempts += 1
         p = int(rng.integers(0, net.n_processors))
         r = int(rng.integers(0, net.n_resources))
@@ -57,22 +58,6 @@ def occupy_random_circuits(
         mrsin.resources[r].busy = True
         established += 1
     return established
-
-
-def occupy_random_links(
-    net: MultistageNetwork, fraction: float, rng: np.random.Generator
-) -> int:
-    """Occupy each link independently with probability ``fraction``.
-
-    Harsher than circuit occupancy (links may be held by traffic the
-    scheduler does not control); used in robustness tests.
-    """
-    count = 0
-    for link in net.links:
-        if rng.random() < fraction:
-            link.occupied = True
-            count += 1
-    return count
 
 
 @dataclass

@@ -35,14 +35,6 @@ class OpCounter:
             return float(sum(self.counts.values()))
         return float(sum(weights.get(cat, 1.0) * n for cat, n in self.counts.items()))
 
-    def merge(self, other: "OpCounter") -> None:
-        """Fold another counter's charges into this one."""
-        self.counts.update(other.counts)
-
-    def reset(self) -> None:
-        """Zero all categories."""
-        self.counts.clear()
-
     def __getitem__(self, category: str) -> int:
         return self.counts[category]
 

@@ -178,50 +178,6 @@ class LatencyHistogram:
         boundary = self.bucket_index(threshold) if threshold else 0
         return sum(n for index, n in self._counts.items() if index < boundary)
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        """JSON-safe form: nonzero buckets keyed by their low bound."""
-        return {
-            "fine_bits": self.fine_bits,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min_value,
-            "max": self.max_value,
-            "buckets": {
-                str(self.bucket_bounds(index)[0]): n
-                for index, n in sorted(self._counts.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "LatencyHistogram":
-        """Rebuild a histogram serialised by :meth:`to_dict`."""
-        fine_bits = data.get("fine_bits")
-        buckets = data.get("buckets")
-        if not isinstance(fine_bits, int) or not isinstance(buckets, dict):
-            raise ValueError("malformed histogram dict")
-        hist = cls(fine_bits=fine_bits)
-        for low, n in buckets.items():
-            if not isinstance(n, int) or n < 1:
-                raise ValueError(f"malformed bucket count {n!r}")
-            hist.record(int(low), n)
-        # Bucketing loses sub-bucket positions; restore the recorded
-        # extremes and total so summary stats survive the round trip.
-        count = data.get("count")
-        total = data.get("total")
-        low_v, high_v = data.get("min"), data.get("max")
-        if isinstance(total, int):
-            hist.total = total
-        if isinstance(low_v, int):
-            hist.min_value = low_v
-        if isinstance(high_v, int):
-            hist.max_value = high_v
-        if isinstance(count, int) and count != hist.count:
-            raise ValueError(f"bucket counts sum to {hist.count}, header says {count}")
-        return hist
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.count:
             return "LatencyHistogram(empty)"

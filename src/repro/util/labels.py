@@ -39,13 +39,11 @@ def label_hash(label: str, *, bits: int = 32) -> int:
     return value >> (n_bytes * 8 - bits)
 
 
-def label_tag(label: str, *, chars: int = 8) -> str:
-    """A short stable hex tag for ``label`` (human-greppable ids).
+def label_tag(label: str) -> str:
+    """A short stable hex tag for ``label``: eight hex characters.
 
     The fabric names cells with these: ``label_tag("omega-32#3")`` is
     identical in the broker and in the cell process it addresses, so
     ``cell_id:lease_id`` lease names are consistent fabric-wide.
     """
-    if not 1 <= chars <= 64:
-        raise ValueError(f"chars must be in [1, 64], got {chars}")
-    return label_digest(label).hex()[:chars]
+    return label_digest(label).hex()[:8]

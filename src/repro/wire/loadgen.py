@@ -254,11 +254,11 @@ class LoadGenReport:
             "mean_latency_ms": self.histogram.mean / 1000.0,
         }
 
-    def render(self, title: str | None = None) -> str:
+    def render(self) -> str:
         """ASCII table of the run (CLI output)."""
         table = Table(
             ["metric", "value"],
-            title=title or (
+            title=(
                 f"loadgen: {self.config.arrival}, "
                 f"{self.config.rate:g} req/s offered, "
                 f"{self.config.duration:g}s, seed={self.config.seed}"
@@ -278,24 +278,18 @@ class LoadGenReport:
         return table.render()
 
 
-async def run_loadgen(
-    host: str,
-    port: int,
-    config: LoadGenConfig,
-    *,
-    clock: Clock | None = None,
-) -> LoadGenReport:
+async def run_loadgen(host: str, port: int, config: LoadGenConfig) -> LoadGenReport:
     """Drive the schedule against ``host:port``; returns the report.
 
     Arrivals are dispatched open-loop: a scheduler task sleeps to each
     arrival instant and fires an independent request task; slow or
-    failed requests never delay later arrivals.  ``clock`` defaults to
-    the event-loop monotonic clock (latency measurement needs real
-    time; the *schedule* stays seeded and deterministic).
+    failed requests never delay later arrivals.  Time is the event
+    loop's monotonic clock (latency measurement needs real time; the
+    *schedule* stays seeded and deterministic).
     """
     schedule = arrival_schedule(config)
     report = LoadGenReport(config=config, offered=len(schedule))
-    timer = clock if clock is not None else MonotonicClock()
+    timer = MonotonicClock()
     clients = [
         WireClient(
             host, port,

@@ -14,7 +14,6 @@ class TestConstruction:
     def test_defaults_homogeneous(self):
         m = small()
         assert not m.is_heterogeneous
-        assert not m.has_priorities
         assert m.n_processors == 4 and m.n_resources == 4
 
     def test_typed_pool(self):
@@ -29,7 +28,6 @@ class TestConstruction:
 
     def test_preferences(self):
         m = MRSIN(crossbar(2, 2), preferences=[5, 1])
-        assert m.has_priorities
         assert m.resources[0].preference == 5
 
 

@@ -72,7 +72,7 @@ class TestDinicEdges:
     def test_layered_network_accessors(self):
         ln = LayeredNetwork(source="s", sink="t")
         assert ln.depth == 0
-        assert ln.useful_moves("anything") == []
+        assert ln.moves == {}
 
     def test_dinic_missing_source(self):
         net = FlowNetwork()
@@ -192,14 +192,6 @@ class TestMulticommodityEdges:
         problem = MultiCommodityProblem(net, [Commodity("A", "s", "t")])
         res = solve_max_multicommodity(problem)
         assert res.commodity_flow(0, net.arcs[0]) == pytest.approx(1.0)
-
-    def test_cost_override_lookup(self):
-        net = FlowNetwork()
-        arc = net.add_arc("s", "t", 1, cost=2.0)
-        problem = MultiCommodityProblem(net, [Commodity("A", "s", "t")],
-                                        costs={(0, arc.index): 9.0})
-        assert problem.cost_of(0, arc) == 9.0
-        assert problem.cost_of(1, arc) == 2.0
 
     def test_empty_commodity_list(self):
         net = FlowNetwork()

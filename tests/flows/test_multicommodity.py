@@ -90,14 +90,6 @@ class TestMinCostMulticommodity:
         assert res.status is LPStatus.OPTIMAL
         assert res.cost == pytest.approx(2.0)  # A uses the free 2-hop route
 
-    def test_per_commodity_cost_override(self):
-        net = FlowNetwork()
-        net.add_arc("s", "t", 2, cost=1)
-        coms = [Commodity("A", "s", "t", demand=1), Commodity("B", "s", "t", demand=1)]
-        problem = MultiCommodityProblem(net, coms, costs={(1, 0): 10.0})
-        res = solve_min_cost_multicommodity(problem)
-        assert res.cost == pytest.approx(1.0 + 10.0)
-
     def test_missing_demand_rejected(self):
         problem = shared_link_instance()
         with pytest.raises(ValueError, match="demand"):

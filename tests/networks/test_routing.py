@@ -3,11 +3,7 @@
 import pytest
 
 from repro.networks import baseline, benes, crossbar, omega
-from repro.networks.routing import (
-    clear_reachability_cache,
-    destination_tag_path,
-    reachable_resources,
-)
+from repro.networks.routing import destination_tag_path, reachable_resources
 
 
 class TestDestinationTag:
@@ -77,10 +73,3 @@ class TestReachability:
         net.establish_circuit(net.find_free_path(0, 0))
         # Structural reachability ignores occupancy by design.
         assert reachable_resources(net, 0) == before
-
-    def test_cache_clear(self):
-        net = omega(8)
-        reachable_resources(net, 0)
-        assert "_reach_table" in net.__dict__
-        clear_reachability_cache(net)
-        assert "_reach_table" not in net.__dict__

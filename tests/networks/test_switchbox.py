@@ -10,7 +10,7 @@ class TestConnections:
         box = Switchbox(0, 0, 2, 2)
         box.connect(0, 1)
         assert box.output_for(0) == 1
-        assert box.input_for(1) == 0
+        assert box.connections == {0: 1}
         assert not box.input_free(0)
         assert not box.output_free(1)
         assert box.input_free(1)

@@ -8,7 +8,6 @@ from repro.core.model import MRSIN
 from repro.sim.workload import (
     WorkloadSpec,
     occupy_random_circuits,
-    occupy_random_links,
     sample_instance,
 )
 
@@ -44,13 +43,6 @@ class TestOccupancyHelpers:
         m = MRSIN(net)
         n = occupy_random_circuits(net, m, 10, rng)
         assert n <= 2  # only two processors exist
-
-    def test_occupy_random_links(self):
-        rng = np.random.default_rng(0)
-        net = omega(8)
-        n = occupy_random_links(net, 0.5, rng)
-        assert 0 < n < len(net.links)
-        assert sum(l.occupied for l in net.links) == n
 
 
 class TestSampling:

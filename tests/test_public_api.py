@@ -1,4 +1,5 @@
-"""The public surface resolves, and deleted options are really gone.
+"""The public surface resolves, deleted options are really gone, and
+every ``src/`` callable has a caller outside the tests.
 
 A name left in ``__all__`` after its definition was deleted raises
 ``AttributeError`` only on ``from module import *``, which nothing else
@@ -24,16 +25,23 @@ import repro.flows
 import repro.service
 from repro.cli import build_parser
 from repro.core import MRSIN, OptimalScheduler
+from repro.core.heuristic import arbitrary_schedule, greedy_schedule, random_binding_schedule
 from repro.core.scheduler import MINCOST_ALGORITHMS
 from repro.distributed import MonitorScheduler
+from repro.fabric.broker import FabricBroker
 from repro.fabric.driver import FabricConfig, FabricRunResult
-from repro.faults.injector import FaultEvent
-from repro.flows import CompiledNetwork, FlowNetwork, kernel_solve
+from repro.faults.injector import FaultEvent, FaultInjector
+from repro.flows import CompiledNetwork, FlowNetwork, check_flow, dinic, is_integral, kernel_solve
+from repro.flows.multicommodity import MultiCommodityProblem
+from repro.flows.out_of_kilter import min_cost_circulation
 from repro.networks import omega
 from repro.service.driver import run_service
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import AllocationService, Lease, ServiceConfig
-from repro.wire.loadgen import LoadGenConfig
+from repro.sim.metrics import wilson_interval
+from repro.sim.workload import occupy_random_circuits
+from repro.util.labels import label_tag
+from repro.wire.loadgen import LoadGenConfig, run_loadgen
 
 MODULES = sorted(
     info.name
@@ -117,6 +125,21 @@ LOADGEN = partial(LoadGenConfig, rate=1.0, duration=1.0, processors=1)
         (LOADGEN, "diurnal_period"),
         (LOADGEN, "diurnal_amplitude"),
         (partial(kernel_solve, FlowNetwork(), "s", "t"), "record_layers"),
+        (partial(dinic, FlowNetwork(), "s", "t"), "record_layers"),
+        (partial(MultiCommodityProblem, FlowNetwork(), []), "costs"),
+        (partial(FabricBroker, None), "round_timeout"),
+        (partial(FabricBroker, None), "start_method"),
+        (partial(FaultInjector, None), "kinds"),
+        (partial(run_loadgen, "localhost", 0, None), "clock"),
+        (partial(check_flow, FlowNetwork()), "eps"),
+        (partial(is_integral, FlowNetwork()), "eps"),
+        (partial(min_cost_circulation, FlowNetwork()), "max_steps"),
+        (partial(label_tag, "omega-8#0"), "chars"),
+        (partial(wilson_interval, 1, 2), "z"),
+        (partial(occupy_random_circuits, None, None, 0, None), "max_attempts"),
+        (partial(greedy_schedule, None), "requests"),
+        (partial(random_binding_schedule, None), "requests"),
+        (partial(arbitrary_schedule, None), "requests"),
     ],
     ids=lambda v: getattr(v, "func", v).__name__ if callable(v) else v,
 )
@@ -260,3 +283,68 @@ def test_thirteen_verbs():
     ):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+
+#: ``src/`` callables no code outside ``tests/`` names, and why each
+#: stays: an oracle or fake the suite checks live code with, or a small
+#: library helper whose own tests are its only callers.
+TEST_ONLY_CALLABLES = {
+    "CFG.await_points": "oracle: generated CFGs keep source await order",
+    "CFG.reaches_exit": "oracle: every reachable CFG node reaches an exit",
+    "Mapping.allocation_cost": "oracle: Transformation 2's flow cost decomposes into it",
+    "min_cut": "oracle: the max-flow = min-cut certificate of every solver",
+    "reachable_resources": "oracle: every topology builder has full access",
+    "Switchbox.n_connected": "oracle: switch state in the network state machine",
+    "VirtualClock.pending_sleepers": "fake: tasks parked on the test clock",
+    "WireServer.draining": "observation: the drain state the wire tests wait on",
+    "WireServer.pending_acquires": "observation: in-flight ACQUIREs the wire tests wait on",
+    "StatusBus.clear_all": "helper: Table I bus model",
+    "Switchbox.is_straight": "helper: Fig. 2's named 2x2 settings",
+    "Switchbox.is_exchange": "helper: Fig. 2's named 2x2 settings",
+    "Switchbox.legal_settings": "helper: Theorem 1's complete settings",
+    "butterfly": "helper: wiring permutation",
+    "bit_reversal": "helper: wiring permutation",
+    "FlowNetwork.degree": "helper: graph query",
+    "LinearProgram.set_objective": "helper: LP construction",
+    "mean_and_ci": "helper: sample statistics",
+}
+
+
+def _names_used(root):
+    used = set()
+    for path in root.rglob("*.py"):
+        reexports = path.name == "__init__.py"  # a re-export is not a caller
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias) and not reexports:
+                used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def _callables(body, prefix=""):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _callables(node.body, f"{prefix}{node.name}.")
+
+
+def test_every_src_callable_has_a_caller_outside_the_tests():
+    # A name-level check: a callable whose name nothing in src/, bench/,
+    # benchmarks/ or examples/ mentions is reached by tests alone.  It
+    # cannot see a method whose name another live callable shares.
+    src = pathlib.Path(repro.__file__).parent
+    repo = src.parents[1]
+    used = set().union(
+        *(_names_used(repo / d) for d in ("src", "bench", "benchmarks", "examples"))
+    )
+    uncalled = {
+        qualname
+        for path in src.rglob("*.py")
+        for qualname, name in _callables(ast.parse(path.read_text()).body)
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert uncalled == set(TEST_ONLY_CALLABLES)

@@ -91,20 +91,6 @@ class TestCounters:
         c.charge("b", 2)
         assert c.total({"a": 10.0}) == 32.0  # missing weight defaults to 1
 
-    def test_merge(self):
-        a, b = OpCounter(), OpCounter()
-        a.charge("x", 1)
-        b.charge("x", 2)
-        b.charge("y", 3)
-        a.merge(b)
-        assert a["x"] == 3 and a["y"] == 3
-
-    def test_reset(self):
-        c = OpCounter()
-        c.charge("z", 9)
-        c.reset()
-        assert c.total() == 0.0
-
     def test_missing_key_zero(self):
         assert OpCounter()["nothing"] == 0
 
