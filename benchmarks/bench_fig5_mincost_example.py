@@ -44,7 +44,7 @@ def test_fig5_mincost_example(benchmark, capsys):
     # The paper's solver and the independent one must agree on the
     # optimum, and NetworkX referees the cost itself.
     results = {}
-    for algo in sorted(MINCOST_ALGORITHMS):
+    for algo in ("kernel", *sorted(MINCOST_ALGORITHMS)):
         m = fig5_instance()
         sched = OptimalScheduler(mincost=algo)
         mapping = sched.schedule(m)

@@ -453,8 +453,7 @@ class AsyncioHygiene(Rule):
     # nothing from the rest of repro, so the names are spelled out).
     SOLVER_NAMES = {
         "schedule", "schedule_incremental", "dinic", "edmonds_karp",
-        "ford_fulkerson", "push_relabel", "kernel_solve", "kernel_min_cost", "max_flow",
-        "unit_paths",
+        "ford_fulkerson", "push_relabel", "max_flow", "unit_paths",
         "out_of_kilter", "min_cost_flow", "min_cost_circulation",
         "greedy_schedule", "random_binding_schedule",
         "estimate_blocking", "simulate_queueing", "solve",

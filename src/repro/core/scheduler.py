@@ -18,10 +18,11 @@ homogeneous rows never build a :class:`~repro.flows.graph.FlowNetwork`:
 :func:`~repro.core.transform.lower_to_kernel` emits Transformation 1 /
 2 straight onto a :class:`~repro.flows.kernel.FlowKernel` (the lowering
 the warm engine builds on too), the kernel solves, and one array walk
-reads the mapping back.  The object solvers named in the two tables —
-Dinic, Ford–Fulkerson, push-relabel, out-of-kilter, SSP — run on the
-object transformations and are the oracles the default is tested
-against.
+reads the mapping back.  That route is the ``"kernel"`` value of
+``maxflow=`` / ``mincost=``, not a table entry: the two tables hold the
+object solvers only — Dinic, Edmonds–Karp, Ford–Fulkerson,
+push-relabel, out-of-kilter, SSP — which run on the object
+transformations and are the oracles the default is tested against.
 
 The heterogeneous row first solves one kernel max flow per requested
 type on the same lowering, freezing the paths earlier types took.  The
@@ -64,7 +65,6 @@ from repro.core.transform import (
 )
 from repro.core.incremental import KernelFlowEngine
 from repro.flows.dinic import dinic
-from repro.flows.kernel import kernel_min_cost, kernel_solve
 from repro.flows.lp import LPStatus
 from repro.flows.maxflow import edmonds_karp, ford_fulkerson
 from repro.flows.mincost import MinCostResult, min_cost_flow
@@ -101,23 +101,19 @@ class SchedulerStats:
     n_allocated: int = 0
 
 
+# The object-graph max-flow solvers, each called as
+# ``solver(net, source, sink, counter=)``.  The default of ``maxflow=``
+# and ``mincost=``, "kernel", is an entry of neither table: that route
+# lowers with no object graph.
 MAXFLOW_ALGORITHMS = {
     "dinic": dinic,
     "edmonds_karp": edmonds_karp,
     "ford_fulkerson": ford_fulkerson,
     "push_relabel": push_relabel,
-    # The flat-array CSR kernel (repro.flows.kernel), the default.  The
-    # scheduler solves it on lower_to_kernel's network; this callable is
-    # the same solve on a compiled object network, for the oracles.
-    "kernel": kernel_solve,
 }
 
 # Each is called as ``solver(net, source, sink, target_flow=F0, counter=)``.
 MINCOST_ALGORITHMS: dict[str, Callable[..., MinCostResult]] = {
-    # Primal-dual successive shortest paths on the flat-array kernel:
-    # the default — the optimum of the two below at a fraction of the
-    # time, reached like MAXFLOW_ALGORITHMS["kernel"].
-    "kernel": kernel_min_cost,
     # The algorithm Table II names; the kernel's differential oracle
     # and what MonitorScheduler's instruction counts are about.
     "out_of_kilter": out_of_kilter,
@@ -133,17 +129,17 @@ class OptimalScheduler:
     Parameters
     ----------
     maxflow:
-        A key of :data:`MAXFLOW_ALGORITHMS`: ``"kernel"`` (default —
-        Dinic on the flat-array kernel, lowered without an object
-        graph), or an object-graph oracle: ``"dinic"`` (the algorithm
-        the paper's distributed architecture realises),
+        ``"kernel"`` (default — Dinic on the flat-array kernel, lowered
+        without an object graph), or a key of
+        :data:`MAXFLOW_ALGORITHMS`, an object-graph oracle: ``"dinic"``
+        (the algorithm the paper's distributed architecture realises),
         ``"edmonds_karp"``, ``"ford_fulkerson"``, ``"push_relabel"``.
     mincost:
-        A key of :data:`MINCOST_ALGORITHMS`: ``"kernel"`` (default —
-        primal-dual shortest paths on the flat-array kernel, lowered
-        the same way), or an object-graph oracle: ``"out_of_kilter"``
-        (the paper's named algorithm) or ``"ssp"`` (successive
-        shortest paths).
+        ``"kernel"`` (default — primal-dual shortest paths on the
+        flat-array kernel, lowered the same way), or a key of
+        :data:`MINCOST_ALGORITHMS`, an object-graph oracle:
+        ``"out_of_kilter"`` (the paper's named algorithm) or ``"ssp"``
+        (successive shortest paths).
     counter:
         Optional :class:`~repro.util.counters.OpCounter` charged with
         abstract operations (the monitor architecture's cost model).
@@ -156,9 +152,9 @@ class OptimalScheduler:
         mincost: str = "kernel",
         counter: OpCounter | None = None,
     ) -> None:
-        if maxflow not in MAXFLOW_ALGORITHMS:
+        if maxflow != "kernel" and maxflow not in MAXFLOW_ALGORITHMS:
             raise ValueError(f"unknown maxflow algorithm {maxflow!r}")
-        if mincost not in MINCOST_ALGORITHMS:
+        if mincost != "kernel" and mincost not in MINCOST_ALGORITHMS:
             raise ValueError(f"unknown mincost algorithm {mincost!r}")
         self.maxflow = maxflow
         self.mincost = mincost
@@ -249,7 +245,7 @@ class OptimalScheduler:
     def _schedule_on_kernel(
         self, mrsin: MRSIN, reqs: Sequence[Request], *, priced: bool
     ) -> Mapping:
-        """Rows 1-2 on the ``"kernel"`` entries: lower, solve, read the paths.
+        """Rows 1-2 on the ``"kernel"`` route: lower, solve, read the paths.
 
         Row 1 is :meth:`FlowKernel.unit_paths
         <repro.flows.kernel.FlowKernel.unit_paths>`, the warm engine's

@@ -82,8 +82,3 @@ class StatusBus:
     def as_string(self) -> str:
         """Bus vector as a bit string, e.g. ``"1110000"``."""
         return "".join(map(str, self.vector()))
-
-    def reset(self) -> None:
-        """Release every driver (power-on state)."""
-        for drivers in self._drivers.values():
-            drivers.clear()

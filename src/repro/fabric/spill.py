@@ -11,7 +11,11 @@ bounded core trunk.  A max-flow solve over that reduced network (a few
 dozen nodes, regardless of how many thousand ports the cells contain)
 decides how many requests each origin may ship to each destination —
 capacity limits on pods and trunk fall out of the flow constraints
-rather than ad-hoc rate limiting.
+rather than ad-hoc rate limiting.  The network goes straight onto a
+:class:`~repro.flows.kernel.FlowKernel`, as the scheduler's Table II
+rows do: Dinic's :meth:`~repro.flows.kernel.FlowKernel.max_flow`
+solves it and :meth:`~repro.flows.kernel.FlowKernel.decompose` walks
+the flow into unit origin -> host routes.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.flows.dinic import dinic
-from repro.flows.graph import FlowNetwork, Node
+from repro.flows.kernel import FlowKernel
 from repro.util.counters import OpCounter
 
 __all__ = ["SpillTopology", "build_spill_network", "solve_spill"]
@@ -59,36 +62,38 @@ def build_spill_network(
     spares: Mapping[int, int],
     topology: SpillTopology,
     n_cells: int,
-) -> tuple[FlowNetwork, Node, Node]:
+) -> tuple[FlowKernel, int, int]:
     """The reduced Clos: source -> origins -> pods -> core -> pods -> hosts -> sink.
 
-    Nodes are tuples: ``("out", c)`` is cell ``c`` as an origin,
-    ``("in", c)`` as a destination, ``("up", g)``/``("down", g)`` the
-    ascending/descending side of pod ``g``, and ``"core"`` the trunk.
-    Same-pod spills bypass the core over an intra-pod arc, exactly as
-    a fat-tree keeps pod-local traffic off the spine.
+    Returns ``(kernel, source, sink)``.  Node ``c`` is cell ``c`` as an
+    origin and node ``n_cells + c`` the same cell as a destination;
+    then come the source, the sink, the core trunk (``sink + 1``), and
+    the ascending then the descending side of each pod.  Same-pod
+    spills bypass the core over an intra-pod arc, exactly as a
+    fat-tree keeps pod-local traffic off the spine.
     """
-    net = FlowNetwork()
-    source: Node = "source"
-    sink: Node = "sink"
     n_groups = (n_cells + topology.group_size - 1) // topology.group_size
+    source, sink, core = range(2 * n_cells, 2 * n_cells + 3)
+    up = core + 1
+    down = up + n_groups
+    kernel = FlowKernel(down + n_groups)
     for cell in range(n_cells):
         group = cell // topology.group_size
         demand = demands.get(cell, 0)
         if demand > 0:
-            net.add_arc(source, ("out", cell), demand)
-            net.add_arc(("out", cell), ("up", group), topology.uplink)
+            kernel.add_arc(source, cell, demand)
+            kernel.add_arc(cell, up + group, topology.uplink)
         spare = spares.get(cell, 0)
         if spare > 0:
-            net.add_arc(("down", group), ("in", cell), topology.uplink)
-            net.add_arc(("in", cell), sink, spare)
+            kernel.add_arc(down + group, n_cells + cell, topology.uplink)
+            kernel.add_arc(n_cells + cell, sink, spare)
     pod_capacity = topology.uplink * topology.group_size
     for group in range(n_groups):
-        net.add_arc(("up", group), ("down", group), pod_capacity)
+        kernel.add_arc(up + group, down + group, pod_capacity)
         if n_groups > 1:
-            net.add_arc(("up", group), "core", topology.trunk)
-            net.add_arc("core", ("down", group), topology.trunk)
-    return net, source, sink
+            kernel.add_arc(up + group, core, topology.trunk)
+            kernel.add_arc(core, down + group, topology.trunk)
+    return kernel, source, sink
 
 
 def solve_spill(
@@ -105,21 +110,23 @@ def solve_spill(
     demand volume the reduced network admits; what the flow leaves
     behind is genuinely unplaceable this round (no spare reachable
     within pod/trunk capacity) and the broker fails it.  The result is
-    deterministic: the network is built in cell order and Dinic's
-    augmentation order is a function of insertion order alone.
+    deterministic: the network is built in cell order, and Dinic's
+    augmentation order and the decomposition's walk are functions of
+    arc order alone.
     """
     total_demand = sum(demands.values())
     total_spare = sum(spares.values())
     if total_demand == 0 or total_spare == 0:
         return {}
-    net, source, sink = build_spill_network(demands, spares, topology, n_cells)
-    dinic(net, source, sink, counter=counter)
+    kernel, source, sink = build_spill_network(demands, spares, topology, n_cells)
+    baseline = kernel.snapshot()
+    kernel.max_flow(source, sink)
+    kernel.charge(counter, baseline)
+    to = kernel.to
     routes: dict[tuple[int, int], int] = {}
-    for path in net.decompose_paths(source, sink):
-        origin_node = path[0].head
-        host_node = path[-1].tail
-        if not (isinstance(origin_node, tuple) and isinstance(host_node, tuple)):
-            raise RuntimeError(f"malformed spill path {path!r}")
-        key = (int(origin_node[1]), int(host_node[1]))
+    for path in kernel.decompose(source, sink, range(0, kernel.n_arcs, 2)):
+        # A path leaves the source into an origin cell and reaches the
+        # sink from a destination cell.
+        key = (to[path[0]], to[path[-1] ^ 1] - n_cells)
         routes[key] = routes.get(key, 0) + 1
     return routes

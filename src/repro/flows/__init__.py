@@ -27,10 +27,12 @@ is tested against:
   production path for both homogeneous rows and the certified
   heterogeneous one: Dinic max flow (the serving hot path, and one
   solve per type for typed requests) and primal-dual min-cost flow
-  (the default for priority scheduling).  The scheduler lowers onto it directly
-  (``repro.core.transform.lower_to_kernel``), ``FlowNetwork.compile()``
-  from an object graph; the object solvers remain the
-  teaching/differential oracle.
+  (the default for priority scheduling), and the fabric's spill
+  solve.  Its callers build it directly
+  (``repro.core.transform.lower_to_kernel``,
+  ``repro.fabric.spill.build_spill_network``); the object solvers
+  remain the teaching/differential oracle, and
+  ``FlowNetwork.compile()`` is left only for a benchmark stage.
 - :mod:`repro.flows.push_relabel` — preflow-push, the max-flow method
   that shares no augmenting-path logic with the others (``bench/``'s
   independent check).
@@ -49,7 +51,7 @@ is tested against:
 """
 
 from repro.flows.graph import Arc, FlowNetwork
-from repro.flows.kernel import CompiledNetwork, FlowKernel, KernelResult, kernel_min_cost, kernel_solve
+from repro.flows.kernel import CompiledNetwork, FlowKernel
 from repro.flows.maxflow import MaxFlowResult, edmonds_karp, ford_fulkerson
 from repro.flows.push_relabel import push_relabel
 from repro.flows.dinic import LayeredNetwork, DinicResult, build_layered_network, dinic
@@ -73,9 +75,6 @@ __all__ = [
     "FlowNetwork",
     "CompiledNetwork",
     "FlowKernel",
-    "KernelResult",
-    "kernel_solve",
-    "kernel_min_cost",
     "MaxFlowResult",
     "edmonds_karp",
     "ford_fulkerson",

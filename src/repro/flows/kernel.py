@@ -31,36 +31,33 @@ representation.  Min-cost flow adds one more parallel list, ``cost``,
 which only :meth:`FlowKernel.min_cost_flow`'s caller builds.
 
 The scheduler's default Table II rows 1–3 and the warm engine build
-their kernels directly (:func:`repro.core.transform.lower_to_kernel`).
-Rows 1 and 3 and the warm engine solve and read back in one call,
-:meth:`FlowKernel.unit_paths`: the network's wiring-time levels stand
-in for the first BFS, a value bound for the last, and the certified
-augmenting paths for the walk; row 2 walks its min-cost flow with
-:meth:`FlowKernel.decompose`.
-:meth:`FlowNetwork.compile() <repro.flows.graph.FlowNetwork.compile>`
-lowers an object graph onto a kernel and maps solved flows back onto
-``Arc.flow``; :func:`kernel_solve` and :func:`kernel_min_cost` package
-that round trip with the call shapes of the object solvers, which stay
+their kernels directly (:func:`repro.core.transform.lower_to_kernel`),
+and the fabric's spill tier builds its reduced Clos the same way
+(:func:`repro.fabric.spill.build_spill_network`).  Rows 1 and 3 and the warm engine solve and read back in
+one call, :meth:`FlowKernel.unit_paths`: the network's wiring-time
+levels stand in for the first BFS, a value bound for the last, and the
+certified augmenting paths for the walk; row 2 and the spill tier walk
+their flows with :meth:`FlowKernel.decompose`.  The object solvers stay
 as the teaching implementations and the differential-test oracles:
 Dinic for max flow, out-of-kilter (the paper's) and SSP for min cost.
+The one other way in, :class:`CompiledNetwork`
+(``FlowNetwork.compile()``), lowers an object graph; only a benchmark
+stage still times it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable, Iterable
 
-from repro.flows.mincost import InfeasibleFlowError, MinCostResult, flow_demanded
 from repro.flows.validate import FlowViolation
 from repro.util.counters import OpCounter
 
 if TYPE_CHECKING:  # import cycle: graph.compile() returns CompiledNetwork
     from repro.flows.graph import FlowNetwork
 
-__all__ = ["FlowKernel", "CompiledNetwork", "KernelResult", "kernel_solve", "kernel_min_cost"]
+__all__ = ["FlowKernel", "CompiledNetwork"]
 
 Node = Hashable
 
@@ -579,36 +576,20 @@ class FlowKernel:
         return f"FlowKernel(|V|={self.n_nodes}, |E|={self.n_arcs // 2} pairs)"
 
 
-@dataclass
-class KernelResult:
-    """Outcome of a kernel max-flow solve (shape-compatible with
-    :class:`~repro.flows.dinic.DinicResult` where the schedulers care:
-    ``value`` and ``phases``)."""
-
-    value: int
-    phases: int
-
-
 class CompiledNetwork:
     """A :class:`~repro.flows.graph.FlowNetwork` lowered to a kernel.
 
     Built by :meth:`FlowNetwork.compile()
-    <repro.flows.graph.FlowNetwork.compile>`.  The lowering is
-    positional: object arc ``k`` becomes kernel arc pair ``2 * k``, so
-    callers holding object arc indices can address kernel state with a
-    shift, no dictionaries.  Nodes get dense ids in insertion order
-    (``node_of``).
+    <repro.flows.graph.FlowNetwork.compile>`; its one remaining caller
+    is ``bench/``'s cold compile-and-solve stage
+    (``flows.kernel_compile_ms`` / ``flows.kernel_solve_us``), and both
+    leave together.  The lowering is positional: object arc ``k``
+    becomes kernel arc pair ``2 * k``; nodes get dense ids in
+    insertion order (``node_of``).
 
     The kernel knows no lower bounds, so an arc with ``lower > 0`` is
     rejected at compile time with a ``ValueError`` naming it rather
-    than solved as if the bound were 0.  No transformation produces
-    one: the only lower-bounded arc in the repo is out-of-kilter's
-    temporary ``[F0, F0]`` return arc, which is never compiled.
-
-    ``solve`` seeds the kernel from the network's *current* flow
-    assignment (the object solvers' augment-on-top contract) and
-    :meth:`readback` writes the solved flow onto ``Arc.flow``, so the
-    object graph remains the single source of truth between solves.
+    than solved as if the bound were 0.
     """
 
     def __init__(self, net: "FlowNetwork") -> None:
@@ -627,121 +608,33 @@ class CompiledNetwork:
             [arc.capacity for arc in net.arcs],
         )
 
-    # ------------------------------------------------------------------
-    def seed_from_flow(self) -> None:
-        """Load the network's current ``Arc.flow`` into the kernel.
+    def solve(self, source: Node, sink: Node) -> int:
+        """Max flow from ``source`` to ``sink``; flows land on ``Arc.flow``.
 
-        Every flow must already sit within ``[0, capacity]`` (the
-        repo-wide invariant between solves); violations raise
-        ``ValueError`` rather than silently producing a wrong residual
-        network.
+        Seeds the kernel from the network's current ``Arc.flow`` and
+        augments on top of it, like the object solvers; returns the
+        flow value.  A flow outside ``[0, capacity]`` is a
+        ``ValueError``, never a wrong residual network.  A missing
+        terminal, or ``source == sink``, admits no flow: value 0.
         """
-        cap = self.kernel.cap
-        for k, arc in enumerate(self.net.arcs):
+        net = self.net
+        if source == sink or source not in self.node_of or sink not in self.node_of:
+            return 0
+        kernel = self.kernel
+        cap = kernel.cap
+        for k, arc in enumerate(net.arcs):
             flow = arc.flow
             if flow < 0 or flow > arc.capacity:
                 raise ValueError(
                     f"flow {flow} outside [0, {arc.capacity}] on "
                     f"{arc!r}; cannot seed the kernel from an illegal flow"
                 )
-            a = 2 * k
-            cap[a] = arc.capacity - flow
-            cap[a + 1] = flow
-
-    def solve(self, source: Node, sink: Node, *, counter: OpCounter | None = None) -> KernelResult:
-        """Max flow from ``source`` to ``sink``; flows land on ``Arc.flow``.
-
-        Augments on top of the network's current assignment.  A missing
-        terminal, or ``source == sink``, admits no flow: value 0, like
-        every other ``MAXFLOW_ALGORITHMS`` entry.
-        """
-        net = self.net
-        if source == sink or source not in self.node_of or sink not in self.node_of:
-            return KernelResult(value=0, phases=0)
-        kernel = self.kernel
-        phases0 = kernel.phases
-        baseline = kernel.snapshot()
-        self.seed_from_flow()
+            cap[2 * k] = arc.capacity - flow
+            cap[2 * k + 1] = flow
         kernel.max_flow(self.node_of[source], self.node_of[sink])
-        kernel.charge(counter, baseline)
-        self.readback()
-        return KernelResult(
-            value=net.flow_value(source), phases=kernel.phases - phases0
-        )
-
-    def min_cost_solve(
-        self, source: Node, sink: Node, *, target_flow: int, counter: OpCounter | None = None
-    ) -> MinCostResult:
-        """Min-cost flow of value ``target_flow``; flows land on ``Arc.flow``.
-
-        Call shape and contract of every ``MINCOST_ALGORITHMS`` entry
-        (:func:`~repro.flows.mincost.flow_demanded`); an infeasible
-        target leaves the network at zero flow.  The kernel is
-        all-``int``: the cost list — built here, so the max-flow path
-        never pays for it — takes only non-negative integral costs and
-        a ``ValueError`` names the first arc with anything else.
-        """
-        net = self.net
-        if not flow_demanded(net, source, sink, target_flow):
-            return MinCostResult(0, 0.0, 0)
-        cost: list[int] = []
-        for arc in net.arcs:
-            whole = int(arc.cost) if math.isfinite(arc.cost) else -1
-            if whole != arc.cost or whole < 0:
-                raise ValueError(
-                    f"cannot lower {arc!r} onto the kernel: cost {arc.cost} "
-                    f"is not a non-negative integer"
-                )
-            cost += (whole, -whole)
-        kernel = self.kernel
-        kernel.reset()  # the network's flow is zero, so is the kernel's
-        baseline = kernel.snapshot()
-        value, total = kernel.min_cost_flow(
-            self.node_of[source], self.node_of[sink], cost, target_flow
-        )
-        kernel.charge(counter, baseline)
-        if value < target_flow:
-            raise InfeasibleFlowError(f"only {value} of {target_flow} units can be circulated")
-        self.readback()
-        return MinCostResult(value, float(total), kernel.augmentations - baseline[2])
-
-    def readback(self) -> None:
-        """Write the kernel's flow assignment back onto ``Arc.flow``."""
-        cap = self.kernel.cap
-        base = self.kernel.base
-        for k, arc in enumerate(self.net.arcs):
-            a = 2 * k
-            arc.flow = base[a] - cap[a]
+        for k, arc in enumerate(net.arcs):
+            arc.flow = cap[2 * k + 1]
+        return net.flow_value(source)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledNetwork({self.kernel!r})"
-
-
-def kernel_solve(
-    net: "FlowNetwork",
-    source: Node,
-    sink: Node,
-    *,
-    counter: OpCounter | None = None,
-) -> KernelResult:
-    """Drop-in max-flow entry point backed by the flat-array kernel.
-
-    Call-compatible with :func:`repro.flows.dinic.dinic` for the
-    scheduler's purposes (augments on top of the current assignment,
-    returns an object with ``value``/``phases``).  Layered networks are
-    an object-solver concept; use the object ``dinic`` to record them.
-    """
-    return net.compile().solve(source, sink, counter=counter)
-
-
-def kernel_min_cost(
-    net: "FlowNetwork",
-    source: Node,
-    sink: Node,
-    *,
-    target_flow: int,
-    counter: OpCounter | None = None,
-) -> MinCostResult:
-    """:func:`kernel_solve`'s min-cost twin, the ``MINCOST_ALGORITHMS``
-    entry: compile, :meth:`CompiledNetwork.min_cost_solve`."""
-    return net.compile().min_cost_solve(source, sink, target_flow=target_flow, counter=counter)

@@ -306,8 +306,8 @@ class TestR005AsyncioHygiene:
             f.__name__
             for f in (
                 *MAXFLOW_ALGORITHMS.values(), *MINCOST_ALGORITHMS.values(),
-                # The "kernel" entries' default route: lowered, then
-                # solved by these methods, not the table's callables.
+                # The default "kernel" route, which is no table entry:
+                # lowered, then solved by these methods.
                 FlowKernel.max_flow, FlowKernel.min_cost_flow, FlowKernel.unit_paths,
             )
         }

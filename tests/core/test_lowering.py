@@ -4,7 +4,8 @@ The default homogeneous and priority routes of ``OptimalScheduler``
 never build a ``FlowNetwork``: ``lower_to_kernel`` emits the arcs of
 Transformation 1 / 2 in the object builders' order, the kernel solves,
 and one array walk reads the mapping back.  The object route —
-``transformation1/2`` + the ``"kernel"`` table entry + ``extract_mapping``
+``transformation1/2``, the same kernel solve on those arcs with the
+flows written back (:func:`solve_object_on_kernel`), ``extract_mapping``
 — is the oracle: same mapping, assignment for assignment, and the same
 cost, on loaded and fault-degraded registry topologies, in any request
 order.  Row 1's read-back is ``FlowKernel.unit_paths`` (the warm
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 from repro.core import MRSIN, Discipline, KernelFlowEngine, OptimalScheduler, Request
 from repro.core import scheduler as scheduler_module
 from repro.core.exhaustive import mapping_objective_cost
-from repro.core.scheduler import MAXFLOW_ALGORITHMS, MINCOST_ALGORITHMS
 from repro.core.transform import (
     extract_mapping,
     extract_multicommodity_mapping,
@@ -92,6 +92,28 @@ def degraded_system(
     return mrsin, requests
 
 
+def solve_object_on_kernel(problem, priced: bool) -> tuple[int, int]:
+    """``problem``'s object network solved on a kernel, arc ``k`` as pair
+    ``2 * k``, its flows written back onto ``Arc.flow``: ``(value, cost)``."""
+    net = problem.net
+    node_of = {node: v for v, node in enumerate(net.nodes)}
+    kernel = FlowKernel(len(node_of))
+    kernel.add_arcs(
+        [node_of[arc.tail] for arc in net.arcs],
+        [node_of[arc.head] for arc in net.arcs],
+        [arc.capacity for arc in net.arcs],
+    )
+    s, t = node_of[problem.source], node_of[problem.sink]
+    if priced:
+        cost = [c for arc in net.arcs for c in (int(arc.cost), -int(arc.cost))]
+        value, total = kernel.min_cost_flow(s, t, cost, problem.required_flow)
+    else:
+        value, total = kernel.max_flow(s, t), 0
+    for k, arc in enumerate(net.arcs):
+        arc.flow = kernel.cap[2 * k + 1]
+    return value, total
+
+
 def shuffled(requests: list[Request], order: int) -> list[Request]:
     """``requests`` permuted by seed ``order``; 0 keeps them as built."""
     if not order:
@@ -114,15 +136,9 @@ def test_default_route_equals_object_kernel_route(name, seed, priced, order):
     mapping = scheduler.schedule(mrsin, requests, discipline=discipline)
 
     problem = (transformation2 if priced else transformation1)(mrsin, requests)
-    if priced:
-        oracle = MINCOST_ALGORITHMS["kernel"](
-            problem.net, problem.source, problem.sink, target_flow=problem.required_flow
-        )
-        assert scheduler.stats.flow_cost == oracle.cost
-    else:
-        oracle = MAXFLOW_ALGORITHMS["kernel"](problem.net, problem.source, problem.sink)
-        assert scheduler.stats.flow_cost == 0.0
-    assert scheduler.stats.flow_value == oracle.value
+    value, cost = solve_object_on_kernel(problem, priced)
+    assert scheduler.stats.flow_cost == cost
+    assert scheduler.stats.flow_value == value
     assert mapping.assignments == extract_mapping(problem, mrsin).assignments
     mapping.validate(mrsin)
 

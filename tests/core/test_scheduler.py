@@ -13,6 +13,11 @@ from repro.core import (
     greedy_schedule,
 )
 from repro.core.scheduler import MAXFLOW_ALGORITHMS, MINCOST_ALGORITHMS
+
+#: Every ``maxflow=`` / ``mincost=`` value: the default kernel route,
+#: then the object solvers of the two tables.
+MAXFLOW_ROUTES = ("kernel", *sorted(MAXFLOW_ALGORITHMS))
+MINCOST_ROUTES = ("kernel", *sorted(MINCOST_ALGORITHMS))
 from repro.networks import benes, crossbar, omega
 
 
@@ -50,7 +55,7 @@ class TestClassification:
 
 
 class TestHomogeneousScheduling:
-    @pytest.mark.parametrize("algo", sorted(MAXFLOW_ALGORITHMS))
+    @pytest.mark.parametrize("algo", MAXFLOW_ROUTES)
     def test_all_algorithms_allocate_fully_on_free_network(self, algo):
         m = MRSIN(omega(8))
         for p in range(8):
@@ -96,7 +101,7 @@ class TestHomogeneousScheduling:
 
 
 class TestPriorityScheduling:
-    @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
+    @pytest.mark.parametrize("algo", MINCOST_ROUTES)
     def test_higher_priority_wins_contention(self, algo):
         """Two requests, one free resource: urgency decides."""
         m = MRSIN(crossbar(2, 2))
@@ -106,7 +111,7 @@ class TestPriorityScheduling:
         mapping = OptimalScheduler(mincost=algo).schedule(m)
         assert mapping.pairs == {(1, 0)}
 
-    @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
+    @pytest.mark.parametrize("algo", MINCOST_ROUTES)
     def test_preferred_resource_chosen(self, algo):
         m = MRSIN(crossbar(2, 2), preferences=[2, 9])
         m.submit(Request(0))
@@ -150,7 +155,7 @@ class TestPriorityScheduling:
                 m.submit(req)
             costs = set()
             sizes = set()
-            for algo in sorted(MINCOST_ALGORITHMS):
+            for algo in MINCOST_ROUTES:
                 m2 = MRSIN(omega(8), preferences=prefs)
                 for req in reqs:
                     m2.submit(req)
@@ -440,23 +445,24 @@ class TestValidationSurvivesOptimization:
             else:
                 KernelFlowEngine(m).schedule(requests)
 
-    @pytest.mark.parametrize("algo", sorted(MINCOST_ALGORITHMS))
+    @pytest.mark.parametrize("algo", MINCOST_ROUTES)
     def test_nonintegral_min_cost_flow_raises(self, monkeypatch, algo):
-        # Behind every entry, not just the default: the object entries'
+        # Behind every route, not just the default: the object entries'
         # guard runs on the object network after the solve; "kernel"
         # solves lowered int arrays, whose guard is the decomposition.
         from repro.core import scheduler as scheduler_module
         from repro.flows.kernel import FlowKernel
         from repro.flows.validate import FlowViolation
 
-        real = scheduler_module.MINCOST_ALGORITHMS[algo]
+        if algo != "kernel":
+            real = scheduler_module.MINCOST_ALGORITHMS[algo]
 
-        def corrupting_solver(net, source, sink, **kwargs):
-            result = real(net, source, sink, **kwargs)
-            net.arcs[0].flow += 0.5
-            return result
+            def corrupting_solver(net, source, sink, **kwargs):
+                result = real(net, source, sink, **kwargs)
+                net.arcs[0].flow += 0.5
+                return result
 
-        monkeypatch.setitem(scheduler_module.MINCOST_ALGORITHMS, algo, corrupting_solver)
+            monkeypatch.setitem(scheduler_module.MINCOST_ALGORITHMS, algo, corrupting_solver)
         monkeypatch.setattr(
             FlowKernel, "min_cost_flow", _dropping_a_sink_unit(FlowKernel.min_cost_flow)
         )

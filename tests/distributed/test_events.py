@@ -81,9 +81,3 @@ class TestVector:
         ):
             bus.set("x", e)
         assert bus.as_string() == "1101100"
-
-    def test_reset(self):
-        bus = StatusBus()
-        bus.set("x", Event.REQUEST_PENDING)
-        bus.reset()
-        assert bus.as_string() == "0000000"

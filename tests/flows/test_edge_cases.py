@@ -57,9 +57,8 @@ class TestMaxflowEdges:
     @pytest.mark.parametrize("name", sorted(MAXFLOW_ALGORITHMS))
     def test_source_equals_sink_is_zero_flow(self, name):
         # Regression: the DFS finder reported the empty path as
-        # augmenting and ford_fulkerson died in min() of nothing, while
-        # the kernel raised its own message; every registry entry must
-        # agree that nothing flows from a node to itself.
+        # augmenting and ford_fulkerson died in min() of nothing; every
+        # registry entry must agree that nothing flows from a node to itself.
         net = FlowNetwork()
         net.add_arc("s", "a", 2)
         net.add_arc("a", "s", 1)

@@ -4,10 +4,9 @@ differential contract against the object solvers.
 The kernel is the hot path; the object solvers are the teaching
 implementations and the source of truth.  Every test here either pins
 a kernel edge case (zero-capacity arcs, unreachable sinks, rejected
-lower bounds, non-integral costs) or fuzzes the two implementations
-against each other — max flow against the object Dinic, min-cost flow
-against successive shortest paths and out-of-kilter — on random
-graphs, on Transformation-1/2 networks over the stocked topologies
+lower bounds) or fuzzes the two implementations against each other —
+max flow against the object Dinic, min-cost flow against successive
+shortest paths and out-of-kilter — on random graphs, on Transformation-1/2 networks over the stocked topologies
 (healthy, loaded and fault-degraded), and through the warm engine's
 full allocate/teardown/release lifecycle.
 """
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import MRSIN, Discipline, KernelFlowEngine, OptimalScheduler, Request
 from repro.core.transform import transformation1
-from repro.flows import FlowKernel, FlowNetwork, dinic, kernel_min_cost, kernel_solve, min_cost_flow
+from repro.flows import FlowKernel, FlowNetwork, dinic, min_cost_flow
 from repro.flows.mincost import InfeasibleFlowError
 from repro.flows.validate import check_flow, is_integral
 from repro.networks import TOPOLOGIES, benes, build_network, clos, crossbar, omega
@@ -45,6 +44,13 @@ def inject_faults(mrsin: MRSIN, rng, *, resources: float, links: float, boxes: f
         for box in range(len(stage_boxes)):
             if rng.random() < boxes:
                 mrsin.fail_switchbox(stage, box)
+
+
+def kernel_of(arcs, n_nodes: int = 6) -> FlowKernel:
+    """Arc ``i`` of ``arcs`` (``(tail, head, capacity, ...)``) as kernel pair ``2 * i``."""
+    k = FlowKernel(n_nodes)
+    k.add_arcs([arc[0] for arc in arcs], [arc[1] for arc in arcs], [arc[2] for arc in arcs])
+    return k
 
 
 def diamond() -> FlowKernel:
@@ -171,19 +177,20 @@ class TestCompiledNetwork:
         problem = transformation1(mrsin, [Request(p) for p in range(8)])
         obj, ker = problem.net.copy(), problem.net.copy()
         d = dinic(obj, problem.source, problem.sink)
-        r = kernel_solve(ker, problem.source, problem.sink)
-        assert r.value == d.value == 8
+        assert ker.compile().solve(problem.source, problem.sink) == d.value == 8
         assert check_flow(ker, problem.source, problem.sink) == 8
         assert is_integral(ker)
+        assert {type(arc.flow) for arc in ker.arcs} == {int}  # Theorem 2's ints
 
     def test_second_solve_adds_nothing(self):
         mrsin = MRSIN(omega(8))
         problem = transformation1(mrsin, [Request(p) for p in range(8)])
         compiled = problem.net.compile()
         first = compiled.solve(problem.source, problem.sink)
+        phases = compiled.kernel.phases
         again = compiled.solve(problem.source, problem.sink)
-        assert first.value == again.value  # augment-on-top found zero
-        assert again.phases <= 1
+        assert first == again == 8  # augment-on-top found zero
+        assert compiled.kernel.phases - phases <= 1
 
     def test_compile_rejects_lower_bounds(self):
         # The kernel solves plain max flow; a lower-bounded arc must be
@@ -193,8 +200,6 @@ class TestCompiledNetwork:
         net.add_arc("a", "t", 2, lower=1)
         with pytest.raises(ValueError, match=r"Arc#1\('a'->'t'.*lower bound 1"):
             net.compile()
-        with pytest.raises(ValueError, match="lower bound"):
-            kernel_solve(net, "s", "t")
 
     def test_seed_from_illegal_flow_raises(self):
         net = FlowNetwork()
@@ -202,16 +207,16 @@ class TestCompiledNetwork:
         compiled = net.compile()
         net.arcs[0].flow = 5
         with pytest.raises(ValueError, match="illegal flow"):
-            compiled.seed_from_flow()
+            compiled.solve("s", "t")
 
     def test_missing_terminal_is_zero(self):
         net = FlowNetwork()
         net.add_arc("s", "t", 1)
-        assert net.compile().solve("s", "ghost").value == 0
+        assert net.compile().solve("s", "ghost") == 0
 
 
 # ----------------------------------------------------------------------
-# Min-cost flow: kernel edges and the CompiledNetwork boundary
+# Min-cost flow: kernel edges
 # ----------------------------------------------------------------------
 def two_routes() -> FlowNetwork:
     """s -> t directly at cost 5, or via a at cost 1 + 1; one unit each."""
@@ -261,54 +266,20 @@ class TestMinCostKernel:
         assert k.cap[a ^ 1] == 2
 
     def test_counter_is_charged_through_snapshot_and_charge(self):
-        net = two_routes()
+        # two_routes() on the kernel: s=0, a=1, t=2.
+        k = kernel_of([(0, 2, 1), (0, 1, 1), (1, 2, 1)], 3)
         counter = OpCounter()
-        res = kernel_min_cost(net, "s", "t", target_flow=2, counter=counter)
-        assert (res.value, res.cost, res.augmentations) == (2, 7, 2)
+        baseline = k.snapshot()
+        assert k.min_cost_flow(0, 2, [5, -5, 1, -1, 1, -1], 2) == (2, 7)
+        k.charge(counter, baseline)
+        assert k.augmentations - baseline[2] == 2
         assert counter["augmentation"] == 2
         assert counter["arc_update"] == 3  # one arc, then two
         assert counter["node_visit"] > 0 and counter["arc_scan"] > 0
 
 
 class TestMinCostLowering:
-    def test_flows_land_on_the_object_network(self):
-        net = two_routes()
-        res = net.compile().min_cost_solve("s", "t", target_flow=1)
-        assert (res.value, res.cost) == (1, 2)
-        assert [arc.flow for arc in net.arcs] == [0, 1, 1]
-        assert {type(arc.flow) for arc in net.arcs} == {int}  # readback keeps Theorem 2's ints
-        assert res.cost == net.total_cost()
-
-    def test_compiled_network_can_be_solved_again(self):
-        net = two_routes()
-        compiled = net.compile()
-        first = compiled.min_cost_solve("s", "t", target_flow=2)
-        net.zero_flow()
-        again = compiled.min_cost_solve("s", "t", target_flow=2)
-        assert (first.value, first.cost) == (again.value, again.cost) == (2, 7)
-
-    def test_infeasible_target_leaves_zero_flow(self):
-        net = two_routes()
-        with pytest.raises(InfeasibleFlowError, match="only 2 of 3"):
-            kernel_min_cost(net, "s", "t", target_flow=3)
-        assert all(arc.flow == 0 for arc in net.arcs)
-
-    @pytest.mark.parametrize("bad", [2.5, -1, float("nan"), float("inf")])
-    def test_cost_must_be_a_nonnegative_integer(self, bad):
-        # The mirror of compile()'s lower-bound rejection: named at the
-        # boundary, not discovered as a wrong optimum deep in the solve.
-        net = two_routes()
-        net.add_arc("a", "b", 1, cost=bad)
-        net.add_arc("b", "t", 1, cost=-7)  # not the first offender
-        with pytest.raises(ValueError, match=r"Arc#3\('a'->'b'.*not a non-negative integer"):
-            kernel_min_cost(net, "s", "t", target_flow=1)
-        assert all(arc.flow == 0 for arc in net.arcs)
-
-    def test_integral_float_costs_are_exact(self):
-        # Transformation 2 emits float(int) costs.
-        net = FlowNetwork()
-        net.add_arc("s", "t", 2, cost=3.0)
-        assert kernel_min_cost(net, "s", "t", target_flow=2).cost == 6
+    """Costs reach a kernel only as a min-cost caller's parallel list."""
 
     def test_max_flow_path_builds_no_cost_list(self):
         net = two_routes()
@@ -346,9 +317,9 @@ class TestFuzzRandomGraphs:
     def test_kernel_matches_dinic(self, arcs):
         obj, ker = build_pair(arcs)
         d = dinic(obj, 0, 5)
-        r = kernel_solve(ker, 0, 5)
-        assert r.value == d.value
-        assert check_flow(ker, 0, 5) == r.value
+        value = ker.compile().solve(0, 5)
+        assert value == d.value
+        assert check_flow(ker, 0, 5) == value
         assert is_integral(ker)
 
 
@@ -366,33 +337,37 @@ class TestFuzzMinCostRandomGraphs:
     def test_kernel_matches_ssp_at_every_target(self, arcs):
         """General digraphs — cycles, zero capacities, zero costs, the
         arc-less network — at every target from 0 to one more than
-        fits: same value, same cost, same infeasibility."""
+        fits: same value, same cost, and the kernel comes up short
+        exactly where the object solver raises."""
+        arcs = [arc for arc in arcs if arc[0] != arc[1]]
 
         def build() -> FlowNetwork:
             net = FlowNetwork()
             net.add_node(0)
             net.add_node(5)
             for tail, head, cap, cost in arcs:
-                if tail != head:
-                    net.add_arc(tail, head, cap, cost=cost)
+                net.add_arc(tail, head, cap, cost=cost)
             return net
 
+        cost = [c for *_, unit in arcs for c in (unit, -unit)]
         most = dinic(build(), 0, 5).value
-        for solve in (min_cost_flow, kernel_min_cost):
-            with pytest.raises(InfeasibleFlowError):
-                solve(build(), 0, 5, target_flow=most + 1)
+        with pytest.raises(InfeasibleFlowError):
+            min_cost_flow(build(), 0, 5, target_flow=most + 1)
+        k = kernel_of(arcs)
+        assert k.min_cost_flow(0, 5, cost, most + 1)[0] == most
         for target in range(most + 1):
-            obj, ker = build(), build()
-            compiled = ker.compile()
-            expected = min_cost_flow(obj, 0, 5, target_flow=target)
-            got = compiled.min_cost_solve(0, 5, target_flow=target)
-            assert (got.value, got.cost) == (expected.value, expected.cost)
-            assert got.value == target and got.cost == ker.total_cost()
-            assert check_flow(ker, 0, 5) == target
-            assert is_integral(ker)
-            k = compiled.kernel
-            for a in range(0, k.n_arcs, 2):
-                assert k.cap[a] + k.cap[a ^ 1] == k.base[a]
+            expected = min_cost_flow(build(), 0, 5, target_flow=target)
+            k.reset()
+            assert k.min_cost_flow(0, 5, cost, target) == (target, expected.cost)
+            # The arrays hold a legal flow of that value and that cost.
+            flow = [k.cap[a ^ 1] for a in range(0, k.n_arcs, 2)]
+            assert sum(f * c for f, c in zip(flow, cost[::2])) == expected.cost
+            excess = [0] * 6
+            for (tail, head, cap, _), f, a in zip(arcs, flow, range(0, k.n_arcs, 2)):
+                assert 0 <= f <= cap == k.cap[a] + f
+                excess[tail] -= f
+                excess[head] += f
+            assert excess[5] == target == -excess[0] and not any(excess[1:5])
 
 
 class TestFuzzMinCostTopologies:
@@ -447,9 +422,9 @@ class TestFuzzTopologies:
         problem = transformation1(mrsin, [Request(p) for p in requesting])
         obj, ker = problem.net.copy(), problem.net.copy()
         d = dinic(obj, problem.source, problem.sink)
-        r = kernel_solve(ker, problem.source, problem.sink)
-        assert r.value == d.value
-        assert check_flow(ker, problem.source, problem.sink) == r.value
+        value = ker.compile().solve(problem.source, problem.sink)
+        assert value == d.value
+        assert check_flow(ker, problem.source, problem.sink) == value
         assert is_integral(ker)
 
 
