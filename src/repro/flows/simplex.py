@@ -39,8 +39,11 @@ from repro.flows.lp import LinearProgram, LPResult, LPStatus
 __all__ = ["simplex_solve", "simplex_standard_form"]
 
 TOL = 1e-8
-#: Basis changes between refactorisations.  A constant, not a knob: the
-#: pivot sequence does not depend on it, only the rounding error does.
+#: Basis changes between refactorisations.  A constant, not a knob: on
+#: the sizes ``TestPivotSequencePinned`` pins (up to omega-32 MULTI and
+#: the omega-8 Table II rows) the pivot sequence does not depend on it,
+#: only the rounding error does.  On larger degenerate LPs the pivot
+#: count can change (EXPERIMENTS.md, REVISED-SIMPLEX: an omega-32 case).
 REFACTOR_EVERY = 40
 
 

@@ -1,9 +1,11 @@
 """ASCII rendering of multistage networks and their circuit state.
 
 A development and teaching aid: draws the network stage by stage —
-processors, switchboxes with their current connection state, resources
-— marking occupied links.  Used by the examples to visualise what the
-scheduler did; no other module depends on it.
+processors, switchboxes with their current settings, resources —
+marking occupied links.  The settings are the circuits' own, read off
+their links by :meth:`MultistageNetwork.switch_settings`.  Used by the
+CLI and the examples to visualise what the scheduler did; no other
+module depends on it.
 
 Output for a 4x4 Omega with one circuit::
 
@@ -29,8 +31,7 @@ def _link_glyph(link: Link | None) -> str:
     return "==>" if link.occupied else "-->"
 
 
-def _box_glyph(box: Switchbox) -> str:
-    conns = box.connections
+def _box_glyph(box: Switchbox, conns: dict[int, int]) -> str:
     if not conns:
         body = "."
     else:
@@ -48,6 +49,7 @@ def render_network(net: MultistageNetwork, busy_resources: set[int] | None = Non
     readable).
     """
     busy_resources = busy_resources or set()
+    settings = net.switch_settings()
     rows: list[str] = []
     for p in range(net.n_processors):
         parts = [f"p{p:<2d}"]
@@ -61,11 +63,12 @@ def render_network(net: MultistageNetwork, busy_resources: set[int] | None = Non
                 link = None
             else:
                 box = net.box(dst.stage, dst.box)
-                parts.append(_box_glyph(box))
+                conns = settings.get(box, {})
+                parts.append(_box_glyph(box, conns))
                 # Follow the wire out of this box along the port the
                 # current input is connected to, or port-aligned
                 # straight-through for display when unconnected.
-                out_port = box.output_for(dst.port)
+                out_port = conns.get(dst.port)
                 if out_port is None:
                     out_port = min(dst.port, box.n_out - 1)
                 link = net.link_from(PortRef.box_out(dst.stage, dst.box, out_port))

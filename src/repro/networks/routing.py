@@ -17,8 +17,6 @@ extra-stage) the first free qualifying port is taken.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.networks.topology import Link, MultistageNetwork, PortRef
 
 __all__ = ["destination_tag_path", "reachable_resources"]
@@ -68,22 +66,6 @@ def reachable_resources(net: MultistageNetwork, p: int) -> frozenset[int]:
     return _reach_table(net)[net.processor_link(p).index]
 
 
-def _free_options(net: MultistageNetwork, link: Link) -> Iterator[Link]:
-    """Free onward links after ``link``, respecting switch and fault state."""
-    dst = link.dst
-    if dst.kind != "box_in":
-        return
-    box = net.box(dst.stage, dst.box)
-    if box.failed or not box.input_free(dst.port):
-        return
-    for port in range(box.n_out):
-        if not box.output_free(port):
-            continue
-        nxt = net.link_from(PortRef.box_out(dst.stage, dst.box, port))
-        if nxt is not None and not nxt.occupied and not nxt.failed:
-            yield nxt
-
-
 def destination_tag_path(net: MultistageNetwork, p: int, r: int) -> list[Link] | None:
     """Route processor ``p`` toward resource ``r`` greedily.
 
@@ -106,7 +88,7 @@ def destination_tag_path(net: MultistageNetwork, p: int, r: int) -> list[Link] |
         last = path[-1]
         if last.dst == target:
             return path
-        for nxt in _free_options(net, last):
+        for nxt in net.free_successors(last):
             if r in table[nxt.index]:
                 stack.append(path + [nxt])
     return None

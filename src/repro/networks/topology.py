@@ -4,10 +4,15 @@ A :class:`MultistageNetwork` is the physical substrate of an MRSIN
 (Section II): processors on the input side, resources on the output
 side, stages of non-broadcast switchboxes in between, and point-to-
 point links.  Circuit switching means a request holds an entire
-processor→resource path of links plus one input→output connection in
-each traversed box; this module owns that bookkeeping
+processor→resource path of links; this module owns that bookkeeping
 (:meth:`MultistageNetwork.establish_circuit` /
 :meth:`~MultistageNetwork.release_circuit`).
+
+Link occupancy is the only circuit state.  Every port carries exactly
+one link, so a box's input→output connection is the pair of occupied
+links a circuit holds through it (Theorem 1: a setting is a unit flow
+on the box's links).  Switch settings are read off the circuits by
+:meth:`MultistageNetwork.switch_settings`, never stored.
 
 Networks are assembled from *stage boundaries*: permutation functions
 describing how the wires of one rank connect to the next (see
@@ -18,7 +23,7 @@ describing how the wires of one rank connect to the next (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.networks.switchbox import Switchbox
@@ -87,18 +92,12 @@ class Circuit:
     """An established processor→resource connection.
 
     Holds the ordered links of the path; used as the handle for
-    :meth:`MultistageNetwork.release_circuit`.  ``hops`` are the switch
-    settings the circuit holds — one ``(box, in_port, out_port)`` per
-    traversed switchbox — so release walks them directly; they are
-    derived from ``links`` and take no part in equality.
+    :meth:`MultistageNetwork.release_circuit`.
     """
 
     processor: int
     resource: int
     links: tuple[Link, ...]
-    hops: tuple[tuple[Switchbox, int, int], ...] = field(
-        default=(), compare=False, repr=False
-    )
 
 
 class MultistageNetwork:
@@ -118,9 +117,8 @@ class MultistageNetwork:
         self._to_dst: dict[PortRef, Link] = {}
         self._processor_links: dict[int, Link] = {}
         # The hop table, resolved once at wiring time: link index ->
-        # (box entered, its input port, box left, its output port);
-        # the box is None at a processor or resource end.
-        self._hops: list[tuple[Switchbox | None, int, Switchbox | None, int]] = []
+        # (box entered, box left); None at a processor or resource end.
+        self._hops: list[tuple[Switchbox | None, Switchbox | None]] = []
         # The flow-node table, fixed at wiring time like the hop table:
         # link i's tail and head node ids in the flow lowering are
         # flow_ends[2 * i] and flow_ends[2 * i + 1] (flat, so a network
@@ -158,7 +156,7 @@ class MultistageNetwork:
         entered, head = self._link_end(dst, "box_in")
         link = Link(len(self.links), src, dst)
         self.links.append(link)
-        self._hops.append((entered, dst.port, left, src.port))
+        self._hops.append((entered, left))
         self.flow_ends += (tail, head)
         self._flow_levels = None
         self._from_src[src] = link
@@ -248,6 +246,22 @@ class MultistageNetwork:
         """The active circuits in establish order (a snapshot list)."""
         return list(self._circuits.values())
 
+    def switch_settings(self) -> dict[Switchbox, dict[int, int]]:
+        """Every set box's input→output port map, read off the circuits.
+
+        A circuit's consecutive links meet at one box and set it from
+        the first link's input port to the second's output port
+        (Theorem 1); a box no circuit crosses is absent.  Derived on
+        each call: no setting is stored anywhere.
+        """
+        settings: dict[Switchbox, dict[int, int]] = {}
+        for circuit in self._circuits.values():
+            links = circuit.links
+            for a, b in zip(links, links[1:]):
+                _, stage, index, in_port = a.dst
+                settings.setdefault(self.stages[stage][index], {})[in_port] = b.src.port
+        return settings
+
     def processor_link(self, p: int) -> Link:
         """The single link leaving processor ``p``."""
         return self._processor_links[p]
@@ -277,7 +291,7 @@ class MultistageNetwork:
         """
         if link.failed:
             return False
-        entered, _, left, _ = self._hops[link.index]
+        entered, left = self._hops[link.index]
         if left is not None and left.failed:
             return False
         return entered is None or not entered.failed
@@ -305,10 +319,10 @@ class MultistageNetwork:
     # Circuit switching
     # ------------------------------------------------------------------
     def establish_circuit(self, links: Sequence[Link]) -> Circuit:
-        """Reserve a path: occupy its links and set the traversed switches.
+        """Reserve a path: occupy its links, which sets the traversed switches.
 
         Raises :class:`ValueError` (leaving the network untouched) if
-        any link is occupied or any switch port is already in use —
+        any link is occupied — a busy switch port is an occupied link —
         the circuit blockages the scheduler must avoid.
         """
         return self.establish_circuits([links])[0]
@@ -319,16 +333,17 @@ class MultistageNetwork:
         One pass per path over the hop table checks everything before
         any state is mutated: the path is a contiguous
         processor→resource link sequence, every link is free, healthy
-        and used by no other path of the batch, every traversed box is
-        healthy and both its ports are free.  A :class:`ValueError` on
-        any path therefore leaves the network untouched.  Within a
-        path a shape violation is reported before an unavailable link,
-        and that before an unavailable switch, whatever their positions.
-        Cost is O(total path length); nothing else is scanned.
+        and used by no other path of the batch, and every traversed box
+        is healthy.  No port is checked: each port carries one link, so
+        a busy port is an occupied or batch-used link.  A
+        :class:`ValueError` on any path therefore leaves the network
+        untouched.  Within a path a shape violation is reported before
+        an unavailable link, and that before a failed switch, whatever
+        their positions.  Cost is O(total path length); nothing else is
+        scanned.
         """
         hop_of = self._hops
         seen: set[int] = set()
-        staged: list[tuple[Sequence[Link], list[tuple[Switchbox, int, int]]]] = []
         for links in paths:
             if not links:
                 raise ValueError("empty path")
@@ -337,13 +352,11 @@ class MultistageNetwork:
                 raise ValueError(f"path must start at a processor, got {first.src}")
             if last.dst.kind != "res":
                 raise ValueError(f"path must end at a resource, got {last.dst}")
-            hops: list[tuple[Switchbox, int, int]] = []
             link_error = switch_error = None
             prev = box = None
-            port = -1
             for link in links:
                 index = link.index
-                entered, in_port, left, out_port = hop_of[index]
+                entered, left = hop_of[index]
                 if prev is not None:
                     if box is None or left is None:
                         raise ValueError(
@@ -356,10 +369,6 @@ class MultistageNetwork:
                         )
                     if box.failed:
                         switch_error = switch_error or f"{box} has failed"
-                    elif not box.ports_free(port, out_port):
-                        busy = f"output {out_port}" if box.input_free(port) else f"input {port}"
-                        switch_error = switch_error or f"{box} {busy} busy"
-                    hops.append((box, port, out_port))
                 if link.occupied:
                     link_error = link_error or f"link {index} already occupied"
                 elif link.failed:
@@ -367,22 +376,14 @@ class MultistageNetwork:
                 elif index in seen:
                     link_error = link_error or f"two paths share link {index}"
                 seen.add(index)
-                prev, box, port = link, entered, in_port
+                prev, box = link, entered
             if link_error or switch_error:
                 raise ValueError(link_error or switch_error)
-            staged.append((links, hops))
         circuits: list[Circuit] = []
-        for links, hops in staged:
-            for box, in_port, out_port in hops:
-                box.connect(in_port, out_port)
+        for links in paths:
             for link in links:
                 link.occupied = True
-            circuit = Circuit(
-                processor=links[0].src.box,
-                resource=links[-1].dst.box,
-                links=tuple(links),
-                hops=tuple(hops),
-            )
+            circuit = Circuit(links[0].src.box, links[-1].dst.box, tuple(links))
             self._circuits[links[0].index] = circuit
             circuits.append(circuit)
         return circuits
@@ -392,50 +393,47 @@ class MultistageNetwork:
 
         ``circuit`` is normally the object :meth:`establish_circuit`
         returned; an *equal* one (a copy, an unpickled one) releases
-        the registered circuit it equals — the switches and links freed
-        are always the network's own.
+        the registered circuit it equals — the links freed are always
+        the network's own.
         """
         key = circuit.links[0].index if circuit.links else -1
         active = self._circuits.get(key)
         if active is None or (active is not circuit and active != circuit):
             raise ValueError("circuit not active on this network")
-        for box, in_port, _ in active.hops:
-            box.disconnect(in_port)
         for link in active.links:
             link.occupied = False
         del self._circuits[key]
 
     def release_all(self) -> None:
-        """Release every circuit and clear all switch state."""
+        """Release every circuit."""
         for link in self.links:
             link.occupied = False
-        for box in self.boxes():
-            box.reset()
         self._circuits.clear()
 
     # ------------------------------------------------------------------
     # Path search over free capacity
     # ------------------------------------------------------------------
-    def _free_successors(self, link: Link) -> Iterator[Link]:
-        """Free, unfailed links that may legally follow ``link``."""
-        dst = link.dst
-        if dst.kind != "box_in":
+    def free_successors(self, link: Link) -> Iterator[Link]:
+        """Free, healthy links that may follow ``link`` on a circuit.
+
+        The links leaving the box ``link`` enters, in port order, if
+        that box is healthy.  A busy output port is an occupied link,
+        so the link test is the whole port test.
+        """
+        box = self._hops[link.index][0]
+        if box is None or box.failed:
             return
-        box = self.box(dst.stage, dst.box)
-        if box.failed or not box.input_free(dst.port):
-            return
+        from_src = self._from_src
         for port in range(box.n_out):
-            if not box.output_free(port):
-                continue
-            nxt = self._from_src.get(PortRef.box_out(dst.stage, dst.box, port))
+            nxt = from_src.get(PortRef.box_out(box.stage, box.index, port))
             if nxt is not None and not nxt.occupied and not nxt.failed:
                 yield nxt
 
     def find_free_path(self, p: int, r: int) -> list[Link] | None:
         """A free circuit path from processor ``p`` to resource ``r``.
 
-        Depth-first search over free links and free switch ports,
-        skipping failed links and boxes; returns ``None`` when ``r`` is
+        Depth-first search over free links, skipping failed links and
+        boxes; returns ``None`` when ``r`` is
         unreachable (blocked).  This is the *single-request* primitive;
         the optimal scheduler instead reasons over all requests jointly
         via the flow transformations.
@@ -453,7 +451,7 @@ class MultistageNetwork:
                 if not last.occupied:
                     return path
                 return None
-            for nxt in self._free_successors(last):
+            for nxt in self.free_successors(last):
                 if nxt.index in seen:
                     continue
                 seen.add(nxt.index)
@@ -463,8 +461,7 @@ class MultistageNetwork:
     def enumerate_free_paths(self, p: int, r: int) -> Iterator[list[Link]]:
         """Yield *every* currently-free circuit path from ``p`` to ``r``.
 
-        Depth-first enumeration respecting link occupancy and switch
-        port state; exponential in the worst case (redundant-path
+        Depth-first enumeration respecting link occupancy and faults; exponential in the worst case (redundant-path
         networks), intended for the exhaustive-search oracle and for
         small-instance analysis only.
         """
@@ -478,7 +475,7 @@ class MultistageNetwork:
             if last.dst == target:
                 yield list(path)
                 return
-            for nxt in self._free_successors(last):
+            for nxt in self.free_successors(last):
                 path.append(nxt)
                 yield from walk(path)
                 path.pop()

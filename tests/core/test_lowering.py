@@ -274,3 +274,31 @@ def test_typed_rows_against_the_lp(name, seed, n_types, priced):
         assert mapping.assignments == expected.assignments
     else:
         assert len(mapping) == scheduler.stats.flow_value == bound == round(lp.total_flow)
+
+
+@given(
+    name=st.sampled_from(sorted(REGISTRY)),
+    seed=st.integers(0, 2**32 - 1),
+    ymax=st.integers(1, 1000),
+    qmax=st.integers(1, 1000),
+    ranks=st.integers(0, 2**32 - 1),
+    ports=st.sampled_from([8, 16]),
+)
+@settings(max_examples=80, deadline=None)
+def test_priority_row_serves_the_max_flow_count(name, seed, ymax, qmax, ranks, ports):
+    """Table II row 2 allocates exactly row 1's count, whatever the
+    priorities and preferences (Theorem 3): the bypass costs more than
+    any real allocation at every scale ``ymax`` / ``qmax``, so the
+    minimum-cost flow is a maximum one."""
+    mrsin, requests = degraded_system(name, seed, ports=ports)
+    rng = np.random.default_rng(ranks)
+    mrsin.max_priority, mrsin.max_preference = ymax, qmax
+    for res in mrsin.resources:
+        res.preference = int(rng.integers(1, qmax + 1))
+    requests = [
+        Request(r.processor, priority=int(rng.integers(1, ymax + 1))) for r in requests
+    ]
+    row1 = OptimalScheduler().schedule(mrsin, requests, discipline=Discipline.HOMOGENEOUS)
+    row2 = OptimalScheduler().schedule(mrsin, requests, discipline=Discipline.PRIORITY)
+    row2.validate(mrsin)
+    assert len(row2) == len(row1)

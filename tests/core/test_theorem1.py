@@ -20,7 +20,9 @@ import pytest
 
 from repro.flows.graph import FlowNetwork
 from repro.flows.validate import check_flow
-from repro.networks.switchbox import Switchbox
+from repro.networks.permutations import identity
+from repro.networks.topology import assemble
+from tests.helpers import checked_switch_settings
 
 
 def all_partial_settings(n_in: int, n_out: int):
@@ -97,12 +99,19 @@ class TestTheorem1:
         assert len(list(all_partial_settings(n_in, n_out))) == n_settings
 
     def test_settings_install_on_real_switchbox(self, n_in, n_out):
-        """Every enumerated setting is accepted by the Switchbox API."""
+        """Every enumerated setting installs as circuits through one
+        real box, and the network reads exactly that setting back off
+        the circuits' links."""
+        net = assemble("box", n_in, n_out, [[(n_in, n_out)]], [identity, identity])
+        box = net.box(0, 0)
         for setting in all_partial_settings(n_in, n_out):
-            box = Switchbox(0, 0, n_in, n_out)
-            for i, o in setting.items():
-                box.connect(i, o)
-            assert box.connections == setting
+            net.establish_circuits(
+                [[net.processor_link(i), net.resource_link(o)] for i, o in setting.items()]
+            )
+            assert net.switch_settings() == ({box: setting} if setting else {})
+            checked_switch_settings(net)
+            net.release_all()
+            assert net.switch_settings() == {}
 
 
 def test_theorem1_end_to_end_on_a_two_box_network():

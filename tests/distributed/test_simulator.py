@@ -171,10 +171,10 @@ class TestHygiene:
     def test_network_left_pristine(self):
         m = random_state(3)
         occupancy_before = m.network.occupancy()
-        settings_before = [box.connections for box in m.network.boxes()]
+        settings_before = m.network.switch_settings()
         DistributedScheduler().schedule(m)
         assert m.network.occupancy() == occupancy_before
-        assert [box.connections for box in m.network.boxes()] == settings_before
+        assert m.network.switch_settings() == settings_before
 
     def test_heterogeneous_rejected(self):
         m = MRSIN(crossbar(2, 2), resource_types=["a", "b"])

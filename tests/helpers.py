@@ -95,3 +95,31 @@ def nx_min_cost_for_value(net: FlowNetwork, s, t, value: int) -> float:
             for key, f in keyed.items():
                 cost += g[u][v][key]["weight"] * f
     return cost
+
+
+def checked_switch_settings(net) -> dict[tuple[int, int], dict[int, int]]:
+    """``net.switch_settings()`` by ``(stage, index)``, after checking
+    Theorem 1's invariants on it.
+
+    Every derived setting is a non-broadcast partial matching inside
+    its box's shape, and the settings are exactly the consecutive link
+    pairs of the active circuits, rebuilt here from ``PortRef``
+    coordinates: no two circuits claim one port, and a box no circuit
+    crosses has no setting.
+    """
+    expected: dict[tuple[int, int], dict[int, int]] = {}
+    for circuit in net.circuits:
+        for a, b in zip(circuit.links, circuit.links[1:]):
+            key = (a.dst.stage, a.dst.box)
+            assert key == (b.src.stage, b.src.box)
+            setting = expected.setdefault(key, {})
+            assert a.dst.port not in setting, f"two circuits hold input {a.dst.port} of {key}"
+            setting[a.dst.port] = b.src.port
+    derived = {(box.stage, box.index): s for box, s in net.switch_settings().items()}
+    for (stage, index), setting in derived.items():
+        box = net.box(stage, index)
+        assert setting, "an unset box is absent, never empty"
+        assert len(set(setting.values())) == len(setting), "broadcast setting"
+        assert all(0 <= i < box.n_in and 0 <= o < box.n_out for i, o in setting.items())
+    assert derived == expected
+    return derived

@@ -2,17 +2,21 @@
 
 ``establish_circuits`` is the scheduling cycle's grant primitive (one
 pass over the hop table per path).  Hypothesis drives it over
-omega/benes/clos networks carrying random pre-established circuits,
-failed links and boxes, and "ghost" switch settings (a busy port whose
-links read free), with batches that are valid, blocked, or malformed:
+omega/benes/clos networks carrying random pre-established circuits and
+failed links and boxes, with batches that are valid, blocked, or
+malformed:
 
 - on success the network ends in exactly the state sequential
-  ``establish_circuit`` calls produce (links, every box's connections,
-  ``circuits`` order);
+  ``establish_circuit`` calls produce (links, the derived switch
+  settings, ``circuits`` order);
 - on any failing path it raises ``ValueError`` with the message of the
   reference check order below — shape, then links, then switches, path
   by path, as ``establish_circuit`` has always reported — and leaves
   the network bit-for-bit untouched.
+
+Link occupancy is the only circuit state, so the reference still asks
+for free switch ports (read off the derived settings) but never finds
+one busy: a busy port is an occupied link, reported first.
 """
 
 import copy
@@ -22,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.networks import benes, clos, omega
+from tests.helpers import checked_switch_settings
 
 BUILDERS = {
     "omega": lambda: omega(8),
@@ -37,6 +42,7 @@ def reference_error(net, paths):
     coordinates: three loops per path, one check per line.
     """
     seen = set()
+    held = net.switch_settings()
     for links in paths:
         if not links:
             return "empty path"
@@ -64,9 +70,10 @@ def reference_error(net, paths):
             box = net.box(a.dst.stage, a.dst.box)
             if box.failed:
                 return f"{box} has failed"
-            if not box.input_free(a.dst.port):
+            setting = held.get(box, {})
+            if a.dst.port in setting:
                 return f"{box} input {a.dst.port} busy"
-            if not box.output_free(b.src.port):
+            if b.src.port in setting.values():
                 return f"{box} output {b.src.port} busy"
     return None
 
@@ -75,7 +82,8 @@ def state(net):
     """Everything circuit switching may touch, as plain values."""
     return (
         [(link.occupied, link.failed) for link in net.links],
-        [(box.failed, box.connections) for box in net.boxes()],
+        [box.failed for box in net.boxes()],
+        checked_switch_settings(net),
         [
             (c.processor, c.resource, [link.index for link in c.links])
             for c in net.circuits
@@ -93,10 +101,7 @@ def scenarios(draw):
     for p, r in draw(st.lists(pairs, max_size=4)):
         path = net.find_free_path(p, r)
         if path is not None:
-            circuit = net.establish_circuit(path)
-            if draw(st.integers(0, 4)) == 0:  # ghost: switches set, links read free
-                for link in circuit.links:
-                    link.occupied = False
+            net.establish_circuit(path)
     for index in draw(st.lists(st.integers(0, len(net.links) - 1), max_size=2)):
         net.links[index].failed = True
     boxes = list(net.boxes())
@@ -158,9 +163,6 @@ def test_batch_establish_matches_sequential_or_leaves_network_untouched(scenario
     for circuit, path in zip(circuits, paths):
         assert circuit.links == tuple(path)
         assert (circuit.processor, circuit.resource) == (path[0].src.box, path[-1].dst.box)
-        assert [(box.stage, box.index) for box, _, _ in circuit.hops] == [
-            (link.dst.stage, link.dst.box) for link in path[:-1]
-        ]
     for circuit in circuits:
         net.release_circuit(circuit)
     assert state(net) == before

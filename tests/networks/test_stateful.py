@@ -5,13 +5,13 @@ through arbitrary interleavings of circuit establishment, release
 (by handle or by an equal copy), link/box failure and repair, and path
 search, checking after every step that the physical invariants hold:
 
-- every switchbox remains an injective partial matching;
 - the set of occupied links is exactly the union of active circuits'
   links (no leaks, no double-occupancy);
-- the switch settings held are exactly one per traversed box of every
-  active circuit (Σ box connections == Σ (links − 1));
-- `find_free_path` never returns occupied or unusable links or busy
-  ports, so establishing its result always succeeds;
+- every derived switch setting is an injective partial matching, and
+  the settings are exactly the active circuits' consecutive link pairs
+  (``tests.helpers.checked_switch_settings``);
+- `find_free_path` never returns occupied or unusable links, so
+  establishing its result always succeeds;
 - a full `release_all` returns the network to pristine state.
 """
 
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.networks import benes, gamma, omega
+from tests.helpers import checked_switch_settings
 
 
 class CircuitMachine(RuleBasedStateMachine):
@@ -88,15 +89,7 @@ class CircuitMachine(RuleBasedStateMachine):
         self.net.release_all()
         self.circuits = []
         assert self.net.occupancy() == 0.0
-        assert all(box.n_connected == 0 for box in self.net.boxes())
-
-    @invariant()
-    def switchboxes_are_matchings(self):
-        if self.net is None:
-            return
-        for box in self.net.boxes():
-            conn = box.connections
-            assert len(set(conn.values())) == len(conn)
+        assert self.net.switch_settings() == {}
 
     @invariant()
     def occupancy_equals_circuit_links(self):
@@ -111,11 +104,10 @@ class CircuitMachine(RuleBasedStateMachine):
         assert occupied == from_circuits
 
     @invariant()
-    def switch_settings_equal_circuit_hops(self):
+    def switch_settings_follow_circuits(self):
         if self.net is None:
             return
-        held = sum(box.n_connected for box in self.net.boxes())
-        assert held == sum(len(c.links) - 1 for c in self.net.circuits)
+        checked_switch_settings(self.net)
 
     @invariant()
     def circuit_count_consistent(self):

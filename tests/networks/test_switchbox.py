@@ -1,54 +1,76 @@
-"""Unit tests for the non-broadcast switchbox."""
+"""Unit tests for the non-broadcast switchbox.
+
+A box holds no setting of its own: its setting is read off the
+circuits through it (``MultistageNetwork.switch_settings``, Theorem 1).
+So the connection cases run on a one-box network whose processor ``i``
+feeds input ``i`` and whose output ``o`` feeds resource ``o``; a busy
+port is an occupied link, and a second claim on it is the link error.
+"""
 
 import pytest
 
+from repro.networks.permutations import identity
 from repro.networks.switchbox import Switchbox
+from repro.networks.topology import MultistageNetwork, PortRef, assemble
+
+
+def one_box(n_in=2, n_out=2):
+    return assemble("box", n_in, n_out, [[(n_in, n_out)]], [identity, identity])
+
+
+def connect(net, i, o):
+    """Set input ``i`` -> output ``o`` by establishing its circuit."""
+    return net.establish_circuit([net.processor_link(i), net.resource_link(o)])
 
 
 class TestConnections:
     def test_connect_and_query(self):
-        box = Switchbox(0, 0, 2, 2)
-        box.connect(0, 1)
-        assert box.output_for(0) == 1
-        assert box.connections == {0: 1}
-        assert not box.input_free(0)
-        assert not box.output_free(1)
-        assert box.input_free(1)
-        assert box.output_free(0)
+        net = one_box()
+        connect(net, 0, 1)
+        assert net.switch_settings() == {net.box(0, 0): {0: 1}}
+        assert net.processor_link(0).occupied and net.resource_link(1).occupied
+        assert not net.processor_link(1).occupied and not net.resource_link(0).occupied
 
     def test_non_broadcast_input(self):
-        box = Switchbox(0, 0, 2, 2)
-        box.connect(0, 0)
-        with pytest.raises(ValueError, match="non-broadcast"):
-            box.connect(0, 1)
+        net = one_box()
+        connect(net, 0, 0)
+        busy = net.processor_link(0).index
+        with pytest.raises(ValueError, match=f"^link {busy} already occupied$"):
+            connect(net, 0, 1)
+        assert net.switch_settings() == {net.box(0, 0): {0: 0}}
 
     def test_non_broadcast_output(self):
-        box = Switchbox(0, 0, 2, 2)
-        box.connect(0, 0)
-        with pytest.raises(ValueError, match="non-broadcast"):
-            box.connect(1, 0)
+        net = one_box()
+        connect(net, 0, 0)
+        busy = net.resource_link(0).index
+        with pytest.raises(ValueError, match=f"^link {busy} already occupied$"):
+            connect(net, 1, 0)
+        assert net.switch_settings() == {net.box(0, 0): {0: 0}}
 
     def test_disconnect(self):
-        box = Switchbox(0, 0, 2, 2)
-        box.connect(0, 1)
-        box.disconnect(0)
-        assert box.input_free(0) and box.output_free(1)
-        with pytest.raises(ValueError, match="not connected"):
-            box.disconnect(0)
+        net = one_box()
+        circuit = connect(net, 0, 1)
+        net.release_circuit(circuit)
+        assert net.switch_settings() == {}
+        assert net.occupancy() == 0.0
+        with pytest.raises(ValueError, match="not active"):
+            net.release_circuit(circuit)
 
     def test_reset(self):
-        box = Switchbox(0, 0, 2, 2)
-        box.connect(0, 1)
-        box.connect(1, 0)
-        box.reset()
-        assert box.n_connected == 0
+        net = one_box()
+        connect(net, 0, 1)
+        connect(net, 1, 0)
+        net.release_all()
+        assert net.switch_settings() == {}
+        assert net.circuits == []
 
     def test_port_bounds(self):
-        box = Switchbox(0, 0, 2, 3)
-        with pytest.raises(ValueError):
-            box.connect(2, 0)
-        with pytest.raises(ValueError):
-            box.connect(0, 3)
+        net = MultistageNetwork("box", 1, 1)
+        net.add_stage([(2, 3)])
+        with pytest.raises(ValueError, match="names no switchbox port"):
+            net.add_link(PortRef.processor(0), PortRef.box_in(0, 0, 2))
+        with pytest.raises(ValueError, match="names no switchbox port"):
+            net.add_link(PortRef.box_out(0, 0, 3), PortRef.resource(0))
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -57,20 +79,14 @@ class TestConnections:
 
 class TestNamedSettings:
     def test_straight_and_exchange(self):
-        box = Switchbox(0, 0, 2, 2)
-        box.connect(0, 0)
-        box.connect(1, 1)
-        assert box.is_straight and not box.is_exchange
-        box.reset()
-        box.connect(0, 1)
-        box.connect(1, 0)
-        assert box.is_exchange and not box.is_straight
-
-    def test_non_2x2_never_straight(self):
-        box = Switchbox(0, 0, 3, 3)
-        box.connect(0, 0)
-        box.connect(1, 1)
-        assert not box.is_straight
+        """Fig. 2's two named settings are a 2x2 box's two complete ones."""
+        straight, exchange = {0: 0, 1: 1}, {0: 1, 1: 0}
+        for setting in (straight, exchange):
+            net = one_box()
+            for i, o in setting.items():
+                connect(net, i, o)
+            assert net.switch_settings() == {net.box(0, 0): setting}
+        assert sorted(one_box().box(0, 0).legal_settings(), key=str) == [straight, exchange]
 
 
 class TestLegalSettings:
@@ -89,9 +105,10 @@ class TestLegalSettings:
         assert len(list(Switchbox(0, 0, 3, 2).legal_settings())) == 6
 
     def test_settings_are_injective_matchings(self):
-        box = Switchbox(0, 0, 3, 3)
-        for setting in box.legal_settings():
+        net = one_box(3, 3)
+        for setting in net.box(0, 0).legal_settings():
             assert len(set(setting.values())) == len(setting)
-            box.reset()
             for i, o in setting.items():
-                box.connect(i, o)  # must never raise
+                connect(net, i, o)  # must never raise
+            assert net.switch_settings() == {net.box(0, 0): setting}
+            net.release_all()

@@ -16,6 +16,7 @@ from repro.networks import (
     omega,
 )
 from repro.networks.routing import reachable_resources
+from tests.helpers import checked_switch_settings
 
 SQUARE_BUILDERS = [omega, flip, cube, delta, baseline, benes]
 
@@ -141,10 +142,8 @@ def test_property_circuits_never_violate_switch_invariants(builder, n_log, pairs
             continue
         net.establish_circuit(path)
         established += 1
-    for box in net.boxes():
-        conn = box.connections
-        assert len(set(conn.values())) == len(conn)
+    checked_switch_settings(net)
     assert len(net.circuits) == established
     net.release_all()
     assert net.occupancy() == 0.0
-    assert all(box.n_connected == 0 for box in net.boxes())
+    assert net.switch_settings() == {}

@@ -9,6 +9,7 @@ from repro.networks.omega import omega
 from repro.networks.crossbar import crossbar
 from repro.networks.permutations import identity
 from repro.networks.topology import MultistageNetwork, PortRef, assemble
+from tests.helpers import checked_switch_settings
 
 
 def tiny() -> MultistageNetwork:
@@ -109,7 +110,7 @@ class TestCircuits:
         circuit = net.establish_circuit(path)
         assert circuit.processor == 0 and circuit.resource == 1
         assert all(link.occupied for link in path)
-        assert net.box(0, 0).output_for(0) == 1
+        assert net.switch_settings() == {net.box(0, 0): {0: 1}}
 
     def test_conflicting_circuit_rejected(self):
         net = tiny()
@@ -132,18 +133,21 @@ class TestCircuits:
         net = crossbar(2, 2)
         p0 = net.find_free_path(0, 0)
         net.establish_circuit(p0)
-        # Hand-build the illegal path 1 -> 0 after clearing occupancy
-        # flags but not the switch: the port check must still fire.
+        # The illegal path 1 -> 0 needs the box's busy output 0.  Each
+        # port carries one link, so the busy port is an occupied link,
+        # and the link error is what the path meets.
         path = [net.processor_link(1), net.resource_link(0)]
-        with pytest.raises(ValueError, match="busy|occupied"):
+        busy = net.resource_link(0).index
+        with pytest.raises(ValueError, match=f"^link {busy} already occupied$"):
             net.establish_circuit(path)
+        assert net.switch_settings() == {net.box(0, 0): {0: 0}}
 
     def test_release_restores_state(self):
         net = tiny()
         circuit = net.establish_circuit(net.find_free_path(0, 1))
         net.release_circuit(circuit)
         assert net.occupancy() == 0.0
-        assert net.box(0, 0).n_connected == 0
+        assert net.switch_settings() == {}
         assert net.find_free_path(0, 1) is not None
 
     def test_release_unknown_circuit(self):
@@ -164,7 +168,7 @@ class TestCircuits:
         net.release_circuit(clone(circuit))
         assert net.circuits == []
         assert net.occupancy() == 0.0
-        assert all(box.n_connected == 0 for box in net.boxes())
+        assert net.switch_settings() == {}
         assert net.find_free_path(0, 3) is not None
         with pytest.raises(ValueError, match="not active"):
             net.release_circuit(circuit)
@@ -179,7 +183,8 @@ class TestCircuits:
         net.release_circuit(first)
         third = net.establish_circuit(net.find_free_path(0, 2))
         assert [c.processor for c in net.circuits] == [1, 0] and net.circuits[1] is third
-        assert [len(c.hops) for c in net.circuits] == [3, 3]
+        settings = checked_switch_settings(net)
+        assert sum(len(s) for s in settings.values()) == 6  # three boxes per circuit
 
     def test_link_to_a_missing_box_or_port_rejected_at_wiring_time(self):
         net = MultistageNetwork("x", 1, 1)

@@ -295,14 +295,11 @@ TEST_ONLY_CALLABLES = {
     "Mapping.allocation_cost": "oracle: Transformation 2's flow cost decomposes into it",
     "min_cut": "oracle: the max-flow = min-cut certificate of every solver",
     "reachable_resources": "oracle: every topology builder has full access",
-    "Switchbox.n_connected": "oracle: switch state in the network state machine",
     "VirtualClock.pending_sleepers": "fake: tasks parked on the test clock",
     "WireServer.draining": "observation: the drain state the wire tests wait on",
     "WireServer.pending_acquires": "observation: in-flight ACQUIREs the wire tests wait on",
     "StatusBus.clear_all": "helper: Table I bus model",
     "StatusBus.drivers": "helper: Table I bus model (who holds a wired-OR bit)",
-    "Switchbox.is_straight": "helper: Fig. 2's named 2x2 settings",
-    "Switchbox.is_exchange": "helper: Fig. 2's named 2x2 settings",
     "Switchbox.legal_settings": "helper: Theorem 1's complete settings",
     "butterfly": "helper: wiring permutation",
     "bit_reversal": "helper: wiring permutation",
