@@ -79,19 +79,12 @@ class Mapping:
             )
         )
 
-    def validate(self, mrsin: "MRSIN", *, check_links: bool = True) -> None:
-        """Check the mapping is simultaneously realisable on ``mrsin``.
+    def check_resources(self, mrsin: "MRSIN") -> None:
+        """The resource half of :meth:`validate`.
 
-        Verifies: distinct processors and resources, free available
-        resources of the requested types, link-disjoint free paths.
-        Raises :class:`ValueError` on the first violation.
-
-        ``check_links=False`` skips the per-link half (occupancy,
-        faults, disjointness) — for callers that are about to run those
-        exact checks anyway as part of an atomic establish, such as
-        :meth:`MRSIN.apply_mapping <repro.core.model.MRSIN.apply_mapping>`
-        delegating to :meth:`MultistageNetwork.establish_circuits
-        <repro.networks.topology.MultistageNetwork.establish_circuits>`.
+        Verifies distinct processors and resources, and free available
+        resources of the requested types.  Raises :class:`ValueError`
+        on the first violation.
         """
         procs = [a.request.processor for a in self.assignments]
         if len(set(procs)) != len(procs):
@@ -99,7 +92,6 @@ class Mapping:
         ress = [a.resource.index for a in self.assignments]
         if len(set(ress)) != len(ress):
             raise ValueError("two assignments share a resource")
-        used_links: set[int] = set()
         for a in self.assignments:
             actual = mrsin.resources[a.resource.index]
             if actual.busy:
@@ -111,16 +103,17 @@ class Mapping:
                     f"type mismatch: request wants {a.request.resource_type!r}, "
                     f"resource {a.resource.index} is {actual.resource_type!r}"
                 )
-            if not check_links:
-                continue
-            for link in a.path:
-                if link.occupied:
-                    raise ValueError(f"path uses occupied link {link.index}")
-                if not mrsin.network.link_usable(link):
-                    raise ValueError(f"path uses failed link {link.index}")
-                if link.index in used_links:
-                    raise ValueError(f"two paths share link {link.index}")
-                used_links.add(link.index)
+
+    def validate(self, mrsin: "MRSIN") -> None:
+        """Check the mapping is simultaneously realisable on ``mrsin``.
+
+        :meth:`check_resources`, then the network's one path check
+        (:meth:`~repro.networks.topology.MultistageNetwork.check_paths`:
+        link-disjoint, free, healthy paths).  Raises
+        :class:`ValueError` on the first violation.
+        """
+        self.check_resources(mrsin)
+        mrsin.network.check_paths([a.path for a in self.assignments])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pairs = ", ".join(f"(p{p}, r{r})" for p, r in sorted(self.pairs))

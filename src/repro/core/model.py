@@ -10,13 +10,18 @@ the resource will be busy until the task is completed."*
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 from repro.core.mapping import Mapping
 from repro.core.requests import DEFAULT_TYPE, Request, Resource
-from repro.networks.topology import Circuit, MultistageNetwork
+from repro.networks.switchbox import Switchbox
+from repro.networks.topology import Circuit, Link, MultistageNetwork
 
-__all__ = ["MRSIN"]
+__all__ = ["FAULT_KINDS", "MRSIN"]
+
+#: The component classes that fail and are repaired (Section II's
+#: model: links, switchboxes, resources); see :meth:`MRSIN.set_failed`.
+FAULT_KINDS = ("link", "switchbox", "resource")
 
 
 class MRSIN:
@@ -56,6 +61,10 @@ class MRSIN:
                 f"need {n_res} resource types/preferences, got "
                 f"{len(resource_types)}/{len(preferences)}"
             )
+        if max(preferences, default=1) > max_preference:
+            raise ValueError(
+                f"preference {max(preferences)} exceeds qmax={max_preference}"
+            )
         self.network = network
         self.resources = [
             Resource(i, resource_types[i], preferences[i]) for i in range(n_res)
@@ -74,7 +83,7 @@ class MRSIN:
         # in sync can skip its reconciliation scan when the epoch is
         # unchanged; see KernelFlowEngine in repro.core.incremental.
         self.state_epoch = 0
-        # Set on every fail_* call; lets severed_resources() answer
+        # Set by every failure; lets severed_resources() answer
         # "nothing severed" in O(1) between fault events.
         self._fault_dirty = False
 
@@ -127,13 +136,12 @@ class MRSIN:
     # ------------------------------------------------------------------
     # Request lifecycle
     # ------------------------------------------------------------------
-    def submit(self, request: Request) -> None:
-        """Queue a request for the next scheduling cycle.
+    def check_request(self, request: Request) -> None:
+        """Raise :class:`ValueError` unless this system can hold ``request``.
 
-        Model item 5: a processor transmits one task at a time, so at
-        most one request per processor may be *scheduled* per cycle;
-        extra requests simply stay queued.  The processor index must
-        exist on the network.
+        The processor must exist, its type must be in the pool, and its
+        priority must be on Transformation 2's scale (``<= max_priority``):
+        a request failing any of these could never be scheduled.
         """
         if not 0 <= request.processor < self.n_processors:
             raise ValueError(
@@ -143,6 +151,20 @@ class MRSIN:
             raise ValueError(
                 f"no resource of type {request.resource_type!r} in this system"
             )
+        if request.priority > self.max_priority:
+            raise ValueError(
+                f"priority {request.priority} exceeds ymax={self.max_priority}"
+            )
+
+    def submit(self, request: Request) -> None:
+        """Queue a request for the next scheduling cycle.
+
+        Model item 5: a processor transmits one task at a time, so at
+        most one request per processor may be *scheduled* per cycle;
+        extra requests simply stay queued.  The request must pass
+        :meth:`check_request`.
+        """
+        self.check_request(request)
         self.pending.append(request)
 
     def submit_many(self, requests: Iterable[Request]) -> None:
@@ -176,15 +198,14 @@ class MRSIN:
 
         The mapping is validated first; on success each served request
         is removed from the queue and its resource enters the *busy*
-        state with an active transmission circuit.  The split is
-        check-then-mutate with no duplicated link checks: resource-side
-        validation here (``validate(check_links=False)``), link-side
-        validation inside the atomic
-        :meth:`~repro.networks.topology.MultistageNetwork.establish_circuits`
-        — together exactly the guarantees of a full ``validate`` call,
-        and any failure leaves the system untouched.
+        state with an active transmission circuit.  The two halves of
+        :meth:`Mapping.validate <repro.core.mapping.Mapping.validate>`
+        run in turn — its resource checks, then the atomic
+        :meth:`~repro.networks.topology.MultistageNetwork.establish_circuits`,
+        whose path check is the link half — so a grant makes one pass
+        over its links, and any failure leaves the system untouched.
         """
-        mapping.validate(self, check_links=False)
+        mapping.check_resources(self)
         circuits = self.network.establish_circuits(
             [a.path for a in mapping.assignments]
         )
@@ -209,30 +230,32 @@ class MRSIN:
         self.network.release_circuit(circuit)
         self.state_epoch += 1
 
-    def complete_service(self, resource_index: int) -> None:
+    def complete_service(self, resource_index: int) -> Circuit | None:
         """Mark a resource free again (its task finished).
 
-        Implicitly completes any transmission still in flight.
+        Implicitly completes any transmission still in flight; returns
+        the circuit torn down, else ``None``.  Bumps ``state_epoch``
+        once: the warm engine counts one bump per public mutator call.
         """
         res = self.resources[resource_index]
         if not res.busy:
             raise ValueError(f"resource {resource_index} is not busy")
-        # Inlined (rather than delegated to complete_transmission) so
-        # the whole operation bumps state_epoch exactly once — the warm
-        # kernel engine's epoch protocol counts one bump per public
-        # mutator call.
         circuit = self._transmitting.pop(resource_index, None)
         if circuit is not None:
             self.network.release_circuit(circuit)
         res.busy = False
         self.state_epoch += 1
+        return circuit
 
     def reset(self) -> None:
         """Drop all requests, circuits, busy states, and faults."""
         self.pending.clear()
         self._transmitting.clear()
         self.network.release_all()
-        self.network.clear_faults()
+        for link in self.network.links:
+            link.failed = False
+        for box in self.network.boxes():
+            box.failed = False
         for res in self.resources:
             res.busy = False
             res.failed = False
@@ -242,75 +265,47 @@ class MRSIN:
     # ------------------------------------------------------------------
     # Fault lifecycle
     # ------------------------------------------------------------------
-    # Failing a component never tears anything down by itself: a
-    # circuit crossing a failed link/box (or feeding a failed resource)
-    # becomes *severed* and shows up in :meth:`severed_resources`; the
-    # owner (the allocation service) decides when to :meth:`revoke` it.
-    # All fail/repair methods are idempotent and return whether the
-    # component's state actually changed.
+    # One transition, set_failed, fails or repairs a component of any
+    # of the three FAULT_KINDS.  Failing never tears anything down by
+    # itself: a circuit crossing a failed link/box (or feeding a failed
+    # resource) becomes *severed* and shows up in
+    # :meth:`severed_resources`; the owner (the allocation service)
+    # decides when to :meth:`revoke` it.
 
-    def fail_link(self, index: int) -> bool:
-        """Mark link ``index`` failed (excluded from all scheduling)."""
-        link = self.network.links[index]
-        if link.failed:
-            return False
-        link.failed = True
-        self.state_epoch += 1
-        self._fault_dirty = True
-        return True
+    def set_failed(self, kind: str, target: Any, failed: bool = True) -> bool:
+        """Fail one component, or repair it with ``failed=False``.
 
-    def repair_link(self, index: int) -> bool:
-        """Mark link ``index`` healthy again."""
-        link = self.network.links[index]
-        if not link.failed:
+        ``kind`` is one of :data:`FAULT_KINDS`; ``target`` is a link
+        index, a ``(stage, box)`` pair or a resource index to match.  A
+        failed component is excluded from all scheduling, and a task a
+        failed resource was serving is lost.  Idempotent: returns
+        whether the component's state changed, and only a change bumps
+        ``state_epoch``.
+        """
+        component: Link | Switchbox | Resource
+        if kind == "link":
+            component = self.network.links[target]
+        elif kind == "switchbox":
+            component = self.network.box(*target)
+        elif kind == "resource":
+            component = self.resources[target]
+        else:
+            raise ValueError(f"unknown fault kind {kind!r}")
+        if component.failed == failed:
             return False
-        link.failed = False
+        component.failed = failed
         self.state_epoch += 1
-        return True
-
-    def fail_switchbox(self, stage: int, box: int) -> bool:
-        """Mark switchbox ``(stage, box)`` failed (routes nothing)."""
-        sb = self.network.box(stage, box)
-        if sb.failed:
-            return False
-        sb.failed = True
-        self.state_epoch += 1
-        self._fault_dirty = True
-        return True
-
-    def repair_switchbox(self, stage: int, box: int) -> bool:
-        """Mark switchbox ``(stage, box)`` healthy again."""
-        sb = self.network.box(stage, box)
-        if not sb.failed:
-            return False
-        sb.failed = False
-        self.state_epoch += 1
-        return True
-
-    def fail_resource(self, index: int) -> bool:
-        """Mark resource ``index`` failed; any task it served is lost."""
-        res = self.resources[index]
-        if res.failed:
-            return False
-        res.failed = True
-        self.state_epoch += 1
-        self._fault_dirty = True
-        return True
-
-    def repair_resource(self, index: int) -> bool:
-        """Mark resource ``index`` healthy (and idle) again."""
-        res = self.resources[index]
-        if not res.failed:
-            return False
-        res.failed = False
-        self.state_epoch += 1
+        if failed:
+            self._fault_dirty = True
         return True
 
     def failed_components(self) -> dict[str, list]:
         """Snapshot of everything currently failed."""
         return {
-            "links": self.network.failed_links(),
-            "switchboxes": self.network.failed_switchboxes(),
+            "links": [link.index for link in self.network.links if link.failed],
+            "switchboxes": [
+                (box.stage, box.index) for box in self.network.boxes() if box.failed
+            ],
             "resources": [res.index for res in self.resources if res.failed],
         }
 
@@ -322,18 +317,19 @@ class MRSIN:
         or switchbox.  Severed allocations must be reclaimed with
         :meth:`revoke` before their links/resources can be reused.
 
-        Severance can only *appear* through a ``fail_*`` call (circuits
-        are never established across failed components), so between
-        fault events this answers from a cached "no faults since the
-        last empty scan" flag in O(1) instead of walking every
+        Severance can only *appear* through a :meth:`set_failed` call
+        (circuits are never established across failed components), so
+        between fault events this answers from a cached "no faults
+        since the last empty scan" flag in O(1) instead of walking every
         transmitting circuit; the full scan keeps running while severed
         allocations linger un-revoked.
         """
         if not self._fault_dirty:
             return []
         severed: set[int] = set()
+        usable = self.network.link_usable
         for idx, circuit in self._transmitting.items():
-            if self.resources[idx].failed or self.network.circuit_severed(circuit):
+            if self.resources[idx].failed or not all(map(usable, circuit.links)):
                 severed.add(idx)
         for res in self.resources:
             if res.failed and res.busy:
@@ -345,21 +341,14 @@ class MRSIN:
     def revoke(self, resource_index: int) -> Circuit | None:
         """Forcibly reclaim a (severed) allocation.
 
-        Tears down the transmitting circuit if one is still held — the
-        surviving links are freed; failed ones stay failed — and marks
-        the resource idle (it remains unavailable while failed).
+        The same transition as :meth:`complete_service`: the
+        transmitting circuit, if still held, is torn down — the
+        surviving links are freed; failed ones stay failed — and the
+        resource is marked idle (it remains unavailable while failed).
         Returns the circuit torn down, or ``None`` if transmission had
         already completed.
         """
-        res = self.resources[resource_index]
-        if not res.busy:
-            raise ValueError(f"resource {resource_index} is not busy")
-        circuit = self._transmitting.pop(resource_index, None)
-        if circuit is not None:
-            self.network.release_circuit(circuit)
-        res.busy = False
-        self.state_epoch += 1
-        return circuit
+        return self.complete_service(resource_index)
 
     # ------------------------------------------------------------------
     def utilization(self) -> float:

@@ -12,8 +12,9 @@ the CI job rely on.
 
 The injector never touches the MRSIN itself; :func:`apply_event` (or
 :meth:`~repro.service.server.AllocationService.apply_fault_event`,
-which also counts metrics) performs the mutation.  This keeps the
-schedule replayable: generate once, apply anywhere.
+which also counts metrics) performs the mutation through the model's
+one fault transition, :meth:`~repro.core.model.MRSIN.set_failed`.
+This keeps the schedule replayable: generate once, apply anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.model import MRSIN
+from repro.core.model import FAULT_KINDS, MRSIN
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,15 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["FaultEvent", "FaultInjector", "apply_event"]
 
-KINDS = ("link", "switchbox", "resource")
-
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One state change: a component fails, or a failed one is repaired.
 
+    ``kind`` is one of :data:`~repro.core.model.FAULT_KINDS`;
     ``target`` is a link index, a ``(stage, box)`` pair, or a resource
-    index depending on ``kind``.  ``transient`` records whether the
+    index depending on it.  ``transient`` records whether the
     fault came with a scheduled repair (repairs themselves have it
     ``False``).
     """
@@ -60,18 +60,7 @@ def apply_event(mrsin: MRSIN, event: FaultEvent) -> bool:
     no-op returning ``False`` (two transient faults on the same target
     can overlap; the second repair finds nothing to fix).
     """
-    if event.kind == "link":
-        method = mrsin.repair_link if event.repair else mrsin.fail_link
-        return method(event.target)
-    if event.kind == "switchbox":
-        stage, box = event.target
-        if event.repair:
-            return mrsin.repair_switchbox(stage, box)
-        return mrsin.fail_switchbox(stage, box)
-    if event.kind == "resource":
-        method = mrsin.repair_resource if event.repair else mrsin.fail_resource
-        return method(event.target)
-    raise ValueError(f"unknown fault kind {event.kind!r}")
+    return mrsin.set_failed(event.kind, event.target, failed=not event.repair)
 
 
 class FaultInjector:
@@ -93,7 +82,8 @@ class FaultInjector:
     mean_repair:
         Mean time-to-repair for transient faults.
 
-    Each fault draws its component class uniformly from :data:`KINDS`.
+    Each fault draws its component class uniformly from
+    :data:`~repro.core.model.FAULT_KINDS`.
     """
 
     def __init__(
@@ -139,7 +129,7 @@ class FaultInjector:
         return int(self.rng.integers(0, len(self.mrsin.resources)))
 
     def _draw_fault(self, time: float) -> None:
-        kind = KINDS[int(self.rng.integers(0, len(KINDS)))]
+        kind = FAULT_KINDS[int(self.rng.integers(0, len(FAULT_KINDS)))]
         target = self._draw_target(kind)
         transient = bool(self.rng.random() < self.transient_fraction)
         self._push(FaultEvent(time=time, kind=kind, target=target, transient=transient))

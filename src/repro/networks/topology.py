@@ -296,25 +296,6 @@ class MultistageNetwork:
             return False
         return entered is None or not entered.failed
 
-    def circuit_severed(self, circuit: Circuit) -> bool:
-        """Whether an established circuit crosses a failed link or box."""
-        return any(not self.link_usable(link) for link in circuit.links)
-
-    def failed_links(self) -> list[int]:
-        """Indices of links currently marked failed."""
-        return [link.index for link in self.links if link.failed]
-
-    def failed_switchboxes(self) -> list[tuple[int, int]]:
-        """``(stage, index)`` of switchboxes currently marked failed."""
-        return [(box.stage, box.index) for box in self.boxes() if box.failed]
-
-    def clear_faults(self) -> None:
-        """Repair every failed link and switchbox."""
-        for link in self.links:
-            link.failed = False
-        for box in self.boxes():
-            box.failed = False
-
     # ------------------------------------------------------------------
     # Circuit switching
     # ------------------------------------------------------------------
@@ -327,20 +308,17 @@ class MultistageNetwork:
         """
         return self.establish_circuits([links])[0]
 
-    def establish_circuits(self, paths: Sequence[Sequence[Link]]) -> list[Circuit]:
-        """Atomically establish one circuit per path (all-or-nothing).
+    def check_paths(self, paths: Sequence[Sequence[Link]]) -> None:
+        """Raise :class:`ValueError` unless ``paths`` can be established together.
 
-        One pass per path over the hop table checks everything before
-        any state is mutated: the path is a contiguous
-        processor→resource link sequence, every link is free, healthy
-        and used by no other path of the batch, and every traversed box
-        is healthy.  No port is checked: each port carries one link, so
-        a busy port is an occupied or batch-used link.  A
-        :class:`ValueError` on any path therefore leaves the network
-        untouched.  Within a path a shape violation is reported before
-        an unavailable link, and that before a failed switch, whatever
-        their positions.  Cost is O(total path length); nothing else is
-        scanned.
+        Read-only, one pass per path over the hop table: each path is a
+        contiguous processor→resource link sequence, every link is free,
+        healthy and used by no other path of the batch, and every
+        traversed box is healthy.  No port is checked: each port carries
+        one link, so a busy port is an occupied or batch-used link.
+        Within a path a shape violation is reported before an
+        unavailable link, and that before a failed switch.  Cost is
+        O(total path length).
         """
         hop_of = self._hops
         seen: set[int] = set()
@@ -379,6 +357,14 @@ class MultistageNetwork:
                 prev, box = link, entered
             if link_error or switch_error:
                 raise ValueError(link_error or switch_error)
+
+    def establish_circuits(self, paths: Sequence[Sequence[Link]]) -> list[Circuit]:
+        """Atomically establish one circuit per path (all-or-nothing).
+
+        :meth:`check_paths` runs before any state is mutated, so a
+        :class:`ValueError` on any path leaves the network untouched.
+        """
+        self.check_paths(paths)
         circuits: list[Circuit] = []
         for links in paths:
             for link in links:

@@ -8,12 +8,14 @@ times, tick boundaries, and deadlines all live on the virtual clock,
 so the same seed reproduces the identical snapshot, byte for byte —
 the property the `serve` CLI and the tests rely on.
 
-The workload rides on :mod:`repro.sim.workload`: a
-:class:`~repro.sim.workload.WorkloadSpec` supplies the topology,
-resource-type mix, priority levels, and initial circuit occupancy;
-the driver adds the *online* part (Poisson arrivals per processor,
-exponential service times, transmission-then-release lease lifecycle)
-that the one-shot `sample_instance` snapshots cannot express.
+The workload is :mod:`repro.sim.workload`'s: its
+:func:`~repro.sim.workload.build_mrsin` and
+:func:`~repro.sim.workload.draw_request`, which `sample_instance` uses
+too, build the system and draw each request from a
+:class:`~repro.sim.workload.WorkloadSpec`.  The driver adds only the
+*online* part (Poisson arrivals per processor, exponential service
+times, transmission-then-release lease lifecycle) that the one-shot
+snapshots cannot express.
 
 Like ``run_chaos`` and the fabric cell, the driver is a plain function
 with no event loop: the run is one heap of timed events (tick, arrival,
@@ -30,10 +32,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
-import numpy as np
-
-from repro.core.model import MRSIN
-from repro.core.requests import DEFAULT_TYPE, Request
 from repro.service.clock import VirtualClock
 from repro.service.server import (
     AllocationRejected,
@@ -43,7 +41,7 @@ from repro.service.server import (
     ServiceFaulted,
     Ticket,
 )
-from repro.sim.workload import WorkloadSpec, occupy_random_circuits
+from repro.sim.workload import WorkloadSpec, build_mrsin, draw_request
 from repro.util.rng import spawn_rngs
 from repro.util.tables import Table
 
@@ -152,7 +150,7 @@ def run_service(
     )
     clock = VirtualClock()
     setup_rng, *client_rngs = spawn_rngs(seed, 1 + spec.builder(spec.n_ports).n_processors)
-    mrsin = _build_mrsin(spec, setup_rng)
+    mrsin = build_mrsin(spec, setup_rng)
     service = AllocationService(mrsin, config=config, clock=clock)
 
     # One heap of (time, delayed, seq, kind, payload).  ``seq`` is
@@ -195,22 +193,11 @@ def run_service(
             # exercises admission control.  All of a request's randomness
             # is drawn here, in arrival order from the processor's stream.
             rng = client_rngs[payload]
-            rtype = (
-                DEFAULT_TYPE
-                if spec.resource_types is None
-                else spec.resource_types[int(rng.integers(0, len(spec.resource_types)))]
-            )
-            priority = (
-                1 if spec.priority_levels == 1
-                else int(rng.integers(1, spec.priority_levels + 1))
-            )
+            request = draw_request(spec, payload, rng)
             hold = float(rng.exponential(mean_service))
             after(float(rng.exponential(1.0 / rate)), "arrival", payload)
             try:
-                service.submit(
-                    Request(payload, resource_type=rtype, priority=priority),
-                    on_done=partial(on_done, hold=hold),
-                )
+                service.submit(request, on_done=partial(on_done, hold=hold))
             except AllocationRejected:
                 pass  # shed at the queue bound; the metrics counted it
         elif kind == "sent":
@@ -240,31 +227,3 @@ def _step_to(clock: VirtualClock, when: float) -> None:
     if clock.now() < when / 2:
         clock.step(when / 2)
     clock.step(when - clock.now())
-
-
-def _build_mrsin(spec: WorkloadSpec, rng: np.random.Generator) -> MRSIN:
-    """The driver's initial system state (no pending requests)."""
-    net = spec.builder(spec.n_ports)
-    if spec.resource_types is not None:
-        types = [
-            spec.resource_types[i % len(spec.resource_types)]
-            for i in range(net.n_resources)
-        ]
-    else:
-        types = None
-    if spec.priority_levels > 1:
-        prefs = [
-            int(rng.integers(1, spec.priority_levels + 1))
-            for _ in range(net.n_resources)
-        ]
-    else:
-        prefs = None
-    mrsin = MRSIN(
-        net,
-        resource_types=types,
-        preferences=prefs,
-        max_priority=max(spec.priority_levels, 1),
-        max_preference=max(spec.priority_levels, 1),
-    )
-    occupy_random_circuits(net, mrsin, spec.occupied_circuits, rng)
-    return mrsin

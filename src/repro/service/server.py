@@ -375,8 +375,11 @@ class AllocationService:
     async def acquire(self, request: Request, *, timeout: float | None = None) -> Lease:
         """Queue ``request`` and await its lease.
 
-        Raises ``ValueError`` for a request this system cannot hold or
-        a ``timeout`` that is not a finite number > 0,
+        Raises ``ValueError`` for a request this system cannot hold
+        (:meth:`MRSIN.check_request
+        <repro.core.model.MRSIN.check_request>`: unknown processor or
+        type, priority above ``max_priority``) or a ``timeout`` that is
+        not a finite number > 0,
         :class:`AllocationRejected` immediately when the queue
         is full, :class:`AllocationTimeout` when the deadline (from
         ``timeout`` or the config default) passes before a tick can
@@ -412,12 +415,7 @@ class AllocationService:
     def _admit(self, request: Request, timeout: float | None, sink: Any) -> None:
         """Validate, apply admission control and queue behind ``sink``."""
         self._check_open()
-        if not 0 <= request.processor < self.mrsin.n_processors:
-            raise ValueError(
-                f"processor {request.processor} outside [0, {self.mrsin.n_processors})"
-            )
-        if request.resource_type not in self.mrsin.resource_types:
-            raise ValueError(f"no resource of type {request.resource_type!r} in this system")
+        self.mrsin.check_request(request)
         if timeout is None:
             timeout = self.config.default_timeout
         else:
@@ -441,6 +439,14 @@ class AllocationService:
         if sink.cancelled():
             self._queue = [entry for entry in self._queue if entry.future is not sink]
 
+    def _check_held(self, lease: Lease) -> None:
+        """Raise unless ``lease`` is still held on a serving service."""
+        if lease.revoked:
+            raise LeaseRevoked(f"lease {lease.lease_id} was revoked by a fault")
+        if not lease.active:
+            raise AllocationError(f"lease {lease.lease_id} already released")
+        self._check_open()
+
     def release(self, lease: Lease) -> None:
         """Free the lease's resource (and its circuit, if still held).
 
@@ -450,11 +456,7 @@ class AllocationService:
         no longer serves (mutating an abandoned MRSIN silently would
         mask bugs).
         """
-        if lease.revoked:
-            raise LeaseRevoked(f"lease {lease.lease_id} was revoked by a fault")
-        if not lease.active:
-            raise AllocationError(f"lease {lease.lease_id} already released")
-        self._check_open()
+        self._check_held(lease)
         self.mrsin.complete_service(lease.resource)
         self._engine.note_release(lease.resource)
         lease.active = False
@@ -471,11 +473,7 @@ class AllocationService:
         :meth:`release` on a revoked lease or a closed/faulted
         service.
         """
-        if lease.revoked:
-            raise LeaseRevoked(f"lease {lease.lease_id} was revoked by a fault")
-        if not lease.active:
-            raise AllocationError(f"lease {lease.lease_id} already released")
-        self._check_open()
+        self._check_held(lease)
         if not lease.transmitting:
             return
         self.mrsin.complete_transmission(lease.resource)

@@ -7,7 +7,8 @@ percent"* for heuristic routing.  The authors' exact workloads are not
 published in this paper, so this subpackage rebuilds the experiment:
 
 - :mod:`repro.sim.workload` — random request/free-resource patterns,
-  pre-occupied circuits, priority and type samplers;
+  pre-occupied circuits, priority and type samplers (the system
+  builder and request draw the service driver shares);
 - :mod:`repro.sim.blocking` — blocking-probability estimation for any
   scheduler policy, with sweep drivers;
 - :mod:`repro.sim.queueing` — a discrete-event model of the Section II
@@ -21,6 +22,8 @@ published in this paper, so this subpackage rebuilds the experiment:
 
 from repro.sim.workload import (
     WorkloadSpec,
+    build_mrsin,
+    draw_request,
     sample_instance,
     occupy_random_circuits,
 )
@@ -31,6 +34,8 @@ from repro.sim.runner import sweep, SweepResult
 
 __all__ = [
     "WorkloadSpec",
+    "build_mrsin",
+    "draw_request",
     "sample_instance",
     "occupy_random_circuits",
     "BlockingEstimate",

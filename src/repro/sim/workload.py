@@ -6,6 +6,10 @@ in the network.  :class:`WorkloadSpec` captures the paper's knobs —
 request/free densities, prior occupancy, priorities, resource type
 mixes — and :func:`sample_instance` draws a concrete
 :class:`~repro.core.model.MRSIN` state from it.
+
+:func:`build_mrsin` (types, preferences, background circuits) and
+:func:`draw_request` (a request's type, then its priority) are the one
+system builder and request draw; ``run_service`` calls both too.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from repro.util.rng import make_rng
 
 __all__ = [
     "WorkloadSpec",
+    "build_mrsin",
+    "draw_request",
     "sample_instance",
     "occupy_random_circuits",
 ]
@@ -107,15 +113,9 @@ class WorkloadSpec:
             raise ValueError("priority_levels must be >= 1")
 
 
-def sample_instance(
-    spec: WorkloadSpec, rng: int | np.random.Generator | None = None
-) -> MRSIN:
-    """Draw one random MRSIN state from ``spec``.
-
-    The returned model has requests queued and occupancy applied;
-    hand it straight to any scheduler policy.
-    """
-    gen = make_rng(rng)
+def build_mrsin(spec: WorkloadSpec, rng: np.random.Generator) -> MRSIN:
+    """The spec's system with no requests queued: cyclic resource
+    types, drawn preferences, then the background circuits."""
     net = spec.builder(spec.n_ports)
     if spec.resource_types is not None:
         types = [
@@ -125,7 +125,7 @@ def sample_instance(
     else:
         types = None
     if spec.priority_levels > 1:
-        prefs = [int(gen.integers(1, spec.priority_levels + 1)) for _ in range(net.n_resources)]
+        prefs = [int(rng.integers(1, spec.priority_levels + 1)) for _ in range(net.n_resources)]
     else:
         prefs = None
     mrsin = MRSIN(
@@ -135,7 +135,36 @@ def sample_instance(
         max_priority=max(spec.priority_levels, 1),
         max_preference=max(spec.priority_levels, 1),
     )
-    occupy_random_circuits(net, mrsin, spec.occupied_circuits, gen)
+    occupy_random_circuits(net, mrsin, spec.occupied_circuits, rng)
+    return mrsin
+
+
+def draw_request(spec: WorkloadSpec, processor: int, rng: np.random.Generator) -> Request:
+    """One request from ``processor``: its type, then its priority,
+    each drawn only when the spec varies it."""
+    rtype = (
+        DEFAULT_TYPE
+        if spec.resource_types is None
+        else spec.resource_types[int(rng.integers(0, len(spec.resource_types)))]
+    )
+    priority = (
+        1 if spec.priority_levels == 1
+        else int(rng.integers(1, spec.priority_levels + 1))
+    )
+    return Request(processor, resource_type=rtype, priority=priority)
+
+
+def sample_instance(
+    spec: WorkloadSpec, rng: int | np.random.Generator | None = None
+) -> MRSIN:
+    """Draw one random MRSIN state from ``spec``.
+
+    The returned model has requests queued and occupancy applied;
+    hand it straight to any scheduler policy.
+    """
+    gen = make_rng(rng)
+    mrsin = build_mrsin(spec, gen)
+    net = mrsin.network
     for res in mrsin.resources:
         if not res.busy and gen.random() >= spec.free_density:
             res.busy = True
@@ -143,14 +172,5 @@ def sample_instance(
         if net.processor_link(p).occupied:
             continue
         if gen.random() < spec.request_density:
-            rtype = (
-                DEFAULT_TYPE
-                if spec.resource_types is None
-                else spec.resource_types[int(gen.integers(0, len(spec.resource_types)))]
-            )
-            priority = (
-                1 if spec.priority_levels == 1
-                else int(gen.integers(1, spec.priority_levels + 1))
-            )
-            mrsin.submit(Request(p, resource_type=rtype, priority=priority))
+            mrsin.submit(draw_request(spec, p, gen))
     return mrsin

@@ -145,7 +145,7 @@ class TestLevelTable:
         mrsin = MRSIN(network)
         # Load and faults change capacities, never the labelling.
         mrsin.apply_mapping(OptimalScheduler().schedule(mrsin, [Request(0), Request(1)]))
-        mrsin.fail_link(network.links[-1].index)
+        mrsin.set_failed("link", network.links[-1].index)
         assert network.flow_levels == build_time_levels(mrsin)
 
     def test_hand_built_levels_are_the_build_time_bfs(self):

@@ -71,14 +71,14 @@ def degraded_system(
         if rng.random() < 0.15:
             res.busy = True
         elif rng.random() < 0.1:
-            mrsin.fail_resource(res.index)
+            mrsin.set_failed("resource", res.index)
     for link in mrsin.network.links:
         if rng.random() < 0.05:
-            mrsin.fail_link(link.index)
+            mrsin.set_failed("link", link.index)
     for stage, boxes in enumerate(mrsin.network.stages):
         for box in range(len(boxes)):
             if rng.random() < 0.05:
-                mrsin.fail_switchbox(stage, box)
+                mrsin.set_failed("switchbox", (stage, box))
     served = {circuit.processor for circuit in mrsin.network.circuits}
     requests = [
         Request(

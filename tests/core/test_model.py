@@ -30,6 +30,12 @@ class TestConstruction:
         m = MRSIN(crossbar(2, 2), preferences=[5, 1])
         assert m.resources[0].preference == 5
 
+    def test_preference_above_scale_rejected(self):
+        # Every priced tick over such a pool would raise "exceeds qmax".
+        with pytest.raises(ValueError, match="preference 11 exceeds qmax=10"):
+            MRSIN(crossbar(2, 2), preferences=[11, 1], max_preference=10)
+        assert MRSIN(crossbar(2, 2), preferences=[10, 1]).resources[0].preference == 10
+
 
 class TestSubmission:
     def test_submit_and_pending(self):
@@ -48,6 +54,13 @@ class TestSubmission:
         m = small()
         with pytest.raises(ValueError, match="type"):
             m.submit(Request(0, resource_type="gpu"))
+
+    def test_over_range_priority_rejected(self):
+        m = MRSIN(crossbar(2, 2), max_priority=5)
+        with pytest.raises(ValueError, match="priority 6 exceeds ymax=5"):
+            m.submit(Request(0, priority=6))
+        m.submit(Request(0, priority=5))
+        assert len(m.pending) == 1
 
     def test_one_schedulable_per_processor(self):
         """Model item 5: a processor transmits one task at a time."""
@@ -119,6 +132,44 @@ class TestAllocationLifecycle:
         m.reset()
         assert m.pending == [] and m.utilization() == 0.0
         assert m.network.occupancy() == 0.0
+
+
+class TestStateEpoch:
+    """The warm engine's fast path (``KernelFlowEngine._adopt_epoch``)
+    counts exactly one ``state_epoch`` bump per state-changing call."""
+
+    def test_one_bump_per_change_and_none_per_no_op(self):
+        m = MRSIN(omega(8))
+        m.submit(Request(0))
+        m.submit(Request(1))
+        mapping = OptimalScheduler().schedule(m)
+        first, second = (a.resource.index for a in mapping.assignments)
+
+        def bumps(call, *args):
+            before = m.state_epoch
+            call(*args)
+            return m.state_epoch - before
+
+        def refused(call, *args):
+            before = m.state_epoch
+            with pytest.raises(ValueError):
+                call(*args)
+            return m.state_epoch - before
+
+        assert bumps(m.apply_mapping, mapping) == 1
+        assert refused(m.apply_mapping, mapping) == 0
+        assert bumps(m.complete_transmission, first) == 1
+        assert refused(m.complete_transmission, first) == 0
+        assert bumps(m.complete_service, first) == 1
+        assert refused(m.complete_service, first) == 0
+        assert bumps(m.revoke, second) == 1
+        assert refused(m.revoke, second) == 0
+        for kind, target in (("link", 0), ("switchbox", (1, 2)), ("resource", 3)):
+            for failed in (True, False):
+                assert bumps(m.set_failed, kind, target, failed) == 1
+                assert bumps(m.set_failed, kind, target, failed) == 0
+        assert refused(m.set_failed, "bus", 0) == 0
+        assert bumps(m.reset) == 1
 
 
 class TestSchedulingCyclesEndToEnd:

@@ -153,13 +153,17 @@ class TestTransformation2:
         assert ut.cost == penalty
 
     def test_out_of_scale_priority_rejected(self):
+        # Admission refuses the request (MRSIN.check_request), so it is
+        # handed to the transformation directly to reach its own guard.
         m = MRSIN(crossbar(2, 2), max_priority=5)
-        m.submit(Request(0, priority=7))
         with pytest.raises(ValueError, match="exceeds ymax"):
-            transformation2(m)
+            transformation2(m, [Request(0, priority=7)])
 
     def test_out_of_scale_preference_rejected(self):
-        m = MRSIN(crossbar(2, 2), preferences=[11, 1], max_preference=10)
+        # The constructor refuses the scale, so the preference is raised
+        # afterwards to reach the transformation's own guard.
+        m = MRSIN(crossbar(2, 2), max_preference=10)
+        m.resources[0].preference = 11
         m.submit(Request(0))
         with pytest.raises(ValueError, match="exceeds qmax"):
             transformation2(m)

@@ -36,14 +36,14 @@ def inject_faults(mrsin: MRSIN, rng, *, resources: float, links: float, boxes: f
     """Fail each resource / link / switchbox with the given probability."""
     for i in range(mrsin.n_resources):
         if rng.random() < resources:
-            mrsin.fail_resource(i)
+            mrsin.set_failed("resource", i)
     for i in range(len(mrsin.network.links)):
         if rng.random() < links:
-            mrsin.fail_link(i)
+            mrsin.set_failed("link", i)
     for stage, stage_boxes in enumerate(mrsin.network.stages):
         for box in range(len(stage_boxes)):
             if rng.random() < boxes:
-                mrsin.fail_switchbox(stage, box)
+                mrsin.set_failed("switchbox", (stage, box))
 
 
 def kernel_of(arcs, n_nodes: int = 6) -> FlowKernel:

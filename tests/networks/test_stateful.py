@@ -81,7 +81,10 @@ class CircuitMachine(RuleBasedStateMachine):
     @rule()
     @precondition(lambda self: self.net is not None)
     def repair_everything(self):
-        self.net.clear_faults()
+        for link in self.net.links:
+            link.failed = False
+        for box in self.net.boxes():
+            box.failed = False
 
     @rule()
     @precondition(lambda self: self.net is not None)

@@ -70,7 +70,7 @@ class TestLeaseRevocation:
             await finish(tasks)
             assert len(leases) == 4
             victim = leases[0]
-            mrsin.fail_link(victim.circuit.links[1].index)
+            mrsin.set_failed("link", victim.circuit.links[1].index)
             revoked = service.reconcile_faults()
             assert revoked == [victim]
             assert victim.revoked and not victim.active
@@ -95,7 +95,7 @@ class TestLeaseRevocation:
             tasks = await enqueue(service, [Request(0)])
             (lease,) = service.run_one_cycle()
             await finish(tasks)
-            mrsin.fail_resource(lease.resource)
+            mrsin.set_failed("resource", lease.resource)
             # run_one_cycle reconciles implicitly — no manual call.
             service.run_one_cycle()
             assert lease.revoked
@@ -110,7 +110,7 @@ class TestLeaseRevocation:
             tasks = await enqueue(service, [Request(1)])
             (lease,) = service.run_one_cycle()
             await finish(tasks)
-            mrsin.fail_link(lease.circuit.links[0].index)
+            mrsin.set_failed("link", lease.circuit.links[0].index)
             service.reconcile_faults()
             with pytest.raises(LeaseRevoked):
                 service.release(lease)
@@ -128,7 +128,7 @@ class TestLeaseRevocation:
             await finish(tasks)
             pushed = []
             lease.on_revoke = pushed.append
-            mrsin.fail_resource(lease.resource)
+            mrsin.set_failed("resource", lease.resource)
             assert pushed == []  # a fault alone revokes nothing
             service.reconcile_faults()
             assert pushed == [lease]  # push notification, no polling
@@ -143,9 +143,9 @@ class TestLeaseRevocation:
             tasks = await enqueue(service, [Request(2)])
             (lease,) = service.run_one_cycle()
             await finish(tasks)
-            mrsin.fail_resource(lease.resource)
+            mrsin.set_failed("resource", lease.resource)
             service.run_one_cycle()
-            mrsin.repair_resource(lease.resource)
+            mrsin.set_failed("resource", lease.resource, failed=False)
             tasks2 = await enqueue(service, [Request(p) for p in range(4)])
             leases2 = service.run_one_cycle()
             await finish(tasks2)
@@ -170,9 +170,9 @@ class TestLeaseRevocation:
         async def scenario():
             mrsin = MRSIN(omega(4))
             service = make_service(mrsin)
-            mrsin.fail_link(0)
-            mrsin.fail_switchbox(0, 0)
-            mrsin.fail_resource(1)
+            mrsin.set_failed("link", 0)
+            mrsin.set_failed("switchbox", (0, 0))
+            mrsin.set_failed("resource", 1)
             snap = service.snapshot()
             assert snap["failed_links"] == 1
             assert snap["failed_switchboxes"] == 1
@@ -309,6 +309,32 @@ class TestFaultBudget:
                 await drain()
             assert service.fault is None
             assert service.metrics.tick_retries == 2
+
+        run(scenario())
+
+    def test_over_range_priority_is_refused_at_admission(self):
+        """A queued priority above ``ymax`` would raise in Transformation
+        2 on every tick until the budget ran out, faulting the service
+        and failing the valid request queued beside it."""
+
+        async def scenario():
+            clock = VirtualClock()
+            service = AllocationService(
+                MRSIN(omega(4)),
+                config=ServiceConfig(tick_interval=1.0, fault_budget=2),
+                clock=clock,
+            )
+            async with service:
+                with pytest.raises(ValueError, match="exceeds ymax"):
+                    service.submit(Request(0, priority=11), on_done=lambda t: None)
+                task = asyncio.ensure_future(service.acquire(Request(1)))
+                await drain()
+                await clock.run_until(4.0)
+                await drain()
+                lease = await task
+            assert lease.request.processor == 1
+            assert service.fault is None
+            assert service.metrics.tick_retries == 0
 
         run(scenario())
 

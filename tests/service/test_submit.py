@@ -274,7 +274,7 @@ def test_revocation_allocates_no_event_and_needs_no_loop():
         lease = ticket.lease
         pushed = []
         lease.on_revoke = pushed.append
-        service.mrsin.fail_resource(lease.resource)
+        service.mrsin.set_failed("resource", lease.resource)
         outcome["revoked"] = service.reconcile_faults() == [lease] and lease.revoked
         outcome["pushed"] = pushed == [lease]
 

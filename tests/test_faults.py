@@ -25,8 +25,8 @@ def fresh(n=8, n_requests=None):
 class TestCoreFaultModel:
     def test_failed_resource_not_allocated(self):
         m = fresh(8)
-        m.fail_resource(0)
-        m.fail_resource(1)
+        m.set_failed("resource", 0)
+        m.set_failed("resource", 1)
         mapping = OptimalScheduler().schedule(m)
         assert all(a.resource.index not in (0, 1) for a in mapping.assignments)
         assert len(mapping) == 6  # 8 requests, 6 surviving resources
@@ -34,7 +34,7 @@ class TestCoreFaultModel:
     def test_failed_input_link_blocks_processor(self):
         m = fresh(8)
         link = m.network.processor_link(3)
-        m.fail_link(link.index)
+        m.set_failed("link", link.index)
         assert all(r.processor != 3 for r in m.schedulable_requests())
         mapping = OptimalScheduler().schedule(m)
         assert all(a.request.processor != 3 for a in mapping.assignments)
@@ -42,7 +42,7 @@ class TestCoreFaultModel:
     def test_failed_switchbox_excluded_everywhere(self):
         """Optimal and greedy schedules both avoid a dead switchbox."""
         m = fresh(8)
-        m.fail_switchbox(0, 0)
+        m.set_failed("switchbox", (0, 0))
         for mapping in (OptimalScheduler().schedule(m), greedy_schedule(m)):
             for a in mapping.assignments:
                 for link in a.path:
@@ -55,32 +55,28 @@ class TestCoreFaultModel:
         resources gives exactly the max flow of the degraded network."""
         m = fresh(8)
         for idx in range(0, 8, 2):
-            m.fail_resource(idx)
+            m.set_failed("resource", idx)
         assert len(OptimalScheduler().schedule(m)) == 4
 
     def test_fail_and_repair_are_idempotent(self):
         m = fresh(4)
-        assert m.fail_link(0) is True
-        assert m.fail_link(0) is False
-        assert m.repair_link(0) is True
-        assert m.repair_link(0) is False
-        assert m.fail_switchbox(0, 0) and not m.fail_switchbox(0, 0)
-        assert m.repair_switchbox(0, 0) and not m.repair_switchbox(0, 0)
-        assert m.fail_resource(2) and not m.fail_resource(2)
-        assert m.repair_resource(2) and not m.repair_resource(2)
+        for kind, target in (("link", 0), ("switchbox", (0, 0)), ("resource", 2)):
+            for failed in (True, False):
+                assert m.set_failed(kind, target, failed) is True
+                assert m.set_failed(kind, target, failed) is False
         assert m.failed_components() == {"links": [], "switchboxes": [], "resources": []}
 
     def test_repair_restores_full_capacity(self):
         m = fresh(8)
-        m.fail_resource(0)
-        m.repair_resource(0)
+        m.set_failed("resource", 0)
+        m.set_failed("resource", 0, failed=False)
         assert len(OptimalScheduler().schedule(m)) == 8
 
     def test_reset_clears_faults(self):
         m = fresh(4)
-        m.fail_link(0)
-        m.fail_switchbox(0, 0)
-        m.fail_resource(1)
+        m.set_failed("link", 0)
+        m.set_failed("switchbox", (0, 0))
+        m.set_failed("resource", 1)
         m.reset()
         assert m.failed_components() == {"links": [], "switchboxes": [], "resources": []}
 
@@ -88,7 +84,7 @@ class TestCoreFaultModel:
         m = fresh(8)
         mapping = OptimalScheduler().schedule(m)
         path = mapping.assignments[0].path
-        m.fail_link(path[0].index)
+        m.set_failed("link", path[0].index)
         with pytest.raises(ValueError, match="failed"):
             m.network.establish_circuit(path)
 
@@ -108,18 +104,18 @@ class TestSeveranceAndRevoke:
     def test_link_fault_severs_held_circuit(self):
         m, res, path = self._allocate_one()
         assert m.severed_resources() == []
-        m.fail_link(path[1].index)
+        m.set_failed("link", path[1].index)
         assert m.severed_resources() == [res]
 
     def test_resource_fault_severs_even_after_transmission(self):
         m, res, _ = self._allocate_one()
         m.complete_transmission(res)  # circuit gone, resource still busy
-        m.fail_resource(res)
+        m.set_failed("resource", res)
         assert m.severed_resources() == [res]
 
     def test_revoke_frees_links_and_resource(self):
         m, res, path = self._allocate_one()
-        m.fail_link(path[0].index)
+        m.set_failed("link", path[0].index)
         circuit = m.revoke(res)
         assert circuit is not None
         assert not m.resources[res].busy
@@ -143,8 +139,8 @@ class TestSeveranceAndRevoke:
         m.apply_mapping(mapping)
         engine.commit(mapping)
         builds_before = engine.builds
-        m.fail_resource(6)
-        m.fail_link(m.network.processor_link(7).index)
+        m.set_failed("resource", 6)
+        m.set_failed("link", m.network.processor_link(7).index)
         for p in range(4, 8):
             m.submit(Request(p))
         degraded = sched.schedule_incremental(m, engine=engine)
@@ -302,8 +298,8 @@ class TestApplyMappingRoundTrip:
         a degraded network."""
         m = MRSIN(benes(8) if seed % 2 else omega(8))
         for idx in range(n_failed):
-            m.fail_resource((seed + idx) % 8)
-        m.fail_link(seed % len(m.network.links))
+            m.set_failed("resource", (seed + idx) % 8)
+        m.set_failed("link", seed % len(m.network.links))
         for p in range(8):
             m.submit(Request(p))
         occupancy_before = [link.occupied for link in m.network.links]

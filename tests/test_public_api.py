@@ -26,6 +26,7 @@ import repro.service
 from repro.cli import build_parser
 from repro.core import MRSIN, OptimalScheduler
 from repro.core.heuristic import arbitrary_schedule, greedy_schedule, random_binding_schedule
+from repro.core.mapping import Mapping
 from repro.core.scheduler import MINCOST_ALGORITHMS
 from repro.distributed import MonitorScheduler
 from repro.fabric.broker import FabricBroker
@@ -130,6 +131,7 @@ LOADGEN = partial(LoadGenConfig, rate=1.0, duration=1.0, processors=1)
         (partial(FabricBroker, None), "round_timeout"),
         (partial(FabricBroker, None), "start_method"),
         (partial(FaultInjector, None), "kinds"),
+        (partial(Mapping().validate, None), "check_links"),
         (partial(run_loadgen, "localhost", 0, None), "clock"),
         (partial(check_flow, FlowNetwork()), "eps"),
         (partial(is_integral, FlowNetwork()), "eps"),
@@ -307,6 +309,7 @@ TEST_ONLY_CALLABLES = {
     "Arc.other": "helper: graph query",
     "LinearProgram.set_objective": "helper: LP construction",
     "mean_and_ci": "helper: sample statistics",
+    "gate_count": "oracle: the tree gate count shared_gate_count's reuse must beat",
 }
 
 
@@ -316,15 +319,31 @@ def _names_used(root):
     caller), and the ``name`` of every ``x.name``."""
     names, attributes = set(), set()
     for path in root.rglob("*.py"):
-        reexports = path.name == "__init__.py"
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.alias) and not reexports:
-                names.add(node.name.rpartition(".")[2])
+        _collect(ast.parse(path.read_text()), (), names, attributes, path.name == "__init__.py")
     return names, attributes
+
+
+def _collect(node, enclosing, names, attributes, reexports):
+    # ``enclosing`` names the functions around ``node``: a function that
+    # mentions itself (``f`` in ``f``, ``self.m`` in ``m``) is no caller
+    # of itself, so recursion alone cannot keep a callable alive.
+    if isinstance(node, ast.Name):
+        if node.id not in enclosing:
+            names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        receiver = node.value
+        if not (
+            node.attr in enclosing
+            and isinstance(receiver, ast.Name)
+            and receiver.id in ("self", "cls")
+        ):
+            attributes.add(node.attr)
+    elif isinstance(node, ast.alias) and not reexports:
+        names.add(node.name.rpartition(".")[2])
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        _collect(child, enclosing, names, attributes, reexports)
 
 
 def _callables(body, prefix=""):

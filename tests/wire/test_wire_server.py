@@ -240,7 +240,7 @@ class TestRevocationPush:
                 host, port = server.address
                 async with WireClient(host, port, request_timeout=2.0) as client:
                     lease = await client.acquire(2)
-                    service.mrsin.fail_resource(lease.resource)
+                    service.mrsin.set_failed("resource", lease.resource)
                     service.reconcile_faults()
                     await asyncio.wait_for(lease.revocation.wait(), 2.0)
                     assert lease.revoked and not lease.active
@@ -262,7 +262,7 @@ class TestRevocationPush:
                 )
                 assert reply.kind == "LEASE"
                 lease_id = reply.get("lease_id")
-                service.mrsin.fail_resource(reply.get("resource"))
+                service.mrsin.set_failed("resource", reply.get("resource"))
                 service.reconcile_faults()
                 push = protocol.decode(
                     await asyncio.wait_for(reader.readline(), 2.0)
@@ -565,7 +565,7 @@ class TestExactlyOneReply:
                 (conn,) = server._connections.values()
                 lease = conn.leases[lease_id]
                 lease.on_revoke = None  # the push never happens
-                service.mrsin.fail_resource(lease.resource)
+                service.mrsin.set_failed("resource", lease.resource)
                 service.reconcile_faults()
                 assert lease.revoked and lease_id in conn.leases
                 answers = await replies_to(
@@ -723,6 +723,21 @@ class TestGuards:
                 )
                 assert reply.kind == "ERROR"
                 assert "request frame" in reply.get("message")
+                writer.close()
+                await writer.wait_closed()
+
+        run(scenario())
+
+    def test_over_range_priority_gets_error_and_the_connection_serves_on(self):
+        async def scenario():
+            async with stack() as (service, server):
+                reader, writer = await raw_connect(server)
+                bad = protocol.make_acquire(3, 0, priority=service.mrsin.max_priority + 1)
+                reply = await raw_roundtrip(reader, writer, bad)
+                assert reply.kind == "ERROR"
+                assert "exceeds ymax" in reply.get("message")
+                await raw_lease(reader, writer, request_id=4, processor=1)
+                assert service.fault is None
                 writer.close()
                 await writer.wait_closed()
 
