@@ -9,7 +9,7 @@ Examples
     python -m repro sweep --network omega --policies optimal greedy random_binding
     python -m repro queueing --network omega --rate 0.8 --policy optimal
     python -m repro serve --network omega --rate 0.8 --horizon 200 --seed 7
-    python -m repro chaos --network omega --ports 32 --ticks 2000 --seed 7
+    python -m repro serve --network omega --ports 32 --horizon 2000 --rate 0.4 --fault-rate 0.08
     python -m repro wire-serve --network omega --ports 16 --port 7586
     python -m repro loadgen --port 7586 --rate 300 --duration 5 --seed 7
     python -m repro fabric-serve --cells 4 --ports 32 --rounds 40 --seed 7
@@ -19,7 +19,8 @@ Examples
     python -m repro typecheck
 
 Every command is a thin wrapper over the library API and prints the
-same tables the benchmark harness generates.
+same tables the benchmark harness generates.  Fault churn is ``serve
+--fault-rate``; every ``serve`` tick runs the shared invariant set.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--occupied", type=int, default=0,
                    help="circuits pre-established before scheduling")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_fault_args(p: argparse.ArgumentParser, *, unit: str, mean_repair: float) -> None:
+    """The injector's three knobs, named alike on every verb that has them."""
+    p.add_argument("--fault-rate", type=float, default=0.0,
+                   help=f"component faults per {unit} (0 = no injection)")
+    p.add_argument("--transient", type=float, default=0.85,
+                   help="fraction of faults that self-repair")
+    p.add_argument("--mean-repair", type=float, default=mean_repair,
+                   help=f"mean time-to-repair for transient faults, in {unit}s")
 
 
 def cmd_schedule(args) -> int:
@@ -153,6 +164,9 @@ def cmd_serve(args) -> int:
             request_timeout=args.timeout,
             transmission_time=args.transmission,
             mean_service=args.service,
+            fault_rate=args.fault_rate,
+            transient_fraction=args.transient,
+            mean_repair=args.mean_repair,
         )
     except ServiceFaulted as exc:
         # One line, nonzero exit: the run's snapshot is from a broken
@@ -279,25 +293,6 @@ def cmd_loadgen(args) -> int:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
         print(report.render())
-    return 0
-
-
-def cmd_chaos(args) -> int:
-    """Fault/repair churn against the service, with hard invariants."""
-    from repro.faults.chaos import run_chaos
-
-    report = run_chaos(
-        topology=args.network,
-        ports=args.ports,
-        ticks=args.ticks,
-        seed=args.seed,
-        rate=args.rate,
-        fault_rate=args.fault_rate,
-        transient_fraction=args.transient,
-        mean_repair=args.mean_repair,
-        check_every=args.check_every,
-    )
-    print(report.render())
     return 0
 
 
@@ -512,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="circuits pre-established before the run")
     p.add_argument("--priority-levels", type=int, default=1,
                    help="draw request priorities from 1..K (K>1 uses min-cost)")
+    _add_fault_args(p, unit="time unit", mean_repair=6.0)
     p.add_argument("--json", action="store_true",
                    help="emit the final snapshot as one JSON object")
     p.set_defaults(func=cmd_serve)
@@ -532,12 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-connections", type=int, default=64)
     p.add_argument("--duration", type=float, default=None,
                    help="seconds to serve (default: until interrupted)")
-    p.add_argument("--fault-rate", type=float, default=0.0,
-                   help="component faults per second (0 = no injection)")
-    p.add_argument("--transient", type=float, default=0.85,
-                   help="fraction of faults that self-repair")
-    p.add_argument("--mean-repair", type=float, default=1.0,
-                   help="mean time-to-repair for transient faults, seconds")
+    _add_fault_args(p, unit="second", mean_repair=1.0)
     p.add_argument("--fault-budget", type=int, default=8,
                    help="consecutive failing ticks absorbed before faulting")
     p.add_argument("--seed", type=int, default=0, help="fault-injection seed")
@@ -569,23 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the report as one JSON object")
     p.set_defaults(func=cmd_loadgen)
-
-    p = sub.add_parser("chaos", help="fault/repair churn with invariant checks")
-    p.add_argument("--network", choices=sorted(TOPOLOGIES), default="omega")
-    p.add_argument("--ports", type=int, default=32, help="network size N")
-    p.add_argument("--ticks", type=int, default=2000, help="scheduling cycles to churn")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=0.4,
-                   help="request arrivals per processor per tick")
-    p.add_argument("--fault-rate", type=float, default=0.08,
-                   help="component faults per time unit")
-    p.add_argument("--transient", type=float, default=0.85,
-                   help="fraction of faults that self-repair")
-    p.add_argument("--mean-repair", type=float, default=6.0,
-                   help="mean time-to-repair for transient faults")
-    p.add_argument("--check-every", type=int, default=1,
-                   help="cold-vs-warm differential every K ticks")
-    p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser("fabric-serve",
                        help="run a sharded multi-process allocation fabric")
@@ -660,7 +634,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # of 2, a port count the topology cannot realise); at the shell
         # that is one line and a nonzero exit, never a traceback.
         raise SystemExit(f"error: {exc}") from exc
-    except InvariantError as exc:  # chaos, fabric-serve
+    except InvariantError as exc:  # serve, fabric-serve
         raise SystemExit(f"error: invariant violated: {exc}") from exc
 
 

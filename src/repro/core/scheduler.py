@@ -7,7 +7,7 @@ Homogeneous, no priority        Maximum flow                   Dinic (kernel); F
 Homogeneous, priority/pref.     Min-cost flow                  Primal-dual (kernel); out-of-kilter
 Heterogeneous, restricted       Real multicommodity LP         Per-type Dinic (kernel), certified; else Simplex
 Heterogeneous, general          Integer multicommodity         Branch & bound (NP-hard)
-Heterogeneous + priority        Multicommodity min-cost LP     Simplex (no kernel route)
+Heterogeneous + priority        Multicommodity min-cost LP     Simplex (no kernel route); else B & B
 ==============================  ============================  ==========================
 
 :class:`OptimalScheduler` inspects the MRSIN (heterogeneous? priorities
@@ -32,7 +32,8 @@ the LP optimum — and is then optimal; otherwise the multicommodity LP
 runs exactly as the paper describes, branch and bound included.  With
 priorities the LP always runs: a kernel route would pick a different
 optimum among equal-cost ties, and the service's pinned traces record
-the LP's.
+the LP's.  A fractional min-cost optimum goes to the same branch and
+bound, minimising cost.
 
 Fault tolerance falls out of the reduction for free: failed links,
 switchboxes, and resources enter every transformation at capacity 0
@@ -388,10 +389,8 @@ class OptimalScheduler:
         if result.status is not LPStatus.OPTIMAL:
             raise FlowViolation(f"multicommodity LP stopped {result.status.value}, not optimal")
         if not result.integral:
-            raise NotImplementedError(
-                "fractional heterogeneous min-cost optimum on a general topology; "
-                "the paper notes the integral problem is NP-hard"
-            )
+            # The same branch and bound as row 3, minimising cost.
+            result = solve_integral_multicommodity(problem)
         self.stats.flow_value = result.total_flow
         # Integral flows at integral prices: report the cost as a whole
         # number, not the simplex's rounding residue.

@@ -1,4 +1,4 @@
-"""Fault injection and chaos testing for the MRSIN stack.
+"""Fault injection for the MRSIN stack.
 
 The paper's monitor assumes a healthy network; this subpackage asks
 what happens when it isn't.  Components (links, switchboxes,
@@ -9,22 +9,15 @@ whose circuits a fault severed (see :mod:`repro.service.server`).
 
 - :mod:`repro.faults.injector` — :class:`FaultInjector`: a seeded,
   deterministic Poisson source of permanent and transient
-  fault/repair events, driven by the service clock;
-- :mod:`repro.faults.chaos` — :func:`run_chaos`: thousands of ticks
-  of random fault/repair churn against a live allocation service,
-  with the shared invariant set of :mod:`repro.service.invariants`
-  (no circuit over a failed link, no lease leak, no lost request,
-  warm-start == cold allocation counts) enforced every tick.
-  ``python -m repro chaos`` is the CLI wrapper.
+  fault/repair events, driven by the service clock.  Churn against a
+  live service is ``run_service(spec, fault_rate=...)``
+  (:mod:`repro.service.driver`; ``python -m repro serve --fault-rate``).
 """
 
-from repro.faults.chaos import ChaosReport, run_chaos
 from repro.faults.injector import FaultEvent, FaultInjector, apply_event
 
 __all__ = [
-    "ChaosReport",
     "FaultEvent",
     "FaultInjector",
     "apply_event",
-    "run_chaos",
 ]

@@ -7,8 +7,8 @@ uniformly; *transient* faults carry an exponentially distributed
 repair that is scheduled onto the same timeline, *permanent* ones
 never heal.  Events are produced strictly in time order (ties broken
 by generation order), so the same seed yields the identical fault
-history — the property the chaos harness's differential checks and
-the CI job rely on.
+history — the property seeded fault churn
+(``run_service(fault_rate=)``) and the CI job rely on.
 
 The injector never touches the MRSIN itself; :func:`apply_event` (or
 :meth:`~repro.service.server.AllocationService.apply_fault_event`,
@@ -32,7 +32,7 @@ from repro.util.rng import make_rng
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.server import AllocationService
 
-__all__ = ["FaultEvent", "FaultInjector", "apply_event"]
+__all__ = ["FaultEvent", "FaultInjector", "apply_event", "check_repair_model"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,14 @@ def apply_event(mrsin: MRSIN, event: FaultEvent) -> bool:
     can overlap; the second repair finds nothing to fix).
     """
     return mrsin.set_failed(event.kind, event.target, failed=not event.repair)
+
+
+def check_repair_model(transient_fraction: float, mean_repair: float) -> None:
+    """Raise ``ValueError`` unless the two repair knobs are usable."""
+    if not 0.0 <= transient_fraction <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"transient_fraction must be in [0, 1], got {transient_fraction}")
+    if not 0 < mean_repair < math.inf:
+        raise ValueError(f"mean_repair must be positive and finite, got {mean_repair}")
 
 
 class FaultInjector:
@@ -97,10 +105,7 @@ class FaultInjector:
     ) -> None:
         if not 0 < fault_rate < math.inf:  # NaN fails both comparisons
             raise ValueError(f"fault_rate must be positive and finite, got {fault_rate}")
-        if not 0.0 <= transient_fraction <= 1.0:
-            raise ValueError(f"transient_fraction must be in [0, 1], got {transient_fraction}")
-        if not 0 < mean_repair < math.inf:
-            raise ValueError(f"mean_repair must be positive and finite, got {mean_repair}")
+        check_repair_model(transient_fraction, mean_repair)
         self.mrsin = mrsin
         self.rng = make_rng(rng)
         self.fault_rate = fault_rate

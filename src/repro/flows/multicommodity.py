@@ -225,17 +225,24 @@ def solve_integral_multicommodity(
     *,
     max_nodes: int = 2_000,
 ) -> MultiCommodityResult:
-    """Integral multicommodity maximum flow by branch-and-bound.
+    """Integral multicommodity flow by branch-and-bound.
 
-    The general problem is NP-hard (the paper cites this), so this is
-    exponential in the worst case; ``max_nodes`` caps the search.  The
-    LP relaxation provides bounds; branching fixes one fractional
-    ``f_i(e)`` to ``floor`` or ``ceil`` of its relaxed value (0/1 on
-    unit-capacity networks).  A node whose LP stops at the simplex
-    iteration limit raises ``RuntimeError`` like an exhausted node
-    budget: only an infeasible node may be pruned.
+    Maximum flow, or, when every commodity carries a demand, minimum
+    cost at those demands (the problem of
+    :func:`solve_min_cost_multicommodity`); the incumbent and the bound
+    follow the objective's sense.  The general problem is NP-hard (the
+    paper cites this), so this is exponential in the worst case;
+    ``max_nodes`` caps the search.  The LP relaxation provides bounds;
+    branching fixes one fractional ``f_i(e)`` to ``floor`` or ``ceil``
+    of its relaxed value (0/1 on unit-capacity networks).  A node whose
+    LP stops at the simplex iteration limit raises ``RuntimeError``
+    like an exhausted node budget: only an infeasible node may be
+    pruned.
     """
+    maximize = any(com.demand is None for com in problem.commodities)
+    sign = 1.0 if maximize else -1.0  # search maximises sign * objective
     best: MultiCommodityResult | None = None
+    best_value = -math.inf
     total_iter = 0
     explored = 0
     stack: list[dict[tuple[str, int, int], tuple[float, float]]] = [{}]
@@ -244,24 +251,23 @@ def solve_integral_multicommodity(
             raise RuntimeError(f"branch-and-bound exceeded {max_nodes} nodes")
         bounds = stack.pop()
         explored += 1
-        lp = _build_lp(problem, maximize_total=True, fixed_bounds=bounds)
+        lp = _build_lp(problem, maximize_total=maximize, fixed_bounds=bounds)
         res = simplex_solve(lp)
         total_iter += res.iterations
         if res.status is LPStatus.ITERATION_LIMIT:
             raise RuntimeError(f"simplex hit its iteration limit at branch-and-bound node {explored}")
         if res.status is not LPStatus.OPTIMAL:
             continue  # infeasible under these bounds: prune
-        if best is not None and res.objective <= best.total_flow + INT_TOL:
+        if sign * res.objective <= best_value + INT_TOL:
             continue  # bound: cannot beat the incumbent
-        packaged = _package(problem, res.values, res.status, res.iterations)
         fractional = None
         for key, val in res.values.items():
             if key[0] == "f" and abs(val - round(val)) > INT_TOL:
                 fractional = key
                 break
         if fractional is None:
-            if best is None or packaged.total_flow > best.total_flow + INT_TOL:
-                best = packaged
+            best = _package(problem, res.values, res.status, res.iterations)
+            best_value = sign * res.objective
             continue
         val = res.values[fractional]
         lo_branch = dict(bounds)

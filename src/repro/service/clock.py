@@ -86,9 +86,9 @@ class MonotonicClock(Clock):
 class VirtualClock(Clock):
     """Deterministic simulated time for tests and the drivers.
 
-    Every in-process driver in ``src/`` (``run_service``, ``run_chaos``,
-    the fabric cell) is synchronous and moves time with :meth:`step`
-    alone.  ``sleep`` / :meth:`run_until` / :meth:`advance` are the fake
+    Every in-process driver in ``src/`` (``run_service``, fault churn
+    included, and the fabric cell) is synchronous and moves time with
+    :meth:`step` alone.  ``sleep`` / :meth:`run_until` / :meth:`advance` are the fake
     the tests drive ``acquire()`` and the tick loop with; nothing in
     ``src/`` calls them.  ``sleep`` parks the calling task on a heap of
     ``(wake_time, tie)`` entries; sleepers are woken strictly in

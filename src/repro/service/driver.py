@@ -17,10 +17,18 @@ too, build the system and draw each request from a
 times, transmission-then-release lease lifecycle) that the one-shot
 snapshots cannot express.
 
-Like ``run_chaos`` and the fabric cell, the driver is a plain function
-with no event loop: the run is one heap of timed events (tick, arrival,
-end of transmission, release) played through the service's synchronous
-calls, with :meth:`VirtualClock.step` moving time between them.
+Fault churn is the same run with ``fault_rate`` > 0: a seeded
+:class:`~repro.faults.injector.FaultInjector` fails and repairs links,
+switchboxes and resources, and the service revokes the leases a fault
+severs.  With or without faults every tick runs through
+:func:`~repro.service.invariants.checked_cycle`, the shared invariant
+set plus the warm == cold differential, so Theorem 2 is checked on a
+network that is both loaded and degraded.
+
+Like the fabric cell, the driver is a plain function with no event
+loop: the run is one heap of timed events (tick, arrival, end of
+transmission, release) played through the service's synchronous calls,
+with :meth:`VirtualClock.step` moving time between them.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
+from repro.faults.injector import FaultInjector, check_repair_model
 from repro.service.clock import VirtualClock
+from repro.service.invariants import InvariantError, checked_cycle
 from repro.service.server import (
     AllocationRejected,
     AllocationService,
@@ -86,6 +96,8 @@ class ServiceRunResult:
             "rejected_full", "mean_batch", "mean_wait", "mean_queue_depth",
             "max_queue_depth",
         )
+        if self.snapshot["faults_injected"]:
+            order += ("revoked", "faults_injected", "repairs_applied")
         for key in order:
             value = self.snapshot[key]
             table.add_row(key, f"{value:.3f}" if isinstance(value, float) else value)
@@ -110,6 +122,9 @@ def run_service(
     request_timeout: float | None = 16.0,
     transmission_time: float = 0.1,
     mean_service: float = 1.0,
+    fault_rate: float = 0.0,
+    transient_fraction: float = 0.85,
+    mean_repair: float = 6.0,
 ) -> ServiceRunResult:
     """Run the allocation service for ``horizon`` virtual time units.
 
@@ -129,10 +144,17 @@ def run_service(
         Model item 5's two phases: the circuit is held for
         ``transmission_time``, the resource for an additional
         exponential service time of mean ``mean_service``.
+    fault_rate, transient_fraction, mean_repair:
+        Forwarded to :class:`~repro.faults.injector.FaultInjector`;
+        ``fault_rate`` 0 runs without one.  The fault schedule is one
+        more seeded stream, spawned after the clients', so turning
+        faults on moves no arrival, hold or background draw.
 
     Returns a :class:`ServiceRunResult`; identical arguments produce
-    an identical result.  A scheduling cycle that raises ends the run
-    at once as :class:`ServiceFaulted` (the original is ``__cause__``).
+    an identical result.  A broken invariant ends the run at once as
+    :class:`~repro.service.invariants.InvariantError` naming the tick
+    time; any other error a scheduling cycle raises ends it as
+    :class:`ServiceFaulted` (the original is ``__cause__``).
     """
     if not 0 < rate < math.inf:
         raise ValueError(f"arrival rate must be positive and finite, got {rate}")
@@ -142,6 +164,7 @@ def run_service(
         raise ValueError(f"transmission_time must be >= 0, got {transmission_time}")
     if not mean_service >= 0:
         raise ValueError(f"mean_service must be >= 0, got {mean_service}")
+    check_repair_model(transient_fraction, mean_repair)
     config = ServiceConfig(
         tick_interval=tick_interval,
         max_batch=max_batch,
@@ -149,9 +172,17 @@ def run_service(
         default_timeout=request_timeout,
     )
     clock = VirtualClock()
-    setup_rng, *client_rngs = spawn_rngs(seed, 1 + spec.builder(spec.n_ports).n_processors)
+    setup_rng, *client_rngs, fault_rng = spawn_rngs(
+        seed, 2 + spec.builder(spec.n_ports).n_processors
+    )
     mrsin = build_mrsin(spec, setup_rng)
     service = AllocationService(mrsin, config=config, clock=clock)
+    injector: FaultInjector | None = None
+    if fault_rate != 0:  # NaN and < 0 are the injector's to refuse
+        injector = FaultInjector(
+            mrsin, rng=fault_rng, fault_rate=fault_rate,
+            transient_fraction=transient_fraction, mean_repair=mean_repair,
+        )
 
     # One heap of (time, delayed, seq, kind, payload).  ``seq`` is
     # registration order, so simultaneous events fire first-registered-
@@ -177,8 +208,12 @@ def run_service(
         when, _, _, kind, payload = heapq.heappop(events)
         _step_to(clock, when)
         if kind == "tick":
+            if injector is not None:
+                injector.inject(service, when)
             try:
-                service.run_one_cycle()
+                checked_cycle(service)
+            except InvariantError as exc:
+                raise InvariantError(f"tick at t={when:g}: {exc}") from exc
             except Exception as exc:
                 raise ServiceFaulted(f"service faulted during run: {exc!r}") from exc
             # The tick re-arms before the leases it granted, so a
@@ -202,9 +237,10 @@ def run_service(
                 pass  # shed at the queue bound; the metrics counted it
         elif kind == "sent":
             lease, hold = payload
-            service.end_transmission(lease)
-            after(hold, "release", lease)
-        else:
+            if not lease.revoked:  # else a fault reclaimed it already
+                service.end_transmission(lease)
+                after(hold, "release", lease)
+        elif not payload.revoked:
             service.release(payload)
     # Whatever is still queued or held at the horizon stays in the
     # snapshot: submitted == allocated + timed_out + queue_depth.

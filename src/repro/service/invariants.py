@@ -7,15 +7,16 @@ Four statements, each a real raise (so ``python -O`` cannot strip it):
    (every cycle starts with one) no held circuit crosses a failed
    component and no held resource is itself failed;
 2. **No failed link carries a circuit**;
-3. **Lease conservation** — busy resources and active leases stay in
-   one-to-one correspondence across every grant, release and
-   revocation;
+3. **Lease conservation** — busy resources and active leases plus the
+   background load the service found busy stay in one-to-one
+   correspondence across every grant, release and revocation;
 4. **Request conservation** — every admitted request is granted, timed
    out, withdrawn by its submitter, or still queued.
 
 :func:`checked_cycle` adds Theorem 2 on the degraded network: a tick of
 the warm engine grants exactly as many requests as a cold optimal solve
-of the same batch.  ``run_chaos``, the hypothesis state machine in
+of the same batch.  Every tick of ``run_service`` runs through it;
+``run_service``, the hypothesis state machine in
 ``tests/service/test_stateful.py`` and the fabric driver all raise the
 one :class:`InvariantError`.
 """
@@ -51,10 +52,11 @@ def check_service(service: AllocationService, *, cancelled: int = 0) -> None:
                 f"failed link {link.index} still carries a circuit"
             )
     busy = sum(1 for res in mrsin.resources if res.busy)
-    if busy != service.active_leases:
+    background = len(service.background)
+    if busy != service.active_leases + background:
         raise InvariantError(
             f"{busy} busy resources vs {service.active_leases} active "
-            f"leases — a lease leaked"
+            f"leases + {background} background — a lease leaked"
         )
     metrics = service.metrics
     settled = (

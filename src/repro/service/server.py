@@ -246,7 +246,8 @@ class AllocationService:
     ----------
     mrsin:
         The system to serve.  The service owns its request queue;
-        ``mrsin.pending`` stays empty.
+        ``mrsin.pending`` stays empty.  Resources already busy are
+        background load it did not grant (:attr:`background`).
     config:
         A :class:`ServiceConfig` (defaults are sensible for tests).
     clock:
@@ -271,6 +272,9 @@ class AllocationService:
         self._engine = KernelFlowEngine(mrsin, counter=self.counter)
         self._queue: list[_Entry] = []
         self._leases: dict[int, Lease] = {}
+        #: Resources busy before the service existed, until a fault
+        #: reclaims them; lease conservation counts them beside leases.
+        self.background = {res.index for res in mrsin.resources if res.busy}
         self._ids = itertools.count(1)
         self._loop_task: asyncio.Task | None = None
         self._closed = False
@@ -510,10 +514,10 @@ class AllocationService:
         its holder (the component is gone), so the service reclaims it:
         the surviving links and the resource slot go back to the pool,
         the warm engine retracts the unit of flow, and the lease is
-        revoked (``lease.on_revoke`` is called).  Severed circuits with no
-        lease (e.g. background load applied directly to the MRSIN) are
-        reclaimed too.  Returns the leases revoked; called at the top
-        of every :meth:`run_one_cycle`.
+        revoked (``lease.on_revoke`` is called).  A severed
+        :attr:`background` circuit, which has no lease, is reclaimed and
+        leaves the background set.  Returns the leases revoked; called
+        at the top of every :meth:`run_one_cycle`.
         """
         revoked: list[Lease] = []
         severed = self.mrsin.severed_resources()
@@ -525,6 +529,7 @@ class AllocationService:
             self._engine.note_release(idx)
             lease = by_resource.get(idx)
             if lease is None:
+                self.background.discard(idx)
                 continue
             lease.active = False
             lease.transmitting = False

@@ -19,6 +19,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from repro.core.mapping import Assignment, Mapping
 from repro.core.model import MRSIN
 from repro.core.requests import DEFAULT_TYPE, Request
 from repro.networks.topology import MultistageNetwork
@@ -45,9 +46,12 @@ def occupy_random_circuits(
     """Establish up to ``n_circuits`` random processor→resource circuits.
 
     Models the *"network is not completely free"* regime: other
-    allocations already hold paths.  The target resources are marked
-    busy.  Returns the number actually established (dense networks may
-    not admit all within :data:`MAX_OCCUPY_ATTEMPTS` draws).
+    allocations already hold paths.  Each circuit is granted through
+    :meth:`MRSIN.apply_mapping <repro.core.model.MRSIN.apply_mapping>`,
+    the one allocation path, so it is a transmission a fault can sever
+    and a service can reclaim.  Returns the number actually established
+    (dense networks may not admit all within
+    :data:`MAX_OCCUPY_ATTEMPTS` draws).
     """
     established = 0
     attempts = 0
@@ -60,8 +64,9 @@ def occupy_random_circuits(
         path = net.find_free_path(p, r)
         if path is None:
             continue
-        net.establish_circuit(path)
-        mrsin.resources[r].busy = True
+        resource = mrsin.resources[r]
+        request = Request(p, resource_type=resource.resource_type)
+        mrsin.apply_mapping(Mapping([Assignment(request, resource, tuple(path))]))
         established += 1
     return established
 

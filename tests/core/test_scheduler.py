@@ -13,6 +13,8 @@ from repro.core import (
     greedy_schedule,
 )
 from repro.core.scheduler import MAXFLOW_ALGORITHMS, MINCOST_ALGORITHMS
+from repro.flows.multicommodity import solve_integral_multicommodity
+from tests.helpers import FRACTIONAL_ROW4, fractional_row4_instance
 
 #: Every ``maxflow=`` / ``mincost=`` value: the default kernel route,
 #: then the object solvers of the two tables.
@@ -234,6 +236,44 @@ class TestHeterogeneousScheduling:
             m, discipline=Discipline.HETEROGENEOUS_PRIORITY
         )
         assert mapping.pairs == {(1, 0)}
+
+
+class TestFractionalMinCostOptimum:
+    """Table II row 4 on a draw whose multicommodity min-cost LP stops
+    at a fractional vertex: the same branch and bound as row 3 then
+    minimises cost, where the scheduler used to raise."""
+
+    @pytest.mark.parametrize(
+        "topology,seed,served,cost", FRACTIONAL_ROW4,
+        ids=[f"{t}-{s}" for t, s, *_ in FRACTIONAL_ROW4],
+    )
+    def test_branch_and_bound_reaches_the_exhaustive_optimum(
+        self, monkeypatch, topology, seed, served, cost
+    ):
+        from repro.core import scheduler as scheduler_module
+        from repro.core.exhaustive import exhaustive_schedule
+
+        searches = []
+
+        def spy(problem):
+            result = solve_integral_multicommodity(problem)
+            searches.append(result)
+            return result
+
+        monkeypatch.setattr(scheduler_module, "solve_integral_multicommodity", spy)
+        m = fractional_row4_instance(topology, seed)
+        scheduler = OptimalScheduler()
+        mapping = scheduler.schedule(m)
+        (search,) = searches
+        assert search.nodes_explored > 1  # the branch really ran
+        assert search.integral
+        assert scheduler.stats.discipline is Discipline.HETEROGENEOUS_PRIORITY
+        assert (len(mapping), scheduler.stats.flow_cost) == (served, cost)
+        mapping.validate(m)
+        oracle = exhaustive_schedule(fractional_row4_instance(topology, seed))
+        objective = (m.max_priority, m.max_preference)
+        assert len(oracle) == served
+        assert mapping.allocation_cost(*objective) == oracle.allocation_cost(*objective)
 
 
 @given(

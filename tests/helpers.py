@@ -6,10 +6,35 @@ cross-checks); the library under test never imports them.
 
 from __future__ import annotations
 
+from functools import partial
+
 import networkx as nx
 import numpy as np
 
+from repro.core.model import MRSIN
 from repro.flows.graph import FlowNetwork
+from repro.networks import build_network
+from repro.sim.workload import WorkloadSpec, sample_instance
+
+#: Table II row-4 draws whose min-cost LP optimum is fractional, found
+#: by an aimed search (seeds 0-199 of :func:`fractional_row4_instance`
+#: on all twelve registry topologies): ``(topology, seed, served,
+#: flow cost)``.  The served count and cost are the exhaustive optimum.
+FRACTIONAL_ROW4 = [
+    ("benes", 72, 6, 45.0),
+    ("benes", 171, 5, 52.0),
+    ("data_manipulator", 92, 6, 45.0),
+]
+
+
+def fractional_row4_instance(topology: str, seed: int) -> MRSIN:
+    """Eight ports, two types, four priority levels, a quarter of the
+    resources busy, every processor asking (requests queued)."""
+    spec = WorkloadSpec(
+        partial(build_network, topology), n_ports=8, request_density=1.0,
+        free_density=0.75, priority_levels=4, resource_types=["a", "b"],
+    )
+    return sample_instance(spec, np.random.default_rng(seed))
 
 
 def random_flow_network(

@@ -2,6 +2,7 @@
 and a faulty, deadline-ridden service passes it tick after tick."""
 
 import pytest
+from numpy.random import default_rng
 
 from repro.core import MRSIN, Request
 from repro.core.incremental import KernelFlowEngine
@@ -10,6 +11,7 @@ from repro.networks import omega
 from repro.service.clock import VirtualClock
 from repro.service.invariants import InvariantError, check_service, checked_cycle
 from repro.service.server import AllocationRejected, AllocationService, ServiceConfig
+from repro.sim.workload import WorkloadSpec, build_mrsin
 from repro.util.rng import spawn_rngs
 
 
@@ -79,6 +81,39 @@ class TestCheckService:
         check_service(service, cancelled=1)
 
 
+class TestBackgroundLoad:
+    """Circuits established before the service existed (``WorkloadSpec.
+    occupied_circuits``): not leases, but still counted and reclaimed."""
+
+    def make(self, circuits):
+        mrsin = build_mrsin(WorkloadSpec(omega, 8, occupied_circuits=circuits), default_rng(0))
+        return AllocationService(mrsin, clock=VirtualClock())
+
+    def test_background_is_counted_beside_the_leases(self):
+        service = self.make(3)
+        assert len(service.background) == 3
+        for processor in range(8):
+            submit(service, processor)
+        checked_cycle(service)
+        assert service.active_leases > 0
+
+    def test_a_fault_on_a_background_circuit_is_reclaimed(self):
+        """The background circuit used to bypass the MRSIN's
+        transmission table: its resource stayed busy for ever and its
+        failed link stayed occupied."""
+        service = self.make(1)
+        mrsin = service.mrsin
+        ((resource, circuit),) = mrsin.transmitting_circuits().items()
+        cut = circuit.links[1].index
+        mrsin.set_failed("link", cut)
+        assert mrsin.severed_resources() == [resource]
+        service.run_one_cycle()
+        check_service(service)
+        assert not mrsin.resources[resource].busy
+        assert not any(link.occupied for link in mrsin.network.links)
+        assert service.background == set() and service.metrics.revoked == 0
+
+
 class TestCheckedCycle:
     def test_fires_when_the_warm_engine_under_allocates_by_one(self, monkeypatch):
         service, _ = make_service()
@@ -107,8 +142,8 @@ class TestCheckedCycle:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_deadlines_on_under_fault_churn(self, seed):
-        """The case ``run_chaos`` had to switch off: requests expiring
-        inside the very cycle whose batch the cold solve predicts."""
+        """Deadlines on, under fault churn: requests expiring inside
+        the very cycle whose batch the cold solve predicts."""
         service, clock = make_service(ports=16, queue_limit=24, default_timeout=2.0)
         arrival_rng, fault_rng, hold_rng = spawn_rngs(seed, 3)
         injector = FaultInjector(service.mrsin, rng=fault_rng, fault_rate=0.3, mean_repair=4.0)

@@ -12,6 +12,7 @@ from repro.core import MRSIN, OptimalScheduler, Request
 from repro.networks import omega
 from repro.service.clock import VirtualClock
 from repro.service.driver import ServiceRunResult
+from repro.service.invariants import checked_cycle
 from repro.service.server import (
     AllocationError,
     AllocationRejected,
@@ -22,6 +23,7 @@ from repro.service.server import (
     ServiceFaulted,
 )
 from repro.sim.workload import WorkloadSpec, sample_instance
+from tests.helpers import FRACTIONAL_ROW4, fractional_row4_instance
 
 
 def run(coro):
@@ -139,6 +141,21 @@ class TestTickMatchesOptimal:
 
         first_done, second_done, _ = run(scenario())
         assert first_done and not second_done
+
+    def test_a_fractional_min_cost_optimum_is_granted(self):
+        """Table II row 4 on a draw whose LP optimum is fractional: the
+        tick grants the exhaustive optimum and the service stays up.
+        Every cycle used to raise, with all eight requests stuck."""
+        topology, seed, served, _ = FRACTIONAL_ROW4[1]
+        live = fractional_row4_instance(topology, seed)
+        requests = list(live.pending)
+        live.pending.clear()  # the service owns the queue
+        service = make_service(live, fault_budget=0)
+        for request in requests:
+            service.submit(request, on_done=lambda _ticket: None)
+        assert len(checked_cycle(service)) == served
+        assert service.fault is None
+        assert service.queue_depth == len(requests) - served
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A hypothesis rule-based state machine drives ``AllocationService.submit``
 on a ``VirtualClock`` through arbitrary interleavings of submit, ticket
 cancel, tick, end-of-transmission, release, fault and repair — the seam
-``run_service``, ``run_chaos`` and the fabric cell all stand on — against
+``run_service`` (fault churn included) and the fabric cell stand on — against
 a reference model that learns about the service only the way a client
 can: its ticket callbacks and ``lease.on_revoke``.  After every step:
 

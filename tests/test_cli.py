@@ -100,37 +100,57 @@ class TestCommands:
         assert "clk" in out
 
     def test_chaos(self, capsys):
+        """Fault churn is ``serve --fault-rate``; its table adds the
+        fault rows, a fault-free table never shows them."""
         assert main([
-            "chaos", "--network", "omega", "--ports", "8",
-            "--ticks", "60", "--seed", "2",
+            "serve", "--network", "omega", "--ports", "8",
+            "--horizon", "60", "--seed", "2", "--fault-rate", "0.2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "invariants" in out and "all held" in out
-        assert "faults_injected" in out
+        assert "faults_injected" in out and "revoked" in out
+        assert main(["serve", "--ports", "8", "--horizon", "60", "--seed", "2"]) == 0
+        assert "faults_injected" not in capsys.readouterr().out
 
     def test_chaos_deterministic_output(self, capsys):
-        argv = ["chaos", "--ports", "8", "--ticks", "40", "--seed", "6"]
+        argv = ["serve", "--ports", "8", "--horizon", "40", "--seed", "6",
+                "--fault-rate", "0.08"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
     def test_chaos_rejects_bad_ticks(self):
-        with pytest.raises(SystemExit, match="ticks"):
-            main(["chaos", "--ticks", "0"])
+        with pytest.raises(SystemExit, match="horizon"):
+            main(["serve", "--horizon", "0", "--fault-rate", "0.08"])
+
+    def test_a_broken_invariant_is_a_one_line_error(self, monkeypatch):
+        """Every ``serve`` tick runs the shared invariant set: a release
+        that leaks its resource stops the run with a nonzero exit."""
+        from repro.service.server import AllocationService
+
+        def leaky_release(self, lease):
+            lease.active = False
+            del self._leases[lease.lease_id]
+
+        monkeypatch.setattr(AllocationService, "release", leaky_release)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--ports", "8", "--horizon", "60"])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("error: invariant violated: tick at t=")
 
     @pytest.mark.parametrize(
         "argv,complaint",
         [
             # One validated builder: a size the topology cannot realise
-            # used to run a 6x6 network under a "clos-7" title (chaos,
-            # sweep) or die in a traceback (sweep on omega-6).
-            ("chaos --network clos --ports 7 --ticks 5", "6x6"),
+            # used to run a 6x6 network under a "clos-7" title (sweep)
+            # or die in a traceback (sweep on omega-6).
             ("sweep --network clos --ports 7 --trials 1", "6x6"),
             ("sweep --network omega --ports 6 --trials 1", "power of two"),
             ("schedule --network clos --ports 7", "6x6"),
             ("queueing --network omega --ports 6", "power of two"),
             ("serve --network clos --ports 7 --horizon 5", "6x6"),
+            ("serve --fault-rate 0.1 --network clos --ports 7 --horizon 5", "6x6"),
             ("wire-serve --network clos --ports 7 --duration 0.1", "6x6"),
             # Library validation reaches the shell as one line.
             ("queueing --rate 0", "arrival_rate must be positive"),
@@ -144,7 +164,7 @@ class TestCommands:
             ("serve --service -1 --horizon 20", "mean_service must be >= 0"),
             ("serve --horizon -5", "horizon must be positive"),
             ("serve --transmission -1 --horizon 20", "transmission_time must be >= 0"),
-            ("chaos --rate -1", "rate must be >= 0"),
+            ("serve --rate -1 --horizon 5", "arrival rate must be positive"),
             ("queueing --service -1", "mean_service must be >= 0"),
             ("queueing --horizon -3", "horizon must be positive"),
             ("blocking --trials 0", "trials must be >= 1"),
@@ -161,9 +181,13 @@ class TestCommands:
             # zero faults and report "invariants all held", schedule zero
             # arrivals and report a clean run, or die on an internal
             # error; an infinite one never returned.
-            ("chaos --fault-rate nan --ticks 5", "fault_rate must be positive and finite"),
-            ("chaos --mean-repair nan --ticks 5", "mean_repair must be positive and finite"),
-            ("chaos --fault-rate inf --ticks 5", "fault_rate must be positive and finite"),
+            ("serve --fault-rate nan --horizon 5", "fault_rate must be positive and finite"),
+            ("serve --fault-rate 0.1 --mean-repair nan --horizon 5",
+             "mean_repair must be positive and finite"),
+            ("serve --fault-rate inf --horizon 5", "fault_rate must be positive and finite"),
+            # ... and at rate 0 too: the knobs come from outside.
+            ("serve --mean-repair nan --horizon 5", "mean_repair must be positive and finite"),
+            ("serve --transient nan --horizon 5", "transient_fraction must be in"),
             ("wire-serve --fault-rate nan --duration 0.1", "fault_rate must be positive"),
             ("queueing --rate nan", "arrival_rate must be positive and finite"),
             ("queueing --horizon inf", "horizon must be positive and finite"),
@@ -176,7 +200,7 @@ class TestCommands:
             ("schedule --occupied -1", "occupied_circuits must be >= 0"),
             # An infinite rate reached numpy ("lam value too large") —
             # for the fabric after its cells were forked.
-            ("chaos --rate inf --ticks 5", "rate must be >= 0 and finite"),
+            ("serve --rate inf --horizon 5", "arrival rate must be positive and finite"),
             ("fabric-serve --rate inf", "rate must be positive and finite"),
             # A kill schedule the run cannot play: reported as an
             # invariant violation after the whole workload had run.

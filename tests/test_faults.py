@@ -1,5 +1,7 @@
 """Tests for the fault model: core exclusion semantics, revocation,
-the seeded injector, and the chaos harness invariants."""
+the seeded injector, and fault churn through ``run_service``."""
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,12 @@ from hypothesis import strategies as st
 from repro.core import MRSIN, OptimalScheduler, Request
 from repro.core.heuristic import greedy_schedule
 from repro.core.incremental import KernelFlowEngine
-from repro.faults import FaultEvent, FaultInjector, apply_event, run_chaos
-from repro.networks import benes, omega
+from repro.faults import FaultEvent, FaultInjector, apply_event
+from repro.networks import benes, build_network, omega
+from repro.service.driver import run_service
+from repro.service.invariants import InvariantError
+from repro.service.server import AllocationService
+from repro.sim.workload import WorkloadSpec
 
 
 def fresh(n=8, n_requests=None):
@@ -225,51 +231,58 @@ class TestFaultInjector:
 
 
 # ----------------------------------------------------------------------
-# Chaos: churn with hard invariants (CI runs the full 2000-tick job)
+# Chaos: churn with hard invariants, through run_service(fault_rate=)
+# (CI runs the full 2000-tick job)
 # ----------------------------------------------------------------------
+def churn(topology="omega", ports=16, horizon=400.0, seed=5, **kwargs):
+    """``run_service`` under fault churn, as ``serve --fault-rate`` runs it."""
+    kwargs.setdefault("rate", 0.4)
+    kwargs.setdefault("fault_rate", 0.08)
+    spec = WorkloadSpec(partial(build_network, topology), ports)
+    return run_service(spec, horizon=horizon, seed=seed, **kwargs)
+
+
 class TestChaos:
     def test_chaos_invariants_hold_on_omega(self):
-        report = run_chaos(topology="omega", ports=16, ticks=400, seed=5)
-        assert report.allocated > 0
-        assert report.released > 0
-        assert report.faults_injected > 0
-        assert report.differential_checks == 400
+        snap = churn().snapshot
+        assert snap["allocated"] > 0
+        assert snap["released"] > 0
+        assert snap["faults_injected"] > 0
+        assert snap["ticks"] == 400  # every one through checked_cycle
 
     def test_chaos_exercises_revocation(self):
         # Seed/rate chosen so faults actually sever live circuits.
-        report = run_chaos(
-            topology="omega", ports=16, ticks=400, seed=5, fault_rate=0.2,
-        )
-        assert report.revoked > 0
+        assert churn(fault_rate=0.2).snapshot["revoked"] > 0
 
     @pytest.mark.parametrize("topology", ["benes", "clos"])
     def test_chaos_invariants_hold_on_rearrangeable_nets(self, topology):
-        report = run_chaos(topology=topology, ports=8, ticks=150, seed=9)
-        assert report.allocated > 0
+        snap = churn(topology, ports=8, horizon=150, seed=9).snapshot
+        assert snap["allocated"] > 0 and snap["faults_injected"] > 0
 
     def test_chaos_is_deterministic(self):
-        a = run_chaos(topology="omega", ports=8, ticks=120, seed=3)
-        b = run_chaos(topology="omega", ports=8, ticks=120, seed=3)
+        a = churn(ports=8, horizon=120, seed=3)
+        b = churn(ports=8, horizon=120, seed=3)
         assert a == b
 
     def test_chaos_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="unknown topology"):
-            run_chaos(topology="hypercube9", ticks=10)
-        with pytest.raises(ValueError, match="ticks"):
-            run_chaos(ticks=0)
-        with pytest.raises(ValueError, match="check_every"):
-            run_chaos(ticks=10, check_every=0)
+            churn("hypercube9", horizon=10)
+        with pytest.raises(ValueError, match="horizon"):
+            churn(horizon=0)
+        # The repair knobs come from outside the program: checked even
+        # when no injector will run.
+        with pytest.raises(ValueError, match="transient_fraction"):
+            churn(horizon=10, fault_rate=0.0, transient_fraction=1.5)
+        with pytest.raises(ValueError, match="mean_repair"):
+            churn(horizon=10, fault_rate=0.0, mean_repair=float("nan"))
 
     @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -1.0])
     def test_chaos_rate_must_be_finite_and_not_negative(self, rate):
         """inf used to reach numpy: ``lam value too large``."""
-        with pytest.raises(ValueError, match="rate must be >= 0 and finite"):
-            run_chaos(ticks=10, rate=rate)
-
-    def test_a_sparser_differential_still_checks_state_every_tick(self):
-        report = run_chaos(topology="omega", ports=8, ticks=60, seed=3, check_every=4)
-        assert report.differential_checks == 15
-        assert report.allocated > 0
+        with pytest.raises(ValueError, match="arrival rate must be positive and finite"):
+            churn(horizon=10, rate=rate)
+        with pytest.raises(ValueError, match="fault_rate must be positive and finite"):
+            churn(horizon=10, fault_rate=rate)
 
     @pytest.mark.parametrize(
         "topology,ports,complaint",
@@ -282,7 +295,34 @@ class TestChaos:
         realised-size check, so clos-7 churned a 6x6 network and
         reported it as ``chaos: clos-7``."""
         with pytest.raises(ValueError, match=complaint):
-            run_chaos(topology=topology, ports=ports, ticks=10)
+            churn(topology, ports=ports, horizon=10)
+
+    @pytest.mark.parametrize(
+        "topology,levels", [("benes", 1), ("clos", 3)], ids=["benes", "clos"]
+    )
+    def test_a_fault_on_background_load_is_reclaimed(self, topology, levels):
+        """Background circuits used to bypass the MRSIN's transmission
+        table, so a fault on one was never reclaimed and the run
+        stopped with "failed link 43 still carries a circuit"."""
+        spec = WorkloadSpec(
+            partial(build_network, topology), 16,
+            occupied_circuits=4, priority_levels=levels,
+        )
+        result = run_service(spec, horizon=400, seed=11, fault_rate=0.3)
+        assert result.snapshot["revoked"] > 0
+        assert result.snapshot["faults_injected"] > 0
+
+    def test_a_leaking_release_is_caught_at_the_next_tick(self, monkeypatch):
+        """A release that forgets its lease but keeps the resource busy
+        breaks lease conservation; the run names the tick that saw it."""
+
+        def leaky_release(self, lease):
+            lease.active = False
+            del self._leases[lease.lease_id]
+
+        monkeypatch.setattr(AllocationService, "release", leaky_release)
+        with pytest.raises(InvariantError, match=r"tick at t=\d+: .* a lease leaked"):
+            churn(ports=8, horizon=60, fault_rate=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -207,8 +207,8 @@ def _imports_asyncio(path):
 
 
 def test_no_event_loop_outside_the_network_edge():
-    # ISSUE 23: every in-process driver (run_service, run_chaos, the
-    # fabric cell) is a plain function over submit / run_one_cycle.  An
+    # Every in-process driver (run_service, the fabric cell) is a
+    # plain function over submit / run_one_cycle.  An
     # event loop belongs to the service's own tick loop, the clock that
     # fakes it for tests, the TCP layer and the verbs that start them.
     # A parse, not an import: nothing here runs.
@@ -239,21 +239,25 @@ def _src_files():
 
 
 def test_one_invariant_set_and_one_fabric_harness():
-    # ISSUE 24: run_chaos, the hypothesis state machine and run_fabric
+    # run_service, the hypothesis state machine and run_fabric
     # raise the one InvariantError out of service/invariants.py; the
     # post-hoc fabric chaos wrapper, its report class, its verb and the
     # rerun-and-compare flag went (a cell kill is run_fabric(chaos=) /
     # `fabric-serve --kill-cell`), and so did `lint --changed`.
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.fabric.chaos")
+    # In-process fault churn is run_service(fault_rate=): the chaos
+    # module, its report class and its verb went as well.
+    for gone in ("repro.fabric.chaos", "repro.faults.chaos"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
+    faults = importlib.import_module("repro.faults")
     for module, name in [
         (repro.fabric, "run_fabric_chaos"),
         (repro.fabric, "FabricChaosReport"),
         (repro.fabric, "FabricInvariantError"),
         (repro.fabric.broker, "FabricInvariantError"),
-        (importlib.import_module("repro.faults"), "ChaosInvariantError"),
-        (importlib.import_module("repro.faults.chaos"), "ChaosInvariantError"),
-        (importlib.import_module("repro.faults.chaos"), "_check_invariants"),
+        (faults, "ChaosInvariantError"),
+        (faults, "run_chaos"),
+        (faults, "ChaosReport"),
         (importlib.import_module("repro.analysis.engine"), "changed_files"),
     ]:
         assert not hasattr(module, name), f"{module.__name__}.{name} is back"
@@ -271,15 +275,16 @@ def test_one_invariant_set_and_one_fabric_harness():
     assert callers == {"core/model.py", "service/server.py", "service/invariants.py"}
 
 
-def test_thirteen_verbs():
+def test_twelve_verbs():
     (subparsers,) = [
         action for action in build_parser()._actions if hasattr(action, "choices") and action.choices
     ]
     assert sorted(subparsers.choices) == [
-        "blocking", "chaos", "fabric-serve", "lint", "loadgen", "queueing", "report",
+        "blocking", "fabric-serve", "lint", "loadgen", "queueing", "report",
         "schedule", "serve", "sweep", "tokens", "typecheck", "wire-serve",
     ]
     for argv in (
+        ["chaos"],
         ["fabric-chaos"],
         ["fabric-serve", "--verify-determinism"],
         ["lint", "--changed"],

@@ -9,8 +9,10 @@ import pytest
 
 from repro.core import MRSIN
 from repro.networks import omega
+from repro.service.clock import VirtualClock
 from repro.service.server import AllocationService, ServiceConfig
 from repro.wire import (
+    RemoteLease,
     WireClient,
     WireConnectionError,
     WireLeaseRevoked,
@@ -20,6 +22,7 @@ from repro.wire import (
     WireTimeout,
 )
 from repro.wire import protocol
+from tests.helpers import FRACTIONAL_ROW4, fractional_row4_instance
 
 
 def run(coro):
@@ -60,6 +63,56 @@ async def raw_roundtrip(reader, writer, frame, timeout=2.0):
 # ----------------------------------------------------------------------
 # Round trips
 # ----------------------------------------------------------------------
+class TestFractionalMinCostBatch:
+    def test_each_acquire_gets_a_lease_or_a_timeout(self):
+        """Eight typed, prioritised ACQUIREs whose joint min-cost LP
+        optimum is fractional (Table II row 4).  The cycles run by hand,
+        so all eight share one batch: branch and bound grants the
+        optimum, the rest time out, and the next client is served.  The
+        cycle used to raise on that batch, faulting the service."""
+        topology, seed, served, _ = FRACTIONAL_ROW4[1]
+        mrsin = fractional_row4_instance(topology, seed)
+        requests = list(mrsin.pending)
+        mrsin.pending.clear()  # the service owns the queue
+        clock = VirtualClock()
+        service = AllocationService(
+            mrsin, config=ServiceConfig(queue_limit=64), clock=clock
+        )
+
+        async def scenario():
+            async with WireServer(service) as server:
+                host, port = server.address
+                async with WireClient(host, port, request_timeout=4.0) as client:
+                    tasks = [
+                        asyncio.ensure_future(client.acquire(
+                            r.processor, resource_type=r.resource_type,
+                            priority=r.priority,
+                        ))
+                        for r in requests
+                    ]
+                    await poll_until(lambda: service.queue_depth == len(requests))
+                    assert len(service.run_one_cycle()) == served
+                    clock.step(4.0)
+                    service.run_one_cycle()  # the unserved ones expire
+                    replies = await asyncio.gather(*tasks, return_exceptions=True)
+                    leases = [r for r in replies if isinstance(r, RemoteLease)]
+                    assert len(leases) == served
+                    assert all(isinstance(r, (RemoteLease, WireTimeout)) for r in replies)
+                    for lease in leases:
+                        await client.release(lease)
+                async with WireClient(host, port, request_timeout=2.0) as other:
+                    first = requests[0]
+                    task = asyncio.ensure_future(other.acquire(
+                        first.processor, resource_type=first.resource_type,
+                    ))
+                    await poll_until(lambda: service.queue_depth == 1)
+                    service.run_one_cycle()
+                    await other.release(await task)
+                assert service.fault is None and service.active_leases == 0
+
+        run(scenario())
+
+
 class TestRoundTrips:
     def test_acquire_release_over_tcp(self):
         async def scenario():
