@@ -15,8 +15,8 @@ chaos run).  ``repro.analysis`` moves enforcement to lint time:
   await points and exception edges, plus a forward-dataflow fixpoint
   solver, reusable by any flow-sensitive rule;
 - :mod:`repro.analysis.asyncsafe` — the flow-sensitive async-safety
-  rules (R006 await-interleaving races, R007 resource-custody escape
-  analysis, R008 wire-protocol conformance);
+  rules (R006 await-interleaving races, R008 wire-protocol
+  conformance);
 - :mod:`repro.analysis.typing_gate` — the strict-mypy configuration
   (strict packages, permissive allowlist that may only shrink) and a
   gated runner for environments without mypy.
@@ -28,7 +28,6 @@ catalog and suppression policy.
 
 from repro.analysis.asyncsafe import (
     AwaitInterleavingRaces,
-    ResourceEscape,
     WireConformance,
 )
 from repro.analysis.cfg import CFG, CFGEdge, CFGNode, build_cfg, forward_dataflow
@@ -57,7 +56,6 @@ __all__ = [
     "CFGNode",
     "EXIT_UNAVAILABLE",
     "Finding",
-    "ResourceEscape",
     "WireConformance",
     "build_cfg",
     "forward_dataflow",

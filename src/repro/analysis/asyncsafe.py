@@ -1,4 +1,4 @@
-"""Flow-sensitive async-safety rules: R006, R007, R008.
+"""Flow-sensitive async-safety rules: R006 and R008.
 
 These rules run on the CFGs from :mod:`repro.analysis.cfg` and guard
 the bug classes PRs 2-6 fixed by hand in the service/wire stack:
@@ -9,11 +9,6 @@ Id   Invariant
 R006 no read-modify-write on shared mutable state (``self.*`` or
      module globals) spanning an ``await`` without re-reading or a
      lock guard — the canonical asyncio data race
-R007 every path that acquires a tracked resource (a lease grant)
-     releases it or hands off custody on **all** exits, including
-     exception and cancellation edges; wrapping an acquire in
-     ``asyncio.wait_for`` (which strands late grants — the PR-6
-     late-LEASE leak) is flagged outright
 R008 ``wire/server.py`` conforms to the request→reply state machine
      declared in ``wire/protocol.py``: every request kind dispatched,
      every handler path sends exactly one correlated reply, no reply
@@ -21,15 +16,12 @@ R008 ``wire/server.py`` conforms to the request→reply state machine
      kinds
 ==== =================================================================
 
-Conservatism is asymmetric by design.  R007 treats passing a held
-name as a call argument, storing it into an attribute/subscript,
-returning it, or calling ``.release()``/``.close()`` on it as a
-custody handoff — so a helper that merely *inspects* the lease will
-mask a leak (a false negative), but the rule never cries wolf about
-the repo's sanctioned custody patterns.  R006 only reports writes
-whose right-hand side provably uses a value read before a suspension
-point.  All three anchor findings at real statements so the standard
-``# repro: noqa RXXX -- why`` machinery applies unchanged.
+Lease custody has no rule: the tests and the wire's auto-release of
+late grants and vanished clients hold it (``docs/static-analysis.md``).
+R006 only reports writes whose right-hand side provably uses a value
+read before a suspension point.  Both anchor findings at real
+statements so the standard ``# repro: noqa RXXX -- why`` machinery
+applies unchanged.
 """
 
 from __future__ import annotations
@@ -48,16 +40,12 @@ from repro.analysis.cfg import (
     module_coroutine_names,
 )
 from repro.analysis.engine import Finding, ModuleContext
-from repro.analysis.rules import Rule
+from repro.analysis.rules import ASYNC_SCOPE, Rule
 
 __all__ = [
     "AwaitInterleavingRaces",
-    "ResourceEscape",
     "WireConformance",
 ]
-
-#: Modules whose coroutines mutate shared service state.
-ASYNC_SCOPE = ("service/", "wire/", "faults/", "fabric/")
 
 
 def _module_globals(tree: ast.AST) -> frozenset[str]:
@@ -293,207 +281,6 @@ class AwaitInterleavingRaces(Rule):
                         "suspension and written back after it; split the "
                         "statement and re-read, or guard with a lock",
                     )
-
-
-class ResourceEscape(Rule):
-    """R007 — acquired resources must be released or handed off on
-    every exit, including cancellation edges.
-
-    The static generalisation of the leak bugs fixed by hand in PRs 2,
-    5 and 6: a lease acquired into a local is *held*; custody ends
-    when the local is passed to any call, stored into an attribute or
-    subscript, returned, or has ``.release()``/``.close()`` called on
-    it.  A held local reaching the function's normal exit leaks; a
-    suspension point (where ``CancelledError`` is delivered) or a
-    ``raise`` whose exception edge escapes the function while a local
-    is held leaks under cancellation — the PR-2 cancelled-acquire
-    shape.  The acquiring statement's own exception edge is exempt:
-    the service guarantees a failed or cancelled ``acquire`` grants
-    nothing (that is precisely PR 2's server-side fix).
-
-    ``asyncio.wait_for(<...>.acquire(...), t)`` is flagged outright:
-    the timeout cancels the local waiter but the grant can still land
-    (the PR-6 late-LEASE leak); pass ``timeout=`` to the acquire call
-    so the granting side owns the deadline.
-    """
-
-    id = "R007"
-    title = "resource custody must not escape"
-
-    #: Call-name tails that produce a tracked resource.
-    ACQUIRE_TAILS = frozenset({"acquire", "checkout"})
-    #: Methods on the resource itself that end custody.
-    RELEASE_METHODS = frozenset({"release", "close"})
-
-    def applies(self, modpath: str) -> bool:
-        return modpath.startswith(ASYNC_SCOPE)
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        coroutines = module_coroutine_names(ctx.tree)
-        for fn in iter_function_defs(ctx.tree):
-            if not isinstance(fn, ast.AsyncFunctionDef):
-                continue
-            yield from self._check_wait_for(ctx, fn)
-            cfg = build_cfg(fn, coroutine_names=coroutines)
-            yield from self._check_function(ctx, cfg)
-
-    # ------------------------------------------------------------------
-    def _acquire_call(self, expr: ast.AST) -> ast.Call | None:
-        """The acquire-producing call under ``expr``, if any."""
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Call):
-                tail = self._call_tail(sub)
-                if tail in self.ACQUIRE_TAILS:
-                    return sub
-        return None
-
-    @staticmethod
-    def _call_tail(call: ast.Call) -> str:
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return ""
-
-    def _check_wait_for(
-        self, ctx: ModuleContext, fn: ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        for sub in ast.walk(fn):
-            if (
-                isinstance(sub, ast.Call)
-                and self._call_tail(sub) == "wait_for"
-                and sub.args
-                and self._acquire_call(sub.args[0]) is not None
-            ):
-                yield self.finding(
-                    ctx, sub,
-                    "asyncio.wait_for around an acquire: the timeout cancels "
-                    "the local waiter but the grant can still land with no "
-                    "holder (the PR-6 late-LEASE leak); pass timeout= to the "
-                    "acquire call instead so the granting side owns the "
-                    "deadline",
-                )
-
-    def _acquired_name(self, stmt: ast.AST | None) -> str | None:
-        """Local bound to a fresh acquire by this statement, if any."""
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-            return None
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            return None
-        if self._acquire_call(stmt.value) is None:
-            return None
-        return target.id
-
-    def _custody_sinks(self, stmt: ast.AST) -> frozenset[str]:
-        """Local names whose custody this statement hands off."""
-        sinks: set[str] = set()
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Call):
-                for arg in sub.args:
-                    if isinstance(arg, ast.Name):
-                        sinks.add(arg.id)
-                    elif isinstance(arg, ast.Starred) and isinstance(
-                        arg.value, ast.Name
-                    ):
-                        sinks.add(arg.value.id)
-                for keyword in sub.keywords:
-                    if isinstance(keyword.value, ast.Name):
-                        sinks.add(keyword.value.id)
-                if (
-                    isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in self.RELEASE_METHODS
-                    and isinstance(sub.func.value, ast.Name)
-                ):
-                    sinks.add(sub.func.value.id)
-            elif isinstance(sub, ast.Assign):
-                stored = any(
-                    isinstance(target, (ast.Attribute, ast.Subscript))
-                    for target in sub.targets
-                )
-                if stored:
-                    sinks |= _name_loads(sub.value)
-            elif isinstance(sub, ast.Return) and sub.value is not None:
-                sinks |= _name_loads(sub.value)
-            elif isinstance(sub, (ast.Yield, ast.YieldFrom)) and sub.value is not None:
-                sinks |= _name_loads(sub.value)
-        return frozenset(sinks)
-
-    def _check_function(self, ctx: ModuleContext, cfg: CFG) -> Iterator[Finding]:
-        acquires = [
-            node for node in cfg.nodes if self._acquired_name(node.stmt) is not None
-        ]
-        if not acquires:
-            return
-
-        def transfer(
-            node: CFGNode, state: frozenset
-        ) -> tuple[frozenset, frozenset]:
-            roots = _analysis_roots(node)
-            if not roots:
-                return state, state
-            sinks: frozenset[str] = frozenset()
-            for root in roots:
-                sinks |= self._custody_sinks(root)
-            base = state - sinks
-            acquired = self._acquired_name(node.stmt)
-            if acquired is not None:
-                # The acquiring await's own exception edge grants
-                # nothing (PR 2's service-side guarantee): exc out is
-                # the pre-acquisition state.
-                return base | {acquired}, state
-            return base, base
-
-        def follow(edge: object) -> bool:
-            kind = getattr(edge, "kind", "")
-            can_cancel = getattr(edge, "can_cancel", False)
-            return kind != EXCEPTION or bool(can_cancel)
-
-        states = forward_dataflow(
-            cfg, init=frozenset(), transfer=transfer, follow=follow
-        )
-        seen: set[tuple[int, str, str]] = set()
-        for node in cfg.nodes:
-            if node.index not in states:
-                continue
-            normal_out, exc_out = transfer(node, states[node.index])
-            for edge in node.succ:
-                if not follow(edge):
-                    continue
-                out = exc_out if edge.kind == EXCEPTION else normal_out
-                if edge.dst == cfg.exit:
-                    held, flavour = out, "leaves"
-                elif edge.dst == cfg.error:
-                    held, flavour = out, "escapes"
-                else:
-                    continue
-                anchor = node.stmt if node.stmt is not None else cfg.func
-                for var in sorted(held):
-                    key = (
-                        getattr(anchor, "lineno", 0),
-                        var,
-                        flavour,
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if flavour == "leaves":
-                        yield self.finding(
-                            ctx, anchor,
-                            f"'{var}' still holds its resource on a path "
-                            f"leaving '{cfg.func.name}'; release it or hand "
-                            "off custody before every exit",
-                        )
-                    else:
-                        yield self.finding(
-                            ctx, anchor,
-                            f"a cancellation or exception here escapes "
-                            f"'{cfg.func.name}' while '{var}' still holds "
-                            "its resource (the PR-2 cancelled-acquire leak "
-                            "shape); release it in a finally or except "
-                            "block",
-                        )
 
 
 class WireConformance(Rule):

@@ -1,7 +1,7 @@
 """Per-function control-flow graphs with await points and exception edges.
 
 This is the flow-sensitive substrate under the ``asyncsafe`` rule
-family (R006-R008).  :func:`build_cfg` turns one ``def`` / ``async
+family (R006, R008).  :func:`build_cfg` turns one ``def`` / ``async
 def`` into a statement-granularity graph:
 
 - one :class:`CFGNode` per simple statement, branch test, loop head,
@@ -24,9 +24,7 @@ def`` into a statement-granularity graph:
   via ``create_task``/``ensure_future`` do not suspend the caller and
   are excluded).
 
-Exception edges carry a ``can_cancel`` tag: true when the source node
-suspends or raises.  A suspension point is where ``CancelledError``
-can be delivered, so escape analyses (R007) follow only those edges;
+Edges carry only their kind: R006 taints along every edge, and
 reply-accounting (R008) follows every edge into a handler because any
 statement may raise into it.
 
@@ -66,12 +64,11 @@ _GUARD_FRAGMENTS = ("lock", "mutex", "sem", "guard")
 
 @dataclass(frozen=True)
 class CFGEdge:
-    """One directed edge; ``can_cancel`` marks cancellation delivery."""
+    """One directed edge of kind ``NORMAL`` or ``EXCEPTION``."""
 
     src: int
     dst: int
     kind: str
-    can_cancel: bool = False
 
 
 @dataclass
@@ -215,8 +212,8 @@ class _LoopCtx:
     finally_depth: int
 
 
-#: A pending edge awaiting its destination: ``(src, kind, can_cancel)``.
-_Frontier = list[tuple[int, str, bool]]
+#: A pending edge awaiting its destination: ``(src, kind)``.
+_Frontier = list[tuple[int, str]]
 
 
 class _Builder:
@@ -237,7 +234,7 @@ class _Builder:
         self._loop_stack: list[_LoopCtx] = []
 
     def build(self) -> CFG:
-        frontier = self._stmts(self.func.body, [(self.entry, NORMAL, False)])
+        frontier = self._stmts(self.func.body, [(self.entry, NORMAL)])
         self._connect(frontier, self.exit)
         return CFG(
             func=self.func,
@@ -280,14 +277,12 @@ class _Builder:
         return node.index
 
     def _connect(self, frontier: _Frontier, dst: int) -> None:
-        for src, kind, can_cancel in frontier:
-            self.nodes[src].succ.append(CFGEdge(src, dst, kind, can_cancel))
+        for src, kind in frontier:
+            self.nodes[src].succ.append(CFGEdge(src, dst, kind))
 
     def _exc_edge(self, index: int) -> None:
-        node = self.nodes[index]
-        can_cancel = node.suspends or isinstance(node.stmt, ast.Raise)
-        node.succ.append(
-            CFGEdge(index, self._exc_stack[-1], EXCEPTION, can_cancel)
+        self.nodes[index].succ.append(
+            CFGEdge(index, self._exc_stack[-1], EXCEPTION)
         )
 
     def _route_abrupt(self, dest: int, crossing: Sequence[_FinallyCtx]) -> int:
@@ -331,21 +326,21 @@ class _Builder:
             index = self._new("stmt", stmt, exprs=())
             self._connect(frontier, index)
             self._exc_edge(index)
-            return [(index, NORMAL, False)]
+            return [(index, NORMAL)]
         index = self._new("stmt", stmt)
         self._connect(frontier, index)
         self._exc_edge(index)
-        return [(index, NORMAL, False)]
+        return [(index, NORMAL)]
 
     def _if(self, stmt: ast.If, frontier: _Frontier) -> _Frontier:
         index = self._new("branch", stmt, exprs=[stmt.test])
         self._connect(frontier, index)
         self._exc_edge(index)
-        merged = self._stmts(stmt.body, [(index, NORMAL, False)])
+        merged = self._stmts(stmt.body, [(index, NORMAL)])
         if stmt.orelse:
-            merged = merged + self._stmts(stmt.orelse, [(index, NORMAL, False)])
+            merged = merged + self._stmts(stmt.orelse, [(index, NORMAL)])
         else:
-            merged = merged + [(index, NORMAL, False)]
+            merged = merged + [(index, NORMAL)]
         return merged
 
     def _while(self, stmt: ast.While, frontier: _Frontier) -> _Frontier:
@@ -356,14 +351,14 @@ class _Builder:
         self._loop_stack.append(
             _LoopCtx(head=index, after=after, finally_depth=len(self._finally_stack))
         )
-        body = self._stmts(stmt.body, [(index, NORMAL, False)])
+        body = self._stmts(stmt.body, [(index, NORMAL)])
         self._connect(body, index)
         self._loop_stack.pop()
         const_true = isinstance(stmt.test, ast.Constant) and bool(stmt.test.value)
-        falls: _Frontier = [] if const_true else [(index, NORMAL, False)]
+        falls: _Frontier = [] if const_true else [(index, NORMAL)]
         tail = self._stmts(stmt.orelse, falls) if stmt.orelse else falls
         self._connect(tail, after)
-        return [(after, NORMAL, False)]
+        return [(after, NORMAL)]
 
     def _for(self, stmt: ast.For | ast.AsyncFor, frontier: _Frontier) -> _Frontier:
         index = self._new(
@@ -376,13 +371,13 @@ class _Builder:
         self._loop_stack.append(
             _LoopCtx(head=index, after=after, finally_depth=len(self._finally_stack))
         )
-        body = self._stmts(stmt.body, [(index, NORMAL, False)])
+        body = self._stmts(stmt.body, [(index, NORMAL)])
         self._connect(body, index)
         self._loop_stack.pop()
-        exhausted: _Frontier = [(index, NORMAL, False)]
+        exhausted: _Frontier = [(index, NORMAL)]
         tail = self._stmts(stmt.orelse, exhausted) if stmt.orelse else exhausted
         self._connect(tail, after)
-        return [(after, NORMAL, False)]
+        return [(after, NORMAL)]
 
     def _with(self, stmt: ast.With | ast.AsyncWith, frontier: _Frontier) -> _Frontier:
         is_async = isinstance(stmt, ast.AsyncWith)
@@ -398,7 +393,7 @@ class _Builder:
         )
         if guarded:
             self._guard_depth += 1
-        body = self._stmts(stmt.body, [(index, NORMAL, False)])
+        body = self._stmts(stmt.body, [(index, NORMAL)])
         if guarded:
             self._guard_depth -= 1
         if is_async:
@@ -406,7 +401,7 @@ class _Builder:
             exit_index = self._new("with-exit", stmt, exprs=(), force_suspends=True)
             self._connect(body, exit_index)
             self._exc_edge(exit_index)
-            body = [(exit_index, NORMAL, False)]
+            body = [(exit_index, NORMAL)]
         return body
 
     def _match(self, stmt: ast.Match, frontier: _Frontier) -> _Frontier:
@@ -416,7 +411,7 @@ class _Builder:
         merged: _Frontier = []
         exhaustive = False
         for case in stmt.cases:
-            merged.extend(self._stmts(case.body, [(index, NORMAL, False)]))
+            merged.extend(self._stmts(case.body, [(index, NORMAL)]))
             if (
                 isinstance(case.pattern, ast.MatchAs)
                 and case.pattern.pattern is None
@@ -424,7 +419,7 @@ class _Builder:
             ):
                 exhaustive = True
         if not exhaustive:
-            merged.append((index, NORMAL, False))
+            merged.append((index, NORMAL))
         return merged
 
     def _return(self, stmt: ast.Return, frontier: _Frontier) -> _Frontier:
@@ -432,14 +427,14 @@ class _Builder:
         self._connect(frontier, index)
         self._exc_edge(index)
         target = self._route_abrupt(self.exit, self._finally_stack)
-        self.nodes[index].succ.append(CFGEdge(index, target, NORMAL, False))
+        self.nodes[index].succ.append(CFGEdge(index, target, NORMAL))
         return []
 
     def _raise(self, stmt: ast.Raise, frontier: _Frontier) -> _Frontier:
         index = self._new("stmt", stmt)
         self._connect(frontier, index)
         self.nodes[index].succ.append(
-            CFGEdge(index, self._exc_stack[-1], EXCEPTION, True)
+            CFGEdge(index, self._exc_stack[-1], EXCEPTION)
         )
         return []
 
@@ -454,7 +449,7 @@ class _Builder:
         else:  # break/continue outside a loop: syntactically invalid,
             # but keep the graph well-formed for partial inputs.
             target = self.error
-        self.nodes[index].succ.append(CFGEdge(index, target, NORMAL, False))
+        self.nodes[index].succ.append(CFGEdge(index, target, NORMAL))
         return []
 
     def _try(self, stmt: ast.Try, frontier: _Frontier) -> _Frontier:
@@ -481,14 +476,14 @@ class _Builder:
             for handler in stmt.handlers:
                 hindex = self._new("handler", handler, exprs=())
                 self.nodes[dispatch].succ.append(
-                    CFGEdge(dispatch, hindex, NORMAL, False)
+                    CFGEdge(dispatch, hindex, NORMAL)
                 )
                 handler_tails.extend(
-                    self._stmts(handler.body, [(hindex, NORMAL, False)])
+                    self._stmts(handler.body, [(hindex, NORMAL)])
                 )
             # No handler matched: the exception keeps unwinding.
             self.nodes[dispatch].succ.append(
-                CFGEdge(dispatch, escape, EXCEPTION, True)
+                CFGEdge(dispatch, escape, EXCEPTION)
             )
         tail = self._stmts(stmt.orelse, body) if stmt.orelse else body
         self._exc_stack.pop()
@@ -498,7 +493,7 @@ class _Builder:
             return merged
         self._finally_stack.pop()
         self._connect(merged, fin.join)
-        final_tail = self._stmts(stmt.finalbody, [(fin.join, NORMAL, False)])
+        final_tail = self._stmts(stmt.finalbody, [(fin.join, NORMAL)])
         for target in sorted(fin.continuations):
             self._connect(final_tail, target)
         return final_tail
@@ -523,15 +518,13 @@ def forward_dataflow(
     *,
     init: frozenset,
     transfer: Callable[[CFGNode, frozenset], tuple[frozenset, frozenset]],
-    follow: Callable[[CFGEdge], bool] | None = None,
 ) -> dict[int, frozenset]:
     """Union-join forward fixpoint; returns the in-state per node.
 
     ``transfer(node, in_state)`` returns ``(normal_out, exc_out)`` —
     the states to push along ``NORMAL`` and ``EXCEPTION`` edges
-    respectively.  ``follow`` filters edges (default: all).  States
-    are ``frozenset``s joined by union, so any transfer over a finite
-    domain terminates.
+    respectively.  States are ``frozenset``s joined by union, so any
+    transfer over a finite domain terminates.
     """
     states: dict[int, frozenset] = {cfg.entry: init}
     work = [cfg.entry]
@@ -540,8 +533,6 @@ def forward_dataflow(
         node = cfg.nodes[index]
         normal_out, exc_out = transfer(node, states.get(index, frozenset()))
         for edge in node.succ:
-            if follow is not None and not follow(edge):
-                continue
             out = exc_out if edge.kind == EXCEPTION else normal_out
             current = states.get(edge.dst)
             joined = out if current is None else (current | out)

@@ -19,15 +19,13 @@ R005 asyncio hygiene in ``service/`` and ``wire/`` (no blocking calls /
      solver loops without a yield point inside ``async def``)
 R006 no shared-state read-modify-write spanning an ``await``
      (flow-sensitive; see :mod:`repro.analysis.asyncsafe`)
-R007 acquired resources release or hand off custody on every exit,
-     including cancellation edges (see :mod:`repro.analysis.asyncsafe`)
 R008 ``wire/server.py`` conforms to the request→reply state machine
      declared by ``wire/protocol.py`` (see
      :mod:`repro.analysis.asyncsafe`)
 ==== =====================================================================
 
 R001–R005 are single-function syntactic visitors defined below;
-R006–R008 are flow-sensitive and live in
+R006 and R008 are flow-sensitive and live in
 :mod:`repro.analysis.asyncsafe`, built on the CFG/dataflow core in
 :mod:`repro.analysis.cfg`.  The rule catalog with rationale and
 examples lives in ``docs/static-analysis.md``.
@@ -49,6 +47,9 @@ __all__ = [
     "AsyncioHygiene",
     "default_rules",
 ]
+
+#: Packages whose coroutines share the service's event loop (R005, R006).
+ASYNC_SCOPE = ("service/", "wire/", "fabric/")
 
 
 class Rule:
@@ -460,7 +461,7 @@ class AsyncioHygiene(Rule):
     }
 
     def applies(self, modpath: str) -> bool:
-        return modpath.startswith(("service/", "wire/", "fabric/"))
+        return modpath.startswith(ASYNC_SCOPE)
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -517,7 +518,6 @@ def default_rules() -> list[Rule]:
     # base class from this module, so a top-level import would cycle.
     from repro.analysis.asyncsafe import (
         AwaitInterleavingRaces,
-        ResourceEscape,
         WireConformance,
     )
 
@@ -528,6 +528,5 @@ def default_rules() -> list[Rule]:
         ModuleEncapsulation(),
         AsyncioHygiene(),
         AwaitInterleavingRaces(),
-        ResourceEscape(),
         WireConformance(),
     ]

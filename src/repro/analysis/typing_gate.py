@@ -47,7 +47,7 @@ EXIT_UNAVAILABLE = 3
 
 #: Subpackages (relative to ``repro``) checked with :data:`STRICT_FLAGS`.
 #: ``service`` and ``faults`` joined when the async-safety analyzer
-#: (R006–R008) made them the most invariant-dense code in the tree.
+#: made them the most invariant-dense code in the tree.
 STRICT_PACKAGES: tuple[str, ...] = (
     "flows", "core", "analysis", "wire", "service", "faults", "fabric",
 )

@@ -362,7 +362,7 @@ def cmd_tokens(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Run the invariant lint (R001–R008) over the given paths."""
+    """Run the invariant lint (R001–R006, R008) over the given paths."""
     from pathlib import Path
 
     from repro.analysis import LintEngine, LintError, default_rules
@@ -601,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true", help="print every token move")
     p.set_defaults(func=cmd_tokens)
 
-    p = sub.add_parser("lint", help="invariant lint: R001-R008 over src")
+    p = sub.add_parser("lint", help="invariant lint: R001-R006, R008 over src")
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: the repro package)")
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -368,8 +368,8 @@ async def _abandon(client: WireClient, lease: RemoteLease) -> None:
     Runs in the ``finally`` of every request lifecycle: if the load
     generator is cancelled (deadline or shutdown) while the lease is
     still held, give it back instead of stranding server-side custody
-    — the escape R007 guards against.  A lease already released or
-    revoked is left alone.
+    (``test_request_cancelled_mid_hold_gives_its_lease_back`` pins
+    this).  A lease already released or revoked is left alone.
     """
     if not lease.active:
         return

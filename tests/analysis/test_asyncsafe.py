@@ -1,11 +1,9 @@
-"""Fixture suite for the flow-sensitive rules R006-R008.
+"""Fixture suite for the flow-sensitive rules R006 and R008.
 
-Each rule gets known-bad snippets (including the three historical
-bugs that motivated the analyzer: the PR-2 cancelled-acquire leak,
-the PR-6 late-LEASE leak, and an unhandled-request-type server
-variant) and known-good snippets proving the guards the codebase
-actually uses — re-read after await, lock regions, try/finally
-release, acquire-side timeouts — do not trip the rules.
+Each rule gets known-bad snippets (including an unhandled-request-type
+server variant) and known-good snippets proving the guards the
+codebase actually uses — re-read after await, lock regions — do not
+trip the rules.
 """
 
 from __future__ import annotations
@@ -13,10 +11,11 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
     AwaitInterleavingRaces,
     LintEngine,
-    ResourceEscape,
     WireConformance,
 )
 
@@ -115,7 +114,7 @@ class TestAwaitInterleavingRaces:
 
     def test_module_global_rmw(self, tmp_path):
         report = lint_snippet(
-            tmp_path, R006_BAD_GLOBAL, "faults/sample.py", self.RULES
+            tmp_path, R006_BAD_GLOBAL, "wire/sample.py", self.RULES
         )
         assert rule_ids(report) == ["R006"]
         assert "global COUNTER" in report.findings[0].message
@@ -138,123 +137,9 @@ class TestAwaitInterleavingRaces:
         )
         assert rule_ids(report) == []
 
-    def test_out_of_scope_module_is_ignored(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R006_BAD_STALE, "core/sample.py", self.RULES
-        )
-        assert rule_ids(report) == []
-
-
-# ----------------------------------------------------------------------
-# R007: lease/resource escape analysis
-# ----------------------------------------------------------------------
-
-R007_BAD_CANCELLED_ACQUIRE = snippet(
-    """
-    class Handler:
-        async def handle(self, conn, frame):
-            lease = await self.service.acquire(frame.payload)
-            await self._send(conn, make_lease(frame.request_id, lease.lease_id))
-            self.leases[lease.lease_id] = lease
-    """
-)
-
-R007_BAD_LATE_LEASE = snippet(
-    """
-    class Handler:
-        async def grab(self, request):
-            return await asyncio.wait_for(self.pool.acquire(request), 0.1)
-    """
-)
-
-R007_BAD_LEAK_ON_EXIT = snippet(
-    """
-    class Handler:
-        async def grab(self, request):
-            lease = await self.pool.acquire(request)
-            return None
-    """
-)
-
-R007_BAD_CANCEL_BETWEEN = snippet(
-    """
-    class Handler:
-        async def hold(self, request):
-            lease = await self.pool.acquire(request)
-            await asyncio.sleep(0.1)
-            self.pool.release(lease)
-    """
-)
-
-R007_GOOD_FINALLY = snippet(
-    """
-    class Handler:
-        async def handle(self, request):
-            lease = await self.pool.acquire(request)
-            try:
-                await self.work(lease.lease_id)
-            finally:
-                self.pool.release(lease)
-    """
-)
-
-R007_GOOD_ACQUIRE_TIMEOUT = snippet(
-    """
-    class Handler:
-        async def grab(self, request):
-            lease = await self.pool.acquire(request, timeout=0.1)
-            self.leases[request] = lease
-    """
-)
-
-
-class TestResourceEscape:
-    RULES = [ResourceEscape()]
-
-    def test_pr2_cancelled_acquire_leak_shape(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R007_BAD_CANCELLED_ACQUIRE, "wire/handlers.py", self.RULES
-        )
-        assert rule_ids(report) == ["R007"]
-        assert "PR-2" in report.findings[0].message
-
-    def test_pr6_late_lease_wait_for(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R007_BAD_LATE_LEASE, "wire/handlers.py", self.RULES
-        )
-        assert rule_ids(report) == ["R007"]
-        assert "late-LEASE" in report.findings[0].message
-
-    def test_leak_on_normal_exit(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R007_BAD_LEAK_ON_EXIT, "service/sample.py", self.RULES
-        )
-        assert rule_ids(report) == ["R007"]
-        assert "still holds its resource" in report.findings[0].message
-
-    def test_cancellation_between_acquire_and_release(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R007_BAD_CANCEL_BETWEEN, "service/sample.py", self.RULES
-        )
-        assert rule_ids(report) == ["R007"]
-        assert "cancellation or exception" in report.findings[0].message
-
-    def test_try_finally_release_is_clean(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R007_GOOD_FINALLY, "service/sample.py", self.RULES
-        )
-        assert rule_ids(report) == []
-
-    def test_acquire_side_timeout_is_clean(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R007_GOOD_ACQUIRE_TIMEOUT, "wire/handlers.py", self.RULES
-        )
-        assert rule_ids(report) == []
-
-    def test_out_of_scope_module_is_ignored(self, tmp_path):
-        report = lint_snippet(
-            tmp_path, R007_BAD_CANCEL_BETWEEN, "core/sample.py", self.RULES
-        )
+    @pytest.mark.parametrize("modpath", ["core/sample.py", "faults/sample.py"])
+    def test_out_of_scope_module_is_ignored(self, tmp_path, modpath):
+        report = lint_snippet(tmp_path, R006_BAD_STALE, modpath, self.RULES)
         assert rule_ids(report) == []
 
 

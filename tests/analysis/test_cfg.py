@@ -242,25 +242,6 @@ class TestRouting:
         assert _stmt_node_at(cfg, 4).guarded is True
         assert _stmt_node_at(cfg, 5).guarded is False
 
-    def test_exception_edges_tag_cancellation_points(self):
-        cfg = _cfg_for(
-            """
-            async def fn(self):
-                try:
-                    x = 1
-                    await self.op()
-                except ValueError:
-                    pass
-            """
-        )
-
-        def cancel_flags(line: int) -> list[bool]:
-            node = _stmt_node_at(cfg, line)
-            return [e.can_cancel for e in node.succ if e.kind == EXCEPTION]
-
-        assert cancel_flags(4) == [False]
-        assert cancel_flags(5) == [True]
-
     def test_else_body_not_covered_by_handlers(self):
         cfg = _cfg_for(
             """

@@ -338,10 +338,14 @@ class TestRevocationPush:
 # Satellite: late replies after a local timeout are not dropped
 # ----------------------------------------------------------------------
 class TestStaleReplies:
-    def test_late_lease_grant_is_auto_released(self):
-        """A LEASE arriving after the client's wait expired must be
+    @pytest.mark.parametrize("wait_ends_by", ["request_timeout", "wait_for"])
+    def test_late_lease_grant_is_auto_released(self, wait_ends_by):
+        """A LEASE arriving after the client's wait ended must be
         answered with a RELEASE — before this fix the grant was dropped
-        and the resource stayed busy until disconnect."""
+        and the resource stayed busy until disconnect.  It holds however
+        the wait ended: the client's own ``request_timeout``, or a
+        caller's ``asyncio.wait_for`` cancelling an acquire whose own
+        ``timeout`` is longer."""
 
         async def scenario():
             released: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -373,8 +377,12 @@ class TestStaleReplies:
             try:
                 client = WireClient(host, port, request_timeout=0.05)
                 await client.connect()
-                with pytest.raises(WireTimeout):
-                    await client.acquire(0)
+                if wait_ends_by == "request_timeout":
+                    with pytest.raises(WireTimeout):
+                        await client.acquire(0)
+                else:
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(client.acquire(0, timeout=5.0), 0.05)
                 follow_up = await asyncio.wait_for(released, 2.0)
                 assert follow_up.kind == "RELEASE"
                 assert follow_up.get("lease_id") == 77
