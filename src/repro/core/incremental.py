@@ -7,10 +7,11 @@ Under sustained load — many short-lived allocations against a slowly
 changing network — that O(V+E) rebuild dominates steady-state cost.
 
 :class:`KernelFlowEngine` keeps **one persistent Transformation-1
-network per service**, lowered once per build straight onto the
-flat-array :class:`~repro.flows.kernel.FlowKernel` by the same
-:func:`~repro.core.transform.lower_to_kernel` the cold default uses (no
-object graph in between), and evolves it with the system:
+network per service**, lowered once per build by the same
+:func:`~repro.core.transform.lower_to_kernel` the cold default uses —
+a copy of the network's wiring-time layout on the flat-array
+:class:`~repro.flows.kernel.FlowKernel`, with no batch — and evolves
+it with the system:
 
 - every physical link is materialised once as a unit arc (occupied
   links as capacity-0 arcs), every processor gets a permanent
@@ -87,8 +88,8 @@ class KernelFlowEngine:
 
     Hot-path representation:
 
-    - the persistent network is **lowered once** per build onto a
-      :class:`~repro.flows.kernel.FlowKernel`; every per-tick operation
+    - the persistent network is **lowered once** per build, a copy of
+      the network's wiring-time layout; every per-tick operation
       (enable/disable source arcs, solve, extract the flow delta,
       freeze, retract) runs on flat int arrays.  Solve and extraction
       are one call, :meth:`FlowKernel.unit_paths
@@ -313,10 +314,10 @@ class KernelFlowEngine:
 
         Source arcs start closed, link and sink arcs mirror the current
         occupied/busy/failed state (:func:`lower_to_kernel
-        <repro.core.transform.lower_to_kernel>`'s persistent mode).
+        <repro.core.transform.lower_to_kernel>` with no batch).
         """
         mrsin = self.mrsin
-        lowered = lower_to_kernel(mrsin, persistent=True)
+        lowered = lower_to_kernel(mrsin)
         kernel = self._kernel = lowered.kernel
         self._s, self._t = lowered.source, lowered.sink
         self._src_pair = lowered.source_arc

@@ -15,10 +15,11 @@ in play?) and runs the matching transformation + solver, returning a
 :class:`~repro.core.mapping.Mapping` ready for
 :meth:`~repro.core.model.MRSIN.apply_mapping`.  By default the two
 homogeneous rows never build a :class:`~repro.flows.graph.FlowNetwork`:
-:func:`~repro.core.transform.lower_to_kernel` emits Transformation 1 /
-2 straight onto a :class:`~repro.flows.kernel.FlowKernel` (the lowering
-the warm engine builds on too), the kernel solves, and one array walk
-reads the mapping back.  That route is the ``"kernel"`` value of
+:func:`~repro.core.transform.lower_to_kernel` copies the network's
+wiring-time Transformation 1 / 2 layout, a
+:class:`~repro.flows.kernel.FlowKernel` built once per network (the
+one the warm engine copies too), and writes this cycle's capacities;
+the kernel solves, and one array walk reads the mapping back.  That route is the ``"kernel"`` value of
 ``maxflow=`` / ``mincost=``, not a table entry: the two tables hold the
 object solvers only — Dinic, Edmonds–Karp, Ford–Fulkerson,
 push-relabel, out-of-kilter, SSP — which run on the object

@@ -239,15 +239,17 @@ def transformation2(
 
 @dataclass
 class KernelProblem:
-    """Transformation 1 or 2 built directly on a :class:`FlowKernel`.
+    """Transformation 1 or 2 as a copy of the network's wiring-time
+    layout (:meth:`~repro.networks.topology.MultistageNetwork.flow_layout`).
 
-    Arc ids are exactly the ones ``FlowNetwork.compile()`` gives the
-    network :func:`transformation1` / :func:`transformation2` build
-    (object arc ``k`` is kernel pair ``2 * k``); node ids are the
-    network's wiring-time table
+    Arc ids are the layout's: every processor, link and link-entered
+    resource has its arc whatever its state, at capacity 0 when this
+    cycle cannot use it.  Node ids are the network's wiring-time table
     (:attr:`~repro.networks.topology.MultistageNetwork.flow_ends`).
-    Each node keeps its arcs in the same order on either form, so every
-    kernel solve takes the same steps on both.
+    Each node meets its usable arcs in the order the object
+    transformation adds them (the batch's source arcs are linked into
+    ``s``'s list in request order), so every kernel solve takes the
+    same steps on either form, skipping only capacity-0 arcs.
 
     Attributes
     ----------
@@ -256,13 +258,17 @@ class KernelProblem:
         bypass ``u``.
     link_of_arc:
         Kernel arc id → the physical link it mirrors (``None`` for
-        source, sink, bypass and reverse arcs).
-    source_arc, sink_arc:
-        Processor / resource index → its ``s → (p, i)`` /
-        ``(r, j) → t`` arc id.
+        source, sink, bypass and reverse arcs).  The layout's: shared,
+        never mutate it.
+    source_arc:
+        Processor index → its ``s → (p, i)`` arc id: the batch's, in
+        request order (with no batch, every processor's).
+    sink_arc:
+        Resource index → its ``(r, j) → t`` arc id: the sinks open this
+        cycle (with no batch, every one a link enters).
     cost:
         Unit cost per arc, parallel to ``kernel.cap`` (Transformation
-        2's prices; read only by a min-cost solve).
+        2's prices; empty unless priced).
     """
 
     kernel: FlowKernel
@@ -275,105 +281,77 @@ class KernelProblem:
 
 
 def lower_to_kernel(
-    mrsin: MRSIN,
-    requests: Sequence[Request] = (),
-    *,
-    priced: bool = False,
-    persistent: bool = False,
+    mrsin: MRSIN, requests: Sequence[Request] | None = None, *, priced: bool = False
 ) -> KernelProblem:
     """Transformation 1 (``priced``: 2) as a :class:`KernelProblem`.
 
-    No :class:`FlowNetwork` is built: arcs go onto the kernel in the
-    order the object transformation adds them — source arcs (each
-    followed by its bypass arc ``(p, u)`` when priced, then ``(u, t)``),
-    one arc per free usable link in ``network.links`` order, then one
-    sink arc per free resource a link reaches whose type some request
-    asks for — priced as :func:`transformation2` prices them.  Node ids
-    come from the network's wiring-time table, so nothing is hashed.
-
-    ``persistent`` lowers the warm engine's network instead
-    (``requests`` unused): a closed source arc for every processor, an
-    arc for *every* link, at capacity 0 while it is occupied or down,
-    and a sink arc for every resource a link reaches, at capacity 0
-    while it is busy or failed — so occupancy and faults rewrite
-    capacities, never the structure.
+    Copies the network's layout and writes this cycle's capacities:
+    a link arc is open while its link is free and usable.  With a
+    batch, its source arcs (and bypass arcs, ``u → t`` at the batch
+    size, when priced) are open and linked into ``s``'s (and ``u``'s)
+    list in request order; a sink arc is open while its resource is
+    available, its in-link open and its type asked for — the arcs
+    :func:`transformation1` / :func:`transformation2` would add, priced
+    as they price them.  With no batch it is the warm engine's network:
+    every source arc linked but closed, every sink arc open while its
+    resource is available.
     """
     network = mrsin.network
+    layout = network.flow_layout(priced)
+    kernel = layout.kernel.copy()
+    head, next_arc, cap = kernel.head, kernel.next_arc, kernel.cap
+    step = 4 if priced else 2
+    up = network.open_links()
+    sink0 = layout.first_link + 2 * len(up)
+    cap[layout.first_link:sink0:2] = up
+    sinks = enumerate(layout.sinks, sink0 // 2)
+    cost: list[int] = []
+    if requests is None:
+        sink_arc = {r: 2 * k for k, (r, _) in sinks}
+        for r, a in sink_arc.items():
+            cap[a] = 1 if mrsin.resources[r].available else 0
+        kernel.base = cap.copy()
+        every = {p: step * p for p in range(network.n_processors)}
+        return KernelProblem(kernel, layout.link_of_arc, every, sink_arc, cost)
+    reqs = _schedulable(mrsin, requests)
+    wanted = {req.resource_type for req in reqs}
     s, t, u = range(FLOW_TERMINALS)
-    proc0 = FLOW_TERMINALS
-    res0 = proc0 + network.n_processors
-    box0 = res0 + network.n_resources
-    # Arc i (kernel pair 2 * i) is tails[i] -> heads[i], and so on.
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int] = []
-    costs: list[int] = []
-    links: list[Link | None] = []
     source_arc: dict[int, int] = {}
-    sink_arc: dict[int, int] = {}
-    wanted: set[Hashable] | None = None
-    if persistent:
-        n = mrsin.n_processors
-        source_arc = {p: 2 * p for p in range(n)}
-        tails, heads = [s] * n, list(range(proc0, proc0 + n))
-        caps, costs = [0] * n, [0] * n
-    else:
-        reqs = _schedulable(mrsin, requests)
-        wanted = {req.resource_type for req in reqs}
+    head[s] = -1
+    for req in reqs:
+        if priced and req.priority > mrsin.max_priority:
+            raise ValueError(f"priority {req.priority} exceeds ymax={mrsin.max_priority}")
+        a = source_arc[req.processor] = step * req.processor
+        cap[a] = 1
+        next_arc[a], head[s] = head[s], a
+    sink_arc = {
+        r: 2 * k for k, (r, link) in sinks
+        if up[link] and (res := mrsin.resources[r]).available and res.resource_type in wanted
+    }
+    for a in sink_arc.values():
+        cap[a] = 1
+    if priced:
+        qmax = mrsin.max_preference
+        bad = [res.preference for res in mrsin.free_resources() if res.preference > qmax]
+        if bad:
+            raise ValueError(f"preference {bad[0]} exceeds qmax={qmax}")
         penalty = int(bypass_cost(mrsin))
-        for req in reqs:
-            if priced and req.priority > mrsin.max_priority:
-                raise ValueError(f"priority {req.priority} exceeds ymax={mrsin.max_priority}")
-            proc = proc0 + req.processor
-            source_arc[req.processor] = 2 * len(tails)
-            tails.append(s)
-            heads.append(proc)
-            caps.append(1)
-            costs.append(mrsin.max_priority - req.priority)
-            if priced:
-                tails.append(proc)
-                heads.append(u)
-                caps.append(1)
-                costs.append(penalty + req.priority)
-        if priced and reqs:
-            tails.append(u)
-            heads.append(t)
-            caps.append(len(reqs))
-            costs.append(penalty)
-    links += [None] * len(tails)
-    reached: set[int] = set()
-    usable = network.link_usable
-    ends = network.flow_ends
-    for link, tail, head in zip(network.links, ends[0::2], ends[1::2]):
-        down = link.occupied or not usable(link)
-        if down and not persistent:
-            continue
-        tails.append(tail)
-        heads.append(head)
-        caps.append(0 if down else 1)
-        costs.append(0)
-        links.append(link)
-        if head < box0:
-            reached.add(head)
-    for res in mrsin.resources if persistent else mrsin.free_resources():
-        if priced and res.preference > mrsin.max_preference:
-            raise ValueError(f"preference {res.preference} exceeds qmax={mrsin.max_preference}")
-        node = res0 + res.index
-        if node in reached and (wanted is None or res.resource_type in wanted):
-            sink_arc[res.index] = 2 * len(tails)
-            tails.append(node)
-            heads.append(t)
-            caps.append(1 if res.available else 0)
-            costs.append(mrsin.max_preference - res.preference)
-            links.append(None)
-    kernel = FlowKernel(network.n_flow_nodes)
-    kernel.add_arcs(tails, heads, caps)
-    link_of_arc: list[Link | None] = [None] * kernel.n_arcs
-    link_of_arc[0::2] = links
-    cost = [0] * kernel.n_arcs
-    cost[0::2] = costs
-    cost[1::2] = [-c for c in costs]
-    return KernelProblem(kernel, link_of_arc, source_arc, sink_arc, cost)
+        to_t = layout.first_link - 2  # u -> t; arc a + 2 is a's p -> u
+        prices = {to_t: penalty}
+        head[u] = -1
+        for req, a in zip(reqs, source_arc.values()):
+            prices[a], prices[a + 2] = mrsin.max_priority - req.priority, penalty + req.priority
+            cap[a + 2] = 1
+            next_arc[a + 3], head[u] = head[u], a + 3
+        next_arc[to_t], head[u] = head[u], to_t
+        cap[to_t] = len(reqs)
+        for r, a in sink_arc.items():
+            prices[a] = qmax - mrsin.resources[r].preference
+        cost = [0] * kernel.n_arcs
+        for a, price in prices.items():
+            cost[a], cost[a ^ 1] = price, -price
+    kernel.base = cap.copy()
+    return KernelProblem(kernel, layout.link_of_arc, source_arc, sink_arc, cost)
 
 
 def kernel_mapping(

@@ -28,9 +28,10 @@ is tested against:
   heterogeneous one: Dinic max flow (the serving hot path, and one
   solve per type for typed requests) and primal-dual min-cost flow
   (the default for priority scheduling), and the fabric's spill
-  solve.  Its callers build it directly
-  (``repro.core.transform.lower_to_kernel``,
-  ``repro.fabric.spill.build_spill_network``); the object solvers
+  solve.  Its callers build it directly: the scheduler and the warm
+  engine copy a network's wiring-time layout
+  (``repro.core.transform.lower_to_kernel``), the spill tier wires its
+  own (``repro.fabric.spill.build_spill_network``); the object solvers
   remain the teaching/differential oracle, and
   ``FlowNetwork.compile()`` is left only for a benchmark stage.
 - :mod:`repro.flows.push_relabel` — preflow-push, the max-flow method

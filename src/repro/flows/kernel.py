@@ -30,9 +30,10 @@ Theorem 2's and Theorem 3's integrality fall out of the
 representation.  Min-cost flow adds one more parallel list, ``cost``,
 which only :meth:`FlowKernel.min_cost_flow`'s caller builds.
 
-The scheduler's default Table II rows 1–3 and the warm engine build
-their kernels directly (:func:`repro.core.transform.lower_to_kernel`),
-and the fabric's spill tier builds its reduced Clos the same way
+The scheduler's default Table II rows 1–3 and the warm engine copy a
+network's wiring-time layout (:meth:`FlowKernel.copy`) and write the
+cycle's capacities (:func:`repro.core.transform.lower_to_kernel`); the
+fabric's spill tier builds its reduced Clos directly
 (:func:`repro.fabric.spill.build_spill_network`).  Rows 1 and 3 and the warm engine solve and read back in
 one call, :meth:`FlowKernel.unit_paths`: the network's wiring-time
 levels stand in for the first BFS, a value bound for the last, and the
@@ -48,7 +49,6 @@ stage still times it.
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.flows.validate import FlowViolation
@@ -151,6 +151,17 @@ class FlowKernel:
     def reset(self) -> None:
         """Restore every arc to its base capacity (zero flow)."""
         self.cap[:] = self.base
+
+    def copy(self) -> "FlowKernel":
+        """A new kernel with this one's arcs, adjacency and capacities,
+        its op counts at 0; writing either leaves the other as it was."""
+        twin = FlowKernel(self.n_nodes)
+        twin.head[:] = self.head
+        twin.next_arc = self.next_arc.copy()
+        twin.to = self.to.copy()
+        twin.cap = self.cap.copy()
+        twin.base = self.base.copy()
+        return twin
 
     # ------------------------------------------------------------------
     # Dinic
@@ -435,8 +446,10 @@ class FlowKernel:
         The walk of ``FlowNetwork.decompose_paths`` on the arrays: the
         flow on forward arc ``a`` is ``cap[a ^ 1]``, each node leaves by
         its first forward arc with flow left in the order ``arcs`` lists
-        them (ascending ids gives the object walk's order), and a
-        revisited node cuts the enclosed cycle out of the path.  Flow no
+        them (ascending ids gives the object walk's order) — ``source``
+        by its arcs in the order they were linked into its adjacency
+        list, which is ascending ids unless a lowering relinked it —
+        and a revisited node cuts the enclosed cycle out of the path.  Flow no
         s-t path uses (cut cycles, components the walk never reaches)
         is cancelled in place so it cannot read as stale flow later.
 
@@ -456,6 +469,14 @@ class FlowKernel:
                 out[v].append(a)
             else:
                 out[v] = [a]
+        # The list runs latest-linked first; taken from its end, earliest first.
+        firsts = []
+        a = self.head[source]
+        while a != -1:
+            if a in avail:
+                firsts.append(a)
+            a = self.next_arc[a]
+        out[source] = firsts
         paths: list[list[int]] = []
         cut_arcs: list[int] = []
         while out.get(source):
@@ -506,10 +527,11 @@ class FlowKernel:
         ``value_bound``.  When that one blocking flow is all it ran,
         every push climbed a level, so no reverse arc was pushed and no
         unit cancelled or rerouted: the augmenting paths are the flow
-        delta's decomposition, and sorted by first arc they are what
-        :meth:`decompose` walks (the DFS and the walk pair each node's
-        in-units with its out-arcs in arc-id order).  After a second
-        phase the touched pairs are walked.
+        delta's decomposition, and in the order their source arcs were
+        linked they are what :meth:`decompose` walks (the DFS and the
+        walk pair each node's in-units with its out-arcs in linking
+        order, read from opposite ends).  After a second phase the
+        touched pairs are walked.
 
         The shortcut carries the walk's guard, as a certificate: every
         path arc is a forward arc carrying exactly one unit, the paths
@@ -548,7 +570,9 @@ class FlowKernel:
             for path in paths:
                 if to[path[0] ^ 1] != source or to[path[-1]] != sink:
                     raise FlowViolation("an augmenting path does not run from source to sink")
-            paths.sort(key=itemgetter(0))
+            # The source's cursor only advances and each path left by its
+            # own arc, so they came latest-linked first: reversed, the walk's.
+            paths.reverse()
         if len(paths) != value:
             raise FlowViolation(f"a flow of value {value} decomposed into {len(paths)} units")
         return paths

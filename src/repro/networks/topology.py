@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from repro.flows.kernel import FlowKernel
 from repro.networks.switchbox import Switchbox
 
 __all__ = ["PortRef", "Link", "Circuit", "MultistageNetwork", "assemble", "FLOW_TERMINALS"]
@@ -100,6 +101,19 @@ class Circuit:
     links: tuple[Link, ...]
 
 
+class FlowLayout(NamedTuple):
+    """A transformation's arcs as wired (:meth:`MultistageNetwork.flow_layout`):
+    every arc at capacity 0 in ``kernel``, arc id → link in
+    ``link_of_arc``, link ``i`` at arc ``first_link + 2 * i``, and sink
+    arc ``k`` after the last link, from resource ``sinks[k][0]``, whose
+    one in-link is ``sinks[k][1]``."""
+
+    kernel: FlowKernel
+    link_of_arc: list[Link | None]
+    first_link: int
+    sinks: list[tuple[int, int]]
+
+
 class MultistageNetwork:
     """Switchboxes + links + circuit state for one interconnection network.
 
@@ -129,6 +143,7 @@ class MultistageNetwork:
         self.n_flow_nodes = FLOW_TERMINALS + n_processors + n_resources
         self._box_node_base: list[int] = []
         self._flow_levels: list[int] | None = None
+        self._flow_layouts: dict[bool, FlowLayout] = {}
         # Active circuits by the index of their first link (circuits
         # are link-disjoint, so the key is unique), in establish order.
         self._circuits: dict[int, Circuit] = {}
@@ -144,6 +159,7 @@ class MultistageNetwork:
         self._box_node_base.append(self.n_flow_nodes)
         self.n_flow_nodes += len(created)
         self._flow_levels = None
+        self._flow_layouts = {}
         return created
 
     def add_link(self, src: PortRef, dst: PortRef) -> Link:
@@ -159,6 +175,7 @@ class MultistageNetwork:
         self._hops.append((entered, left))
         self.flow_ends += (tail, head)
         self._flow_levels = None
+        self._flow_layouts = {}
         self._from_src[src] = link
         self._to_dst[dst] = link
         if src.kind == "proc":
@@ -241,6 +258,45 @@ class MultistageNetwork:
             self._flow_levels = levels
         return levels
 
+    def flow_layout(self, bypass: bool = False) -> FlowLayout:
+        """Transformation 1's flow network as wired (``bypass``: 2's).
+
+        Arcs in :func:`~repro.core.transform.transformation1`'s order: an
+        ``s → p`` arc per processor (each followed by ``p → u`` when
+        ``bypass``, then ``u → t``), an arc per link in ``links``
+        order, an ``r → t`` arc per resource a link enters, in resource
+        order — every one at capacity 0.  A lowering copies it and
+        writes one cycle's capacities
+        (:func:`~repro.core.transform.lower_to_kernel`).  Built on first
+        read, reset by :meth:`add_stage` / :meth:`add_link` like
+        :attr:`flow_levels`.  Shared: copy it, never mutate it.
+        """
+        layout = self._flow_layouts.get(bypass)
+        if layout is None:
+            s, t, u = range(FLOW_TERMINALS)
+            procs = range(FLOW_TERMINALS, FLOW_TERMINALS + self.n_processors)
+            tails = [v for p in procs for v in ((s, p) if bypass else (s,))]
+            heads = [v for p in procs for v in ((p, u) if bypass else (p,))]
+            if bypass:
+                tails.append(u)
+                heads.append(t)
+            first_link = 2 * len(tails)
+            res0 = procs.stop
+            sinks = sorted(
+                (head - res0, i) for i, head in enumerate(self.flow_ends[1::2])
+                if res0 <= head < res0 + self.n_resources
+            )
+            tails += self.flow_ends[0::2] + [res0 + r for r, _ in sinks]
+            heads += self.flow_ends[1::2] + [t] * len(sinks)
+            kernel = FlowKernel(self.n_flow_nodes)
+            kernel.add_arcs(tails, heads, [0] * len(tails))
+            link_of_arc: list[Link | None] = [None] * kernel.n_arcs
+            link_of_arc[first_link:first_link + 2 * len(self.links):2] = self.links
+            layout = self._flow_layouts[bypass] = FlowLayout(
+                kernel, link_of_arc, first_link, sinks
+            )
+        return layout
+
     @property
     def circuits(self) -> list[Circuit]:
         """The active circuits in establish order (a snapshot list)."""
@@ -295,6 +351,14 @@ class MultistageNetwork:
         if left is not None and left.failed:
             return False
         return entered is None or not entered.failed
+
+    def open_links(self) -> list[int]:
+        """Per link, in ``links`` order, 1 while it is free and
+        :meth:`link_usable` (with no box down: not failed itself), else 0."""
+        if any(box.failed for stage in self.stages for box in stage):
+            usable = self.link_usable
+            return [0 if link.occupied or not usable(link) else 1 for link in self.links]
+        return [0 if link.occupied or link.failed else 1 for link in self.links]
 
     # ------------------------------------------------------------------
     # Circuit switching

@@ -99,7 +99,7 @@ def build_time_levels(mrsin: MRSIN) -> list[int]:
     """BFS from ``s`` over the persistent lowering's forward arcs,
     capacity ignored: the first phase of a warm solve with every arc
     open."""
-    lowered = lower_to_kernel(mrsin, persistent=True)
+    lowered = lower_to_kernel(mrsin)
     kernel = lowered.kernel
     levels = [-1] * kernel.n_nodes
     levels[lowered.source] = 0

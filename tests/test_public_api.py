@@ -25,6 +25,7 @@ import repro.flows
 import repro.service
 from repro.cli import build_parser
 from repro.core import MRSIN, OptimalScheduler
+from repro.core.transform import lower_to_kernel
 from repro.core.heuristic import arbitrary_schedule, greedy_schedule, random_binding_schedule
 from repro.core.mapping import Mapping
 from repro.core.scheduler import MINCOST_ALGORITHMS
@@ -142,6 +143,7 @@ LOADGEN = partial(LoadGenConfig, rate=1.0, duration=1.0, processors=1)
         (partial(greedy_schedule, None), "requests"),
         (partial(random_binding_schedule, None), "requests"),
         (partial(arbitrary_schedule, None), "requests"),
+        (partial(lower_to_kernel, None), "persistent"),
     ],
     ids=lambda v: getattr(v, "func", v).__name__ if callable(v) else v,
 )
