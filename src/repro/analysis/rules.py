@@ -390,11 +390,12 @@ class IntegralFlows(Rule):
 class ModuleEncapsulation(Rule):
     """R004 — ``_private`` state is module-private, not repo-private.
 
-    The warm-start engine's O(E) sync scan assumes nothing outside
-    :mod:`repro.flows.graph` / :mod:`repro.core.incremental` /
-    :mod:`repro.core.model` mutates their internals behind their
-    backs; a cross-module ``obj._attr`` reach-in is exactly such a
-    back door (PR 3's leaked-lease bug rode one).  Accessing ``_x``
+    The invariants :mod:`repro.flows.graph` / :mod:`repro.core.model`
+    / :mod:`repro.service.server` keep over their internals (adjacency
+    lists, the transmitting table, the lease table) hold only if
+    nothing outside mutates them behind their backs; a cross-module
+    ``obj._attr`` reach-in is exactly such a back door (a leaked-lease
+    bug once rode one).  Accessing ``_x``
     on ``self``/``cls``, or on another instance *inside the module
     that owns the attribute* (Rust-style module privacy — e.g.
     ``copy()`` wiring up a sibling), is fine; everything else must go

@@ -13,9 +13,9 @@ code:
   from integral flows back to circuits (Theorems 1–3);
 - :mod:`repro.core.scheduler` — the :class:`OptimalScheduler` facade
   dispatching per Table II;
-- :mod:`repro.core.incremental` — the warm-start
-  :class:`KernelFlowEngine` persisting one Transformation-1 network,
-  lowered onto the flat-array kernel, across scheduling cycles;
+- :mod:`repro.core.incremental` — the service's
+  :class:`KernelFlowEngine`, which rewrites one flat-array
+  Transformation-1 kernel from the live MRSIN every scheduling cycle;
 - :mod:`repro.core.heuristic` — address-mapped greedy comparators
   (the paper's "heuristic routing", ~20% blocking);
 - :mod:`repro.core.mapping` — request→resource mappings with their

@@ -77,12 +77,6 @@ class MRSIN:
         self.pending: list[Request] = []
         # resource index -> circuit currently transmitting into it.
         self._transmitting: dict[int, Circuit] = {}
-        # Monotonic counter bumped by every mutation of the state the
-        # warm-start engine mirrors (circuits, busy flags, faults — not
-        # the request queue).  An engine that recorded the epoch while
-        # in sync can skip its reconciliation scan when the epoch is
-        # unchanged; see KernelFlowEngine in repro.core.incremental.
-        self.state_epoch = 0
         # Set by every failure; lets severed_resources() answer
         # "nothing severed" in O(1) between fault events.
         self._fault_dirty = False
@@ -122,16 +116,6 @@ class MRSIN:
     def requesting_processors(self) -> set[int]:
         """Processors with at least one pending request."""
         return {req.processor for req in self.pending}
-
-    def transmitting_circuits(self) -> dict[int, Circuit]:
-        """Resource index → circuit currently transmitting into it.
-
-        A read-only snapshot of the allocation lifecycle state; the
-        incremental flow engine uses it to register committed circuits
-        (their held links and the arcs they map to) when it builds or
-        rebuilds its persistent network.
-        """
-        return dict(self._transmitting)
 
     # ------------------------------------------------------------------
     # Request lifecycle
@@ -215,7 +199,6 @@ class MRSIN:
             self._transmitting[a.resource.index] = circuit
             if pending and a.request in pending:
                 pending.remove(a.request)
-        self.state_epoch += 1
         return circuits
 
     def complete_transmission(self, resource_index: int) -> None:
@@ -228,14 +211,12 @@ class MRSIN:
         if circuit is None:
             raise ValueError(f"resource {resource_index} has no transmitting circuit")
         self.network.release_circuit(circuit)
-        self.state_epoch += 1
 
     def complete_service(self, resource_index: int) -> Circuit | None:
         """Mark a resource free again (its task finished).
 
         Implicitly completes any transmission still in flight; returns
-        the circuit torn down, else ``None``.  Bumps ``state_epoch``
-        once: the warm engine counts one bump per public mutator call.
+        the circuit torn down, else ``None``.
         """
         res = self.resources[resource_index]
         if not res.busy:
@@ -244,7 +225,6 @@ class MRSIN:
         if circuit is not None:
             self.network.release_circuit(circuit)
         res.busy = False
-        self.state_epoch += 1
         return circuit
 
     def reset(self) -> None:
@@ -259,7 +239,6 @@ class MRSIN:
         for res in self.resources:
             res.busy = False
             res.failed = False
-        self.state_epoch += 1
         self._fault_dirty = False
 
     # ------------------------------------------------------------------
@@ -279,8 +258,7 @@ class MRSIN:
         index, a ``(stage, box)`` pair or a resource index to match.  A
         failed component is excluded from all scheduling, and a task a
         failed resource was serving is lost.  Idempotent: returns
-        whether the component's state changed, and only a change bumps
-        ``state_epoch``.
+        whether the component's state changed.
         """
         component: Link | Switchbox | Resource
         if kind == "link":
@@ -294,7 +272,6 @@ class MRSIN:
         if component.failed == failed:
             return False
         component.failed = failed
-        self.state_epoch += 1
         if failed:
             self._fault_dirty = True
         return True

@@ -18,7 +18,7 @@ homogeneous rows never build a :class:`~repro.flows.graph.FlowNetwork`:
 :func:`~repro.core.transform.lower_to_kernel` copies the network's
 wiring-time Transformation 1 / 2 layout, a
 :class:`~repro.flows.kernel.FlowKernel` built once per network (the
-one the warm engine copies too), and writes this cycle's capacities;
+one the tick engine copies too), and writes this cycle's capacities;
 the kernel solves, and one array walk reads the mapping back.  That route is the ``"kernel"`` value of
 ``maxflow=`` / ``mincost=``, not a table entry: the two tables hold the
 object solvers only — Dinic, Edmonds–Karp, Ford–Fulkerson,
@@ -217,19 +217,17 @@ class OptimalScheduler:
         *,
         engine: KernelFlowEngine,
     ) -> Mapping:
-        """Warm-start variant of :meth:`schedule`.
+        """:meth:`schedule` with homogeneous cycles on ``engine``'s kernel.
 
-        Homogeneous cycles are solved on ``engine``'s persistent
-        network — usually 0–2 Dinic phases atop the standing flow
-        instead of a full rebuild-and-solve — and allocate exactly as
-        many requests as the cold path would on the same state.  Any
-        other discipline takes the cold per-cycle solve: priorities a
-        fresh kernel min-cost flow, heterogeneity the certified per-type
-        kernel max flows (or, uncertified or prioritised, the LP).
-
-        Either way the caller must apply the returned mapping and then
-        call ``engine.commit(mapping)`` so the persistent flow keeps
-        tracking the physical circuits.
+        Homogeneous cycles are solved on the one kernel ``engine``
+        rewrites from the live MRSIN each cycle (no new allocation, no
+        ``s`` list relinked) and allocate exactly as many requests as
+        the cold path would on the same state.  Any other discipline
+        takes the cold per-cycle solve: priorities a fresh kernel
+        min-cost flow, heterogeneity the certified per-type kernel max
+        flows (or, uncertified or prioritised, the LP).  Nothing is
+        owed to the engine afterwards: the next cycle reads the applied
+        mapping off the MRSIN.
         """
         reqs = mrsin.schedulable_requests() if requests is None else list(requests)
         discipline = self.classify(mrsin, reqs)
@@ -250,7 +248,7 @@ class OptimalScheduler:
         """Rows 1-2 on the ``"kernel"`` route: lower, solve, read the paths.
 
         Row 1 is :meth:`FlowKernel.unit_paths
-        <repro.flows.kernel.FlowKernel.unit_paths>`, the warm engine's
+        <repro.flows.kernel.FlowKernel.unit_paths>`, the tick engine's
         solve: the network's wiring-time levels stand in for the first
         BFS, ``min(requests, sink arcs)`` for the last, and the
         augmenting paths, certified, for the walk.  Row 2's min-cost
@@ -315,7 +313,7 @@ class OptimalScheduler:
 
         The types are solved one after another on one lowering: each
         opens its own source and sink arcs, and the paths earlier types
-        took are frozen, as the warm engine freezes granted circuits.
+        took are frozen, closed as a lowering closes a held circuit's arcs.
         The type-blind max flow ``F_all`` (every request, every free
         resource of a requested type) and the per-type max flows ``F_k``
         each bound the integral optimum and the LP's from above, so a

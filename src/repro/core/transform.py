@@ -262,10 +262,10 @@ class KernelProblem:
         never mutate it.
     source_arc:
         Processor index → its ``s → (p, i)`` arc id: the batch's, in
-        request order (with no batch, every processor's).
+        request order.
     sink_arc:
         Resource index → its ``(r, j) → t`` arc id: the sinks open this
-        cycle (with no batch, every one a link enters).
+        cycle.
     cost:
         Unit cost per arc, parallel to ``kernel.cap`` (Transformation
         2's prices; empty unless priced).
@@ -281,20 +281,18 @@ class KernelProblem:
 
 
 def lower_to_kernel(
-    mrsin: MRSIN, requests: Sequence[Request] | None = None, *, priced: bool = False
+    mrsin: MRSIN, requests: Sequence[Request], *, priced: bool = False
 ) -> KernelProblem:
-    """Transformation 1 (``priced``: 2) as a :class:`KernelProblem`.
+    """Transformation 1 (``priced``: 2) of a batch as a :class:`KernelProblem`.
 
     Copies the network's layout and writes this cycle's capacities:
-    a link arc is open while its link is free and usable.  With a
-    batch, its source arcs (and bypass arcs, ``u → t`` at the batch
-    size, when priced) are open and linked into ``s``'s (and ``u``'s)
-    list in request order; a sink arc is open while its resource is
-    available, its in-link open and its type asked for — the arcs
+    a link arc is open while its link is free and usable; the batch's
+    source arcs (and bypass arcs, ``u → t`` at the batch size, when
+    priced) are open and linked into ``s``'s (and ``u``'s) list in
+    request order; a sink arc is open while its resource is available,
+    its in-link open and its type asked for — the arcs
     :func:`transformation1` / :func:`transformation2` would add, priced
-    as they price them.  With no batch it is the warm engine's network:
-    every source arc linked but closed, every sink arc open while its
-    resource is available.
+    as they price them.
     """
     network = mrsin.network
     layout = network.flow_layout(priced)
@@ -306,13 +304,6 @@ def lower_to_kernel(
     cap[layout.first_link:sink0:2] = up
     sinks = enumerate(layout.sinks, sink0 // 2)
     cost: list[int] = []
-    if requests is None:
-        sink_arc = {r: 2 * k for k, (r, _) in sinks}
-        for r, a in sink_arc.items():
-            cap[a] = 1 if mrsin.resources[r].available else 0
-        kernel.base = cap.copy()
-        every = {p: step * p for p in range(network.n_processors)}
-        return KernelProblem(kernel, layout.link_of_arc, every, sink_arc, cost)
     reqs = _schedulable(mrsin, requests)
     wanted = {req.resource_type for req in reqs}
     s, t, u = range(FLOW_TERMINALS)

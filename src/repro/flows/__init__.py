@@ -28,7 +28,7 @@ is tested against:
   heterogeneous one: Dinic max flow (the serving hot path, and one
   solve per type for typed requests) and primal-dual min-cost flow
   (the default for priority scheduling), and the fabric's spill
-  solve.  Its callers build it directly: the scheduler and the warm
+  solve.  Its callers build it directly: the scheduler and the tick
   engine copy a network's wiring-time layout
   (``repro.core.transform.lower_to_kernel``), the spill tier wires its
   own (``repro.fabric.spill.build_spill_network``); the object solvers

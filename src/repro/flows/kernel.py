@@ -30,11 +30,11 @@ Theorem 2's and Theorem 3's integrality fall out of the
 representation.  Min-cost flow adds one more parallel list, ``cost``,
 which only :meth:`FlowKernel.min_cost_flow`'s caller builds.
 
-The scheduler's default Table II rows 1–3 and the warm engine copy a
+The scheduler's default Table II rows 1–3 and the tick engine copy a
 network's wiring-time layout (:meth:`FlowKernel.copy`) and write the
 cycle's capacities (:func:`repro.core.transform.lower_to_kernel`); the
 fabric's spill tier builds its reduced Clos directly
-(:func:`repro.fabric.spill.build_spill_network`).  Rows 1 and 3 and the warm engine solve and read back in
+(:func:`repro.fabric.spill.build_spill_network`).  Rows 1 and 3 and the tick engine solve and read back in
 one call, :meth:`FlowKernel.unit_paths`: the network's wiring-time
 levels stand in for the first BFS, a value bound for the last, and the
 certified augmenting paths for the walk; row 2 and the spill tier walk
@@ -68,8 +68,9 @@ class FlowKernel:
     Nodes are dense ints ``0..n_nodes-1``; arcs are dense ints created
     in forward/reverse pairs (``a`` even, ``a ^ 1`` its reverse).  The
     only mutable solver state is ``cap`` — callers may read and write
-    it directly to enable/disable arcs or freeze flow (the warm-start
-    engine does exactly that), as long as pair symmetry is respected:
+    it directly to enable/disable arcs or freeze flow (the tick engine
+    rewrites every arc each cycle; row 3 freezes each type's paths), as
+    long as pair symmetry is respected:
     flow on forward arc ``a`` is ``base[a] - cap[a]`` and must equal
     ``cap[a ^ 1]`` minus the reverse base of 0.
 
@@ -551,7 +552,7 @@ class FlowKernel:
         if self.phases - phases > 1:
             paths = self.decompose(source, sink, sorted({a & -2 for a in touched}))
         else:
-            # A warm tick runs this over every arc it grants, so it is
+            # A service tick runs this over every arc it grants, so it is
             # plain loops and C-level compares.  a | 1 is a forward
             # arc's reverse, at 1 while the arc carries its unit, and a
             # reverse arc itself, which a push leaves at 0.

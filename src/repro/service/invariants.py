@@ -14,7 +14,7 @@ Four statements, each a real raise (so ``python -O`` cannot strip it):
    out, withdrawn by its submitter, or still queued.
 
 :func:`checked_cycle` adds Theorem 2 on the degraded network: a tick of
-the warm engine grants exactly as many requests as a cold optimal solve
+the service's engine grants exactly as many requests as a cold optimal solve
 of the same batch.  Every tick of ``run_service`` runs through it;
 ``run_service``, the hypothesis state machine in
 ``tests/service/test_stateful.py`` and the fabric driver all raise the
@@ -75,7 +75,7 @@ def checked_cycle(service: AllocationService, *, cancelled: int = 0) -> list[Lea
     """One ``run_one_cycle()`` under the cold-vs-warm differential.
 
     Reconciles first (the cycle would, and the cold solve must see the
-    network the warm one will), solves ``peek_batch()`` cold, runs the
+    network the tick will), solves ``peek_batch()`` cold, runs the
     cycle, compares the grant counts and then calls
     :func:`check_service`.  Returns the cycle's new leases.
     """

@@ -14,9 +14,9 @@ down, so the network state genuinely evolves across cycles.
   boundaries only so runs are reproducible under a virtual clock (else
   :class:`AllocationTimeout`).  Overload sheds at the queue bound; the
   allocator under load is the same optimal one.
-- **One solve path**: every tick solves on one persistent
-  Transformation-1 network that survives across ticks
-  (:mod:`repro.core.incremental`) — the same allocations as a cold
+- **One solve path**: every tick rewrites one Transformation-1 kernel
+  from the live MRSIN and solves it (:mod:`repro.core.incremental`) —
+  as many allocations as a cold
   ``OptimalScheduler().schedule(mrsin, service.peek_batch())``, which
   is the reference the differential tests compare against per tick.
 - **Faults**: a fault severing a held circuit *revokes* the lease at
@@ -126,9 +126,9 @@ class ServiceConfig:
         (``None`` = wait indefinitely); a finite number > 0 otherwise.
     fault_budget:
         How many *consecutive* failing scheduling cycles the tick loop
-        absorbs (invalidating the warm engine and retrying next tick)
-        before escalating to :class:`ServiceFaulted`.  The default 0
-        faults on the first error — the pre-fault-model behaviour.
+        absorbs (retrying on the next tick) before escalating to
+        :class:`ServiceFaulted`.  The default 0 faults on the first
+        error — the pre-fault-model behaviour.
     """
 
     tick_interval: float = 1.0
@@ -331,10 +331,9 @@ class AllocationService:
                     # fault the whole service loudly instead.
                     self._fault(exc)
                     return
-                # Within budget: assume transient corruption, drop the
-                # warm state and retry on the next tick.
+                # Within budget: assume a transient fault and retry on
+                # the next tick, which reads the MRSIN afresh.
                 self.metrics.record_tick_retry()
-                self._engine.invalidate()
             else:
                 consecutive_failures = 0
             # A cycle that overran the interval yields once (delay 0)
@@ -462,7 +461,6 @@ class AllocationService:
         """
         self._check_held(lease)
         self.mrsin.complete_service(lease.resource)
-        self._engine.note_release(lease.resource)
         lease.active = False
         lease.transmitting = False
         del self._leases[lease.lease_id]
@@ -481,7 +479,6 @@ class AllocationService:
         if not lease.transmitting:
             return
         self.mrsin.complete_transmission(lease.resource)
-        self._engine.note_transmission_end(lease.resource)
         lease.transmitting = False
 
     # ------------------------------------------------------------------
@@ -513,10 +510,9 @@ class AllocationService:
         circuit, or the resource itself failed — cannot be released by
         its holder (the component is gone), so the service reclaims it:
         the surviving links and the resource slot go back to the pool,
-        the warm engine retracts the unit of flow, and the lease is
-        revoked (``lease.on_revoke`` is called).  A severed
-        :attr:`background` circuit, which has no lease, is reclaimed and
-        leaves the background set.  Returns the leases revoked; called
+        and the lease is revoked (``lease.on_revoke`` is called).  A
+        severed :attr:`background` circuit, which has no lease, is
+        reclaimed and leaves the background set.  Returns the leases revoked; called
         at the top of every :meth:`run_one_cycle`.
         """
         revoked: list[Lease] = []
@@ -526,7 +522,6 @@ class AllocationService:
         by_resource = {lease.resource: lease for lease in self._leases.values()}
         for idx in severed:
             self.mrsin.revoke(idx)
-            self._engine.note_release(idx)
             lease = by_resource.get(idx)
             if lease is None:
                 self.background.discard(idx)
@@ -548,7 +543,11 @@ class AllocationService:
         """Run one scheduling cycle synchronously; returns new leases.
 
         The tick loop calls this every ``tick_interval``; tests may
-        call it directly for exact tick control.
+        call it directly for exact tick control.  A completion sink
+        that raises (a :class:`Ticket`'s ``on_done``) stops nothing:
+        every grant of the applied mapping still becomes a lease and
+        leaves the queue, and then the first such error propagates
+        (the tick loop counts it against ``fault_budget``).
 
         Phase durations (reconcile / solve / apply) are recorded into
         the metrics' timing histograms via ``clock.perf_ns()`` — real
@@ -575,9 +574,9 @@ class AllocationService:
             self.counter.charge("transform_arc", len(self.mrsin.network.links))
             self.counter.charge("extract", sum(len(a.path) for a in mapping.assignments))
             circuits = self.mrsin.apply_mapping(mapping)
-            self._engine.commit(mapping)
             by_processor = {entry.request.processor: entry for entry in batch}
             served: set[_Entry] = set()
+            sink_error: Exception | None = None
             try:
                 for assignment, circuit in zip(mapping.assignments, circuits):
                     entry = by_processor[assignment.request.processor]
@@ -587,7 +586,6 @@ class AllocationService:
                         # undo the allocation on the spot instead of leaking
                         # the resource into _leases with no one to release it.
                         self.mrsin.complete_service(assignment.resource.index)
-                        self._engine.note_release(assignment.resource.index)
                         continue
                     lease = Lease(
                         lease_id=next(self._ids),
@@ -599,12 +597,20 @@ class AllocationService:
                     )
                     self._leases[lease.lease_id] = lease
                     self.metrics.record_allocation(lease.waited)
-                    entry.future.set_result(lease)
+                    try:
+                        entry.future.set_result(lease)
+                    except Exception as exc:  # a Ticket's on_done raised
+                        # The rest of the mapping is applied too: settle every
+                        # grant as a lease first, then let the first error out.
+                        if sink_error is None:
+                            sink_error = exc
                     leases.append(lease)
             finally:
                 # One rebuild per cycle, not one list.remove per winner.
                 if served:
                     self._queue = [e for e in self._queue if e not in served]
+            if sink_error is not None:
+                raise sink_error
         t_applied = self.clock.perf_ns()
         self.metrics.record_tick_timing(
             reconcile_ns=t_reconciled - t_start,

@@ -1,25 +1,32 @@
-"""Tests for the warm-start :class:`KernelFlowEngine`.
+"""Tests for the per-tick :class:`KernelFlowEngine`.
 
-The load-bearing property is *differential*: a warm solve on the
-persistent network must allocate exactly as many requests per cycle as
-a cold Transformation-1 build-and-solve on the same MRSIN state.  The
-stochastic lifecycle test below pins that down across many ticks of
-allocation, transmission teardown, and release, without a single
-rebuild on the happy path.
+The load-bearing property is *differential*: a solve on the kernel the
+engine rewrites from the live MRSIN each cycle must allocate exactly
+as many requests as a cold Transformation-1 build-and-solve on the
+same state.  The stochastic lifecycle test pins that down across many
+ticks of allocation, transmission teardown and release, on one kernel
+allocation; the hypothesis machine at the end interleaves every MRSIN
+mutator, none of them reported to the engine, and checks that the
+engine can never answer from stale state.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     MRSIN,
+    Discipline,
     KernelFlowEngine,
     OptimalScheduler,
     Request,
 )
-from repro.core.transform import lower_to_kernel
+from repro.core.model import FAULT_KINDS
 from repro.networks import TOPOLOGIES, benes, build_network, omega
 from repro.networks.topology import MultistageNetwork, PortRef
+
+from tests.core.test_lowering import degraded_system
 
 
 def cold_count(mrsin: MRSIN, reqs) -> int:
@@ -43,7 +50,6 @@ def run_lifecycle(mrsin: MRSIN, engine: KernelFlowEngine, rng, ticks: int) -> in
         mapping = engine.schedule(reqs)
         assert len(mapping) == expected  # the differential property
         mrsin.apply_mapping(mapping)  # validates the circuits too
-        engine.commit(mapping)
         total += len(mapping)
         for a in mapping.assignments:
             holding[a.resource.index] = a.request.processor
@@ -51,17 +57,14 @@ def run_lifecycle(mrsin: MRSIN, engine: KernelFlowEngine, rng, ticks: int) -> in
         # Tear down some transmissions (resource stays busy) ...
         for res in [r for r in list(holding) if rng.random() < 0.3]:
             mrsin.complete_transmission(res)
-            engine.note_transmission_end(res)
             del holding[res]
             busy.add(res)
         # ... and complete some services (with or without a live circuit).
         for res in [r for r in list(busy) if rng.random() < 0.4]:
             mrsin.complete_service(res)
-            engine.note_release(res)
             busy.discard(res)
         for res in [r for r in list(holding) if rng.random() < 0.15]:
             mrsin.complete_service(res)
-            engine.note_release(res)
             del holding[res]
     return total
 
@@ -76,7 +79,7 @@ class TestDifferential:
         rng = np.random.default_rng(7)
         total = run_lifecycle(mrsin, engine, rng, ticks=60)
         assert total > 0
-        assert engine.builds == 1  # never fell back to cold on the happy path
+        assert engine.builds == 1  # one kernel, rewritten every tick
         assert engine.warm_ticks == 60
 
     def test_full_batch_on_free_network(self):
@@ -85,7 +88,6 @@ class TestDifferential:
         mapping = engine.schedule([Request(p) for p in range(8)])
         assert len(mapping) == 8
         mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
         assert engine.last_new_flow == 8
 
     def test_empty_batch(self):
@@ -96,14 +98,13 @@ class TestDifferential:
 
 
 def build_time_levels(mrsin: MRSIN) -> list[int]:
-    """BFS from ``s`` over the persistent lowering's forward arcs,
-    capacity ignored: the first phase of a warm solve with every arc
-    open."""
-    lowered = lower_to_kernel(mrsin)
-    kernel = lowered.kernel
+    """BFS from ``s`` over the wiring-time layout's forward arcs (the
+    arcs the engine's kernel copies), capacity ignored: the first phase
+    of a solve with every arc open."""
+    kernel = mrsin.network.flow_layout().kernel
     levels = [-1] * kernel.n_nodes
-    levels[lowered.source] = 0
-    queue = [lowered.source]
+    levels[0] = 0
+    queue = [0]
     for v in queue:
         a = kernel.head[v]
         while a != -1:
@@ -163,7 +164,6 @@ class TestLevelTable:
         mapping = engine.schedule([Request(0), Request(1)])
         assert len(mapping) == cold_count(mrsin, [Request(0), Request(1)]) == 2
         mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
 
 
 class TestLifecycle:
@@ -172,12 +172,10 @@ class TestLifecycle:
         engine = KernelFlowEngine(mrsin)
         mapping = engine.schedule([Request(p) for p in range(8)])
         mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
         # Saturated: nothing more to allocate even cold.
         assert cold_count(mrsin, []) == 0
         a = mapping.assignments[0]
         mrsin.complete_service(a.resource.index)
-        engine.note_release(a.resource.index)
         follow_up = engine.schedule([Request(a.request.processor)])
         assert len(follow_up) == 1
         assert engine.builds == 1
@@ -187,25 +185,28 @@ class TestLifecycle:
         engine = KernelFlowEngine(mrsin)
         mapping = engine.schedule([Request(p) for p in range(4)])
         mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
         for a in mapping.assignments:
             mrsin.complete_transmission(a.resource.index)
-            engine.note_transmission_end(a.resource.index)
         # Links are free again but every resource is still serving:
-        # warm and cold must both find zero.
+        # the engine and a cold solve must both find zero.
         reqs = [Request(p) for p in range(4)]
         assert cold_count(mrsin, reqs) == 0
         assert len(engine.schedule(reqs)) == 0
         assert engine.builds == 1
 
     def test_transmitting_processor_rejected(self):
+        """A processor still transmitting gets nothing: its input link
+        is occupied, so its link arc is closed in the engine's kernel
+        and in a cold lowering alike.  (The service's batch selection
+        keeps such a request queued before any solve sees it.)"""
         mrsin = MRSIN(omega(4))
         engine = KernelFlowEngine(mrsin)
-        mapping = engine.schedule([Request(0)])
-        mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
-        with pytest.raises(ValueError, match="transmitting circuit"):
-            engine.schedule([Request(0)])
+        mrsin.apply_mapping(engine.schedule([Request(0)]))
+        assert len(engine.schedule([Request(0)])) == cold_count(mrsin, [Request(0)]) == 0
+        both = [Request(0), Request(1)]
+        mapping = engine.schedule(both)
+        assert len(mapping) == cold_count(mrsin, both) == 1
+        assert mapping.assignments[0].request == Request(1)
 
     def test_duplicate_processor_rejected(self):
         engine = KernelFlowEngine(MRSIN(omega(4)))
@@ -216,60 +217,96 @@ class TestLifecycle:
         mrsin = MRSIN(omega(8))
         engine = KernelFlowEngine(mrsin)
         discarded = engine.schedule([Request(p) for p in range(8)])
-        assert len(discarded) == 8  # never applied nor committed
+        assert len(discarded) == 8  # never applied
         mapping = engine.schedule([Request(p) for p in range(8)])
-        assert len(mapping) == 8  # the rolled-back flow freed every link
+        assert len(mapping) == 8  # the unused solve's flow is not carried over
         mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
 
 
-class TestFallback:
-    def test_mutation_behind_engines_back_triggers_rebuild(self):
-        mrsin = MRSIN(omega(8))
+def _buildable() -> list[tuple[str, int]]:
+    draws = []
+    for name in sorted(TOPOLOGIES):
+        for ports in (4, 8, 16):
+            try:
+                build_network(name, ports)
+            except ValueError:
+                continue
+            draws.append((name, ports))
+    return draws
+
+
+#: Every (registry topology, port count <= 16) that builds.
+BUILDS = _buildable()
+
+
+def mrsin_state(mrsin: MRSIN) -> tuple[list, ...]:
+    """Everything a solve may read and must not write."""
+    network = mrsin.network
+    return (
+        [(link.occupied, link.failed) for link in network.links],
+        [box.failed for box in network.boxes()],
+        [(res.busy, res.failed) for res in mrsin.resources],
+        [(c.processor, c.resource, c.links) for c in network.circuits],
+        list(mrsin.pending),
+    )
+
+
+class TestNeverStale:
+    """No MRSIN mutator is ever reported to the engine, and none needs
+    to be: after each one the engine grants exactly as many requests as
+    a cold solve of the same batch, on its one kernel, and writes
+    nothing back."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unreported_mutations_never_leave_the_engine_stale(self, data):
+        name, ports = data.draw(st.sampled_from(BUILDS), label="topology")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        mrsin, _ = degraded_system(name, seed, ports=ports)
+        network = mrsin.network
         engine = KernelFlowEngine(mrsin)
-        mapping = engine.schedule([Request(p) for p in range(8)])
-        mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
-        assert engine.builds == 1
-        # Release on the MRSIN without telling the engine.
-        a = mapping.assignments[0]
-        mrsin.complete_service(a.resource.index)
-        reqs = [Request(a.request.processor)]
-        expected = cold_count(mrsin, reqs)
-        got = engine.schedule(reqs)
-        assert len(got) == expected == 1  # still optimal, via the rebuild
-        assert engine.builds == 2
+        processors = st.lists(st.integers(0, ports - 1), unique=True)
 
-    def test_rebuild_registers_in_flight_circuits(self):
-        mrsin = MRSIN(omega(8))
-        engine = KernelFlowEngine(mrsin)
-        mapping = engine.schedule([Request(p) for p in range(4)])
-        mrsin.apply_mapping(mapping)
-        engine.commit(mapping)
-        engine.invalidate()
-        more = engine.schedule([Request(p) for p in range(4, 8)])
-        assert engine.builds == 2
-        mrsin.apply_mapping(more)
-        engine.commit(more)
-        # The rebuilt network re-registered the old circuits: releasing
-        # them retracts in place, no further rebuild.
-        for a in mapping.assignments:
-            mrsin.complete_service(a.resource.index)
-            engine.note_release(a.resource.index)
-        again = engine.schedule([Request(a.request.processor) for a in mapping.assignments])
-        assert len(again) == 4
-        assert engine.builds == 2
+        def check() -> None:
+            batch = [Request(p) for p in data.draw(processors, label="batch")]
+            before = mrsin_state(mrsin)
+            mapping = engine.schedule(batch)
+            assert mrsin_state(mrsin) == before
+            assert engine.builds == 1
+            cold = OptimalScheduler().schedule(mrsin, batch, discipline=Discipline.HOMOGENEOUS)
+            assert len(mapping) == len(cold)
+            mapping.validate(mrsin)
 
-    def test_external_mapping_committed_through_link_index(self):
-        mrsin = MRSIN(omega(8))
-        engine = KernelFlowEngine(mrsin)
-        engine.schedule([])  # force the initial build
-        # A cold solve the engine did not produce (e.g. a priority tick).
-        external = OptimalScheduler().schedule(mrsin, [Request(p) for p in range(3)])
-        mrsin.apply_mapping(external)
-        engine.commit(external)
-        assert engine.builds == 1  # reconciled without a rebuild
-        reqs = [Request(p) for p in range(3, 8)]
-        expected = cold_count(mrsin, reqs)
-        assert len(engine.schedule(reqs)) == expected
-        assert engine.builds == 1
+        check()
+        calls = ["row 1", "row 2", "complete_transmission", "complete_service", "revoke"]
+        calls += [(kind, failed) for kind in FAULT_KINDS for failed in (True, False)]
+        for _ in range(data.draw(st.integers(1, 10), label="calls")):
+            call = data.draw(st.sampled_from(calls), label="call")
+            transmitting = [c.resource for c in network.circuits]
+            busy = [res.index for res in mrsin.resources if res.busy]
+            if call in ("row 1", "row 2"):
+                batch = [
+                    Request(p, priority=data.draw(st.integers(1, mrsin.max_priority)))
+                    for p in data.draw(processors, label="cold batch")
+                ]
+                row = Discipline.HOMOGENEOUS if call == "row 1" else Discipline.PRIORITY
+                mrsin.apply_mapping(OptimalScheduler().schedule(mrsin, batch, discipline=row))
+            elif call == "complete_transmission":
+                if not transmitting:
+                    continue
+                mrsin.complete_transmission(data.draw(st.sampled_from(transmitting)))
+            elif call in ("complete_service", "revoke"):
+                if not busy:
+                    continue
+                getattr(mrsin, call)(data.draw(st.sampled_from(busy)))
+            else:
+                kind, failed = call
+                if kind == "link":
+                    target = data.draw(st.integers(0, len(network.links) - 1))
+                elif kind == "switchbox":
+                    stage = data.draw(st.integers(0, len(network.stages) - 1))
+                    target = (stage, data.draw(st.integers(0, len(network.stages[stage]) - 1)))
+                else:
+                    target = data.draw(st.integers(0, ports - 1))
+                mrsin.set_failed(kind, target, failed)
+            check()

@@ -134,44 +134,6 @@ class TestAllocationLifecycle:
         assert m.network.occupancy() == 0.0
 
 
-class TestStateEpoch:
-    """The warm engine's fast path (``KernelFlowEngine._adopt_epoch``)
-    counts exactly one ``state_epoch`` bump per state-changing call."""
-
-    def test_one_bump_per_change_and_none_per_no_op(self):
-        m = MRSIN(omega(8))
-        m.submit(Request(0))
-        m.submit(Request(1))
-        mapping = OptimalScheduler().schedule(m)
-        first, second = (a.resource.index for a in mapping.assignments)
-
-        def bumps(call, *args):
-            before = m.state_epoch
-            call(*args)
-            return m.state_epoch - before
-
-        def refused(call, *args):
-            before = m.state_epoch
-            with pytest.raises(ValueError):
-                call(*args)
-            return m.state_epoch - before
-
-        assert bumps(m.apply_mapping, mapping) == 1
-        assert refused(m.apply_mapping, mapping) == 0
-        assert bumps(m.complete_transmission, first) == 1
-        assert refused(m.complete_transmission, first) == 0
-        assert bumps(m.complete_service, first) == 1
-        assert refused(m.complete_service, first) == 0
-        assert bumps(m.revoke, second) == 1
-        assert refused(m.revoke, second) == 0
-        for kind, target in (("link", 0), ("switchbox", (1, 2)), ("resource", 3)):
-            for failed in (True, False):
-                assert bumps(m.set_failed, kind, target, failed) == 1
-                assert bumps(m.set_failed, kind, target, failed) == 0
-        assert refused(m.set_failed, "bus", 0) == 0
-        assert bumps(m.reset) == 1
-
-
 class TestSchedulingCyclesEndToEnd:
     def test_successive_cycles_drain_queue(self):
         """Requests beyond the per-cycle capacity are served next cycle."""

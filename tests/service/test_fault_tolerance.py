@@ -18,6 +18,7 @@ from repro.service.server import (
     ServiceConfig,
     ServiceFaulted,
 )
+from repro.service.invariants import check_service
 
 
 def run(coro):
@@ -335,6 +336,51 @@ class TestFaultBudget:
             assert lease.request.processor == 1
             assert service.fault is None
             assert service.metrics.tick_retries == 0
+
+        run(scenario())
+
+    def test_a_raising_completion_sink_strands_no_grant(self):
+        """The first ticket's ``on_done`` raises inside the granting
+        cycle.  The other three grants must still end as leases and
+        leave the queue before the error propagates: the cycle used to
+        stop at the first lease, leaving four busy resources, one lease
+        and three granted requests queued for ever."""
+
+        class SinkError(Exception):
+            pass
+
+        def boom(ticket):
+            raise SinkError("on_done raised")
+
+        def fresh():
+            clock = VirtualClock()
+            service = AllocationService(
+                MRSIN(omega(8)), config=ServiceConfig(fault_budget=3), clock=clock
+            )
+            sinks = [boom] + [lambda ticket: None] * 3
+            tickets = [
+                service.submit(Request(p), on_done=sink) for p, sink in enumerate(sinks)
+            ]
+            return service, clock, tickets
+
+        service, _, tickets = fresh()
+        with pytest.raises(SinkError):
+            service.run_one_cycle()
+        assert all(ticket.lease is not None for ticket in tickets)
+        assert service.active_leases == 4 and service.queue_depth == 0
+        check_service(service)
+        assert service.run_one_cycle() == []
+        check_service(service)
+
+        async def scenario():
+            service, clock, tickets = fresh()
+            async with service:
+                await clock.run_until(2.0)
+                await drain()
+            assert service.fault is None  # within the budget
+            assert service.metrics.tick_retries == 1
+            assert all(ticket.lease is not None for ticket in tickets)
+            check_service(service)
 
         run(scenario())
 

@@ -103,7 +103,8 @@ class TestBackgroundLoad:
         failed link stayed occupied."""
         service = self.make(1)
         mrsin = service.mrsin
-        ((resource, circuit),) = mrsin.transmitting_circuits().items()
+        (circuit,) = mrsin.network.circuits
+        resource = circuit.resource
         cut = circuit.links[1].index
         mrsin.set_failed("link", cut)
         assert mrsin.severed_resources() == [resource]
