@@ -10,7 +10,7 @@ paper's optimality criteria are expressed over mappings: maximise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from repro.core.requests import Request, Resource
 from repro.networks.topology import Link
@@ -21,26 +21,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Assignment", "Mapping"]
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """One request bound to one resource over a concrete path."""
-
+class _AssignmentFields(NamedTuple):
     request: Request
     resource: Resource
     path: tuple[Link, ...]
 
-    def __post_init__(self) -> None:
-        if self.path:
-            if self.path[0].src.box != self.request.processor:
+
+class Assignment(_AssignmentFields):
+    """One request bound to one resource over a concrete path.
+
+    A named tuple (a tick builds one per grant, and a frozen dataclass
+    sets each field through ``object.__setattr__``) whose one
+    construction path checks that the path joins the two ends.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, request: Request, resource: Resource, path: tuple[Link, ...]) -> "Assignment":
+        if path:
+            if path[0].src.box != request.processor:
                 raise ValueError(
-                    f"path starts at processor {self.path[0].src.box}, "
-                    f"request is from {self.request.processor}"
+                    f"path starts at processor {path[0].src.box}, "
+                    f"request is from {request.processor}"
                 )
-            if self.path[-1].dst.box != self.resource.index:
+            if path[-1].dst.box != resource.index:
                 raise ValueError(
-                    f"path ends at resource {self.path[-1].dst.box}, "
-                    f"assignment names {self.resource.index}"
+                    f"path ends at resource {path[-1].dst.box}, "
+                    f"assignment names {resource.index}"
                 )
+        return tuple.__new__(cls, (request, resource, path))
 
 
 @dataclass

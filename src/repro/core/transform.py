@@ -353,21 +353,21 @@ def kernel_mapping(
 ) -> Mapping:
     """Read a mapping off kernel arc paths (:meth:`FlowKernel.decompose`).
 
-    One assignment per path, in path order; a path that crosses no
-    link went through the bypass node ``u`` and serves nobody.
+    One assignment per path, in path order.  A lowering's s-t path is
+    ``s → p``, then either ``p``'s links to a resource and ``r → t``,
+    or the bypass ``p → u → t``, which crosses no link and serves
+    nobody; so a path's links are its arcs but the first and last.
     """
-    mapping = Mapping()
+    link = link_of_arc.__getitem__
+    resources = mrsin.resources
+    assignments = []
     for path in paths:
-        links = tuple([link for a in path if (link := link_of_arc[a]) is not None])
-        if links:
-            mapping.add(
-                Assignment(
-                    request=request_of[links[0].src.box],
-                    resource=mrsin.resources[links[-1].dst.box],
-                    path=links,
-                )
+        links = tuple(map(link, path[1:-1]))
+        if links[0] is not None:
+            assignments.append(
+                Assignment(request_of[links[0].src.box], resources[links[-1].dst.box], links)
             )
-    return mapping
+    return Mapping(assignments)
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,8 @@ fabric's spill tier builds its reduced Clos directly
 (:func:`repro.fabric.spill.build_spill_network`).  Rows 1 and 3 and the tick engine solve and read back in
 one call, :meth:`FlowKernel.unit_paths`: the network's wiring-time
 levels stand in for the first BFS, a value bound for the last, and the
-certified augmenting paths for the walk; row 2 and the spill tier walk
+certified augmenting paths for the walk; Theorem 1's unit arcs make
+its push the guarded *unit push*.  Row 2 and the spill tier walk
 their flows with :meth:`FlowKernel.decompose`.  The object solvers stay
 as the teaching implementations and the differential-test oracles:
 Dinic for max flow, out-of-kilter (the paper's) and SSP for min cost.
@@ -135,7 +136,7 @@ class FlowKernel:
         first = len(self.to)
         to = [0] * (2 * len(tails))
         to[0::2], to[1::2] = heads, tails
-        self.to += to
+        self.to = self.to + to  # rebound, not extended: a copy shares it
         # Arc a joins the list of its own tail: tails[i] for forward
         # arc 2i, heads[i] for its reverse.
         owner = [0] * len(to)
@@ -147,7 +148,7 @@ class FlowKernel:
         cap = [0] * len(to)
         cap[0::2] = caps
         self.cap += cap
-        self.base += cap
+        self.base = self.base + cap
 
     def reset(self) -> None:
         """Restore every arc to its base capacity (zero flow)."""
@@ -155,13 +156,14 @@ class FlowKernel:
 
     def copy(self) -> "FlowKernel":
         """A new kernel with this one's arcs, adjacency and capacities,
-        its op counts at 0; writing either leaves the other as it was."""
+        its op counts at 0; solving or extending either leaves the other
+        as it was.  ``to`` and ``base``, which no solve writes, are
+        shared: :meth:`add_arcs` rebinds both, and a lowering ``base``."""
         twin = FlowKernel(self.n_nodes)
         twin.head[:] = self.head
         twin.next_arc = self.next_arc.copy()
-        twin.to = self.to.copy()
         twin.cap = self.cap.copy()
-        twin.base = self.base.copy()
+        twin.to, twin.base = self.to, self.base
         return twin
 
     # ------------------------------------------------------------------
@@ -211,10 +213,12 @@ class FlowKernel:
             duplicates included) is appended: the only pairs the flow
             delta can sit on.
         ``paths_out``
-            When given, each augmentation's arc path is appended (once
-            per augmentation, regardless of the units it pushed).  On
-            unit arcs, with no reverse arc in ``touched``, these paths
-            *are* the flow delta's decomposition.
+            When given, each augmenting path is pushed by the *unit
+            push* (:meth:`unit_paths`) and appended itself, no copy; a
+            path arc whose residual is not exactly 1 raises
+            :class:`~repro.flows.validate.FlowViolation`.  With no
+            reverse arc in ``touched``, these paths *are* the flow
+            delta's decomposition.
         """
         if source == sink:
             raise ValueError("source and sink must differ")
@@ -261,17 +265,31 @@ class FlowKernel:
             v = source
             while True:
                 if v == sink:
+                    augmentations += 1
+                    pushes += len(path)
+                    if touched is not None:
+                        touched += path
+                    if paths_out is not None:
+                        # The push below on residual-1 arcs (reverses at
+                        # 0): all saturate, so the retreat lands on source.
+                        for a in path:
+                            if cap[a] != 1:
+                                raise FlowViolation(
+                                    f"augmenting path arc {a} has residual {cap[a]}, "
+                                    "not 1: recorded paths need unit arcs"
+                                )
+                            cap[a] = 0
+                            cap[a ^ 1] = 1
+                        total += 1
+                        paths_out.append(path)
+                        path = []
+                        v = source
+                        continue
                     aug = min(cap[a] for a in path)
                     for a in path:
                         cap[a] -= aug
                         cap[a ^ 1] += aug
                     total += aug
-                    augmentations += 1
-                    pushes += len(path)
-                    if touched is not None:
-                        touched.extend(path)
-                    if paths_out is not None:
-                        paths_out.append(list(path))
                     # Retreat to the tail of the first saturated arc.
                     for i, a in enumerate(path):  # pragma: no branch
                         if cap[a] == 0:
@@ -461,31 +479,35 @@ class FlowKernel:
         cap = self.cap
         to = self.to
         flowing = [a for a in arcs if cap[a ^ 1]]
-        avail = {a: cap[a ^ 1] for a in flowing}
-        # Per node, the arcs it still has flow on, the next one to take last.
-        out: dict[int, list[int]] = {}
+        # Per arc, the units not yet walked; per node, the arcs it still
+        # has flow on, the next one to take last (lists beat dicts here).
+        avail = [0] * len(cap)
+        for a in flowing:
+            avail[a] = cap[a ^ 1]
+        out: list[list[int] | None] = [None] * self.n_nodes
         for a in reversed(flowing):
             v = to[a ^ 1]
-            if v in out:
-                out[v].append(a)
-            else:
+            outs = out[v]
+            if outs is None:
                 out[v] = [a]
+            else:
+                outs.append(a)
         # The list runs latest-linked first; taken from its end, earliest first.
         firsts = []
         a = self.head[source]
         while a != -1:
-            if a in avail:
+            if avail[a]:
                 firsts.append(a)
             a = self.next_arc[a]
         out[source] = firsts
         paths: list[list[int]] = []
         cut_arcs: list[int] = []
-        while out.get(source):
+        while firsts:
             path: list[int] = []
             on_path = {source: 0}
             v = source
             while v != sink:
-                outs = out.get(v)
+                outs = out[v]
                 if not outs:
                     raise FlowViolation(
                         f"flow decomposition ran out of flow at node {v}: "
@@ -512,7 +534,8 @@ class FlowKernel:
         for a in cut_arcs:
             cap[a] += 1
             cap[a ^ 1] -= 1
-        for a, left in avail.items():
+        for a in flowing:
+            left = avail[a]
             if left:
                 cap[a] += left
                 cap[a ^ 1] -= left
@@ -521,7 +544,15 @@ class FlowKernel:
     def unit_paths(
         self, source: int, sink: int, *, levels: list[int], value_bound: int
     ) -> list[list[int]]:
-        """:meth:`max_flow` on unit arcs; its new units as s-t arc paths.
+        """:meth:`max_flow` by the unit push; its new units as s-t arc paths.
+
+        Theorem 1 makes every arc of Transformation 1's network a unit
+        arc, so a path saturates every arc it crosses: the *unit push*
+        sets each to 0 and its reverse to 1, with no ``min`` and no
+        retreat, and starts again from ``source``, as the paper's
+        resource token does once a path registers.  Its guard makes the
+        theorem a checked precondition: a path arc whose residual is
+        not exactly 1 raises :class:`~repro.flows.validate.FlowViolation`.
 
         The kernel must hold no unfrozen flow (no reverse residual).
         The solve takes ``levels`` as its first phase and stops at

@@ -302,3 +302,27 @@ def test_priority_row_serves_the_max_flow_count(name, seed, ymax, qmax, ranks, p
     row2 = OptimalScheduler().schedule(mrsin, requests, discipline=Discipline.PRIORITY)
     row2.validate(mrsin)
     assert len(row2) == len(row1)
+
+
+class TestLoweringScaleGuards:
+    """``lower_to_kernel``'s two Transformation 2 scale guards, reached
+    through ``OptimalScheduler.schedule`` on the paths no earlier check
+    covers: ``MRSIN.check_request`` runs only on ``submit``, and the
+    ``MRSIN`` constructor checks preferences only as given to it."""
+
+    @staticmethod
+    def raised_by_the_lowering(excinfo) -> bool:
+        return excinfo.traceback[-1].name == "lower_to_kernel"
+
+    def test_priority_above_ymax_on_a_request_built_directly(self):
+        mrsin = MRSIN(build_network("omega", PORTS), max_priority=5)
+        with pytest.raises(ValueError, match="priority 6 exceeds ymax=5") as excinfo:
+            OptimalScheduler().schedule(mrsin, [Request(0, priority=6)])
+        assert self.raised_by_the_lowering(excinfo)
+
+    def test_preference_raised_after_construction(self):
+        mrsin = MRSIN(build_network("omega", PORTS), max_preference=5)
+        mrsin.resources[3].preference = 6
+        with pytest.raises(ValueError, match="preference 6 exceeds qmax=5") as excinfo:
+            OptimalScheduler().schedule(mrsin, [Request(0, priority=2)])
+        assert self.raised_by_the_lowering(excinfo)
