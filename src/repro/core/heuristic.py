@@ -8,7 +8,7 @@ other circuits.  The paper's simulations put such heuristics at
 *"as low as 2 percent"* — the SIM-BLOCK benchmark re-measures exactly
 this gap.
 
-Two policies:
+Three policies:
 
 - :func:`greedy_schedule` — requests processed in order; each tries
   the free resources of its type (nearest-address or random order)
@@ -17,12 +17,17 @@ Two policies:
   are: failed resources are not ``available`` and the destination-tag
   router never takes a failed link or enters a failed switchbox, so
   the comparator stays safe on a faulted network too.
+- :func:`random_binding_schedule` — pure address mapping: a random
+  free resource of the request's type, bound before routing.
 - :func:`arbitrary_schedule` — the paper's "arbitrary resource-request
   mapping": the i-th request is bound to the i-th free resource, no
   alternatives tried.  Used in the extra-stage experiment.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
@@ -34,11 +39,25 @@ from repro.util.rng import make_rng
 __all__ = ["greedy_schedule", "arbitrary_schedule", "random_binding_schedule"]
 
 
-def _finish(mrsin: MRSIN, tentative: list) -> Mapping:
-    """Tear down the tentative circuits and package the mapping."""
+@contextmanager
+def _scratch(mrsin: MRSIN) -> Iterator[list]:
+    """The network as scratch space for a policy's tentative circuits.
+
+    However the policy's block ends, returning or raising, every
+    circuit it appended is torn down, so the network ends as it began.
+    """
+    tentative: list = []
+    try:
+        yield tentative
+    finally:
+        for _, _, circuit in tentative:
+            mrsin.network.release_circuit(circuit)
+
+
+def _finish(tentative: list) -> Mapping:
+    """Package the (torn-down) tentative circuits as the mapping."""
     mapping = Mapping()
     for request, resource, circuit in tentative:
-        mrsin.network.release_circuit(circuit)
         mapping.add(Assignment(request=request, resource=resource, path=circuit.links))
     return mapping
 
@@ -65,9 +84,8 @@ def greedy_schedule(
     if order not in ("nearest", "random"):
         raise ValueError(f"unknown order {order!r}")
     gen = make_rng(rng)
-    tentative: list = []
     taken: set[int] = set()
-    try:
+    with _scratch(mrsin) as tentative:
         for req in mrsin.schedulable_requests():
             candidates = [
                 res for res in mrsin.free_resources(req.resource_type)
@@ -85,11 +103,7 @@ def greedy_schedule(
                 tentative.append((req, res, circuit))
                 taken.add(res.index)
                 break
-    except BaseException:
-        for _, _, circuit in tentative:
-            mrsin.network.release_circuit(circuit)
-        raise
-    return _finish(mrsin, tentative)
+    return _finish(tentative)
 
 
 def random_binding_schedule(
@@ -107,9 +121,8 @@ def random_binding_schedule(
     It is the comparator behind the ~20% blocking figure.
     """
     gen = make_rng(rng)
-    tentative: list = []
     taken: set[int] = set()
-    try:
+    with _scratch(mrsin) as tentative:
         order = mrsin.schedulable_requests()
         gen.shuffle(order)
         for req in order:
@@ -126,11 +139,7 @@ def random_binding_schedule(
                 continue  # blocked in the network
             circuit = mrsin.network.establish_circuit(path)
             tentative.append((req, res, circuit))
-    except BaseException:
-        for _, _, circuit in tentative:
-            mrsin.network.release_circuit(circuit)
-        raise
-    return _finish(mrsin, tentative)
+    return _finish(tentative)
 
 
 def arbitrary_schedule(mrsin: MRSIN) -> Mapping:
@@ -141,8 +150,7 @@ def arbitrary_schedule(mrsin: MRSIN) -> Mapping:
     nearly as good as optimal (the SIM-EXTRA claim); on a bare Omega
     it is terrible.
     """
-    tentative: list = []
-    try:
+    with _scratch(mrsin) as tentative:
         for req in mrsin.schedulable_requests():
             free = [
                 res for res in mrsin.free_resources(req.resource_type)
@@ -156,8 +164,4 @@ def arbitrary_schedule(mrsin: MRSIN) -> Mapping:
                 continue  # blocked: the bound resource is unreachable
             circuit = mrsin.network.establish_circuit(path)
             tentative.append((req, res, circuit))
-    except BaseException:
-        for _, _, circuit in tentative:
-            mrsin.network.release_circuit(circuit)
-        raise
-    return _finish(mrsin, tentative)
+    return _finish(tentative)

@@ -62,4 +62,4 @@ def next_state(state: GlobalState, bus: StatusBus) -> GlobalState:
         if pending and ready:
             return GlobalState.REQUEST_PROPAGATION
         return GlobalState.ALLOCATION
-    raise ValueError(f"unknown state {state!r}")  # pragma: no cover
+    raise ValueError(f"unknown state {state!r}")

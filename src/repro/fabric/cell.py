@@ -39,7 +39,6 @@ from repro.service.server import (
     AllocationService,
     AllocationTimeout,
     Lease,
-    ServiceConfig,
     Ticket,
 )
 from repro.util.histogram import LatencyHistogram
@@ -61,10 +60,7 @@ class CellWorker:
         self.mrsin = MRSIN(build_network(spec.topology, spec.ports))
         self.service = AllocationService(
             self.mrsin,
-            config=ServiceConfig(
-                queue_limit=spec.queue_limit,
-                default_timeout=float(spec.spill_after),
-            ),
+            config=spec.service_config(),
             clock=self.clock,
         )
         self._tick = 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.service.server import ServiceConfig
 from repro.util.histogram import LatencyHistogram
 
 __all__ = [
@@ -53,10 +54,15 @@ class CellSpec:
     lease_base: int
 
     def __post_init__(self) -> None:
-        if self.spill_after < 1:
-            raise ValueError(f"spill_after must be >= 1, got {self.spill_after}")
-        if self.lease_base < 0:
-            raise ValueError(f"lease_base must be >= 0, got {self.lease_base}")
+        # Made in the parent: a setting the cell's service would refuse
+        # raises here, before a process exists to die of it.
+        self.service_config()
+
+    def service_config(self) -> ServiceConfig:
+        """The cell service's settings: ``spill_after`` ticks is its request timeout."""
+        return ServiceConfig(
+            queue_limit=self.queue_limit, default_timeout=float(self.spill_after)
+        )
 
 
 @dataclass(frozen=True)

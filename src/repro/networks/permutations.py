@@ -27,10 +27,15 @@ def log2_exact(size: int) -> int:
     return size.bit_length() - 1
 
 
-def identity(i: int, size: int) -> int:
-    """The identity wiring (straight wires)."""
+def _check_wire(i: int, size: int) -> None:
+    """The range check every wiring shares: ``i`` must be in ``[0, size)``."""
     if not 0 <= i < size:
         raise ValueError(f"wire {i} outside [0, {size})")
+
+
+def identity(i: int, size: int) -> int:
+    """The identity wiring (straight wires)."""
+    _check_wire(i, size)
     return i
 
 
@@ -42,16 +47,14 @@ def perfect_shuffle(i: int, size: int) -> int:
     every stage.
     """
     n = log2_exact(size)
-    if not 0 <= i < size:
-        raise ValueError(f"wire {i} outside [0, {size})")
+    _check_wire(i, size)
     return ((i << 1) | (i >> (n - 1))) & (size - 1)
 
 
 def inverse_shuffle(i: int, size: int) -> int:
     """The inverse (un)shuffle: rotate the index bits right by one."""
     n = log2_exact(size)
-    if not 0 <= i < size:
-        raise ValueError(f"wire {i} outside [0, {size})")
+    _check_wire(i, size)
     return (i >> 1) | ((i & 1) << (n - 1))
 
 
@@ -65,8 +68,7 @@ def butterfly(i: int, size: int, k: int) -> int:
     n = log2_exact(size)
     if not 0 <= k < n:
         raise ValueError(f"bit {k} outside [0, {n})")
-    if not 0 <= i < size:
-        raise ValueError(f"wire {i} outside [0, {size})")
+    _check_wire(i, size)
     if k == 0:
         return i
     b0 = i & 1
@@ -78,8 +80,7 @@ def butterfly(i: int, size: int, k: int) -> int:
 def bit_reversal(i: int, size: int) -> int:
     """Reverse the index bits (the FFT permutation)."""
     n = log2_exact(size)
-    if not 0 <= i < size:
-        raise ValueError(f"wire {i} outside [0, {size})")
+    _check_wire(i, size)
     out = 0
     for b in range(n):
         out |= ((i >> b) & 1) << (n - 1 - b)

@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 from repro.analysis import LintEngine, LintError, META_RULE
+from repro.analysis.rules import Rule
 from tests.analysis.helpers import lint_snippet, rule_ids
 
 
@@ -132,6 +133,16 @@ class TestEngineEdges:
     def test_missing_path_raises_lint_error(self):
         with pytest.raises(LintError):
             LintEngine().run(["/no/such/path/anywhere"])
+
+    def test_the_base_rule_checks_nothing(self):
+        """A ``Rule`` subclass that forgets ``check`` fails loudly."""
+        with pytest.raises(NotImplementedError):
+            Rule().check(None)
+
+    def test_unreadable_file_raises_lint_error(self, tmp_path):
+        (tmp_path / "odd.py").mkdir()  # matches *.py, cannot be read as text
+        with pytest.raises(LintError, match="cannot read"):
+            LintEngine().run([tmp_path])
 
     def test_deterministic_ordering(self, tmp_path):
         src = snippet("""

@@ -12,6 +12,7 @@ from repro.core import (
     random_binding_schedule,
 )
 from repro.networks import crossbar, omega
+from repro.networks.routing import destination_tag_path
 
 
 def loaded_omega():
@@ -111,3 +112,24 @@ class TestArbitrary:
             if len(arbitrary_schedule(m)) < min(n_req, n_free):
                 blocked_any = True
         assert blocked_any
+
+
+@pytest.mark.parametrize("policy", [greedy_schedule, random_binding_schedule, arbitrary_schedule])
+def test_a_circuit_failing_mid_batch_leaves_every_link_as_it_started(policy, monkeypatch):
+    m = loaded_omega()
+    m.network.establish_circuit(destination_tag_path(m.network, 7, 7))
+    before = [link.occupied for link in m.network.links]
+    establish = m.network.establish_circuit
+    calls = []
+
+    def fails_third(path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise RuntimeError("link failed mid-batch")
+        return establish(path)
+
+    monkeypatch.setattr(m.network, "establish_circuit", fails_third)
+    with pytest.raises(RuntimeError, match="mid-batch"):
+        policy(m)
+    assert len(calls) == 3
+    assert [link.occupied for link in m.network.links] == before

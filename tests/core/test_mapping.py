@@ -43,6 +43,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="busy"):
             mapping.validate(m)
 
+    def test_failed_resource(self):
+        m = MRSIN(crossbar(2, 2))
+        mapping = Mapping([make_assignment(m, 0, 0)])
+        m.set_failed("resource", 0)
+        with pytest.raises(ValueError, match="resource 0 has failed"):
+            mapping.validate(m)
+
     def test_type_mismatch(self):
         m = MRSIN(crossbar(2, 2), resource_types=["a", "b"])
         path = tuple(m.network.find_free_path(0, 0))

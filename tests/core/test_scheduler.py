@@ -454,6 +454,24 @@ class TestValidationSurvivesOptimization:
         with pytest.raises(FlowViolation, match=match):
             OptimalScheduler().schedule(m)
 
+    def test_kernel_min_cost_flow_over_reporting_raises(self, monkeypatch):
+        # Row 2's twin: the decomposition must find every unit the
+        # priced solve reports.
+        from repro.flows.kernel import FlowKernel
+        from repro.flows.validate import FlowViolation
+
+        solve = FlowKernel.min_cost_flow
+
+        def over_reporting(*args):
+            value, cost = solve(*args)
+            return value + 1, cost
+
+        monkeypatch.setattr(FlowKernel, "min_cost_flow", over_reporting)
+        m = MRSIN(omega(4))
+        m.submit(Request(0, priority=2))
+        with pytest.raises(FlowViolation, match="a flow of value 2 decomposed into 1 units"):
+            OptimalScheduler().schedule(m)
+
     @pytest.mark.parametrize("route", ["cold", "warm"])
     @pytest.mark.parametrize(
         "corrupt, match",

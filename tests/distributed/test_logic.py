@@ -13,6 +13,7 @@ import pytest
 
 from repro.distributed.logic import (
     And,
+    Expr,
     Const,
     Not,
     Or,
@@ -129,3 +130,16 @@ class TestNSLogic:
         small = shared_gate_count(ns_request_logic(2, 2).values())
         large = shared_gate_count(ns_request_logic(4, 4).values())
         assert large < 4 * small  # linear-ish, not combinatorial
+
+
+@pytest.mark.parametrize("measure", [gate_count, depth, lambda expr: shared_gate_count([expr])])
+def test_a_node_outside_the_grammar_is_refused(measure):
+    """Each measure walks NOT/AND/OR over variables and constants; a
+    foreign node, even under a gate, is a ``TypeError``, not a count."""
+    with pytest.raises(TypeError, match="unknown node"):
+        measure(Not(Expr()))
+
+
+def test_the_base_node_has_no_value():
+    with pytest.raises(NotImplementedError):
+        Expr().evaluate({})

@@ -90,3 +90,8 @@ def test_property_no_illegal_adjacent_states(steps):
             assert prev is GlobalState.REQUEST_PROPAGATION
         if state is GlobalState.PATH_REGISTRATION:
             assert prev in (GlobalState.RESOURCE_PROPAGATION, GlobalState.PATH_REGISTRATION)
+
+
+def test_an_unknown_state_is_refused():
+    with pytest.raises(ValueError, match="unknown state 'halted'"):
+        next_state("halted", bus_with())

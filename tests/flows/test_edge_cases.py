@@ -13,10 +13,12 @@ from repro.flows.graph import FlowNetwork
 from repro.flows.dinic import LayeredNetwork, dinic
 from repro.flows.lp import LinearProgram, LPResult, LPStatus, Sense
 from repro.flows.maxflow import augment_along, edmonds_karp
-from repro.flows.mincost import InfeasibleFlowError, min_cost_flow
+from repro.flows.kernel import FlowKernel
+from repro.flows.mincost import InfeasibleFlowError, _dijkstra, min_cost_flow
 from repro.flows.mincut import min_cut, residual_reachable
 from repro.flows.multicommodity import Commodity, MultiCommodityProblem, solve_max_multicommodity
 from repro.flows.simplex import simplex_standard_form
+from repro.flows.validate import EPS, FlowViolation, check_flow
 import numpy as np
 
 
@@ -197,3 +199,40 @@ class TestMulticommodityEdges:
         net.add_arc("s", "t", 1)
         res = solve_max_multicommodity(MultiCommodityProblem(net, []))
         assert res.total_flow == 0.0
+
+
+class TestFailureBranches:
+    def test_pop_arc_refuses_an_arc_that_is_not_the_last(self):
+        net = FlowNetwork()
+        first = net.add_arc("s", "a", 1)
+        net.add_arc("a", "t", 1)
+        with pytest.raises(ValueError, match="not the most recently added arc"):
+            net.pop_arc(first)
+
+    def test_kernel_refuses_a_negative_node_count(self):
+        with pytest.raises(ValueError, match="negative node count -1"):
+            FlowKernel(-1)
+
+    def test_ssp_refuses_a_negative_cost_cycle(self):
+        net = FlowNetwork()
+        net.add_arc("s", "a", 1, cost=1.0)
+        net.add_arc("a", "b", 1, cost=-3.0)
+        net.add_arc("b", "a", 1, cost=1.0)
+        net.add_arc("b", "t", 1, cost=1.0)
+        with pytest.raises(ValueError, match="negative-cost residual cycle"):
+            min_cost_flow(net, "s", "t")
+
+    def test_dijkstra_refuses_a_broken_potential(self):
+        net = FlowNetwork()
+        net.add_arc("s", "t", 1, cost=1.0)
+        with pytest.raises(AssertionError, match="potential invariant broken"):
+            _dijkstra(net, "s", {"s": 0.0, "t": 5.0}, None)
+
+    def test_check_flow_compares_source_and_sink_beyond_per_node_slack(self):
+        """Each relay node is within ``EPS`` of conservation, but the
+        slack adds up: source and sink disagree by ``1.8 * EPS``."""
+        net = FlowNetwork()
+        for tail, head, flow in (("s", "a", 1.0), ("a", "b", 1.0 + 0.9 * EPS), ("b", "t", 1.0 + 1.8 * EPS)):
+            net.add_arc(tail, head, 2).flow = flow
+        with pytest.raises(FlowViolation, match="source emits 1.0 but sink absorbs"):
+            check_flow(net, "s", "t")

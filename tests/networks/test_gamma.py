@@ -6,6 +6,7 @@ import pytest
 from repro.core import MRSIN, OptimalScheduler, Request
 from repro.distributed import DistributedScheduler
 from repro.networks import gamma
+from repro.networks.gamma import _gamma_boundary
 from repro.networks.routing import destination_tag_path, reachable_resources
 
 
@@ -52,6 +53,11 @@ class TestStructure:
         # 1 -> 2 shares structure with 0 -> 1 in a unique-path network;
         # gamma finds an alternative.
         assert destination_tag_path(net, 1, 2) is not None
+
+
+def test_boundary_wiring_refuses_a_wire_count_of_another_size():
+    with pytest.raises(ValueError, match="gamma boundary expects 24 wires, got 16"):
+        _gamma_boundary(0, 8)(0, 16)
 
 
 class TestScheduling:

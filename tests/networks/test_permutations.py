@@ -53,6 +53,17 @@ class TestShuffles:
             perfect_shuffle(8, 8)
 
 
+@pytest.mark.parametrize(
+    "wiring",
+    [identity, perfect_shuffle, inverse_shuffle, lambda i, size: butterfly(i, size, 1), bit_reversal],
+    ids=["identity", "perfect_shuffle", "inverse_shuffle", "butterfly", "bit_reversal"],
+)
+@pytest.mark.parametrize("i", [-1, 8])
+def test_every_wiring_rejects_a_wire_outside_the_range(wiring, i):
+    with pytest.raises(ValueError, match=rf"wire {i} outside \[0, 8\)"):
+        wiring(i, 8)
+
+
 class TestButterfly:
     def test_bit0_is_identity(self):
         assert [butterfly(i, 8, 0) for i in range(8)] == list(range(8))

@@ -46,6 +46,9 @@ class TestAssembly:
         net.add_link(PortRef.processor(0), PortRef.box_in(0, 0, 0))
         with pytest.raises(ValueError, match="already wired"):
             net.add_link(PortRef.processor(0), PortRef.box_in(0, 0, 0))
+        net.add_link(PortRef.box_out(0, 0, 0), PortRef.resource(0))
+        with pytest.raises(ValueError, match=r"kind='res'.* already wired"):
+            net.add_link(PortRef.box_out(0, 0, 1), PortRef.resource(0))
 
     def test_terminal_links(self):
         net = omega(8)

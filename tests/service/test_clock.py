@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.service.clock import MonotonicClock, VirtualClock
+from repro.service.clock import Clock, MonotonicClock, VirtualClock
 
 
 def run(coro):
@@ -125,3 +125,14 @@ class TestMonotonicClock:
             return clock.now() >= t0
 
         assert run(scenario())
+
+
+def test_the_base_clock_tells_no_time():
+    """A ``Clock`` subclass that forgets an override fails loudly."""
+    clock = Clock()
+    with pytest.raises(NotImplementedError):
+        clock.now()
+    with pytest.raises(NotImplementedError):
+        clock.perf_ns()
+    with pytest.raises(NotImplementedError):
+        run(clock.sleep(1.0))

@@ -1,5 +1,7 @@
 """Tests for the command-line interface and the ASCII renderer."""
 
+import socket
+
 import pytest
 
 from repro.cli import TOPOLOGIES, build_parser, main
@@ -386,6 +388,14 @@ class TestWireCommands:
     def test_wire_serve_rejects_bad_config(self):
         with pytest.raises(SystemExit, match="tick_interval"):
             main(["wire-serve", "--tick", "0", "--duration", "0.1"])
+
+    def test_wire_serve_on_a_taken_port_is_one_line(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(SystemExit, match=f"error: cannot listen on 127.0.0.1:{port}"):
+                main(["wire-serve", "--ports", "8", "--port", str(port), "--duration", "0.1"])
 
 
 class TestFabricCommands:

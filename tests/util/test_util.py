@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.counters import OpCounter
+from repro.util.labels import label_hash
 from repro.util.rng import DEFAULT_SEED, make_rng, spawn_rngs
 from repro.util.tables import Table, format_table
 
@@ -105,3 +106,9 @@ def test_property_table_always_rectangular(rows):
     lines = text.splitlines()
     widths = {len(line) for line in lines}
     assert len(widths) == 1
+
+
+@pytest.mark.parametrize("bits", [0, 257])
+def test_label_hash_refuses_a_width_outside_sha256(bits):
+    with pytest.raises(ValueError, match=f"bits must be in \\[1, 256\\], got {bits}"):
+        label_hash("omega-16#0", bits=bits)

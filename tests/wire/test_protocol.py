@@ -71,6 +71,25 @@ class TestRoundTrip:
         assert document["kind"] == frame.kind
         assert document["id"] == frame.request_id
 
+    @given(
+        payload=st.dictionaries(
+            st.text(max_size=8).filter(lambda key: key not in ("v", "kind", "id")),
+            st.text(st.sampled_from("a\n\r\u2028\u2029\x0b\x0c\x1c\x85\\\""), max_size=12),
+            max_size=4,
+        ),
+        reason=st.text(st.sampled_from("\n\r\u2028x"), min_size=1, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_line_breaks_in_payload_strings_never_break_the_frame(self, payload, reason):
+        """``encode`` has no newline guard: ``json.dumps`` escapes every
+        control character and, with ASCII output, every line separator,
+        so the frame's only raw ``\\n`` is its terminator."""
+        for frame in (Frame("OK", 1, payload), protocol.make_error(2, reason)):
+            line = encode(frame)
+            assert line.count(b"\n") == 1 and line.endswith(b"\n")
+            assert b"\r" not in line and "\u2028".encode() not in line
+            assert decode(line) == frame
+
     def test_all_kinds_covered_by_constructors(self):
         """The constructors must span the full kind vocabulary — a new
         kind without a constructor would silently dodge the round-trip
@@ -90,6 +109,14 @@ class TestRoundTrip:
             protocol.make_pong(1).kind,
         }
         assert built == set(REQUEST_KINDS) | set(REPLY_KINDS)
+
+
+def test_reply_schema_pairs_request_kinds_with_reply_kinds():
+    """The table lint rule R008 checks the server against names only
+    real kinds (it is a literal, so this covers every import of it)."""
+    assert set(protocol.REPLY_SCHEMA) == set(REQUEST_KINDS)
+    for replies in protocol.REPLY_SCHEMA.values():
+        assert replies and set(replies) <= set(REPLY_KINDS)
 
 
 class TestMalformedInput:
