@@ -296,7 +296,7 @@ class LintEngine:
         rel = str(path)
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise LintError(f"cannot read {path}: {exc}") from exc
         try:
             tree = ast.parse(source, filename=rel)

@@ -62,18 +62,9 @@ class StatusBus:
         """Element stops driving ``event`` (idempotent)."""
         self._drivers[event].discard(element)
 
-    def clear_all(self, element: Hashable) -> None:
-        """Element releases every bit it drives."""
-        for drivers in self._drivers.values():
-            drivers.discard(element)
-
     def read(self, event: Event) -> bool:
         """Observed value of one bus bit."""
         return bool(self._drivers[event])
-
-    def drivers(self, event: Event) -> frozenset[Hashable]:
-        """Elements currently driving an event (diagnostic view)."""
-        return frozenset(self._drivers[event])
 
     def vector(self) -> tuple[int, ...]:
         """The bus as an E1..E7 bit tuple (paper's state-vector order)."""

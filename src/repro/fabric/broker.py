@@ -14,9 +14,10 @@ them:
   round to a gateway port of the host cell, requests the flow cannot
   carry fail definitively.
 - **Supervision** — a cell that dies (crash, kill, unresponsive pipe)
-  has its leases revoked from the registry, its in-flight requests
-  re-escalated through the spill tier, and may later rejoin as a fresh
-  process under a new lease epoch.
+  is stopped and reaped at once, has its leases revoked from the
+  registry and its in-flight requests re-escalated through the spill
+  tier, and may later rejoin as a fresh process under a new lease
+  epoch.
 
 Rounds are bulk-synchronous (send to all live cells, barrier on all
 results), so fabric totals are seed-deterministic even though the
@@ -26,8 +27,6 @@ cells are real OS processes.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
@@ -166,15 +165,15 @@ class FabricBroker:
         if self._closed:
             return
         self._closed = True
-        for handle in self._handles:
-            if not handle.alive:
-                continue
+        # A dead cell was reaped where it was declared dead.
+        live = [handle for handle in self._handles if handle.alive]
+        for handle in live:
             try:
                 handle.conn.send(Shutdown())
             except (BrokenPipeError, OSError):
                 pass
             handle.alive = False
-        for handle in self._handles:
+        for handle in live:
             handle.process.join(timeout=10.0)
             if handle.process.is_alive():  # pragma: no cover - stuck cell
                 handle.process.terminate()
@@ -229,11 +228,6 @@ class FabricBroker:
         handle = self._handle(index)
         if not handle.alive:
             raise FabricError(f"cell {index} is already down")
-        pid = handle.process.pid
-        if pid is None:  # pragma: no cover - started processes have pids
-            raise FabricError(f"cell {index} has no pid")
-        os.kill(pid, signal.SIGKILL)
-        handle.process.join(timeout=10.0)
         self.counters["cells_killed"] += 1
         self._on_death(handle, reason="killed")
 
@@ -247,7 +241,6 @@ class FabricBroker:
         handle = self._handle(index)
         if handle.alive:
             raise FabricError(f"cell {index} is still up")
-        handle.process.join(timeout=10.0)
         epoch = handle.epoch + 1
         self._handles[index] = self._spawn(index, epoch=epoch)
         self.counters["cells_rejoined"] += 1
@@ -269,8 +262,13 @@ class FabricBroker:
         return self._handles[index]
 
     def _on_death(self, handle: _CellHandle, *, reason: str) -> None:
-        """A cell is gone: revoke custody, re-escalate its in-flight work."""
+        """A cell is gone: stop its process, revoke custody, re-escalate
+        its in-flight work.  A cell declared dead while still running
+        (an unanswered poll) is SIGKILLed here, so it holds no CPU and
+        nothing waits on it later."""
         handle.alive = False
+        handle.process.kill()
+        handle.process.join(timeout=10.0)
         try:
             handle.conn.close()
         except OSError:  # pragma: no cover - pipe already torn down

@@ -82,14 +82,6 @@ class Arc:
         """Residual capacity in the given traversal direction."""
         return self.residual_forward if forward else self.residual_backward
 
-    def other(self, node: Node) -> Node:
-        """The endpoint that is not ``node`` (for undirected walks)."""
-        if node == self.tail:
-            return self.head
-        if node == self.head:
-            return self.tail
-        raise ValueError(f"{node!r} is not an endpoint of arc {self.index}")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cost = f", cost={self.cost}" if self.cost else ""
         return (
@@ -221,10 +213,6 @@ class FlowNetwork:
             cached.extend((self.arcs[i], False) for i in self._in[node])
             self._inc[node] = cached
         return cached
-
-    def degree(self, node: Node) -> int:
-        """Total number of incident arcs."""
-        return len(self._out[node]) + len(self._in[node])
 
     def find_arcs(self, tail: Node, head: Node) -> list[Arc]:
         """All (parallel) arcs from ``tail`` to ``head``."""

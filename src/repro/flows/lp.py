@@ -136,10 +136,6 @@ class LinearProgram:
         self._cost.append(float(objective))
         return key
 
-    def set_objective(self, key: VarKey, coefficient: float) -> None:
-        """Overwrite the objective coefficient of an existing variable."""
-        self._cost[self._index[key]] = float(coefficient)
-
     def add_constraint(self, coeffs: Mapping[VarKey, float], sense: Sense, rhs: float) -> None:
         """Add ``sum coeffs[k] * x_k  <sense>  rhs``.
 

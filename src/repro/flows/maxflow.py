@@ -138,7 +138,6 @@ def _run(
     sink: Node,
     finder,
     counter: OpCounter | None,
-    flow_limit: int | None,
 ) -> MaxFlowResult:
     if source == sink:
         # Nothing flows from a node to itself (and the DFS finder would
@@ -150,13 +149,8 @@ def _run(
         return MaxFlowResult(value=net.flow_value(source) if source in net else 0, augmentations=0)
     value = net.flow_value(source)
     augmentations = 0
-    while flow_limit is None or value < flow_limit:
-        path = finder(net, source, sink, counter)
-        if path is None:
-            break
+    while (path := finder(net, source, sink, counter)) is not None:
         amount = _bottleneck(path)
-        if flow_limit is not None:
-            amount = min(amount, flow_limit - value)
         augment_along(path, amount)
         if counter is not None:
             counter.charge("augmentation")
@@ -172,15 +166,12 @@ def edmonds_karp(
     sink: Node,
     *,
     counter: OpCounter | None = None,
-    flow_limit: int | None = None,
 ) -> MaxFlowResult:
     """Maximum flow by shortest augmenting paths (BFS).
 
-    Augments on top of whatever flow is already assigned, which the
-    scheduler relies on when re-optimising after a partial allocation.
-    ``flow_limit`` stops early once the given value is reached.
+    Augments on top of whatever flow is already assigned.
     """
-    return _run(net, source, sink, _bfs_augmenting_path, counter, flow_limit)
+    return _run(net, source, sink, _bfs_augmenting_path, counter)
 
 
 def ford_fulkerson(
@@ -189,7 +180,6 @@ def ford_fulkerson(
     sink: Node,
     *,
     counter: OpCounter | None = None,
-    flow_limit: int | None = None,
 ) -> MaxFlowResult:
     """Maximum flow by depth-first augmenting-path search.
 
@@ -198,4 +188,4 @@ def ford_fulkerson(
     for cross-checking and because its path choices resemble the
     token backtracking of the distributed architecture.
     """
-    return _run(net, source, sink, _dfs_augmenting_path, counter, flow_limit)
+    return _run(net, source, sink, _dfs_augmenting_path, counter)

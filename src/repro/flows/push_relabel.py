@@ -34,17 +34,13 @@ def push_relabel(
     sink: Node,
     *,
     counter: OpCounter | None = None,
-    flow_limit: int | None = None,
 ) -> MaxFlowResult:
     """Maximum flow by FIFO push–relabel.
 
     Mutates ``net``'s flow in place and returns a
     :class:`~repro.flows.maxflow.MaxFlowResult` (``augmentations``
     counts *pushes*).  The network's current flow must be zero (the
-    preflow initialisation assumes it).  With ``flow_limit`` the full
-    maximum flow is computed first and surplus units are then peeled
-    off by path decomposition (limiting the source saturation instead
-    could strand the budget on dead-end arcs).
+    preflow initialisation assumes it).
     """
     for arc in net.arcs:
         if arc.flow != 0:
@@ -120,16 +116,4 @@ def push_relabel(
         # Re-queueing is handled inside push(); a node that exits the
         # loop with zero excess is simply done for now.
 
-    value = net.flow_value(source)
-    if flow_limit is not None and value > flow_limit:
-        # Peel off surplus source–sink paths; every decomposed path
-        # carries exactly one unit of the integral flow.
-        surplus = value - flow_limit
-        for path in net.decompose_paths(source, sink):
-            if surplus <= 0:
-                break
-            for arc in path:
-                arc.flow -= 1
-            surplus -= 1
-        value = net.flow_value(source)
-    return MaxFlowResult(value=value, augmentations=pushes)
+    return MaxFlowResult(value=net.flow_value(source), augmentations=pushes)

@@ -12,8 +12,6 @@ __all__ = [
     "identity",
     "perfect_shuffle",
     "inverse_shuffle",
-    "butterfly",
-    "bit_reversal",
     "blockwise",
     "transpose",
     "log2_exact",
@@ -56,35 +54,6 @@ def inverse_shuffle(i: int, size: int) -> int:
     n = log2_exact(size)
     _check_wire(i, size)
     return (i >> 1) | ((i & 1) << (n - 1))
-
-
-def butterfly(i: int, size: int, k: int) -> int:
-    """The k-th butterfly: exchange bit ``k`` with bit 0.
-
-    ``butterfly(i, size, k)`` pairs wires whose indices differ in bit
-    ``k`` into adjacent box ports — the wiring of the indirect binary
-    n-cube / multistage cube networks.
-    """
-    n = log2_exact(size)
-    if not 0 <= k < n:
-        raise ValueError(f"bit {k} outside [0, {n})")
-    _check_wire(i, size)
-    if k == 0:
-        return i
-    b0 = i & 1
-    bk = (i >> k) & 1
-    out = i & ~((1 << k) | 1)
-    return out | (b0 << k) | bk
-
-
-def bit_reversal(i: int, size: int) -> int:
-    """Reverse the index bits (the FFT permutation)."""
-    n = log2_exact(size)
-    _check_wire(i, size)
-    out = 0
-    for b in range(n):
-        out |= ((i >> b) & 1) << (n - 1 - b)
-    return out
 
 
 def blockwise(perm, block: int):

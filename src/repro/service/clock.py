@@ -103,8 +103,8 @@ class VirtualClock(Clock):
     #: settle inside one virtual instant.
     DRAIN_ROUNDS = 32
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._tie = itertools.count()
         self._sleepers: list[tuple[float, int, asyncio.Future]] = []
 

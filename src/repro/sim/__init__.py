@@ -28,7 +28,7 @@ from repro.sim.workload import (
     occupy_random_circuits,
 )
 from repro.sim.blocking import BlockingEstimate, estimate_blocking, POLICIES
-from repro.sim.metrics import mean_and_ci, wilson_interval
+from repro.sim.metrics import wilson_interval
 from repro.sim.queueing import QueueingResult, simulate_queueing
 from repro.sim.runner import sweep, SweepResult
 
@@ -41,7 +41,6 @@ __all__ = [
     "BlockingEstimate",
     "estimate_blocking",
     "POLICIES",
-    "mean_and_ci",
     "wilson_interval",
     "QueueingResult",
     "simulate_queueing",

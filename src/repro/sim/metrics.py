@@ -3,24 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-__all__ = ["mean_and_ci", "wilson_interval"]
+__all__ = ["wilson_interval"]
 
 # 97.5% normal quantile for 95% two-sided intervals.
 Z95 = 1.959963984540054
-
-
-def mean_and_ci(values: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and half-width of its normal 95% confidence interval."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("no samples")
-    mean = sum(values) / n
-    if n == 1:
-        return mean, math.inf
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, Z95 * math.sqrt(var / n)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

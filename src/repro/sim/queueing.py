@@ -66,7 +66,6 @@ def simulate_queueing(
     horizon: float = 200.0,
     warmup: float = 20.0,
     min_batch: int = 1,
-    type_weights: dict | None = None,
     seed: int | np.random.Generator | None = None,
 ) -> QueueingResult:
     """Run the task-lifecycle simulation on ``mrsin``.
@@ -87,11 +86,6 @@ def simulate_queueing(
         option to *"wait for more requests to arrive and more
         resources to become available before entering a scheduling
         cycle"*.  1 = schedule eagerly.
-    type_weights:
-        For heterogeneous systems: ``{resource_type: weight}``; each
-        arriving task draws its required type with these odds.  Must
-        cover only types present in the pool.  ``None`` = homogeneous
-        (every request uses the default type).
     """
     if policy not in ("optimal", "greedy", "random_binding"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -105,15 +99,6 @@ def simulate_queueing(
         raise ValueError(f"transmission_time must be >= 0, got {transmission_time}")
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    type_names: list = []
-    type_probs: list[float] = []
-    if type_weights:
-        unknown = set(type_weights) - mrsin.resource_types
-        if unknown:
-            raise ValueError(f"no resources of type(s) {unknown}")
-        total_w = float(sum(type_weights.values()))
-        type_names = list(type_weights)
-        type_probs = [w / total_w for w in type_weights.values()]
     rng = make_rng(seed)
     dispatch = POLICIES[policy]
     mrsin.reset()
@@ -155,11 +140,7 @@ def simulate_queueing(
             p = payload
             tag = (p, now)
             arrival_time[tag] = now
-            if type_names:
-                idx = int(rng.choice(len(type_names), p=type_probs))
-                mrsin.submit(Request(p, resource_type=type_names[idx], tag=tag))
-            else:
-                mrsin.submit(Request(p, tag=tag))
+            mrsin.submit(Request(p, tag=tag))
             push(now + float(rng.exponential(1.0 / arrival_rate)), "arrival", p)
             needs_schedule = True
         elif kind == "transmission_done":

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -60,6 +60,11 @@ __all__ = [
     "WireTimeout",
 ]
 
+#: Seconds of the first reconnect backoff; each further attempt doubles
+#: it, up to :data:`BACKOFF_MAX_S`.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+
 
 class WireError(Exception):
     """Base class for client-visible wire failures."""
@@ -89,7 +94,7 @@ class WireRemoteError(WireError):
 class RemoteLease:
     """Client-side view of one granted lease.
 
-    ``revocation`` fires when the server pushes a REVOKED frame for
+    ``revoked`` turns true when the server pushes a REVOKED frame for
     this lease (or the connection is lost, which the server treats the
     same way: the lease is gone).
     """
@@ -99,7 +104,6 @@ class RemoteLease:
     waited: float
     released: bool = False
     revoked: bool = False
-    revocation: asyncio.Event = field(default_factory=asyncio.Event)
 
     @property
     def active(self) -> bool:
@@ -119,10 +123,9 @@ class WireClient:
         ACQUIRE this also rides the frame as the server-side deadline
         unless the call overrides it.
     reconnect_attempts:
-        Extra :meth:`connect` attempts after the first failure.
-    backoff_base, backoff_max:
-        Exponential backoff window between attempts; the delay is
-        ``min(backoff_max, backoff_base * 2**k)`` scaled by a jitter
+        Extra :meth:`connect` attempts after the first failure.  Retry
+        ``k`` (from 0) first waits
+        ``min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2**k)`` scaled by a jitter
         factor in ``[0.5, 1.0)`` drawn from ``rng``.
     rng:
         Seed or generator for the jitter (deterministic retries).
@@ -135,24 +138,16 @@ class WireClient:
         *,
         request_timeout: float | None = 30.0,
         reconnect_attempts: int = 0,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
         rng: int | np.random.Generator | None = None,
     ) -> None:
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError(f"request_timeout must be positive, got {request_timeout}")
         if reconnect_attempts < 0:
             raise ValueError(f"reconnect_attempts must be >= 0, got {reconnect_attempts}")
-        if backoff_base <= 0:
-            raise ValueError(f"backoff_base must be positive, got {backoff_base}")
-        if backoff_max < backoff_base:
-            raise ValueError(f"backoff_max {backoff_max} < backoff_base {backoff_base}")
         self.host = host
         self.port = port
         self.request_timeout = request_timeout
         self.reconnect_attempts = reconnect_attempts
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         self._rng = make_rng(rng)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -184,7 +179,7 @@ class WireClient:
         last_error: Exception | None = None
         for attempt in range(self.reconnect_attempts + 1):
             if attempt:
-                delay = min(self.backoff_max, self.backoff_base * 2.0 ** (attempt - 1))
+                delay = min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2.0 ** (attempt - 1))
                 delay *= 0.5 + 0.5 * float(self._rng.random())
                 await asyncio.sleep(delay)
             try:
@@ -437,7 +432,6 @@ class WireClient:
         lease = self._leases.pop(lease_id, None)
         if lease is not None and not lease.released:
             lease.revoked = True
-            lease.revocation.set()
 
     def _fail_pending(self, reason: str) -> None:
         for future in self._pending.values():

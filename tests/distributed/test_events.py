@@ -40,20 +40,6 @@ class TestWiredOr:
         bus.clear("ghost", Event.RQ_BONDED)  # must not raise
         assert not bus.read(Event.RQ_BONDED)
 
-    def test_clear_all(self):
-        bus = StatusBus()
-        bus.set("a", Event.REQUEST_PENDING)
-        bus.set("a", Event.RESOURCE_READY)
-        bus.set("b", Event.RESOURCE_READY)
-        bus.clear_all("a")
-        assert not bus.read(Event.REQUEST_PENDING)
-        assert bus.read(Event.RESOURCE_READY)
-
-    def test_drivers_view(self):
-        bus = StatusBus()
-        bus.set("a", Event.RESOURCE_READY)
-        assert bus.drivers(Event.RESOURCE_READY) == frozenset({"a"})
-
 
 class TestVector:
     def test_paper_state_vector_order(self):

@@ -7,7 +7,7 @@ run results, with no process at all.
 """
 
 import dataclasses
-import multiprocessing
+import time
 
 import pytest
 
@@ -56,9 +56,9 @@ def scripted_cell(on_round=CellWorker.run_round, on_snapshot=CellWorker.snapshot
     return main
 
 
-def silent_until(gone):
-    """A reply that never comes: the cell waits for the test to set ``gone``."""
-    return lambda worker, *message: gone.wait(30) and None
+def silent(worker, *message):
+    """A reply that never comes: the cell hangs until it is killed."""
+    time.sleep(3600)
 
 
 ONE_GRANT = [FabricRequest(req_id=1, cell=0, processor=0, hold_ticks=1, origin_cell=0)]
@@ -134,23 +134,30 @@ class TestMisbehavingCell:
                 broker.snapshot()
 
     def test_a_silent_cell_is_declared_dead(self, monkeypatch):
-        gone = multiprocessing.get_context("fork").Event()
+        """The cell is stopped where it is declared dead: its process is
+        gone once ``run_round`` returns, and ``close()`` has nothing left
+        to wait on."""
         monkeypatch.setattr(broker_module, "ROUND_TIMEOUT_S", 0.1)
-        monkeypatch.setattr(broker_module, "cell_main", scripted_cell(on_round=silent_until(gone)))
-        with one_cell() as broker:
+        monkeypatch.setattr(broker_module, "cell_main", scripted_cell(on_round=silent))
+        broker = one_cell()
+        broker.start()
+        try:
+            process = broker._handles[0].process
             outcome = broker.run_round(ONE_GRANT, ticks=2)
-            gone.set()
+            assert not process.is_alive()
+        finally:
+            started = time.monotonic()
+            broker.close()
+        assert time.monotonic() - started < 1.0
         assert outcome.deaths == (0,) and outcome.escalated == 1
         assert broker.events[-1]["reason"] == "recv-failed"
 
     def test_a_cell_silent_on_snapshot_is_declared_dead(self, monkeypatch):
-        gone = multiprocessing.get_context("fork").Event()
         monkeypatch.setattr(broker_module, "ROUND_TIMEOUT_S", 0.1)
-        monkeypatch.setattr(broker_module, "cell_main", scripted_cell(on_snapshot=silent_until(gone)))
+        monkeypatch.setattr(broker_module, "cell_main", scripted_cell(on_snapshot=silent))
         with one_cell() as broker:
             broker.run_round([], ticks=1)
             broker.snapshot()
-            gone.set()
             assert broker.live_cells == []
         assert broker.events[-1]["reason"] == "snapshot-failed"
 

@@ -157,15 +157,6 @@ class TestMincostEdges:
 
 
 class TestLPEdges:
-    def test_set_objective(self):
-        lp = LinearProgram()
-        lp.add_variable("x", high=5.0)
-        lp.set_objective("x", -1.0)
-        from repro.flows.simplex import simplex_solve
-
-        res = simplex_solve(lp)
-        assert res["x"] == pytest.approx(5.0)
-
     def test_result_getitem(self):
         res = LPResult(status=LPStatus.OPTIMAL, objective=0.0, values={"x": 3.0})
         assert res["x"] == 3.0

@@ -72,19 +72,6 @@ class TestQueries:
         assert forwards == [("t", True)]
         assert backwards == [("s", False)]
 
-    def test_degree(self):
-        net = diamond()
-        assert net.degree("a") == 2
-        assert net.degree("s") == 2
-
-    def test_other_endpoint(self):
-        net = diamond()
-        arc = net.find_arcs("s", "a")[0]
-        assert arc.other("s") == "a"
-        assert arc.other("a") == "s"
-        with pytest.raises(ValueError):
-            arc.other("t")
-
     def test_residuals(self):
         net = diamond()
         arc = net.arcs[0]

@@ -60,13 +60,6 @@ class TestBasics:
         # middle arc a->d carries nothing.
         assert net.find_arcs("a", "d")[0].flow == 0.0
 
-    def test_flow_limit_stops_early(self, solver):
-        net = FlowNetwork()
-        net.add_arc("s", "t", 10)
-        res = solver(net, "s", "t", flow_limit=4)
-        assert res.value == 4
-        assert net.flow_value("s") == 4
-
     def test_parallel_arcs(self, solver):
         net = FlowNetwork()
         net.add_arc("s", "t", 1)

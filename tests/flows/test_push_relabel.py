@@ -54,24 +54,6 @@ class TestBasics:
         with pytest.raises(ValueError, match="zero initial flow"):
             push_relabel(net, "s", "t")
 
-    def test_flow_limit_not_stranded_on_dead_ends(self):
-        """The regression the peeling strategy exists for: a naive
-        limited source saturation would waste budget on the dead arc."""
-        net = FlowNetwork()
-        net.add_arc("s", "dead", 5)
-        net.add_arc("s", "b", 5)
-        net.add_arc("b", "t", 5)
-        res = push_relabel(net, "s", "t", flow_limit=5)
-        assert res.value == 5
-        check_flow(net, "s", "t")
-
-    def test_flow_limit_reduces_value(self):
-        net = FlowNetwork()
-        net.add_arc("s", "t", 10)
-        res = push_relabel(net, "s", "t", flow_limit=4)
-        assert res.value == 4
-        check_flow(net, "s", "t")
-
 
 class TestAgainstOracles:
     @pytest.mark.parametrize("seed", range(20))

@@ -106,7 +106,10 @@ class TestSimplexBasics:
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == 0.0
         assert (res["x"], res["free"], res["y"]) == (5.0, 0.0, 0.0)
-        lp.set_objective("x", 1.0)  # now pushing x down pays for ever
+        lp = LinearProgram()
+        lp.add_variable("x", low=-math.inf, high=5.0, objective=1.0)  # now pushing x down pays for ever
+        lp.add_variable("free", low=-math.inf, objective=0.0)
+        lp.add_variable("y", low=0.0, high=2.0, objective=1.0)
         assert simplex_solve(lp).status is LPStatus.UNBOUNDED
 
     def test_degenerate_does_not_cycle(self):

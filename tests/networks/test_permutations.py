@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.networks.permutations import (
-    bit_reversal,
     blockwise,
-    butterfly,
     identity,
     inverse_shuffle,
     log2_exact,
@@ -55,45 +53,13 @@ class TestShuffles:
 
 @pytest.mark.parametrize(
     "wiring",
-    [identity, perfect_shuffle, inverse_shuffle, lambda i, size: butterfly(i, size, 1), bit_reversal],
-    ids=["identity", "perfect_shuffle", "inverse_shuffle", "butterfly", "bit_reversal"],
+    [identity, perfect_shuffle, inverse_shuffle],
+    ids=["identity", "perfect_shuffle", "inverse_shuffle"],
 )
 @pytest.mark.parametrize("i", [-1, 8])
 def test_every_wiring_rejects_a_wire_outside_the_range(wiring, i):
     with pytest.raises(ValueError, match=rf"wire {i} outside \[0, 8\)"):
         wiring(i, 8)
-
-
-class TestButterfly:
-    def test_bit0_is_identity(self):
-        assert [butterfly(i, 8, 0) for i in range(8)] == list(range(8))
-
-    def test_swaps_bits(self):
-        # k=2 on N=8: swap bit 2 and bit 0: 1 (001) <-> 4 (100).
-        assert butterfly(1, 8, 2) == 4
-        assert butterfly(4, 8, 2) == 1
-        assert butterfly(5, 8, 2) == 5  # 101 symmetric
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_involution(self, size):
-        n = log2_exact(size)
-        for k in range(n):
-            for i in range(size):
-                assert butterfly(butterfly(i, size, k), size, k) == i
-
-    def test_bad_bit_rejected(self):
-        with pytest.raises(ValueError):
-            butterfly(0, 8, 3)
-
-
-class TestBitReversal:
-    def test_known_values(self):
-        assert [bit_reversal(i, 8) for i in range(8)] == [0, 4, 2, 6, 1, 5, 3, 7]
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_involution(self, size):
-        for i in range(size):
-            assert bit_reversal(bit_reversal(i, size), size) == i
 
 
 class TestBlockwise:
@@ -124,19 +90,16 @@ class TestTranspose:
             transpose(2, 3)(0, 7)
 
 
-@given(size_log=st.integers(1, 6), k=st.integers(0, 5))
+@given(size_log=st.integers(1, 6))
 @settings(max_examples=50, deadline=None)
-def test_property_all_wirings_are_bijections(size_log, k):
+def test_property_all_wirings_are_bijections(size_log):
     """Property: every wiring function permutes [0, N) bijectively."""
     size = 1 << size_log
     fns = [
         lambda i: identity(i, size),
         lambda i: perfect_shuffle(i, size),
         lambda i: inverse_shuffle(i, size),
-        lambda i: bit_reversal(i, size),
     ]
-    if k < size_log:
-        fns.append(lambda i: butterfly(i, size, k))
     for fn in fns:
         image = {fn(i) for i in range(size)}
         assert image == set(range(size))

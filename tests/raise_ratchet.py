@@ -74,10 +74,6 @@ UNREACHED_RAISES: dict[str, str] = {
         "the row-3/row-4 branch-and-bound node budget; ROADMAP item 2(a) owns it, "
         "not a test that only expects the RuntimeError"
     ),
-    "repro/fabric/broker.py::FabricBroker.kill_cell#2": (
-        "a started multiprocessing.Process always has a pid; kill_cell runs only "
-        "on a started cell"
-    ),
 }
 
 

@@ -349,7 +349,8 @@ class TestTickPacing:
         instants to ``while True: await sleep(interval)``."""
 
         async def scenario():
-            clock = VirtualClock(start=0.3)
+            clock = VirtualClock()
+            clock.step(0.3)
             service = AllocationService(
                 MRSIN(omega(4)), config=ServiceConfig(tick_interval=0.1), clock=clock
             )

@@ -1,29 +1,8 @@
 """Tests for the statistics helpers."""
 
-import math
-
 import pytest
 
-from repro.sim.metrics import mean_and_ci, wilson_interval
-
-
-class TestMeanCI:
-    def test_simple(self):
-        mean, half = mean_and_ci([1.0, 2.0, 3.0])
-        assert mean == 2.0
-        assert half > 0
-
-    def test_single_sample_infinite_ci(self):
-        mean, half = mean_and_ci([5.0])
-        assert mean == 5.0 and math.isinf(half)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_and_ci([])
-
-    def test_constant_samples(self):
-        mean, half = mean_and_ci([2.0] * 10)
-        assert mean == 2.0 and half == 0.0
+from repro.sim.metrics import wilson_interval
 
 
 class TestWilson:

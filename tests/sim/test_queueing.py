@@ -90,25 +90,3 @@ class TestBatching:
                                     horizon=300.0, min_batch=6, seed=6)
         assert batched.mean_queue > eager.mean_queue
         assert batched.mean_response > eager.mean_response
-
-
-class TestHeterogeneousWorkload:
-    def test_typed_arrivals_served_on_typed_pool(self):
-        m = MRSIN(omega(8), resource_types=["fft", "conv"] * 4)
-        res = simulate_queueing(
-            m, arrival_rate=0.4, horizon=150.0, seed=7,
-            type_weights={"fft": 2.0, "conv": 1.0},
-        )
-        assert res.completed > 0
-
-    def test_unknown_type_rejected(self):
-        m = MRSIN(omega(8), resource_types=["fft", "conv"] * 4)
-        with pytest.raises(ValueError, match="no resources of type"):
-            simulate_queueing(m, type_weights={"gpu": 1.0})
-
-    def test_homogeneous_default_unchanged(self):
-        a = simulate_queueing(MRSIN(omega(8)), arrival_rate=0.5,
-                              horizon=100.0, seed=9)
-        b = simulate_queueing(MRSIN(omega(8)), arrival_rate=0.5,
-                              horizon=100.0, seed=9, type_weights=None)
-        assert a.completed == b.completed

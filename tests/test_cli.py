@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the ASCII renderer."""
 
+import re
 import socket
 
 import pytest
@@ -274,6 +275,12 @@ class TestCommands:
     def test_lint_missing_path_rejected(self):
         with pytest.raises(SystemExit, match="no such file"):
             main(["lint", "/no/such/path/at/all"])
+
+    def test_lint_names_a_file_it_cannot_decode(self, tmp_path):
+        bad = tmp_path / "latin1.py"
+        bad.write_bytes(b"x = 1\xff\n")
+        with pytest.raises(SystemExit, match=f"error: cannot read {re.escape(str(bad))}: 'utf-8' codec"):
+            main(["lint", str(tmp_path)])
 
     def test_typecheck_gated(self, capsys):
         """Exit 0/1/2 with mypy installed, EXIT_UNAVAILABLE without."""

@@ -1,5 +1,5 @@
 """The public surface resolves, deleted options are really gone, and
-every ``src/`` callable has a caller outside the tests.
+every ``src/`` callable and option has a caller outside the tests.
 
 A name left in ``__all__`` after its definition was deleted raises
 ``AttributeError`` only on ``from module import *``, which nothing else
@@ -34,15 +34,21 @@ from repro.fabric.broker import FabricBroker
 from repro.fabric.driver import FabricConfig, FabricRunResult
 from repro.faults.injector import FaultEvent, FaultInjector
 from repro.flows import CompiledNetwork, FlowKernel, FlowNetwork, check_flow, dinic, is_integral
+from repro.flows.maxflow import edmonds_karp, ford_fulkerson
 from repro.flows.multicommodity import MultiCommodityProblem
 from repro.flows.out_of_kilter import min_cost_circulation
+from repro.flows.push_relabel import push_relabel
 from repro.networks import omega
+from repro.service.clock import VirtualClock
 from repro.service.driver import run_service
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import AllocationService, Lease, ServiceConfig
 from repro.sim.metrics import wilson_interval
+from repro.sim.queueing import simulate_queueing
 from repro.sim.workload import occupy_random_circuits
+from repro.util.histogram import LatencyHistogram
 from repro.util.labels import label_tag
+from repro.wire.client import RemoteLease, WireClient
 from repro.wire.loadgen import LoadGenConfig, run_loadgen
 
 MODULES = sorted(
@@ -144,6 +150,16 @@ LOADGEN = partial(LoadGenConfig, rate=1.0, duration=1.0, processors=1)
         (partial(random_binding_schedule, None), "requests"),
         (partial(arbitrary_schedule, None), "requests"),
         (partial(lower_to_kernel, None), "persistent"),
+        (partial(edmonds_karp, FlowNetwork(), "s", "t"), "flow_limit"),
+        (partial(ford_fulkerson, FlowNetwork(), "s", "t"), "flow_limit"),
+        (partial(push_relabel, FlowNetwork(), "s", "t"), "flow_limit"),
+        (partial(WireClient, "127.0.0.1", 1), "backoff_base"),
+        (partial(WireClient, "127.0.0.1", 1), "backoff_max"),
+        (partial(RemoteLease, 1, 0, 0.0), "revocation"),
+        (LatencyHistogram, "fine_bits"),
+        (partial(LatencyHistogram().record, 1), "n"),
+        (partial(simulate_queueing, None), "type_weights"),
+        (VirtualClock, "start"),
     ],
     ids=lambda v: getattr(v, "func", v).__name__ if callable(v) else v,
 )
@@ -296,8 +312,8 @@ def test_twelve_verbs():
 
 
 #: ``src/`` callables no code outside ``tests/`` names, and why each
-#: stays: an oracle or fake the suite checks live code with, or a small
-#: library helper whose own tests are its only callers.
+#: stays: an oracle or fake the suite checks live code with, or an
+#: observation the tests wait on.
 TEST_ONLY_CALLABLES = {
     "CFG.await_points": "oracle: generated CFGs keep source await order",
     "CFG.reaches_exit": "oracle: every reachable CFG node reaches an exit",
@@ -307,15 +323,7 @@ TEST_ONLY_CALLABLES = {
     "VirtualClock.pending_sleepers": "fake: tasks parked on the test clock",
     "WireServer.draining": "observation: the drain state the wire tests wait on",
     "WireServer.pending_acquires": "observation: in-flight ACQUIREs the wire tests wait on",
-    "StatusBus.clear_all": "helper: Table I bus model",
-    "StatusBus.drivers": "helper: Table I bus model (who holds a wired-OR bit)",
-    "Switchbox.legal_settings": "helper: Theorem 1's complete settings",
-    "butterfly": "helper: wiring permutation",
-    "bit_reversal": "helper: wiring permutation",
-    "FlowNetwork.degree": "helper: graph query",
-    "Arc.other": "helper: graph query",
-    "LinearProgram.set_objective": "helper: LP construction",
-    "mean_and_ci": "helper: sample statistics",
+    "Switchbox.legal_settings": "oracle: Theorem 1's complete settings, against switch_settings()",
     "gate_count": "oracle: the tree gate count shared_gate_count's reuse must beat",
 }
 
@@ -382,3 +390,104 @@ def test_every_src_callable_has_a_caller_outside_the_tests():
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert uncalled == set(TEST_ONLY_CALLABLES)
+
+
+#: Defaulted ``src/`` parameters that no call outside ``tests/`` passes,
+#: keyed ``qualname.param``, and why each stays.  A reason is one of
+#: three kinds: ``input:`` a value from outside the program, ``hook:``
+#: a budget or hook a test substitutes, ``dispatch:`` set through a
+#: dispatch table or an import alias the scan cannot follow.
+TEST_ONLY_OPTIONS = {
+    "WireClient.acquire.resource_type": "input: a wire client's request, not this program's",
+    "WireClient.acquire.priority": "input: a wire client's request, not this program's",
+    "solve_integral_multicommodity.max_nodes": "hook: the branch-and-bound node budget",
+    "simplex_solve.max_iter": "hook: the simplex pivot budget",
+    "exhaustive_schedule.max_mappings": "hook: the brute-force oracle's enumeration budget",
+    "checked_cycle.cancelled": "hook: the cancel count the state machine reports",
+    "main.argv": "hook: the command line a test hands the CLI",
+    "edmonds_karp.counter": "dispatch: MAXFLOW_ALGORITHMS[name](..., counter=)",
+    "ford_fulkerson.counter": "dispatch: MAXFLOW_ALGORITHMS[name](..., counter=)",
+    "push_relabel.counter": "dispatch: MAXFLOW_ALGORITHMS[name](..., counter=)",
+    "min_cost_flow.counter": "dispatch: MINCOST_ALGORITHMS[name](..., counter=)",
+    "min_cost_flow.target_flow": "dispatch: MINCOST_ALGORITHMS[name](..., target_flow=)",
+    "sweep.trials": "dispatch: the CLI imports sweep as run_sweep",
+    "sweep.seed": "dispatch: the CLI imports sweep as run_sweep",
+}
+
+
+def _options(body, prefix=""):
+    """``(qualname.param, called_as, param, index)`` for every defaulted
+    parameter of a module- or class-level ``def``: ``called_as`` is the
+    name a call uses (the class, for ``__init__``), ``index`` the
+    parameter's position at such a call (``None`` for keyword-only)."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _options(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            if prefix and not static:
+                positional = positional[1:]  # self / cls
+            called_as = prefix.rstrip(".").rpartition(".")[2] if node.name == "__init__" else node.name
+            qualname = prefix + node.name
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                yield f"{qualname}.{positional[index]}", called_as, positional[index], index
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{qualname}.{arg.arg}", called_as, arg.arg, None
+
+
+def _passed(roots):
+    """``{name: what calls of that name pass}`` over the files under
+    ``roots``: keyword names and positional indices, with ``"*"`` for a
+    ``*args`` or ``**kwargs``."""
+    passed = {}
+    for path in (path for root in roots for path in root.rglob("*.py")):
+        _calls(ast.parse(path.read_text()), (), passed)
+    return passed
+
+
+def _calls(node, enclosing, passed):
+    # As in ``_collect``, a function's call to itself (``f`` in ``f``,
+    # ``self.m`` in ``m``) is no caller: recursion alone cannot set an
+    # option.
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        receiver = getattr(getattr(func, "value", None), "id", None)
+        if not (name in enclosing and (isinstance(func, ast.Name) or receiver in ("self", "cls"))):
+            got = passed.setdefault(name, set())
+            got.update("*" if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args))
+            got.update(k.arg or "*" for k in node.keywords)
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        _calls(child, enclosing, passed)
+
+
+def test_every_src_option_is_set_outside_the_tests():
+    """A defaulted parameter of a ``src/`` ``def`` that no call in src/,
+    bench/, benchmarks/ or examples/ passes is an option only tests set.
+    A call passes it when it names the callable (``f(...)`` or
+    ``x.f(...)``; the class, for ``__init__``) and gives it by keyword,
+    positionally at its index, or through ``*`` / ``**``.  Calls match
+    by name, so another callable's same-named call can hide an option;
+    a callable's call to itself does not count.  Delete such an option, or list it in ``TEST_ONLY_OPTIONS`` with its
+    reason.  Out of scope: dataclass fields (state, not call options), CLI flags
+    (the CLI is itself the caller) and defs nested in a function (local
+    closures whose callers sit beside them)."""
+    src = pathlib.Path(repro.__file__).parent
+    repo = src.parents[1]
+    passed = _passed(repo / d for d in ("src", "bench", "benchmarks", "examples"))
+    unset = {
+        key
+        for path in src.rglob("*.py")
+        for key, called_as, param, index in _options(ast.parse(path.read_text()).body)
+        if not passed.get(called_as, set()) & {param, index, "*"}
+    }
+    new, stale = unset - TEST_ONLY_OPTIONS.keys(), TEST_ONLY_OPTIONS.keys() - unset
+    assert not new, f"options only tests set: {sorted(new)}"
+    assert not stale, f"listed in TEST_ONLY_OPTIONS but set outside the tests: {sorted(stale)}"
+    kinds = {reason.partition(":")[0] for reason in TEST_ONLY_OPTIONS.values()}
+    assert kinds <= {"input", "hook", "dispatch"}

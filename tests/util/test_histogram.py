@@ -5,53 +5,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.histogram import QUANTILE_LABELS, LatencyHistogram
+from repro.util.histogram import FINE_BITS, QUANTILE_LABELS, LatencyHistogram
 
 
 # ----------------------------------------------------------------------
 # Bucket geometry
 # ----------------------------------------------------------------------
 class TestBucketGeometry:
-    @given(value=st.integers(0, 2**50), fine_bits=st.integers(1, 10))
+    @given(value=st.integers(0, 2**50))
     @settings(max_examples=300, deadline=None)
-    def test_bounds_contain_value(self, value, fine_bits):
+    def test_bounds_contain_value(self, value):
         """Property: every value lies inside its own bucket's bounds."""
-        hist = LatencyHistogram(fine_bits=fine_bits)
+        hist = LatencyHistogram()
         low, high = hist.bucket_bounds(hist.bucket_index(value))
         assert low <= value <= high
 
-    @given(fine_bits=st.integers(1, 8), data=st.data())
+    @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_index_monotone_in_value(self, fine_bits, data):
+    def test_index_monotone_in_value(self, data):
         """Property: bucket_index never decreases as the value grows."""
-        hist = LatencyHistogram(fine_bits=fine_bits)
+        hist = LatencyHistogram()
         a = data.draw(st.integers(0, 2**40))
         b = data.draw(st.integers(a, a + 2**20))
         assert hist.bucket_index(a) <= hist.bucket_index(b)
 
-    @given(fine_bits=st.integers(1, 10), tier=st.integers(0, 40))
+    @given(tier=st.integers(0, 40))
     @settings(max_examples=200, deadline=None)
-    def test_powers_of_two_are_boundaries(self, fine_bits, tier):
+    def test_powers_of_two_are_boundaries(self, tier):
         """Every power of two starts a bucket — the property the
         service's legacy tick-multiple wait buckets rely on."""
-        hist = LatencyHistogram(fine_bits=fine_bits)
+        hist = LatencyHistogram()
         value = 1 << tier
         assert hist.bucket_bounds(hist.bucket_index(value))[0] == value
 
     def test_fine_range_buckets_are_exact(self):
-        hist = LatencyHistogram(fine_bits=4)
-        for value in range(16):
+        hist = LatencyHistogram()
+        for value in range(1 << FINE_BITS):
             assert hist.bucket_bounds(hist.bucket_index(value)) == (value, value)
 
     def test_relative_error_bounded(self):
-        hist = LatencyHistogram(fine_bits=7)
+        hist = LatencyHistogram()
         for value in (1000, 12345, 10**6, 2**31 + 17):
             low, high = hist.bucket_bounds(hist.bucket_index(value))
-            assert (high - low + 1) <= max(value >> 7, 1) * 2
+            assert (high - low + 1) <= max(value >> FINE_BITS, 1) * 2
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(fine_bits=0)
         with pytest.raises(ValueError):
             LatencyHistogram().bucket_bounds(-1)
 
@@ -70,11 +68,6 @@ class TestRecording:
         assert hist.max_value == 7000
         assert hist.mean == pytest.approx((5 + 5 + 300 + 7000) / 4)
 
-    def test_weighted_record(self):
-        hist = LatencyHistogram()
-        hist.record(9, n=1000)
-        assert hist.count == 1000 and hist.total == 9000
-
     def test_rejects_non_integers_and_negatives(self):
         hist = LatencyHistogram()
         with pytest.raises(TypeError):
@@ -83,8 +76,6 @@ class TestRecording:
             hist.record(True)
         with pytest.raises(ValueError):
             hist.record(-1)
-        with pytest.raises(ValueError):
-            hist.record(1, n=0)
 
     def test_empty_histogram_reports_zeros(self):
         hist = LatencyHistogram()
@@ -99,9 +90,9 @@ class TestRecording:
 # ----------------------------------------------------------------------
 class TestQuantiles:
     def test_exact_in_fine_range(self):
-        """Below 2**fine_bits every value has its own bucket, so
+        """Below 2**FINE_BITS every value has its own bucket, so
         quantiles are exact order statistics."""
-        hist = LatencyHistogram(fine_bits=7)
+        hist = LatencyHistogram()
         for v in range(1, 101):  # 1..100, all < 128
             hist.record(v)
         assert hist.quantile(50) == 50
@@ -161,16 +152,16 @@ class TestCountBelow:
         assert hist.count_below(threshold) == sum(s < threshold for s in samples)
 
     def test_exact_in_fine_range(self):
-        hist = LatencyHistogram(fine_bits=7)
+        hist = LatencyHistogram()
         for v in (3, 50, 100, 127):
             hist.record(v)
         assert hist.count_below(51) == 2
         assert hist.count_below(128) == 4
 
     def test_non_boundary_threshold_raises(self):
-        hist = LatencyHistogram(fine_bits=2)
+        hist = LatencyHistogram()
         with pytest.raises(ValueError, match="boundary"):
-            hist.count_below(9)  # tier [8,16) at fine_bits=2 → buckets of 2
+            hist.count_below(257)  # tier [256, 512) → 128 buckets of 2
         with pytest.raises(ValueError):
             hist.count_below(-1)
 
@@ -196,10 +187,6 @@ class TestMergeAndSerialise:
             hall.record(s)
         ha.merge(hb)
         assert vars(ha) == vars(hall)
-
-    def test_merge_requires_same_resolution(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(fine_bits=7).merge(LatencyHistogram(fine_bits=8))
 
 
 # ----------------------------------------------------------------------

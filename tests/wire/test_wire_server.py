@@ -21,6 +21,7 @@ from repro.wire import (
     WireServer,
     WireTimeout,
 )
+from repro.wire import client as client_module
 from repro.wire import protocol
 from tests.helpers import FRACTIONAL_ROW4, fractional_row4_instance
 
@@ -295,7 +296,8 @@ class TestRevocationPush:
                     lease = await client.acquire(2)
                     service.mrsin.set_failed("resource", lease.resource)
                     service.reconcile_faults()
-                    await asyncio.wait_for(lease.revocation.wait(), 2.0)
+                    # The push precedes the PING reply on the stream.
+                    await client.ping()
                     assert lease.revoked and not lease.active
                     assert server.revocations_pushed == 1
                     with pytest.raises(WireLeaseRevoked):
@@ -843,13 +845,14 @@ class TestGuards:
 
         run(scenario())
 
-    def test_connect_failure_raises_after_retries(self):
+    def test_connect_failure_raises_after_retries(self, monkeypatch):
+        monkeypatch.setattr(client_module, "BACKOFF_BASE_S", 0.001)
+        monkeypatch.setattr(client_module, "BACKOFF_MAX_S", 0.002)
+
         async def scenario():
             client = WireClient(
                 "127.0.0.1", 1,  # reserved port: nothing listens there
                 reconnect_attempts=2,
-                backoff_base=0.001,
-                backoff_max=0.002,
                 rng=7,
             )
             with pytest.raises(WireConnectionError, match="3 attempt"):
@@ -883,12 +886,11 @@ def test_no_blocking_primitive_runs_on_the_event_loop(monkeypatch):
 
     refuse_on_the_loop(time, "sleep")
     refuse_on_the_loop(socket, "gethostbyname")
+    monkeypatch.setattr(client_module, "BACKOFF_BASE_S", 0.001)
+    monkeypatch.setattr(client_module, "BACKOFF_MAX_S", 0.002)
 
     async def scenario():
-        unreachable = WireClient(
-            "127.0.0.1", 1, reconnect_attempts=1,
-            backoff_base=0.001, backoff_max=0.002, rng=7,
-        )
+        unreachable = WireClient("127.0.0.1", 1, reconnect_attempts=1, rng=7)
         with pytest.raises(WireConnectionError, match="2 attempt"):
             await unreachable.connect()  # one backoff wait taken
         async with stack() as (service, server):
