@@ -38,7 +38,7 @@ from repro.networks import TOPOLOGIES, build_network, omega
 from repro.networks.render import render_circuits, render_network
 from repro.service.invariants import InvariantError
 from repro.sim.blocking import POLICIES, estimate_blocking
-from repro.sim.queueing import simulate_queueing
+from repro.sim.queueing import WARMUP, simulate_queueing
 from repro.sim.runner import sweep as run_sweep
 from repro.sim.workload import WorkloadSpec, sample_instance
 from repro.util.rng import make_rng
@@ -125,6 +125,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_queueing(args) -> int:
     """Steady-state queueing run (utilization / response time)."""
+    if 0 < args.horizon <= WARMUP:
+        raise ValueError(f"--horizon {args.horizon:g} must exceed the {WARMUP:g} warm-up time units")
     m = MRSIN(build_network(args.network, args.ports))
     res = simulate_queueing(
         m, policy=args.policy, arrival_rate=args.rate,

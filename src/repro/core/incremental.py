@@ -112,7 +112,7 @@ class KernelFlowEngine:
         )
         kernel.charge(self.counter, baseline)
         mapping = kernel_mapping(
-            paths, layout.link_of_arc, {r.processor: r for r in reqs}, mrsin
+            paths, layout.first_link, {r.processor: r for r in reqs}, mrsin
         )
         self.last_new_flow = len(paths)
         self.warm_ticks += 1

@@ -274,7 +274,7 @@ class OptimalScheduler:
         kernel.charge(self.counter, baseline)
         self.stats.flow_value = len(paths)
         request_of = {req.processor: req for req in reqs}
-        return kernel_mapping(paths, lowered.link_of_arc, request_of, mrsin)
+        return kernel_mapping(paths, lowered.first_link, request_of, mrsin)
 
     def _schedule_homogeneous(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping:
         if self.maxflow == "kernel":
@@ -365,7 +365,7 @@ class OptimalScheduler:
             return None
         self.stats.flow_value = bound
         request_of = {req.processor: req for req in reqs}
-        return kernel_mapping(certified, lowered.link_of_arc, request_of, mrsin)
+        return kernel_mapping(certified, lowered.first_link, request_of, mrsin)
 
     def _schedule_heterogeneous(self, mrsin: MRSIN, reqs: Sequence[Request]) -> Mapping:
         mapping = self._schedule_typed_on_kernel(mrsin, reqs)

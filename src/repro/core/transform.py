@@ -245,7 +245,7 @@ class KernelProblem:
     Arc ids are the layout's: every processor, link and link-entered
     resource has its arc whatever its state, at capacity 0 when this
     cycle cannot use it.  Node ids are the network's wiring-time table
-    (:attr:`~repro.networks.topology.MultistageNetwork.flow_ends`).
+    (:attr:`~repro.networks.topology.Wiring.flow_ends`).
     Each node meets its usable arcs in the order the object
     transformation adds them (the batch's source arcs are linked into
     ``s``'s list in request order), so every kernel solve takes the
@@ -256,10 +256,9 @@ class KernelProblem:
     kernel:
         The flow network; node 0 is ``s``, node 1 is ``t``, node 2 the
         bypass ``u``.
-    link_of_arc:
-        Kernel arc id → the physical link it mirrors (``None`` for
-        source, sink, bypass and reverse arcs).  The layout's: shared,
-        never mutate it.
+    first_link:
+        The arc of link 0; link ``i``'s arc is ``first_link + 2 * i``
+        (the layout's).
     source_arc:
         Processor index → its ``s → (p, i)`` arc id: the batch's, in
         request order.
@@ -272,7 +271,7 @@ class KernelProblem:
     """
 
     kernel: FlowKernel
-    link_of_arc: list[Link | None]
+    first_link: int
     source_arc: dict[int, int]
     sink_arc: dict[int, int]
     cost: list[int]
@@ -342,12 +341,12 @@ def lower_to_kernel(
         for a, price in prices.items():
             cost[a], cost[a ^ 1] = price, -price
     kernel.base = cap.copy()
-    return KernelProblem(kernel, layout.link_of_arc, source_arc, sink_arc, cost)
+    return KernelProblem(kernel, layout.first_link, source_arc, sink_arc, cost)
 
 
 def kernel_mapping(
     paths: list[list[int]],
-    link_of_arc: list[Link | None],
+    first_link: int,
     request_of: dict[int, Request],
     mrsin: MRSIN,
 ) -> Mapping:
@@ -356,14 +355,15 @@ def kernel_mapping(
     One assignment per path, in path order.  A lowering's s-t path is
     ``s → p``, then either ``p``'s links to a resource and ``r → t``,
     or the bypass ``p → u → t``, which crosses no link and serves
-    nobody; so a path's links are its arcs but the first and last.
+    nobody; so a path's links are its arcs but the first and last, link
+    ``i`` at arc ``first_link + 2 * i`` (bypass arcs come before it).
     """
-    link = link_of_arc.__getitem__
+    links_of = mrsin.network.links
     resources = mrsin.resources
     assignments = []
     for path in paths:
-        links = tuple(map(link, path[1:-1]))
-        if links[0] is not None:
+        if path[1] >= first_link:
+            links = tuple([links_of[(a - first_link) >> 1] for a in path[1:-1]])
             assignments.append(
                 Assignment(request_of[links[0].src.box], resources[links[-1].dst.box], links)
             )

@@ -19,11 +19,19 @@ describing how the wires of one rank connect to the next (see
 :mod:`repro.networks.permutations`).  The topology builders
 (:func:`~repro.networks.omega.omega` etc.) all funnel through
 :func:`assemble`.
+
+A network's :class:`Wiring` (link ends, hop table, stage shapes, flow
+levels and layouts) is fixed; its own state is its boxes, links and
+circuits.  Networks :func:`assemble` builds share one wiring per content,
+so ``flow_levels`` and ``flow_layout`` are built once per wiring.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, count, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.flows.kernel import FlowKernel
@@ -32,8 +40,11 @@ from repro.networks.switchbox import Switchbox
 __all__ = ["PortRef", "Link", "Circuit", "MultistageNetwork", "assemble", "FLOW_TERMINALS"]
 
 #: Flow-node ids below the processors: source ``s``, sink ``t`` and
-#: Transformation 2's bypass ``u`` (see ``MultistageNetwork.flow_ends``).
+#: Transformation 2's bypass ``u`` (see :class:`Wiring`).
 FLOW_TERMINALS = 3
+
+#: Wirings :func:`assemble` keeps for reuse, least recently used out first.
+WIRING_CACHE_SIZE = 32
 
 
 class PortRef(NamedTuple):
@@ -103,15 +114,35 @@ class Circuit:
 
 class FlowLayout(NamedTuple):
     """A transformation's arcs as wired (:meth:`MultistageNetwork.flow_layout`):
-    every arc at capacity 0 in ``kernel``, arc id → link in
-    ``link_of_arc``, link ``i`` at arc ``first_link + 2 * i``, and sink
-    arc ``k`` after the last link, from resource ``sinks[k][0]``, whose
-    one in-link is ``sinks[k][1]``."""
+    every arc at capacity 0 in ``kernel``, link ``i`` at arc
+    ``first_link + 2 * i``, and sink arc ``k`` after the last link, from
+    resource ``sinks[k][0]``, whose one in-link is ``sinks[k][1]``."""
 
     kernel: FlowKernel
-    link_of_arc: list[Link | None]
     first_link: int
     sinks: list[tuple[int, int]]
+
+
+class Wiring:
+    """The fixed part of a network, never changed once ``shared``.
+
+    ``from_src`` / ``to_dst`` map each link's ports to its index, in link
+    order; link ``i`` runs from flow node ``flow_ends[2 * i]`` to
+    ``flow_ends[2 * i + 1]`` (``hops[i]``: head, tail).  Ids run s, t, u,
+    processors, resources, then boxes stage by stage, and never move.
+    """
+
+    def __init__(self, n_processors: int, n_resources: int) -> None:
+        self.n_processors, self.n_resources = n_processors, n_resources
+        self.n_flow_nodes = FLOW_TERMINALS + n_processors + n_resources
+        self.shapes: list[list[tuple[int, int]]] = []
+        self.from_src: dict[PortRef, int] = {}
+        self.to_dst: dict[PortRef, int] = {}
+        self.flow_ends: list[int] = []
+        self.hops: list[tuple[int, int]] = []
+        self.levels: list[int] | None = None
+        self.layouts: dict[bool, FlowLayout] = {}
+        self.shared = False
 
 
 class MultistageNetwork:
@@ -125,28 +156,37 @@ class MultistageNetwork:
         self.name = name
         self.n_processors = n_processors
         self.n_resources = n_resources
+        self.wiring = Wiring(n_processors, n_resources)
         self.stages: list[list[Switchbox]] = []
         self.links: list[Link] = []
-        self._from_src: dict[PortRef, Link] = {}
-        self._to_dst: dict[PortRef, Link] = {}
         self._processor_links: dict[int, Link] = {}
-        # The hop table, resolved once at wiring time: link index ->
-        # (box entered, box left); None at a processor or resource end.
-        self._hops: list[tuple[Switchbox | None, Switchbox | None]] = []
-        # The flow-node table, fixed at wiring time like the hop table:
-        # link i's tail and head node ids in the flow lowering are
-        # flow_ends[2 * i] and flow_ends[2 * i + 1] (flat, so a network
-        # adds no tuple per link for the garbage collector to walk).
-        # Ids run s, t, u, then processors, resources, and boxes stage
-        # by stage, so no id moves once assigned.
-        self.flow_ends: list[int] = []
-        self.n_flow_nodes = FLOW_TERMINALS + n_processors + n_resources
-        self._box_node_base: list[int] = []
-        self._flow_levels: list[int] | None = None
-        self._flow_layouts: dict[bool, FlowLayout] = {}
+        # Flow-node id -> its switchbox (None below the boxes).
+        self._node_box: list[Switchbox | None] = [None] * self.wiring.n_flow_nodes
         # Active circuits by the index of their first link (circuits
         # are link-disjoint, so the key is unique), in establish order.
         self._circuits: dict[int, Circuit] = {}
+
+    @classmethod
+    def on_wiring(cls, name: str, wiring: Wiring) -> "MultistageNetwork":
+        """A network of its own boxes and links on a shared ``wiring``."""
+        net = cls(name, wiring.n_processors, wiring.n_resources)
+        net.wiring = wiring
+        net.stages = [
+            list(map(Switchbox, repeat(k), range(len(shape)), *zip(*shape)))
+            for k, shape in enumerate(wiring.shapes)
+        ]
+        links = net.links = list(map(Link, count(), wiring.from_src, wiring.to_dst))
+        net._processor_links = dict(zip(range(net.n_processors), links))  # assemble's order
+        net._node_box += chain.from_iterable(net.stages)
+        return net
+
+    def _extend(self) -> Wiring:
+        """The wiring to change: a shared one is copied first."""
+        if self.wiring.shared:
+            self.wiring = copy.deepcopy(self.wiring)
+            self.wiring.shared = False
+        self.wiring.levels, self.wiring.layouts = None, {}
+        return self.wiring
 
     # ------------------------------------------------------------------
     # Construction
@@ -155,36 +195,34 @@ class MultistageNetwork:
         """Append a stage of switchboxes given ``(n_in, n_out)`` shapes."""
         stage = len(self.stages)
         created = [Switchbox(stage, i, n_in, n_out) for i, (n_in, n_out) in enumerate(boxes)]
+        wiring = self._extend()
         self.stages.append(created)
-        self._box_node_base.append(self.n_flow_nodes)
-        self.n_flow_nodes += len(created)
-        self._flow_levels = None
-        self._flow_layouts = {}
+        self._node_box += created
+        wiring.shapes.append([(box.n_in, box.n_out) for box in created])
+        wiring.n_flow_nodes += len(created)
         return created
 
     def add_link(self, src: PortRef, dst: PortRef) -> Link:
         """Wire ``src`` to ``dst``; each port carries at most one link."""
-        if src in self._from_src:
+        if src in self.wiring.from_src:
             raise ValueError(f"port {src} already wired")
-        if dst in self._to_dst:
+        if dst in self.wiring.to_dst:
             raise ValueError(f"port {dst} already wired")
-        left, tail = self._link_end(src, "box_out")
-        entered, head = self._link_end(dst, "box_in")
+        tail = self._link_end(src, "box_out")
+        head = self._link_end(dst, "box_in")
+        wiring = self._extend()
         link = Link(len(self.links), src, dst)
         self.links.append(link)
-        self._hops.append((entered, left))
-        self.flow_ends += (tail, head)
-        self._flow_levels = None
-        self._flow_layouts = {}
-        self._from_src[src] = link
-        self._to_dst[dst] = link
+        wiring.from_src[src] = wiring.to_dst[dst] = link.index
+        wiring.flow_ends += (tail, head)
+        wiring.hops.append((head, tail))
         if src.kind == "proc":
             self._processor_links[src.box] = link
         return link
 
-    def _link_end(self, ref: PortRef, kind: str) -> tuple[Switchbox | None, int]:
-        """The switchbox whose ``kind`` port ``ref`` names (else None),
-        and the end's flow-node id.
+    def _link_end(self, ref: PortRef, kind: str) -> int:
+        """The flow-node id of the processor, resource or switchbox
+        ``kind`` port ``ref`` names.
 
         Checked here, once, so the per-grant pass over the hop table
         never meets a missing box or an out-of-range port, and no two
@@ -193,9 +231,9 @@ class MultistageNetwork:
         ref_kind, stage, index, port = ref
         if ref_kind != kind:
             if ref_kind == "proc" and 0 <= index < self.n_processors:
-                return None, FLOW_TERMINALS + index
+                return FLOW_TERMINALS + index
             if ref_kind == "res" and 0 <= index < self.n_resources:
-                return None, FLOW_TERMINALS + self.n_processors + index
+                return FLOW_TERMINALS + self.n_processors + index
             raise ValueError(f"port {ref} names no processor, resource or switchbox port")
         try:
             box = self.stages[stage][index]
@@ -205,7 +243,7 @@ class MultistageNetwork:
             0 <= port < (box.n_in if kind == "box_in" else box.n_out)
         ):
             raise ValueError(f"port {ref} names no switchbox port")
-        return box, self._box_node_base[stage] + index
+        return self.wiring.n_flow_nodes - sum(map(len, self.stages[stage:])) + index
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -230,21 +268,21 @@ class MultistageNetwork:
 
         ``s`` is 0, processors 1, ``t`` one more than the nearest
         resource; ``u`` and any node no link path reaches are -1.  Like
-        ``flow_ends`` it is fixed by the wiring (computed on first read,
-        reset by :meth:`add_stage` / :meth:`add_link`), so on a
-        stage-structured network it is every reachable node's BFS level
-        in any lowering, whatever is occupied or failed: the paper's
-        request-token layering (Sec. IV, Theorem 4).  Shared: read it,
-        never mutate it.
+        ``wiring.flow_ends`` it is fixed by the wiring (computed on first read,
+        once per wiring, reset by :meth:`add_stage` / :meth:`add_link`),
+        so on a stage-structured network it is every reachable node's
+        BFS level in any lowering, whatever is occupied or failed: the
+        paper's request-token layering (Sec. IV, Theorem 4).  Shared:
+        read it, never mutate it.
         """
-        levels = self._flow_levels
+        levels = self.wiring.levels
         if levels is None:
-            out: list[list[int]] = [[] for _ in range(self.n_flow_nodes)]
-            ends = self.flow_ends
+            out: list[list[int]] = [[] for _ in range(self.wiring.n_flow_nodes)]
+            ends = self.wiring.flow_ends
             for tail, head in zip(ends[0::2], ends[1::2]):
                 out[tail].append(head)
             res0 = FLOW_TERMINALS + self.n_processors
-            levels = [-1] * self.n_flow_nodes
+            levels = [-1] * self.wiring.n_flow_nodes
             levels[0] = 0
             levels[FLOW_TERMINALS:res0] = [1] * self.n_processors
             queue = list(range(FLOW_TERMINALS, res0))
@@ -255,7 +293,7 @@ class MultistageNetwork:
                         queue.append(w)
             reached = [lv for lv in levels[res0:res0 + self.n_resources] if lv >= 0]
             levels[1] = min(reached) + 1 if reached else -1
-            self._flow_levels = levels
+            self.wiring.levels = levels
         return levels
 
     def flow_layout(self, bypass: bool = False) -> FlowLayout:
@@ -268,10 +306,11 @@ class MultistageNetwork:
         order — every one at capacity 0.  A lowering copies it and
         writes one cycle's capacities
         (:func:`~repro.core.transform.lower_to_kernel`).  Built on first
-        read, reset by :meth:`add_stage` / :meth:`add_link` like
-        :attr:`flow_levels`.  Shared: copy it, never mutate it.
+        read, once per wiring, reset by :meth:`add_stage` /
+        :meth:`add_link` like :attr:`flow_levels`.  Shared: copy it,
+        never mutate it.
         """
-        layout = self._flow_layouts.get(bypass)
+        layout = self.wiring.layouts.get(bypass)
         if layout is None:
             s, t, u = range(FLOW_TERMINALS)
             procs = range(FLOW_TERMINALS, FLOW_TERMINALS + self.n_processors)
@@ -283,18 +322,14 @@ class MultistageNetwork:
             first_link = 2 * len(tails)
             res0 = procs.stop
             sinks = sorted(
-                (head - res0, i) for i, head in enumerate(self.flow_ends[1::2])
+                (head - res0, i) for i, head in enumerate(self.wiring.flow_ends[1::2])
                 if res0 <= head < res0 + self.n_resources
             )
-            tails += self.flow_ends[0::2] + [res0 + r for r, _ in sinks]
-            heads += self.flow_ends[1::2] + [t] * len(sinks)
-            kernel = FlowKernel(self.n_flow_nodes)
+            tails += self.wiring.flow_ends[0::2] + [res0 + r for r, _ in sinks]
+            heads += self.wiring.flow_ends[1::2] + [t] * len(sinks)
+            kernel = FlowKernel(self.wiring.n_flow_nodes)
             kernel.add_arcs(tails, heads, [0] * len(tails))
-            link_of_arc: list[Link | None] = [None] * kernel.n_arcs
-            link_of_arc[first_link:first_link + 2 * len(self.links):2] = self.links
-            layout = self._flow_layouts[bypass] = FlowLayout(
-                kernel, link_of_arc, first_link, sinks
-            )
+            layout = self.wiring.layouts[bypass] = FlowLayout(kernel, first_link, sinks)
         return layout
 
     @property
@@ -324,15 +359,17 @@ class MultistageNetwork:
 
     def resource_link(self, r: int) -> Link:
         """The single link entering resource ``r``."""
-        return self._to_dst[PortRef.resource(r)]
+        return self.links[self.wiring.to_dst[PortRef.resource(r)]]
 
     def link_from(self, port: PortRef) -> Link | None:
         """Link whose source is ``port`` (None if unwired)."""
-        return self._from_src.get(port)
+        i = self.wiring.from_src.get(port)
+        return None if i is None else self.links[i]
 
     def link_to(self, port: PortRef) -> Link | None:
         """Link whose destination is ``port`` (None if unwired)."""
-        return self._to_dst.get(port)
+        i = self.wiring.to_dst.get(port)
+        return None if i is None else self.links[i]
 
     # ------------------------------------------------------------------
     # Fault state
@@ -347,17 +384,21 @@ class MultistageNetwork:
         """
         if link.failed:
             return False
-        entered, left = self._hops[link.index]
-        if left is not None and left.failed:
+        entered, left = self.wiring.hops[link.index]
+        box_at = self._node_box
+        if (left := box_at[left]) is not None and left.failed:
             return False
-        return entered is None or not entered.failed
+        return (entered := box_at[entered]) is None or not entered.failed
 
     def open_links(self) -> list[int]:
         """Per link, in ``links`` order, 1 while it is free and
         :meth:`link_usable` (with no box down: not failed itself), else 0."""
         if any(box.failed for stage in self.stages for box in stage):
-            usable = self.link_usable
-            return [0 if link.occupied or not usable(link) else 1 for link in self.links]
+            down = [box is not None and box.failed for box in self._node_box]
+            return [
+                0 if link.occupied or link.failed or down[head] or down[tail] else 1
+                for link, (head, tail) in zip(self.links, self.wiring.hops)
+            ]
         return [0 if link.occupied or link.failed else 1 for link in self.links]
 
     # ------------------------------------------------------------------
@@ -384,7 +425,9 @@ class MultistageNetwork:
         unavailable link, and that before a failed switch.  Cost is
         O(total path length).
         """
-        hop_of = self._hops
+        hop_of = self.wiring.hops
+        box_at = self._node_box
+        box0 = FLOW_TERMINALS + self.n_processors + self.n_resources  # the first box node
         seen: set[int] = set()
         for links in paths:
             if not links:
@@ -395,19 +438,21 @@ class MultistageNetwork:
             if last.dst.kind != "res":
                 raise ValueError(f"path must end at a resource, got {last.dst}")
             link_error = switch_error = None
-            prev = box = None
+            prev = node = None
             for link in links:
                 index = link.index
                 entered, left = hop_of[index]
                 if prev is not None:
-                    if box is None or left is None:
+                    if node < box0 or left < box0:
                         raise ValueError(
                             f"links {prev.index} and {index} do not meet at a box"
                         )
-                    if box is not left:
+                    box = box_at[node]
+                    if node != left:
+                        other = box_at[left]
                         raise ValueError(
                             f"links {prev.index} and {index} meet different boxes "
-                            f"({box.stage},{box.index}) vs ({left.stage},{left.index})"
+                            f"({box.stage},{box.index}) vs ({other.stage},{other.index})"
                         )
                     if box.failed:
                         switch_error = switch_error or f"{box} has failed"
@@ -418,7 +463,7 @@ class MultistageNetwork:
                 elif index in seen:
                     link_error = link_error or f"two paths share link {index}"
                 seen.add(index)
-                prev, box = link, entered
+                prev, node = link, entered
             if link_error or switch_error:
                 raise ValueError(link_error or switch_error)
 
@@ -470,12 +515,11 @@ class MultistageNetwork:
         that box is healthy.  A busy output port is an occupied link,
         so the link test is the whole port test.
         """
-        box = self._hops[link.index][0]
+        box = self._node_box[self.wiring.hops[link.index][0]]
         if box is None or box.failed:
             return
-        from_src = self._from_src
         for port in range(box.n_out):
-            nxt = from_src.get(PortRef.box_out(box.stage, box.index, port))
+            nxt = self.link_from(PortRef.box_out(box.stage, box.index, port))
             if nxt is not None and not nxt.occupied and not nxt.failed:
                 yield nxt
 
@@ -550,7 +594,7 @@ class MultistageNetwork:
             box = self.box(stage, box_idx)
             total = 0
             for port in range(box.n_out):
-                nxt = self._from_src.get(PortRef.box_out(stage, box_idx, port))
+                nxt = self.link_from(PortRef.box_out(stage, box_idx, port))
                 if nxt is not None:
                     total += walk(nxt)
             return total
@@ -586,17 +630,38 @@ def assemble(
     last-stage outputs to resources.  Each boundary function maps a
     global wire index (in box-major port order) to the destination
     global port index; the wire counts on both sides must agree.
+
+    Each boundary is read once, as a table.  Networks with the same
+    sizes, shapes and tables share one :class:`Wiring`, whatever their
+    names; each gets its own boxes and links.
     """
     if len(boundaries) != len(stage_shapes) + 1:
         raise ValueError(
             f"need {len(stage_shapes) + 1} boundaries, got {len(boundaries)}"
         )
-    net = MultistageNetwork(name, n_processors, n_resources)
-    for shapes in stage_shapes:
-        net.add_stage(shapes)
-
-    n_stages = len(stage_shapes)
+    shapes = tuple(tuple(map(tuple, stage)) for stage in stage_shapes)
+    tables = []
     for k, boundary in enumerate(boundaries):
+        n_src = n_processors if k == 0 else sum(n_out for _, n_out in shapes[k - 1])
+        n_dst = n_resources if k == len(shapes) else sum(n_in for n_in, _ in shapes[k])
+        if n_src != n_dst:
+            raise ValueError(
+                f"boundary {k}: {n_src} source wires vs {n_dst} destination ports"
+            )
+        tables.append(tuple(map(boundary, range(n_src), repeat(n_src))))
+    wiring = _shared_wiring(n_processors, n_resources, shapes, tuple(tables))
+    return MultistageNetwork.on_wiring(name, wiring)
+
+
+@lru_cache(maxsize=WIRING_CACHE_SIZE)
+def _shared_wiring(n_processors: int, n_resources: int, shapes: tuple, tables: tuple) -> Wiring:
+    """The one wiring of this content: boundary ``k`` wires source ``i`` to
+    destination ``tables[k][i]`` by ``add_link``, which rejects a table
+    that is no permutation (a port wired twice)."""
+    net = MultistageNetwork("", n_processors, n_resources)
+    for stage in shapes:
+        net.add_stage(stage)
+    for k, table in enumerate(tables):
         # Both sides in box-major port order, the order boundaries index.
         if k == 0:
             srcs = [PortRef.processor(i) for i in range(n_processors)]
@@ -606,7 +671,7 @@ def assemble(
                 for idx, box in enumerate(net.stages[k - 1])
                 for port in range(box.n_out)
             ]
-        if k == n_stages:
+        if k == len(shapes):
             dsts = [PortRef.resource(i) for i in range(n_resources)]
         else:
             dsts = [
@@ -614,11 +679,7 @@ def assemble(
                 for idx, box in enumerate(net.stages[k])
                 for port in range(box.n_in)
             ]
-        n_src, n_dst = len(srcs), len(dsts)
-        if n_src != n_dst:
-            raise ValueError(
-                f"boundary {k}: {n_src} source wires vs {n_dst} destination ports"
-            )
-        for i in range(n_src):
-            net.add_link(srcs[i], dsts[boundary(i, n_src)])
-    return net
+        for src, j in zip(srcs, table):
+            net.add_link(src, dsts[j])
+    net.wiring.shared = True
+    return net.wiring

@@ -27,7 +27,10 @@ from repro.core.requests import Request
 from repro.sim.blocking import POLICIES
 from repro.util.rng import make_rng
 
-__all__ = ["QueueingResult", "simulate_queueing"]
+__all__ = ["QueueingResult", "simulate_queueing", "WARMUP"]
+
+#: Simulated time the statistics skip by default: the run starts empty.
+WARMUP = 20.0
 
 
 @dataclass
@@ -64,7 +67,7 @@ def simulate_queueing(
     mean_service: float = 1.0,
     transmission_time: float = 0.1,
     horizon: float = 200.0,
-    warmup: float = 20.0,
+    warmup: float = WARMUP,
     min_batch: int = 1,
     seed: int | np.random.Generator | None = None,
 ) -> QueueingResult:
@@ -79,7 +82,8 @@ def simulate_queueing(
     transmission_time:
         Fixed circuit-holding time per task (model item 5).
     horizon, warmup:
-        Simulated time; statistics ignore the first ``warmup``.
+        Simulated time; statistics ignore the first ``warmup``, which
+        must lie in ``[0, horizon)``.
     min_batch:
         Scheduling-cycle trigger: wait until at least this many
         requests are pending before scheduling — the paper's Fig. 10
@@ -99,6 +103,8 @@ def simulate_queueing(
         raise ValueError(f"transmission_time must be >= 0, got {transmission_time}")
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not 0 <= warmup < horizon:  # else no statistics window: an all-zero table
+        raise ValueError(f"warmup must be in [0, horizon={horizon:g}), got {warmup}")
     rng = make_rng(seed)
     dispatch = POLICIES[policy]
     mrsin.reset()
@@ -168,7 +174,7 @@ def simulate_queueing(
                     push(now + transmission_time, "transmission_done", r)
                     service = transmission_time + float(rng.exponential(mean_service))
                     push(now + service, "service_done", (r, a.request.tag))
-    window = max(horizon - warmup, 1e-9)
+    window = horizon - warmup
     return QueueingResult(
         utilization=busy_integral / (window * mrsin.n_resources),
         mean_response=(sum(responses) / len(responses)) if responses else 0.0,

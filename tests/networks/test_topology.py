@@ -61,13 +61,13 @@ class TestAssembly:
         # s, t, u; processors 3..10; resources 11..18; then the twelve
         # boxes stage by stage: one id per link end, fixed at wiring.
         net = omega(8)
-        assert net.n_flow_nodes == 3 + 8 + 8 + 12
+        assert net.wiring.n_flow_nodes == 3 + 8 + 8 + 12
         ids = {}
         for i, link in enumerate(net.links):
-            for ref, node in zip((link.src, link.dst), net.flow_ends[2 * i:2 * i + 2]):
+            for ref, node in zip((link.src, link.dst), net.wiring.flow_ends[2 * i:2 * i + 2]):
                 key = ref.kind.split("_")[0], ref.stage, ref.box
                 assert ids.setdefault(key, node) == node
-        assert sorted(ids.values()) == list(range(3, net.n_flow_nodes))
+        assert sorted(ids.values()) == list(range(3, net.wiring.n_flow_nodes))
         assert ids["proc", -1, 5] == 8 and ids["res", -1, 0] == 11
         assert ids["box", 0, 0] == 19 and ids["box", 2, 3] == 30
 
@@ -102,7 +102,7 @@ class TestAssembly:
             net.add_link(PortRef.processor(1), PortRef.box_in(0, 0, 0))
         with pytest.raises(ValueError, match="names no processor"):
             net.add_link(PortRef.box_out(0, 0, 0), PortRef.resource(1))
-        assert net.links == [] and net.flow_ends == []
+        assert net.links == [] and net.wiring.flow_ends == []
 
 
 class TestCircuits:

@@ -65,6 +65,16 @@ class TestQueueing:
         with pytest.raises(ValueError, match=knob):
             simulate_queueing(MRSIN(omega(8)), **{knob: value})
 
+    @pytest.mark.parametrize(
+        "horizon,warmup", [(10.0, 20.0), (20.0, 20.0), (100.0, -1.0), (100.0, float("nan"))]
+    )
+    def test_rejects_a_warmup_outside_the_horizon(self, horizon, warmup):
+        """A warmup at or past the horizon left an empty statistics
+        window: utilization, response and queue read 0.0 while
+        ``completed`` still counted every task."""
+        with pytest.raises(ValueError, match="warmup must be in"):
+            simulate_queueing(MRSIN(omega(8)), horizon=horizon, warmup=warmup, seed=1)
+
     def test_network_state_consistent_after_run(self):
         m = MRSIN(omega(8))
         simulate_queueing(m, arrival_rate=0.5, horizon=100.0, seed=3)

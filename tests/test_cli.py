@@ -194,6 +194,9 @@ class TestCommands:
             ("wire-serve --fault-rate nan --duration 0.1", "fault_rate must be positive"),
             ("queueing --rate nan", "arrival_rate must be positive and finite"),
             ("queueing --horizon inf", "horizon must be positive and finite"),
+            # A horizon inside the warm-up left no statistics window:
+            # an all-zero table, with every task still counted, exit 0.
+            ("queueing --horizon 10 --seed 1", "--horizon 10 must exceed the 20 warm-up"),
             ("loadgen --port 1 --rate nan", "rate must be positive and finite"),
             ("loadgen --port 1 --rate inf", "rate must be positive and finite"),
             ("loadgen --port 1 --duration nan", "duration must be positive and finite"),
